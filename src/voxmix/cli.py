@@ -54,7 +54,7 @@ def _build_parser() -> _Parser:
 
     add("gen-data", "generate the synthetic dataset")
     add("build-priors", "write the few-shot split and per-class priors")
-    add("pretrain-gt", "pretrain the volume encoder (overwrites any cache)")
+    add("pretrain-gt", "pretrain the volume encoder, replacing its checkpoint")
     p = add("train", "run the configured training pipeline")
     p.add_argument("--pipeline", default=None,
                    choices=sorted(trainer.PIPELINES),
@@ -134,33 +134,20 @@ def cmd_pretrain_gt(args) -> int:
     config, paths = _load(args)
     ctx = trainer.ExperimentContext.load(config, paths)
     net = Network(trainer.network_config(config))
-    paths.ensure_dirs()
-    volumes = trainer.unique_volumes(ctx.train_pool.samples)
-    store, history = trainer.pretrain_gt(
-        net, volumes, config.train.pretrain_epochs, lr=config.train.gt_lr,
-        batch_size=config.train.pretrain_batch, seed=config.seed)
-    from .nn import save_checkpoint
-    from .config import config_hash
-    path = paths.checkpoints_dir / "gt_encoder.ckpt"
-    save_checkpoint(path, store, {"role": "gt_autoencoder",
-                                  "config_hash": config_hash(config)})
+    _, history = trainer.pretrain_gt_encoder(net, ctx)
     last = history[-1] if history else float("nan")
     print(f"pretrained volume encoder for {len(history)} epochs "
-          f"(final loss {last:.4f}) -> {path}")
+          f"(final loss {last:.4f}) -> "
+          f"{paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     config, paths = _load(args)
-    if args.all:
-        results = trainer.run_ablation(config, paths)
-        for name in ("base", "input_mix", "latent_mix", "dual_mix"):
-            table = results[name].final_table
-            print(f"{name}: novel average IoU {table.overall:.4f}")
-    else:
-        result = trainer.run_pipeline(config, paths, args.pipeline)
-        print(f"{result.pipeline}: novel average IoU "
-              f"{result.final_table.overall:.4f}")
+    pipelines = tuple(trainer.PIPELINES) if args.all \
+        else (args.pipeline or config.train.pipeline,)
+    for name, result in trainer.run_ablation(config, paths, pipelines).items():
+        print(f"{name}: novel average IoU {result.final_table.overall:.4f}")
     return EXIT_OK
 
 
@@ -172,15 +159,13 @@ def cmd_eval(args) -> int:
     ctx = trainer.ExperimentContext.load(config, paths)
     net = Network(trainer.network_config(config))
     table = ctx.eval_table(net, store)
-    evaluate.write_iou_csv(table, paths.reports_dir / f"{pipeline}_iou.csv")
-    evaluate.write_iou_samples_csv(
-        table, paths.reports_dir / f"{pipeline}_iou_samples.csv")
+    trainer.write_iou_reports(paths, pipeline, table)
     if args.dump_predictions:
         dump_dir = paths.reports_dir / f"{pipeline}_predictions"
         dump_dir.mkdir(parents=True, exist_ok=True)
         grids = evaluate.predictions_as_grids(
             net, store, ctx.query_samples, ctx.priors_by_class,
-            config.prior.mode, config.data.classes,
+            trainer.effective_prior_mode(config), config.data.classes,
             config.eval.iou_threshold, config.eval.batch_size)
         for object_id, pose_id, grid in grids:
             voxel.save_binvox(grid, dump_dir / f"{object_id}_p{pose_id}.binvox")
@@ -199,8 +184,8 @@ def cmd_analyze_latent(args) -> int:
     net = Network(trainer.network_config(config))
     samples = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     report = evaluate.cosine_report(net, store, samples, ctx.priors_by_class,
-                                    config.prior.mode, config.data.classes,
-                                    config.eval.batch_size)
+                                    trainer.effective_prior_mode(config),
+                                    config.data.classes, config.eval.batch_size)
     out = paths.reports_dir / f"{pipeline}_cosine.csv"
     evaluate.write_cosine_csv(report, out)
     for class_id, same, diff, n_same, n_diff in report.rows:
@@ -226,10 +211,8 @@ def cmd_proximity(args) -> int:
     for class_id in split.base_classes:
         vols = corpus.load_object_volumes(manifest, split.train_objects[class_id])
         base.extend(vols.items())
-    prox = voxel.proximity(novel, base)
-    iou_by_class = _read_iou_csv(table_path)
-    rows = [(c, prox.per_novel_class[c], iou_by_class[c])
-            for c in sorted(prox.per_novel_class)]
+    rows = evaluate.proximity_join(voxel.proximity(novel, base),
+                                   _read_iou_csv(table_path))
     out = paths.reports_dir / f"{pipeline}_proximity.csv"
     evaluate.write_proximity_csv(rows, out)
     for class_id, prox_value, iou_value in rows:
@@ -271,21 +254,17 @@ def cmd_mix_preview(args) -> int:
     out_dir = paths.reports_dir / "mix_preview"
     out_dir.mkdir(parents=True, exist_ok=True)
     from .render import write_pgm
-    for k, pair in enumerate(pairs):
-        image, prior, volume = mixup.input_mix(
-            (pool.samples.images[pair.i],
-             np.zeros_like(pool.samples.volumes[pair.i]) if pool.priors is None
-             else pool.priors[pair.i],
-             pool.samples.volumes[pair.i]),
-            (pool.samples.images[pair.j],
-             np.zeros_like(pool.samples.volumes[pair.j]) if pool.priors is None
-             else pool.priors[pair.j],
-             pool.samples.volumes[pair.j]),
-            pair.lam)
-        write_pgm(image[0], out_dir / f"pair{k}_sil.pgm")
-        write_pgm(image[1], out_dir / f"pair{k}_dep.pgm")
-        mixup.write_vgrid(prior[0], out_dir / f"pair{k}_prior.vgrid")
-        mixup.write_vgrid(volume[0], out_dir / f"pair{k}_volume.vgrid")
+    volumes = pool.samples.volumes[:count]
+    priors = np.zeros_like(volumes) if pool.priors is None \
+        else pool.priors[:count]
+    images = mixup.apply_pairs(pool.samples.images[:count], pairs)
+    priors = mixup.apply_pairs(priors, pairs)
+    volumes = mixup.apply_pairs(volumes, pairs)
+    for k in range(len(pairs)):
+        write_pgm(images[k, 0], out_dir / f"pair{k}_sil.pgm")
+        write_pgm(images[k, 1], out_dir / f"pair{k}_dep.pgm")
+        mixup.write_vgrid(priors[k, 0], out_dir / f"pair{k}_prior.vgrid")
+        mixup.write_vgrid(volumes[k, 0], out_dir / f"pair{k}_volume.vgrid")
     with open(out_dir / "pairs.csv", "w", newline="") as fh:
         import csv
         writer = csv.writer(fh)

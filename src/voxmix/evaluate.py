@@ -1,6 +1,10 @@
 """Measurement surfaces: per-class IoU tables, same/different-object
 cosine-similarity reports, and the proximity-vs-IoU join.
 
+Every forward pass here gets the prior batch that `prior_mode` assigns,
+or none in mode "none"; callers pass the mode the network sees
+(`trainer.effective_prior_mode`).
+
 Evaluation is read-only over parameter snapshots and fully deterministic;
 aggregates are always accompanied by their per-sample rows so every table
 can be re-derived externally.
@@ -69,14 +73,9 @@ def _batched_forward(net: Network, store: ParamStore, samples: SampleArrays,
     n = len(samples)
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
-        images = samples.images[sl]
-        if net.config.variant == "no_prior":
-            trace = net.forward_no_prior(images, store)
-        else:
-            priors = prior_batch(samples.class_ids[sl], priors_by_class,
-                                 prior_mode, all_classes)
-            trace = net.forward(images, priors, store)
-        yield sl, trace
+        priors = prior_batch(samples.class_ids[sl], priors_by_class,
+                             prior_mode, all_classes)
+        yield sl, net.forward(samples.images[sl], priors, store)
 
 
 def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
@@ -167,10 +166,9 @@ def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
     return CosineReport(tuple(rows))
 
 
-def proximity_join(prox: ProximityReport,
-                   table: IouTable) -> list[tuple[str, float, float]]:
+def proximity_join(prox: ProximityReport, iou_by_class: dict[str, float]
+                   ) -> list[tuple[str, float, float]]:
     """Rows of (class, proximity, iou) for the novel classes."""
-    iou_by_class = {c: v for c, v, _ in table.rows}
     missing = set(prox.per_novel_class) - set(iou_by_class)
     if missing:
         raise ValueError(f"classes missing from the IoU table: {sorted(missing)}")

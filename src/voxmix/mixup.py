@@ -35,38 +35,6 @@ def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
     return float(rng.beta(alpha, alpha))
 
 
-def mix_arrays(a: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """(1 - lam) * a + lam * b, with exact (bitwise) endpoints."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if lam == 0.0:
-        return a.copy()
-    if lam == 1.0:
-        return b.copy()
-    return (1.0 - lam) * a + lam * b
-
-
-def input_mix(s1: tuple, s2: tuple, lam: float) -> tuple:
-    """Mix two (image, prior, volume) triples with one shared ratio."""
-    image1, prior1, volume1 = s1
-    image2, prior2, volume2 = s2
-    return (mix_arrays(image1, image2, lam),
-            mix_arrays(prior1, prior2, lam),
-            mix_arrays(volume1, volume2, lam))
-
-
-def latent_mix(t1: tuple, t2: tuple, lam: float) -> tuple:
-    """Mix two (fused latent, volume latent, volume) triples with one
-    shared ratio."""
-    fused1, vlat1, volume1 = t1
-    fused2, vlat2, volume2 = t2
-    return (mix_arrays(fused1, fused2, lam),
-            mix_arrays(vlat1, vlat2, lam),
-            mix_arrays(volume1, volume2, lam))
-
-
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random permutation without fixed points.
 

@@ -51,18 +51,6 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class LatentVec:
-    """A fixed-width embedding tagged with its role."""
-
-    values: np.ndarray
-    tag: str  # image | prior | fused | volume
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError(f"non-finite latent values (tag={self.tag})")
-
-
-@dataclass(frozen=True)
 class ForwardTrace:
     """Batched intermediate embeddings plus the decoded prediction."""
 
@@ -275,17 +263,9 @@ class Network:
         out = self.decoder.forward(e_fused, store)
         return out.reshape(out.shape[0], *out.shape[2:])
 
-    def forward(self, images: np.ndarray, priors: np.ndarray,
+    def forward(self, images: np.ndarray, priors: np.ndarray | None,
                 store: ParamStore) -> ForwardTrace:
         e_image, e_aux, e_fused = self.encode(images, priors, store)
-        prediction = self.decode(e_fused, store)
-        return ForwardTrace(e_image, e_aux, e_fused, prediction)
-
-    def forward_no_prior(self, images: np.ndarray,
-                         store: ParamStore) -> ForwardTrace:
-        if self.config.variant != "no_prior":
-            raise ValueError("forward_no_prior requires a no_prior network")
-        e_image, e_aux, e_fused = self.encode(images, None, store)
         prediction = self.decode(e_fused, store)
         return ForwardTrace(e_image, e_aux, e_fused, prediction)
 

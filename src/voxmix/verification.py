@@ -1,17 +1,19 @@
 """Finite-difference verification harness.
 
-Builds a named fragment for every layer type, every loss, and the fully
-composed forward+loss pipelines (both network variants and the
-latent-mixing form), then checks analytic gradients against central
-differences at float64.  Inputs are sampled away from the ReLU and hinge
-kinks so the comparison is well defined.
+Builds a named fragment for every layer type, every loss, and the
+training step of each stage through a whole tiny network (both network
+variants; the steps run `trainer.stage_step`, the code that trains), then
+checks analytic gradients against central differences at float64.
+Inputs are sampled away from the ReLU and hinge kinks so the comparison
+is well defined.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import losses, mixup, nn
+from . import losses, nn, trainer
+from .config import MixupSection
 from .model import Network, NetworkConfig
 
 TINY_NET = NetworkConfig(vox_dim=8, image_size=16,
@@ -155,119 +157,39 @@ def _pipeline_data(cfg: NetworkConfig, seed: int):
         if cfg.variant == "prior" else None
     volumes = (rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) > 0.5) \
         .astype(np.float64)
-    return net, store, images, priors, volumes
+    # Two views of one object: the triplet must pick the other object.
+    batch = trainer.Batch(images, priors, volumes, ["a", "a", "b"])
+    return net, store, batch
 
 
-def _search_seed(build, probe, seed: int, attempts: int = 50) -> int:
-    """First seed whose fragment keeps clear of every kink."""
-    for attempt in range(attempts):
+def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig,
+                       stage: int, seed: int):
+    """One training step of `stage`: the loss and parameter gradients of
+    `trainer.stage_step`, with its random stream reseeded on every call.
+    The seed is the first one whose step keeps clear of every kink."""
+    alpha = MixupSection().alpha
+
+    def step(net, store, batch, candidate):
+        return trainer.stage_step(net, store, batch, stage, lcfg, alpha,
+                                  trainer.stream_rng(candidate, stage))
+
+    for attempt in range(50):
         candidate = seed + 1000 * attempt
-        net, extras = build(candidate)
+        net, store, batch = _pipeline_data(cfg, candidate)
         nn.ReLU.record_margins = True
+        losses.last_hinge_margin = np.inf
         try:
-            hinge_margin = probe(net, extras)
+            step(net, store, batch, candidate)
         finally:
             nn.ReLU.record_margins = False
-        if _net_relu_margin(net) > _KINK_MARGIN and hinge_margin > _KINK_MARGIN:
-            return candidate
-    raise RuntimeError("no kink-safe seed found for a verification fragment")
-
-
-def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig, seed: int):
-    """Combined reconstruction + alignment loss through the whole network."""
-
-    def build(candidate):
-        data = _pipeline_data(cfg, candidate)
-        return data[0], data
-
-    def probe(net, extras):
-        _, store, images, priors, volumes = extras
-        _, _, e_fused = net.encode(images, priors, store)
-        net.decode(e_fused, store)
-        vol_lat = net.encode_gt(volumes, store)
-        neg = np.roll(np.arange(len(volumes)), -1)
-        sim_pos = losses.cosine_similarity(e_fused, vol_lat)
-        sim_neg = losses.cosine_similarity(e_fused, vol_lat[neg])
-        return float(np.min(np.abs(sim_neg - sim_pos + lcfg.margin)))
-
-    seed = _search_seed(build, probe, seed)
-    net, store, images, priors, volumes = _pipeline_data(cfg, seed)
-    n = len(volumes)
-    neg_idx = np.asarray([(i + 1) % n for i in range(n)])
+        if min(_net_relu_margin(net), losses.last_hinge_margin) > _KINK_MARGIN:
+            break
+    else:
+        raise RuntimeError("no kink-safe seed found for a verification fragment")
 
     def fn(arrs):
-        store.zero_grads()
-        _, _, e_fused = net.encode(images, priors, store)
-        pred = net.decode(e_fused, store)
-        targets = volumes[:, 0]
-        recon = losses.reconstruction_loss(pred, targets, lcfg)
-        vol_lat = net.encode_gt(volumes, store)
-        align, _, _ = losses.align_loss(e_fused, vol_lat, vol_lat[neg_idx],
-                                        lcfg.margin)
-        total = lcfg.w_recon * recon + lcfg.w_align * align
-        d_pred = lcfg.w_recon * losses.reconstruction_loss_grad(pred, targets, lcfg)
-        d_fused, d_pos, d_neg = losses.align_loss_grads(
-            e_fused, vol_lat, vol_lat[neg_idx], lcfg.margin)
-        d_vol_lat = lcfg.w_align * d_pos
-        np.add.at(d_vol_lat, neg_idx, lcfg.w_align * d_neg)
-        net.backward(d_pred, store, d_fused_extra=lcfg.w_align * d_fused)
-        net.encode_gt_backward(d_vol_lat, store)
-        return float(total), {k: store.grads[k].copy() for k in store.params}
-
-    return fn, store.params
-
-
-def _latent_mix_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig, seed: int):
-    """Stage-3 form: decode mixed latents and align them with mixed volume
-    embeddings using the cosine-only loss."""
-
-    def build(candidate):
-        data = _pipeline_data(cfg, candidate)
-        return data[0], data
-
-    def probe(net, extras):
-        _, store, images, priors, volumes = extras
-        n = len(volumes)
-        probe_pairs = [mixup.MixPair(i, (i + 1) % n, lam)
-                       for i, lam in enumerate((0.25, 0.5, 0.75))]
-        _, _, e_fused = net.encode(images, priors, store)
-        vol_lat = net.encode_gt(volumes, store)
-        net.decode(mixup.apply_pairs(e_fused, probe_pairs), store)
-        return np.inf  # no hinge in the cosine-only form
-
-    seed = _search_seed(build, probe, seed)
-    net, store, images, priors, volumes = _pipeline_data(cfg, seed)
-    n = len(volumes)
-    pairs = [mixup.MixPair(i, (i + 1) % n, lam)
-             for i, lam in enumerate((0.25, 0.5, 0.75))]
-    left = np.asarray([p.i for p in pairs])
-    right = np.asarray([p.j for p in pairs])
-    lams = np.asarray([p.lam for p in pairs])[:, None]
-
-    def fn(arrs):
-        store.zero_grads()
-        _, _, e_fused = net.encode(images, priors, store)
-        vol_lat = net.encode_gt(volumes, store)
-        e_mix = mixup.apply_pairs(e_fused, pairs)
-        lat_mix = mixup.apply_pairs(vol_lat, pairs)
-        targets = mixup.apply_pairs(volumes, pairs)[:, 0]
-        pred = net.decode(e_mix, store)
-        recon = losses.reconstruction_loss(pred, targets, lcfg)
-        align = losses.align_loss_no_triplet(e_mix, lat_mix)
-        total = lcfg.w_recon * recon + lcfg.w_align * align
-        d_pred = lcfg.w_recon * losses.reconstruction_loss_grad(pred, targets, lcfg)
-        d_mix_align, d_latmix = losses.align_loss_no_triplet_grads(e_mix, lat_mix)
-        d_mix = lcfg.w_align * d_mix_align + net.decode_backward(d_pred, store)
-        d_latmix = lcfg.w_align * d_latmix
-        d_fused = np.zeros_like(e_fused)
-        d_vol_lat = np.zeros_like(vol_lat)
-        np.add.at(d_fused, left, (1 - lams) * d_mix)
-        np.add.at(d_fused, right, lams * d_mix)
-        np.add.at(d_vol_lat, left, (1 - lams) * d_latmix)
-        np.add.at(d_vol_lat, right, lams * d_latmix)
-        net.encode_backward(d_fused, store)
-        net.encode_gt_backward(d_vol_lat, store)
-        return float(total), {k: store.grads[k].copy() for k in store.params}
+        total = step(net, store, batch, candidate).total
+        return total, {k: store.grads[k].copy() for k in store.params}
 
     return fn, store.params
 
@@ -277,13 +199,17 @@ def pipeline_fragments(seed: int = 0):
     focal_cfg = losses.LossConfig(kind="focal", focal_gamma=2.0,
                                   focal_balance=0.3)
     return [
-        ("pipeline_prior_bce", *_pipeline_fragment(TINY_NET, bce_cfg, seed)),
+        ("pipeline_prior_bce",
+         *_pipeline_fragment(TINY_NET, bce_cfg, trainer.STAGE_BASE, seed)),
         ("pipeline_no_prior_bce",
-         *_pipeline_fragment(TINY_NET_NO_PRIOR, bce_cfg, seed + 1)),
+         *_pipeline_fragment(TINY_NET_NO_PRIOR, bce_cfg, trainer.STAGE_BASE,
+                             seed + 1)),
         ("pipeline_prior_focal",
-         *_pipeline_fragment(TINY_NET, focal_cfg, seed + 2)),
+         *_pipeline_fragment(TINY_NET, focal_cfg, trainer.STAGE_INPUT_MIX,
+                             seed + 2)),
         ("pipeline_latent_mix",
-         *_latent_mix_fragment(TINY_NET, bce_cfg, seed + 3)),
+         *_pipeline_fragment(TINY_NET, bce_cfg, trainer.STAGE_LATENT_MIX,
+                             seed + 3)),
     ]
 
 

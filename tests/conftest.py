@@ -1,0 +1,52 @@
+"""A tiny experiment shared by the trainer and CLI tests: the whole
+pipeline runs in seconds on it."""
+
+import shutil
+
+import pytest
+
+from voxmix import cli, runs
+from voxmix.config import ExperimentConfig, apply_assignments, dump_config
+
+# The benchmark's smoke profile (voxbench/workloads.py SMOKE_OVERRIDES); a
+# test keeps the two equal.
+TINY_OVERRIDES = {
+    "data.objects_per_class": "3", "data.poses_per_object": "4",
+    "data.vox_dim": "8", "data.image_size": "16",
+    "model.image_channels": "4,4,4,4", "model.prior_channels": "4,4,4",
+    "model.decoder_channels": "4,4,4", "model.latent_width": "16",
+    "train.stage_epochs": "2,2,2", "train.pretrain_epochs": "3"}
+
+
+class TinyRun:
+    """A run root holding the tiny config, its dataset, split and priors."""
+
+    def __init__(self, root):
+        self.root = root
+        self.config = apply_assignments(ExperimentConfig(run_name="tiny"),
+                                        TINY_OVERRIDES)
+        self.paths = runs.RunPaths.for_config(self.config, str(root))
+
+    def args(self, *extra):
+        return ["--config", str(self.root / "tiny.cfg"),
+                "--run-root", str(self.root), *extra]
+
+    def voxmix(self, command, *extra):
+        return cli.main([command, *self.args(*extra)])
+
+
+@pytest.fixture(scope="session")
+def tiny_prepared(tmp_path_factory):
+    run = TinyRun(tmp_path_factory.mktemp("tiny"))
+    (run.root / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    assert run.voxmix("gen-data") == cli.EXIT_OK
+    assert run.voxmix("build-priors") == cli.EXIT_OK
+    return run
+
+
+@pytest.fixture
+def tiny_run(tiny_prepared, tmp_path):
+    """A private copy of the prepared run root."""
+    root = tmp_path / "root"
+    shutil.copytree(tiny_prepared.root, root)
+    return TinyRun(root)

@@ -1,0 +1,51 @@
+import csv
+
+import numpy as np
+
+from voxmix import cli, mixup, trainer
+
+
+def test_no_prior_variant_trains_and_evaluates(tiny_run):
+    override = ("-o", "model.variant=no_prior")
+    assert tiny_run.voxmix("train", *override, "--pipeline", "base") == cli.EXIT_OK
+    assert tiny_run.voxmix("eval", *override, "--pipeline", "base") == cli.EXIT_OK
+    with open(tiny_run.paths.reports_dir / "base_iou.csv", newline="") as fh:
+        assert {row["prior_mode"] for row in csv.DictReader(fh)} == {"none"}
+
+
+def test_proximity_names_a_class_missing_from_the_iou_table(tiny_run, capsys):
+    novel = tiny_run.config.data.novel_classes
+    tiny_run.paths.reports_dir.mkdir(parents=True, exist_ok=True)
+    with open(tiny_run.paths.reports_dir / "dual_mix_iou.csv", "w",
+              newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["class", "mean_iou", "n_samples", "threshold",
+                         "prior_mode"])
+        for class_id in novel[1:]:
+            writer.writerow([class_id, "0.5", "4", "0.3", "correct"])
+    assert tiny_run.voxmix("proximity", "--pipeline", "dual_mix") == cli.EXIT_USAGE
+    assert novel[0] in capsys.readouterr().err
+
+
+def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,
+                                                                     capsys):
+    ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    ckpt.write_bytes(b"stale")
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
+    assert "for 3 epochs" in capsys.readouterr().out
+    assert ckpt.read_bytes() != b"stale"
+
+
+def test_mix_preview_writes_the_stage_two_mix(tiny_run):
+    assert tiny_run.voxmix("mix-preview", "--pairs", "3") == cli.EXIT_OK
+    config = tiny_run.config
+    pool = trainer.ExperimentContext.load(config, tiny_run.paths).train_pool
+    pairs = mixup.pair_batch(3, config.mixup.alpha,
+                             trainer.stream_rng(config.seed,
+                                                trainer.STAGE_INPUT_MIX))
+    volumes = mixup.apply_pairs(pool.samples.volumes[:3], pairs)
+    out_dir = tiny_run.paths.reports_dir / "mix_preview"
+    for k in range(3):
+        got = mixup.read_vgrid(out_dir / f"pair{k}_volume.vgrid")
+        assert np.array_equal(got, volumes[k, 0])

@@ -49,17 +49,18 @@ def test_lambda_variance_matches_closed_form():
 
 def test_endpoints_are_bitwise_exact():
     rng = np.random.default_rng(0)
-    a = rng.standard_normal((3, 4)).astype(np.float32)
-    b = rng.standard_normal((3, 4)).astype(np.float32)
-    assert mixup.mix_arrays(a, b, 0.0).tobytes() == a.tobytes()
-    assert mixup.mix_arrays(a, b, 1.0).tobytes() == b.tobytes()
+    stack = rng.standard_normal((2, 3, 4)).astype(np.float32)
+    mixed = mixup.apply_pairs(stack, [mixup.MixPair(0, 1, 0.0),
+                                      mixup.MixPair(0, 1, 1.0)])
+    assert mixed[0].tobytes() == stack[0].tobytes()
+    assert mixed[1].tobytes() == stack[1].tobytes()
 
 
 def test_half_mix_of_binary_grids():
     rng = np.random.default_rng(1)
-    a = (rng.random((4, 4, 4)) < 0.5).astype(np.float64)
-    b = (rng.random((4, 4, 4)) < 0.5).astype(np.float64)
-    mixed = mixup.mix_arrays(a, b, 0.5)
+    stack = (rng.random((2, 4, 4, 4)) < 0.5).astype(np.float64)
+    a, b = stack
+    mixed = mixup.apply_pairs(stack, [mixup.MixPair(0, 1, 0.5)])[0]
     assert set(np.unique(mixed)) <= {0.0, 0.5, 1.0}
     expected = np.empty_like(mixed)
     for idx in np.ndindex(*a.shape):
@@ -67,41 +68,32 @@ def test_half_mix_of_binary_grids():
     assert np.array_equal(mixed, expected)
 
 
-def test_mix_shape_mismatch():
-    with pytest.raises(ValueError):
-        mixup.mix_arrays(np.zeros(3), np.zeros(4), 0.5)
-
-
 def test_input_mix_uses_one_ratio_for_all_components():
+    # Stage 2 mixes images, priors and volumes with one list of pairs.
     rng = np.random.default_rng(2)
-    s1 = tuple(rng.random((2, 3)) for _ in range(3))
-    s2 = tuple(rng.random((2, 3)) for _ in range(3))
-    lam = 0.25
-    mixed = mixup.input_mix(s1, s2, lam)
-    for got, a, b in zip(mixed, s1, s2):
-        assert np.allclose(got, (1 - lam) * a + lam * b)
+    stacks = [rng.random((4, 2, 3)) for _ in range(3)]
+    pairs = mixup.pair_batch(4, 0.4, rng_for(2))
+    for stack in stacks:
+        mixed = mixup.apply_pairs(stack, pairs)
+        for k, p in enumerate(pairs):
+            assert np.allclose(mixed[k], (1 - p.lam) * stack[p.i]
+                               + p.lam * stack[p.j])
 
 
 def test_latent_mix_endpoint_and_fixed_point():
     rng = np.random.default_rng(3)
-    t1 = (rng.random(6), rng.random(6), rng.random((4, 4, 4)))
-    t2 = (rng.random(6), rng.random(6), rng.random((4, 4, 4)))
-    out = mixup.latent_mix(t1, t2, 0.0)
-    for got, src in zip(out, t1):
-        assert got.tobytes() == src.tobytes()
-    same = mixup.latent_mix((t1[0], t1[1], t1[2]),
-                            (t1[0], t2[1], t2[2]), 0.37)
-    assert np.allclose(same[0], t1[0])
+    latents = rng.random((2, 6))
+    out = mixup.apply_pairs(latents, [mixup.MixPair(0, 1, 0.0)])
+    assert out[0].tobytes() == latents[0].tobytes()
+    same = mixup.apply_pairs(latents[[0, 0]], [mixup.MixPair(0, 1, 0.37)])
+    assert np.allclose(same[0], latents[0])
 
 
 def test_latent_mix_quarter_matches_elementwise_oracle():
     rng = np.random.default_rng(4)
-    t1 = (rng.standard_normal(8), rng.standard_normal(8),
-          rng.random((4, 4, 4)))
-    t2 = (rng.standard_normal(8), rng.standard_normal(8),
-          rng.random((4, 4, 4)))
-    out = mixup.latent_mix(t1, t2, 0.25)
-    for got, a, b in zip(out, t1, t2):
+    for stack in (rng.standard_normal((2, 8)), rng.random((2, 4, 4, 4))):
+        got = mixup.apply_pairs(stack, [mixup.MixPair(0, 1, 0.25)])[0]
+        a, b = stack
         expected = np.empty_like(got)
         for idx in np.ndindex(*np.shape(a)):
             expected[idx] = 0.75 * a[idx] + 0.25 * b[idx]
@@ -112,11 +104,10 @@ def test_latent_mix_quarter_matches_elementwise_oracle():
 @settings(max_examples=40, deadline=None)
 def test_mix_linearity_and_range(seed, lam):
     rng = np.random.default_rng(seed)
-    a = rng.random((3, 3))
-    b = rng.random((3, 3))
-    forward = mixup.mix_arrays(a, b, lam)
-    backward = mixup.mix_arrays(a, b, 1.0 - lam)
-    assert np.allclose(forward + backward, a + b, atol=1e-12)
+    stack = rng.random((2, 3, 3))
+    forward = mixup.apply_pairs(stack, [mixup.MixPair(0, 1, lam)])[0]
+    backward = mixup.apply_pairs(stack, [mixup.MixPair(0, 1, 1.0 - lam)])[0]
+    assert np.allclose(forward + backward, stack[0] + stack[1], atol=1e-12)
     assert forward.min() >= -1e-12 and forward.max() <= 1.0 + 1e-12
 
 

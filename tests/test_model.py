@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from voxmix import losses
-from voxmix.model import ForwardTrace, LatentVec, Network, NetworkConfig
+from voxmix import losses, trainer
+from voxmix.model import ForwardTrace, Network, NetworkConfig
 from voxmix.nn import ParamStore
 
 CFG = NetworkConfig(vox_dim=16, image_size=32, image_channels=(4, 4, 8, 8),
@@ -91,7 +91,7 @@ def test_encode_gt_deterministic_and_distinct():
 def test_no_prior_variant_contract():
     net, store = make(CFG_NO_PRIOR)
     images, priors, _ = batch(cfg=CFG_NO_PRIOR)
-    trace = net.forward_no_prior(images, store)
+    trace = net.forward(images, None, store)
     assert trace.prediction.shape == (3, 16, 16, 16)
     assert trace.prediction.min() > 0.0 and trace.prediction.max() < 1.0
     # No prior-encoder tensors exist; the pooled projection replaces them.
@@ -101,11 +101,11 @@ def test_no_prior_variant_contract():
         net.forward(images, priors, store)
 
 
-def test_forward_no_prior_rejected_on_prior_network():
+def test_prior_network_rejects_a_missing_prior_batch():
     net, store = make()
     images, _, _ = batch()
-    with pytest.raises(ValueError, match="no_prior"):
-        net.forward_no_prior(images, store)
+    with pytest.raises(ValueError, match="requires a prior batch"):
+        net.forward(images, None, store)
 
 
 def test_variant_store_mismatch_detected():
@@ -118,22 +118,12 @@ def test_variant_store_mismatch_detected():
 def test_gradient_reaches_every_parameter():
     net, store = make(seed=5)
     images, priors, volumes = batch(seed=6)
-    lcfg = losses.LossConfig()
-    _, _, e_fused = net.encode(images, priors, store)
-    pred = net.decode(e_fused, store)
-    targets = volumes[:, 0]
-    vol_lat = net.encode_gt(volumes, store)
-    neg = np.array([1, 2, 0])
-    d_pred = lcfg.w_recon * losses.bce_loss_grad(pred, targets)
-    d_fused, d_pos, d_neg = losses.align_loss_grads(
-        e_fused, vol_lat, vol_lat[neg], lcfg.margin)
-    d_vol = lcfg.w_align * d_pos
-    np.add.at(d_vol, neg, lcfg.w_align * d_neg)
-    store.zero_grads()
-    net.backward(d_pred, store, d_fused_extra=lcfg.w_align * d_fused)
-    net.encode_gt_backward(d_vol, store)
-    for name, grad in store.grads.items():
-        assert np.any(grad != 0.0), f"no gradient reached {name}"
+    step = trainer.Batch(images, priors, volumes, ["a", "b", "c"])
+    for stage in trainer.PIPELINES["dual_mix"]:
+        trainer.stage_step(net, store, step, stage, losses.LossConfig(), 0.2,
+                           np.random.default_rng(7))
+        for name, grad in store.grads.items():
+            assert np.any(grad != 0.0), f"stage {stage}: no gradient reached {name}"
 
 
 def test_corrupted_prior_is_pure_input_substitution():
@@ -144,11 +134,6 @@ def test_corrupted_prior_is_pure_input_substitution():
     corrupted = net.forward(images, wrong, store)
     assert corrupted.prediction.shape == correct.prediction.shape
     assert not np.array_equal(corrupted.e_fused, correct.e_fused)
-
-
-def test_latent_vec_rejects_non_finite():
-    with pytest.raises(ValueError):
-        LatentVec(np.array([1.0, np.nan]), "fused")
 
 
 def test_trace_is_plain_data():
