@@ -65,7 +65,9 @@ def _conv_encoder_3d(prefix: str, channels: tuple[int, ...], vox_dim: int,
     layers = []
     c_in = 1
     for k, c_out in enumerate(channels):
-        layers.append(Conv3d(f"{prefix}.conv{k}", c_in, c_out, 3, stride=2, pad=1))
+        # conv0 reads the volume itself, whose gradient nothing uses.
+        layers.append(Conv3d(f"{prefix}.conv{k}", c_in, c_out, 3, stride=2,
+                             pad=1, input_grad=k > 0))
         layers.append(ReLU())
         c_in = c_out
     side = vox_dim // 2 ** len(channels)
@@ -104,8 +106,9 @@ class Network:
         conv_layers = []
         c_in = 2
         for k, c_out in enumerate(cfg.image_channels):
+            # conv0 reads the images, whose gradient nothing uses.
             conv_layers.append(Conv2d(f"image_encoder.conv{k}", c_in, c_out, 3,
-                                      stride=2, pad=1))
+                                      stride=2, pad=1, input_grad=k > 0))
             conv_layers.append(ReLU())
             c_in = c_out
         self.image_conv = Sequential(conv_layers)

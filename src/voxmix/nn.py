@@ -4,6 +4,13 @@ Every layer implements an explicit analytic backward pass; there is no
 tape.  The network here is small and fixed, and explicit backwards keep
 the gradient-check surface enumerable.  Training runs in float32,
 verification in float64.
+
+The four convolution kernels are two adjoint pairs on one `_gather`
+(strided windows, one tensordot: `conv_forward`, dx of
+`conv_transpose_backward`) and one `_scatter` (one tensordot, one strided
+add per kernel offset: `conv_transpose_forward`, dx of `conv_backward`).
+The first conv of each encoder skips its dx (`input_grad=False`): its
+input is data, so nothing reads that gradient.
 """
 
 from __future__ import annotations
@@ -71,48 +78,57 @@ class ParamStore:
 # Convolution kernels, generic over spatial rank
 # ---------------------------------------------------------------------------
 
-def _strided_windows(x: np.ndarray, kernel: Sequence[int], stride: int) -> np.ndarray:
-    rank = len(kernel)
-    win = sliding_window_view(x, kernel, axis=tuple(range(2, 2 + rank)))
-    sub = (slice(None), slice(None)) + (slice(None, None, stride),) * rank
-    return win[sub]
+def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
+    """Strided convolution without bias: x (N, C, *S), w (Cout, C, *K).
+    Returns (y, windows), y (N, Cout, *So); the windows are a view of the
+    padded x, shaped (N, C, *So, *K)."""
+    rank = x.ndim - 2
+    if pad:
+        x = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
+    win = sliding_window_view(x, w.shape[2:], axis=tuple(range(2, 2 + rank)))
+    win = win[(slice(None), slice(None)) + (slice(None, None, stride),) * rank]
+    y = np.tensordot(win, w, axes=([1] + list(range(2 + rank, 2 + 2 * rank)),
+                                   [1] + list(range(2, 2 + rank))))
+    return np.moveaxis(y, -1, 1), win
+
+
+def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
+             full: tuple[int, ...] | None = None) -> np.ndarray:
+    """Adjoint of `_gather`: x (N, C, *S), w (C, Cout, *K).  Each input
+    voxel adds w times itself into the K-window at stride * its position
+    in a (N, Cout, *full) grid, which is returned with `pad` cropped from
+    every side.  `full` defaults to (S - 1) * stride + K."""
+    kernel = w.shape[2:]
+    in_shape = x.shape[2:]
+    if full is None:
+        full = tuple((s - 1) * stride + k for s, k in zip(in_shape, kernel))
+    cols = np.tensordot(w, x, axes=([0], [1]))             # (Cout, *K, N, *S)
+    grid = np.zeros((w.shape[1], x.shape[0]) + full, dtype=cols.dtype)
+    for idx in np.ndindex(*kernel):
+        sl = tuple(slice(i, i + s * stride, stride)
+                   for i, s in zip(idx, in_shape))
+        grid[(slice(None), slice(None)) + sl] += cols[(slice(None),) + idx]
+    inner = tuple(slice(pad, f - pad) for f in full)
+    return np.moveaxis(grid[(slice(None), slice(None)) + inner], 0, 1)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                  stride: int, pad: int):
     """x: (N, Cin, *S); w: (Cout, Cin, *K). Returns (y, cache)."""
-    rank = x.ndim - 2
-    if pad:
-        x = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
-    win = _strided_windows(x, w.shape[2:], stride)
-    axes_win = [1] + list(range(2 + rank, 2 + 2 * rank))
-    axes_w = [1] + list(range(2, 2 + rank))
-    y = np.tensordot(win, w, axes=(axes_win, axes_w))
-    y = np.moveaxis(y, -1, 1)
-    y += b.reshape((1, -1) + (1,) * rank)
-    return y, (x, win)
+    y, win = _gather(x, w, stride, pad)
+    y += b.reshape((1, -1) + (1,) * (x.ndim - 2))
+    return y, (x.shape[2:], win)
 
 
-def conv_backward(dy: np.ndarray, cache, w: np.ndarray, stride: int, pad: int):
-    xp, win = cache
-    rank = dy.ndim - 2
-    spatial = list(range(2, 2 + rank))
+def conv_backward(dy: np.ndarray, cache, w: np.ndarray, stride: int, pad: int,
+                  input_grad: bool = True):
+    """Returns (dx, dw, db); dx is None unless `input_grad`."""
+    in_shape, win = cache
+    spatial = list(range(2, dy.ndim))
     dw = np.tensordot(dy, win, axes=([0] + spatial, [0] + spatial))
     db = dy.sum(axis=tuple([0] + spatial))
-    dxp = np.zeros_like(xp)
-    out_shape = dy.shape[2:]
-    for idx in np.ndindex(*w.shape[2:]):
-        w_slice = w[(slice(None), slice(None)) + idx]          # (Cout, Cin)
-        contrib = np.tensordot(dy, w_slice, axes=([1], [0]))   # (N, *So, Cin)
-        contrib = np.moveaxis(contrib, -1, 1)
-        sl = tuple(slice(idx[d], idx[d] + out_shape[d] * stride, stride)
-                   for d in range(rank))
-        dxp[(slice(None), slice(None)) + sl] += contrib
-    if pad:
-        inner = tuple(slice(pad, dxp.shape[2 + d] - pad) for d in range(rank))
-        dx = dxp[(slice(None), slice(None)) + inner]
-    else:
-        dx = dxp
+    dx = _scatter(dy, w, stride, pad, tuple(s + 2 * pad for s in in_shape)) \
+        if input_grad else None
     return dx, dw, db
 
 
@@ -120,44 +136,15 @@ def conv_transpose_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                            stride: int, pad: int):
     """x: (N, Cin, *S); w: (Cin, Cout, *K). Output spatial extent is
     (S - 1) * stride + K - 2 * pad."""
-    rank = x.ndim - 2
-    n = x.shape[0]
-    c_out = w.shape[1]
-    kernel = w.shape[2:]
-    in_shape = x.shape[2:]
-    full = tuple((in_shape[d] - 1) * stride + kernel[d] for d in range(rank))
-    ypad = np.zeros((n, c_out) + full, dtype=x.dtype)
-    for idx in np.ndindex(*kernel):
-        w_slice = w[(slice(None), slice(None)) + idx]         # (Cin, Cout)
-        contrib = np.tensordot(x, w_slice, axes=([1], [0]))   # (N, *S, Cout)
-        contrib = np.moveaxis(contrib, -1, 1)
-        sl = tuple(slice(idx[d], idx[d] + in_shape[d] * stride, stride)
-                   for d in range(rank))
-        ypad[(slice(None), slice(None)) + sl] += contrib
-    if pad:
-        inner = tuple(slice(pad, full[d] - pad) for d in range(rank))
-        y = ypad[(slice(None), slice(None)) + inner].copy()
-    else:
-        y = ypad
-    y += b.reshape((1, -1) + (1,) * rank)
+    y = _scatter(x, w, stride, pad) + b.reshape((1, -1) + (1,) * (x.ndim - 2))
     return y, (x,)
 
 
 def conv_transpose_backward(dy: np.ndarray, cache, w: np.ndarray,
                             stride: int, pad: int):
     (x,) = cache
-    rank = dy.ndim - 2
-    kernel = w.shape[2:]
-    if pad:
-        dy_pad = np.pad(dy, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
-    else:
-        dy_pad = dy
-    win = _strided_windows(dy_pad, kernel, stride)   # (N, Cout, *S, *K)
-    axes_win = [1] + list(range(2 + rank, 2 + 2 * rank))
-    axes_w = [1] + list(range(2, 2 + rank))
-    dx = np.tensordot(win, w, axes=(axes_win, axes_w))
-    dx = np.moveaxis(dx, -1, 1)
-    spatial = list(range(2, 2 + rank))
+    dx, win = _gather(dy, w, stride, pad)             # win: (N, Cout, *S, *K)
+    spatial = list(range(2, dy.ndim))
     dw = np.tensordot(x, win, axes=([0] + spatial, [0] + spatial))
     db = dy.sum(axis=tuple([0] + spatial))
     return dx, dw, db
@@ -215,8 +202,6 @@ class Dense(Layer):
 
 
 class _ConvBase(Layer):
-    kind = "conv"
-
     def __init__(self, name: str, c_in: int, c_out: int, kernel: int,
                  stride: int = 1, pad: int = 0):
         self.name = name
@@ -227,21 +212,25 @@ class _ConvBase(Layer):
         self.pad = pad
         self.param_names = (f"{name}.w", f"{name}.b")
 
-    def _w_shape(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
     def init_params(self, store, rng, dtype=TRAIN_DTYPE):
-        shape = self._w_shape()
-        fan_in = self.c_in * self.kernel ** self.rank
-        store.add(self.param_names[0], _he_init(rng, shape, fan_in, dtype))
+        store.add(self.param_names[0],
+                  _he_init(rng, self._w_shape(), self._fan_in(), dtype))
         store.add(self.param_names[1], _bias_init(self.c_out, dtype))
 
 
 class Conv2d(_ConvBase):
     rank = 2
 
+    def __init__(self, *args, input_grad: bool = True, **kwargs):
+        # False for a first layer whose input is data: backward skips dx.
+        super().__init__(*args, **kwargs)
+        self.input_grad = input_grad
+
     def _w_shape(self):
-        return (self.c_out, self.c_in) + (self.kernel,) * 2
+        return (self.c_out, self.c_in) + (self.kernel,) * self.rank
+
+    def _fan_in(self):
+        return self.c_in * self.kernel ** self.rank
 
     def forward(self, x, store):
         y, self._cache = conv_forward(x, store.params[self.param_names[0]],
@@ -252,7 +241,7 @@ class Conv2d(_ConvBase):
     def backward(self, dy, store):
         dx, dw, db = conv_backward(dy, self._cache,
                                    store.params[self.param_names[0]],
-                                   self.stride, self.pad)
+                                   self.stride, self.pad, self.input_grad)
         store.grads[self.param_names[0]] += dw
         store.grads[self.param_names[1]] += db
         return dx
@@ -261,23 +250,15 @@ class Conv2d(_ConvBase):
 class Conv3d(Conv2d):
     rank = 3
 
-    def _w_shape(self):
-        return (self.c_out, self.c_in) + (self.kernel,) * 3
-
 
 class ConvTranspose3d(_ConvBase):
-    rank = 3
-
     def _w_shape(self):
         return (self.c_in, self.c_out) + (self.kernel,) * 3
 
-    def init_params(self, store, rng, dtype=TRAIN_DTYPE):
+    def _fan_in(self):
         # Fan-in of the equivalent gather: every output voxel reads
         # c_in * k^3 / stride^3 inputs.
-        shape = self._w_shape()
-        fan_in = max(1, self.c_in * self.kernel ** 3 // self.stride ** 3)
-        store.add(self.param_names[0], _he_init(rng, shape, fan_in, dtype))
-        store.add(self.param_names[1], _bias_init(self.c_out, dtype))
+        return max(1, self.c_in * self.kernel ** 3 // self.stride ** 3)
 
     def forward(self, x, store):
         y, self._cache = conv_transpose_forward(

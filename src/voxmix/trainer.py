@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, losses, mixup, runs
-from .config import ExperimentConfig, config_hash
+from .config import ExperimentConfig, ModelSection, TrainSection, config_hash
 from .corpus import DatasetManifest, FewShotSplit, SampleArrays, load_samples
 from .model import Network, NetworkConfig
 from .nn import (NumericError, OptimizerConfig, ParamStore, load_checkpoint,
@@ -415,6 +415,19 @@ class ExperimentContext:
 GT_ENCODER_CHECKPOINT = "gt_encoder.ckpt"
 
 
+def pretrain_hash(config: ExperimentConfig) -> str:
+    """Hash of the config fields volume-encoder pretraining reads, and no
+    others: an alpha sweep must not pretrain again for every alpha."""
+    model, train = config.model, config.train
+    return config_hash(ExperimentConfig(
+        seed=config.seed, data=config.data,
+        model=ModelSection(prior_channels=model.prior_channels,
+                           decoder_channels=model.decoder_channels,
+                           latent_width=model.latent_width),
+        train=TrainSection(pretrain_epochs=train.pretrain_epochs,
+                           gt_lr=train.gt_lr, pretrain_batch=train.pretrain_batch)))
+
+
 def pretrain_gt_encoder(net: Network, ctx: ExperimentContext
                         ) -> tuple[ParamStore, list[float]]:
     """Pretrain the volume encoder on the training volumes and save it,
@@ -429,17 +442,19 @@ def pretrain_gt_encoder(net: Network, ctx: ExperimentContext
     ctx.paths.checkpoints_dir.mkdir(parents=True, exist_ok=True)
     save_checkpoint(ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT, store,
                     {"role": "gt_autoencoder",
-                     "config_hash": config_hash(config)})
+                     "pretrain_hash": pretrain_hash(config)})
     return store, history
 
 
 def prepare_gt_encoder(net: Network, ctx: ExperimentContext) -> ParamStore:
     """Load the pretrained volume encoder, pretraining it on the training
-    volumes first if no checkpoint exists yet."""
+    volumes first if no checkpoint exists yet or the one there was
+    pretrained under other settings."""
     path = ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT
     if path.exists():
-        store, _ = load_checkpoint(path)
-        return store
+        store, metadata = load_checkpoint(path)
+        if metadata.get("pretrain_hash") == pretrain_hash(ctx.config):
+            return store
     store, _ = pretrain_gt_encoder(net, ctx)
     return store
 
@@ -525,7 +540,8 @@ def alpha_sweep(config: ExperimentConfig, run_dir: Path | str | None = None,
                 ) -> list[tuple[float, float, float]]:
     """Novel-class average IoU of the two mixing stages for each mixing
     ratio distribution; rows of (alpha, input-mix IoU, latent-mix IoU).
-    The base stage is shared across the sweep."""
+    Each alpha runs `run_ablation` afresh, so the base stage trains again
+    for every alpha; only the pretrained volume encoder is reused."""
     from dataclasses import replace
     if any(a <= 0 for a in alphas):
         raise ValueError("alphas must be positive")

@@ -3,6 +3,7 @@ import csv
 import numpy as np
 
 from voxmix import cli, mixup, trainer
+from voxmix.config import ExperimentConfig, apply_assignments
 
 
 def test_no_prior_variant_trains_and_evaluates(tiny_run):
@@ -49,3 +50,30 @@ def test_mix_preview_writes_the_stage_two_mix(tiny_run):
     for k in range(3):
         got = mixup.read_vgrid(out_dir / f"pair{k}_volume.vgrid")
         assert np.array_equal(got, volumes[k, 0])
+
+
+def test_train_pretrains_again_when_the_encoder_checkpoint_is_stale(tiny_run):
+    ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
+    three_epochs = ckpt.read_bytes()
+    one_epoch = ("-o", "train.pretrain_epochs=1")
+    assert tiny_run.voxmix("train", *one_epoch, "--pipeline", "base") \
+        == cli.EXIT_OK
+    trained_with = ckpt.read_bytes()
+    assert trained_with != three_epochs
+    # Training used the encoder that a 1-epoch pretraining writes.
+    assert tiny_run.voxmix("pretrain-gt", *one_epoch) == cli.EXIT_OK
+    assert ckpt.read_bytes() == trained_with
+    # Narrower encoder channels no longer meet the old encoder's shapes.
+    assert tiny_run.voxmix("train", "-o", "model.prior_channels=2,2,2",
+                           "--pipeline", "base") == cli.EXIT_OK
+
+
+def test_the_pretrain_hash_ignores_what_pretraining_does_not_read():
+    config = ExperimentConfig()
+    assert trainer.pretrain_hash(config) == trainer.pretrain_hash(
+        apply_assignments(config, {"mixup.alpha": "0.4",
+                                   "train.stage_epochs": "1,1,1",
+                                   "model.image_channels": "2,2,2,2"}))
+    assert trainer.pretrain_hash(config) != trainer.pretrain_hash(
+        apply_assignments(config, {"train.pretrain_epochs": "1"}))

@@ -3,7 +3,7 @@ import pytest
 
 from voxmix import losses, trainer
 from voxmix.model import ForwardTrace, Network, NetworkConfig
-from voxmix.nn import ParamStore
+from voxmix.nn import Conv2d, Conv3d, ParamStore
 
 CFG = NetworkConfig(vox_dim=16, image_size=32, image_channels=(4, 4, 8, 8),
                     prior_channels=(4, 4, 8), decoder_channels=(8, 8, 4),
@@ -124,6 +124,40 @@ def test_gradient_reaches_every_parameter():
                            np.random.default_rng(7))
         for name, grad in store.grads.items():
             assert np.any(grad != 0.0), f"stage {stage}: no gradient reached {name}"
+
+
+def test_skipping_the_first_convs_input_gradient_keeps_every_gradient():
+    net, store = make(seed=2)
+    images, priors, volumes = batch(seed=3)
+    first_convs = [net.image_conv.layers[0], net.prior_encoder.layers[0],
+                   net.gt_encoder.layers[0]]
+    assert [conv.input_grad for conv in first_convs] == [False] * 3
+    rng = np.random.default_rng(4)
+    d_pred = rng.standard_normal((3, 16, 16, 16)).astype(np.float32)
+    d_fused = rng.standard_normal((3, 32)).astype(np.float32)
+    d_latent = rng.standard_normal((3, 32)).astype(np.float32)
+    grads = []
+    for input_grad in (False, True):
+        for conv in first_convs:
+            conv.input_grad = input_grad
+        store.zero_grads()
+        net.forward(images, priors, store)
+        net.backward(d_pred, store, d_fused_extra=d_fused)
+        net.encode_gt(volumes, store)
+        net.encode_gt_backward(d_latent, store)
+        grads.append({name: g.tobytes() for name, g in store.grads.items()})
+    assert grads[0] == grads[1]
+
+
+@pytest.mark.parametrize("layer,shape", [
+    (Conv2d("c", 2, 3, 3, stride=2, pad=1), (2, 2, 6, 6)),
+    (Conv3d("c", 1, 2, 3, stride=2, pad=1), (2, 1, 4, 4, 4))])
+def test_a_default_conv_returns_its_input_gradient(layer, shape):
+    store = ParamStore()
+    layer.init_params(store, np.random.default_rng(0), np.float64)
+    x = np.random.default_rng(1).standard_normal(shape)
+    dx = layer.backward(np.ones_like(layer.forward(x, store)), store)
+    assert dx.shape == x.shape and np.any(dx != 0.0)
 
 
 def test_corrupted_prior_is_pure_input_substitution():

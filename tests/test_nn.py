@@ -67,6 +67,102 @@ def test_sigmoid_output_strictly_inside_unit_interval():
 
 
 # ---------------------------------------------------------------------------
+# convolution kernels against per-offset loop references
+# ---------------------------------------------------------------------------
+
+def _windows(offset, stride, out_shape):
+    sl = tuple(slice(i, i + o * stride, stride) for i, o in zip(offset, out_shape))
+    return (slice(None), slice(None)) + sl
+
+
+def _reference_gather(x, w, stride, pad):
+    """Convolution without bias, one tensordot per kernel offset:
+    x (N, C, *S), w (Cout, C, *K)."""
+    rank = x.ndim - 2
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
+    out_shape = tuple((s - k) // stride + 1
+                      for s, k in zip(xp.shape[2:], w.shape[2:]))
+    y = np.zeros((x.shape[0], w.shape[0]) + out_shape, dtype=x.dtype)
+    for idx in np.ndindex(*w.shape[2:]):
+        part = np.tensordot(xp[_windows(idx, stride, out_shape)],
+                            w[(slice(None), slice(None)) + idx], axes=([1], [1]))
+        y += np.moveaxis(part, -1, 1)
+    return y
+
+
+def _reference_scatter(x, w, stride, pad, full):
+    """The per-offset scatter loop nn ran before: x (N, C, *S),
+    w (C, Cout, *K), into a (N, Cout, *full) grid cropped by `pad`."""
+    grid = np.zeros((x.shape[0], w.shape[1]) + tuple(full), dtype=x.dtype)
+    for idx in np.ndindex(*w.shape[2:]):
+        contrib = np.tensordot(x, w[(slice(None), slice(None)) + idx],
+                               axes=([1], [0]))
+        grid[_windows(idx, stride, x.shape[2:])] += np.moveaxis(contrib, -1, 1)
+    inner = tuple(slice(pad, f - pad) for f in full)
+    return grid[(slice(None), slice(None)) + inner]
+
+
+def _reference_kernel_grad(a, bp, stride, kernel):
+    """d/dw of sum(a * gather(bp, w)) per kernel offset: contracts a
+    (N, Ca, *So) with the windows of the padded bp (N, Cb, *Sp)."""
+    spatial = list(range(2, a.ndim))
+    dw = np.zeros((a.shape[1], bp.shape[1]) + tuple(kernel), dtype=a.dtype)
+    for idx in np.ndindex(*kernel):
+        dw[(slice(None), slice(None)) + idx] = np.tensordot(
+            a, bp[_windows(idx, stride, a.shape[2:])],
+            axes=([0] + spatial, [0] + spatial))
+    return dw
+
+
+def _assert_close(got, want, dtype):
+    tol = 1e-5 if dtype == np.float32 else 1e-12
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
+
+
+# (rank, stride, kernel, pad): every geometry the network and the tests build.
+KERNEL_CASES = [(2, 2, 3, 1), (3, 2, 3, 1), (3, 2, 4, 1), (2, 1, 3, 0),
+                (2, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [5, 6])
+@pytest.mark.parametrize("rank,stride,kernel,pad", KERNEL_CASES)
+def test_conv_kernels_match_the_per_offset_loops(rank, stride, kernel, pad,
+                                                 size, dtype):
+    rng = np.random.default_rng(size)
+    spatial = tuple(range(2, 2 + rank))
+
+    def draw(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x = draw(3, 2, *(size,) * rank)
+    w = draw(4, 2, *(kernel,) * rank)
+    b = draw(4)
+    xp = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
+    y, cache = nn.conv_forward(x, w, b, stride, pad)
+    _assert_close(y, _reference_gather(x, w, stride, pad)
+                  + b.reshape((1, -1) + (1,) * rank), dtype)
+    dy = draw(*y.shape)
+    dx, dw, db = nn.conv_backward(dy, cache, w, stride, pad)
+    _assert_close(dx, _reference_scatter(dy, w, stride, pad, xp.shape[2:]), dtype)
+    _assert_close(dw, _reference_kernel_grad(dy, xp, stride, w.shape[2:]), dtype)
+    _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
+
+    wt = draw(2, 4, *(kernel,) * rank)
+    full = tuple((size - 1) * stride + kernel for _ in range(rank))
+    y, cache = nn.conv_transpose_forward(x, wt, b, stride, pad)
+    _assert_close(y, _reference_scatter(x, wt, stride, pad, full)
+                  + b.reshape((1, -1) + (1,) * rank), dtype)
+    dy = draw(*y.shape)
+    dyp = np.pad(dy, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
+    dx, dw, db = nn.conv_transpose_backward(dy, cache, wt, stride, pad)
+    _assert_close(dx, _reference_gather(dy, wt, stride, pad), dtype)
+    _assert_close(dw, _reference_kernel_grad(x, dyp, stride, wt.shape[2:]), dtype)
+    _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
+
+
+# ---------------------------------------------------------------------------
 # finite differences per layer (float64)
 # ---------------------------------------------------------------------------
 
