@@ -3,7 +3,7 @@
 Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
 ``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing
-input artifact, 4 numeric failure.
+or unreadable input artifact, 4 numeric failure.
 """
 
 from __future__ import annotations
@@ -186,8 +186,9 @@ def cmd_analyze_latent(args) -> int:
     report = evaluate.cosine_report(net, store, samples, ctx.priors_by_class,
                                     trainer.effective_prior_mode(config),
                                     config.data.classes, config.eval.batch_size)
-    out = paths.reports_dir / f"{pipeline}_cosine.csv"
-    evaluate.write_cosine_csv(report, out)
+    runs.write_csv(paths.reports_dir / f"{pipeline}_cosine.csv",
+                   ("class", "same_obj_mean", "diff_obj_mean", "same_pairs",
+                    "diff_pairs"), report.rows)
     for class_id, same, diff, n_same, n_diff in report.rows:
         print(f"{class_id:10s} same-object {same:.4f} ({n_same} pairs)  "
               f"different-object {diff:.4f} ({n_diff} pairs)")
@@ -213,8 +214,8 @@ def cmd_proximity(args) -> int:
         base.extend(vols.items())
     rows = evaluate.proximity_join(voxel.proximity(novel, base),
                                    _read_iou_csv(table_path))
-    out = paths.reports_dir / f"{pipeline}_proximity.csv"
-    evaluate.write_proximity_csv(rows, out)
+    runs.write_csv(paths.reports_dir / f"{pipeline}_proximity.csv",
+                   ("class", "proximity", "iou"), rows)
     for class_id, prox_value, iou_value in rows:
         print(f"{class_id:10s} proximity {prox_value:.4f}  iou {iou_value:.4f}")
     return EXIT_OK
@@ -237,8 +238,8 @@ def cmd_alpha_sweep(args) -> int:
     except ValueError:
         raise ConfigError(f"bad --alphas value {args.alphas!r}")
     rows = trainer.alpha_sweep(config, paths, alphas)
-    out = paths.reports_dir / "alpha_sweep.csv"
-    trainer.write_alpha_csv(rows, out)
+    runs.write_csv(paths.reports_dir / "alpha_sweep.csv",
+                   ("alpha", "input_mix_iou", "latent_mix_iou"), rows)
     for alpha, in_iou, lat_iou in rows:
         print(f"alpha={alpha:<4g} input-mix {in_iou:.4f}  latent-mix {lat_iou:.4f}")
     return EXIT_OK
@@ -265,15 +266,11 @@ def cmd_mix_preview(args) -> int:
         write_pgm(images[k, 1], out_dir / f"pair{k}_dep.pgm")
         mixup.write_vgrid(priors[k, 0], out_dir / f"pair{k}_prior.vgrid")
         mixup.write_vgrid(volumes[k, 0], out_dir / f"pair{k}_volume.vgrid")
-    with open(out_dir / "pairs.csv", "w", newline="") as fh:
-        import csv
-        writer = csv.writer(fh)
-        writer.writerow(["pair", "i", "j", "lam",
-                         "object_i", "object_j"])
-        for k, pair in enumerate(pairs):
-            writer.writerow([k, pair.i, pair.j, repr(pair.lam),
-                             pool.samples.object_ids[pair.i],
-                             pool.samples.object_ids[pair.j]])
+    ids = pool.samples.object_ids
+    runs.write_csv(out_dir / "pairs.csv",
+                   ("pair", "i", "j", "lam", "object_i", "object_j"),
+                   [(k, p.i, p.j, p.lam, ids[p.i], ids[p.j])
+                    for k, p in enumerate(pairs)])
     print(f"wrote {count} mixed pairs under {out_dir}")
     return EXIT_OK
 

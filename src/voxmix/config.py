@@ -173,7 +173,9 @@ def parse_config_text(text: str,
                       base: ExperimentConfig | None = None) -> ExperimentConfig:
     config = base or ExperimentConfig()
     items: dict[str, str] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" only, as `dump_config` writes them: splitlines()
+    # would also break at a "\r" or "\x1c" inside a value.
+    for lineno, line in enumerate(text.split("\n"), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

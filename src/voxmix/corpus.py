@@ -51,10 +51,10 @@ class DatasetManifest:
         return [r for r in self.records if r.object_id in wanted]
 
     def save(self) -> None:
-        path = self.root / "manifest.jsonl"
-        with open(path, "w", encoding="ascii") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(asdict(rec)) + "\n")
+        from .runs import write_atomic
+        write_atomic(self.root / "manifest.jsonl",
+                     "".join(json.dumps(asdict(rec)) + "\n"
+                             for rec in self.records))
 
     @classmethod
     def load(cls, root) -> "DatasetManifest":
@@ -98,9 +98,8 @@ class FewShotSplit:
             "train_objects": {c: list(v) for c, v in self.train_objects.items()},
             "query_objects": {c: list(v) for c, v in self.query_objects.items()},
         }
-        with open(path, "w", encoding="ascii") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        from .runs import write_atomic
+        write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path) -> "FewShotSplit":

@@ -12,9 +12,7 @@ can be re-derived externally.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -174,45 +172,3 @@ def proximity_join(prox: ProximityReport, iou_by_class: dict[str, float]
         raise ValueError(f"classes missing from the IoU table: {sorted(missing)}")
     return [(c, prox.per_novel_class[c], iou_by_class[c])
             for c in sorted(prox.per_novel_class)]
-
-
-# ---------------------------------------------------------------------------
-# CSV writers (stable headers, stable row order)
-# ---------------------------------------------------------------------------
-
-def write_iou_csv(table: IouTable, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "mean_iou", "n_samples", "threshold",
-                         "prior_mode"])
-        for class_id, mean_iou, count in table.rows:
-            writer.writerow([class_id, repr(mean_iou), count,
-                             repr(table.threshold), table.prior_mode])
-        writer.writerow(["__average__", repr(table.overall),
-                         sum(r[2] for r in table.rows),
-                         repr(table.threshold), table.prior_mode])
-
-
-def write_iou_samples_csv(table: IouTable, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["object_id", "pose_id", "class", "iou"])
-        for object_id, pose_id, class_id, value in table.per_sample:
-            writer.writerow([object_id, pose_id, class_id, repr(value)])
-
-
-def write_cosine_csv(report: CosineReport, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "same_obj_mean", "diff_obj_mean",
-                         "same_pairs", "diff_pairs"])
-        for class_id, same, diff, n_same, n_diff in report.rows:
-            writer.writerow([class_id, repr(same), repr(diff), n_same, n_diff])
-
-
-def write_proximity_csv(rows, path: Path | str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "proximity", "iou"])
-        for class_id, prox_value, iou_value in rows:
-            writer.writerow([class_id, repr(prox_value), repr(iou_value)])

@@ -15,9 +15,6 @@ input is data, so nothing reads that gradient.
 
 from __future__ import annotations
 
-import io
-import json
-import struct
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -502,85 +499,3 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
             max_rel = worst_here
             worst = name
     return GradCheckReport(tolerance, max_rel, worst, per_name)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint serialization
-#
-# Binary layout (little endian):
-#   magic "VXNN", u32 version,
-#   u32 metadata length, metadata JSON (utf-8),
-#   u32 entry count, then per entry:
-#     u16 name length, name bytes, u8 ndim, u32 * ndim dims,
-#   then the float32 payloads concatenated in entry order.
-# Entries cover parameters and optimizer slots ("slot.<kind>.<name>").
-# ---------------------------------------------------------------------------
-
-_CKPT_MAGIC = b"VXNN"
-_CKPT_VERSION = 1
-
-
-def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> None:
-    meta = dict(metadata or {})
-    meta["step"] = store.step
-    meta_bytes = json.dumps(meta, sort_keys=True).encode("utf-8")
-    entries: list[tuple[str, np.ndarray]] = []
-    for name, value in store.params.items():
-        entries.append((name, value))
-    for kind in sorted(store.slots):
-        for name in store.slots[kind]:
-            entries.append((f"slot.{kind}.{name}", store.slots[kind][name]))
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    buf.write(struct.pack("<I", _CKPT_VERSION))
-    buf.write(struct.pack("<I", len(meta_bytes)))
-    buf.write(meta_bytes)
-    buf.write(struct.pack("<I", len(entries)))
-    for name, value in entries:
-        if value.dtype != np.float32:
-            raise ValueError(f"checkpoints hold float32 tensors; {name!r} is "
-                             f"{value.dtype}")
-        encoded = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(encoded)))
-        buf.write(encoded)
-        buf.write(struct.pack("<B", value.ndim))
-        buf.write(struct.pack(f"<{value.ndim}I", *value.shape))
-    for _, value in entries:
-        buf.write(np.ascontiguousarray(value, dtype="<f4").tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def load_checkpoint(path) -> tuple[ParamStore, dict]:
-    with open(path, "rb") as fh:
-        data = fh.read()
-    view = io.BytesIO(data)
-    if view.read(4) != _CKPT_MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (version,) = struct.unpack("<I", view.read(4))
-    if version != _CKPT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack("<I", view.read(4))
-    metadata = json.loads(view.read(meta_len).decode("utf-8"))
-    (count,) = struct.unpack("<I", view.read(4))
-    shapes: list[tuple[str, tuple[int, ...]]] = []
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", view.read(2))
-        name = view.read(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<B", view.read(1))
-        dims = struct.unpack(f"<{ndim}I", view.read(4 * ndim))
-        shapes.append((name, dims))
-    store = ParamStore()
-    for name, dims in shapes:
-        size = int(np.prod(dims)) if dims else 1
-        raw = view.read(4 * size)
-        if len(raw) != 4 * size:
-            raise ValueError(f"{path}: truncated payload for {name!r}")
-        value = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
-        if name.startswith("slot."):
-            _, kind, pname = name.split(".", 2)
-            store.slots.setdefault(kind, {})[pname] = value
-        else:
-            store.add(name, value)
-    store.step = int(metadata.get("step", 0))
-    return store, metadata

@@ -1,4 +1,4 @@
-"""Run-directory layout and artifact loading.
+"""Run-directory layout, and the one module that puts run artifacts on disk.
 
 Every experiment lives under one run directory:
     config.resolved.txt    full config after file + overrides
@@ -8,10 +8,28 @@ Every experiment lives under one run directory:
     checkpoints/           gt_encoder.ckpt and per-pipeline stage snapshots
     logs/                  per-pipeline training CSVs
     reports/               IoU / cosine / proximity / sweep CSVs
+
+Checkpoints, CSVs, the split, the manifest and the resolved config are
+written through `write_atomic`: the bytes go to a `.<name>.<pid>.tmp`
+sibling, which no `*.ckpt` or `*.csv` glob matches, and `os.replace` then
+puts it in place.  A write interrupted before the rename leaves the
+earlier file as it was.  (There is no fsync: this guards against a
+process dying mid-write, not against losing power.)
+
+A checkpoint is an npz archive, written uncompressed under the name it is
+given, holding
+    meta                  the metadata and "step", as a JSON string array
+    param/<name>          every parameter, float32, in store order
+    slot/<kind>/<name>    every optimizer slot, float32, kinds sorted
+It is read with `allow_pickle=False`; a file that is not such an archive,
+or whose zip CRC fails, raises `MissingArtifactError` naming the path.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,12 +38,84 @@ import numpy as np
 
 from . import corpus, voxel
 from .config import ExperimentConfig, dump_config
+from .nn import ParamStore
 
 RUN_ROOT_ENV = "VOXMIX_RUN_ROOT"
 
 
 class MissingArtifactError(FileNotFoundError):
-    """A required input artifact has not been generated yet."""
+    """A required input artifact has not been generated yet, or cannot be
+    read."""
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Replace `path` with `data` (str is written as UTF-8), whole or not
+    at all."""
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """One CSV file, written atomically; csv writes a float as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, buf.getvalue())
+
+
+def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> None:
+    meta = dict(metadata or {}, step=store.step)
+    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True))}
+    arrays.update((f"param/{name}", value) for name, value in store.params.items())
+    for kind in sorted(store.slots):
+        arrays.update((f"slot/{kind}/{name}", value)
+                      for name, value in store.slots[kind].items())
+    for name, value in arrays.items():
+        if name != "meta" and value.dtype != np.float32:
+            raise ValueError(f"checkpoints hold float32 tensors; {name!r} is "
+                             f"{value.dtype}")
+    # np.savez appends ".npz" to a path that lacks it; a buffer keeps the name.
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    write_atomic(path, buf.getvalue())
+
+
+def load_checkpoint(path) -> tuple[ParamStore, dict]:
+    with open(path, "rb") as fh:
+        is_zip = fh.read(4) == b"PK\x03\x04"
+    if not is_zip:
+        # np.load would try pickle here and name allow_pickle as the cause.
+        raise MissingArtifactError(f"{path}: not a checkpoint file")
+    store = ParamStore()
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            metadata = json.loads(archive["meta"].item())
+            for key in archive.files:
+                role, _, name = key.partition("/")
+                if role == "param":
+                    store.add(name, archive[key])
+                elif role == "slot":
+                    kind, _, name = name.partition("/")
+                    store.slots.setdefault(kind, {})[name] = archive[key]
+                elif role != "meta":
+                    raise KeyError(f"unexpected entry {key!r}")
+            store.step = int(metadata["step"])
+    # zipfile and numpy's .npy reader raise a dozen error types on a damaged
+    # archive; every one of them means the file cannot be used.
+    except Exception as exc:
+        raise MissingArtifactError(
+            f"{path}: unreadable checkpoint ({exc})") from exc
+    return store, metadata
 
 
 def run_root(explicit: str | None = None) -> Path:
@@ -81,8 +171,7 @@ class RunPaths:
 
     def write_resolved_config(self, config: ExperimentConfig) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        self.resolved_config_path.write_text(dump_config(config),
-                                             encoding="utf-8")
+        write_atomic(self.resolved_config_path, dump_config(config))
 
 
 def load_manifest(paths: RunPaths) -> corpus.DatasetManifest:

@@ -19,7 +19,6 @@ point, and `run_ablation` trains each shared prefix once.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,8 +28,7 @@ from . import evaluate, losses, mixup, runs
 from .config import ExperimentConfig, ModelSection, TrainSection, config_hash
 from .corpus import DatasetManifest, FewShotSplit, SampleArrays, load_samples
 from .model import Network, NetworkConfig
-from .nn import (NumericError, OptimizerConfig, ParamStore, load_checkpoint,
-                 make_optimizer, save_checkpoint)
+from .nn import NumericError, OptimizerConfig, ParamStore, make_optimizer
 
 STAGE_BASE = 1
 STAGE_INPUT_MIX = 2
@@ -340,12 +338,12 @@ def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
         "latent_width": net_cfg.latent_width,
         "vox_dim": net_cfg.vox_dim,
     }
-    save_checkpoint(path, store, metadata)
+    runs.save_checkpoint(path, store, metadata)
 
 
 def load_stage_checkpoint(path, config: ExperimentConfig,
                           expect_hash: bool = True):
-    store, metadata = load_checkpoint(path)
+    store, metadata = runs.load_checkpoint(path)
     net_cfg = network_config(config)
     if metadata.get("variant") != net_cfg.variant:
         raise ValueError(
@@ -368,15 +366,11 @@ class PipelineResult:
 
 
 def _write_train_log(path: Path, stats: list[StepStats]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["stage", "epoch", "step", "total", "recon", "align",
-                         "sim_pos", "sim_neg"])
-        for s in stats:
-            b = s.breakdown
-            writer.writerow([s.stage, s.epoch, s.step, repr(b.total),
-                             repr(b.recon), repr(b.align), repr(b.sim_pos),
-                             repr(b.sim_neg)])
+    runs.write_csv(path, ("stage", "epoch", "step", "total", "recon", "align",
+                          "sim_pos", "sim_neg"),
+                   [(s.stage, s.epoch, s.step, s.breakdown.total,
+                     s.breakdown.recon, s.breakdown.align, s.breakdown.sim_pos,
+                     s.breakdown.sim_neg) for s in stats])
 
 
 @dataclass
@@ -440,9 +434,9 @@ def pretrain_gt_encoder(net: Network, ctx: ExperimentContext
                                  batch_size=config.train.pretrain_batch,
                                  seed=config.seed)
     ctx.paths.checkpoints_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT, store,
-                    {"role": "gt_autoencoder",
-                     "pretrain_hash": pretrain_hash(config)})
+    runs.save_checkpoint(ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT,
+                         store, {"role": "gt_autoencoder",
+                                 "pretrain_hash": pretrain_hash(config)})
     return store, history
 
 
@@ -452,7 +446,7 @@ def prepare_gt_encoder(net: Network, ctx: ExperimentContext) -> ParamStore:
     pretrained under other settings."""
     path = ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT
     if path.exists():
-        store, metadata = load_checkpoint(path)
+        store, metadata = runs.load_checkpoint(path)
         if metadata.get("pretrain_hash") == pretrain_hash(ctx.config):
             return store
     store, _ = pretrain_gt_encoder(net, ctx)
@@ -472,9 +466,13 @@ def init_main_store(net: Network, config: ExperimentConfig,
 
 def write_iou_reports(paths: runs.RunPaths, pipeline: str,
                       table: evaluate.IouTable) -> None:
-    evaluate.write_iou_csv(table, paths.reports_dir / f"{pipeline}_iou.csv")
-    evaluate.write_iou_samples_csv(
-        table, paths.reports_dir / f"{pipeline}_iou_samples.csv")
+    average = ("__average__", table.overall, sum(r[2] for r in table.rows))
+    runs.write_csv(paths.reports_dir / f"{pipeline}_iou.csv",
+                   ("class", "mean_iou", "n_samples", "threshold", "prior_mode"),
+                   [(*row, table.threshold, table.prior_mode)
+                    for row in (*table.rows, average)])
+    runs.write_csv(paths.reports_dir / f"{pipeline}_iou_samples.csv",
+                   ("object_id", "pose_id", "class", "iou"), table.per_sample)
 
 
 def run_ablation(config: ExperimentConfig,
@@ -554,11 +552,3 @@ def alpha_sweep(config: ExperimentConfig, run_dir: Path | str | None = None,
                      results["input_mix"].final_table.overall,
                      results["latent_mix"].final_table.overall))
     return rows
-
-
-def write_alpha_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "input_mix_iou", "latent_mix_iou"])
-        for alpha, in_iou, lat_iou in rows:
-            writer.writerow([repr(alpha), repr(in_iou), repr(lat_iou)])

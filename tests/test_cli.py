@@ -77,3 +77,42 @@ def test_the_pretrain_hash_ignores_what_pretraining_does_not_read():
                                    "model.image_channels": "2,2,2,2"}))
     assert trainer.pretrain_hash(config) != trainer.pretrain_hash(
         apply_assignments(config, {"train.pretrain_epochs": "1"}))
+
+
+def test_a_truncated_encoder_checkpoint_exits_3_and_names_the_file(tiny_run,
+                                                                   capsys):
+    ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
+    ckpt.write_bytes(ckpt.read_bytes()[:200])
+    capsys.readouterr()
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_MISSING
+    assert str(ckpt) in capsys.readouterr().err
+
+
+def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,
+                                                                capsys):
+    ckpt = tiny_run.paths.checkpoints_dir / "dual_mix_stage3.ckpt"
+    ckpt.parent.mkdir(parents=True, exist_ok=True)
+    ckpt.write_bytes(b"garbage" * 30)
+    assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert f"{ckpt}: not a checkpoint file" in err
+    assert "allow_pickle" not in err
+
+
+def test_every_subcommand_runs_and_eval_reproduces_the_iou_reports(tiny_run):
+    assert tiny_run.voxmix("gen-data") == cli.EXIT_OK
+    assert tiny_run.voxmix("build-priors") == cli.EXIT_OK
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
+    assert tiny_run.voxmix("train", "--all") == cli.EXIT_OK
+    reports = tiny_run.paths.reports_dir
+    names = ("dual_mix_iou.csv", "dual_mix_iou_samples.csv")
+    written = {name: (reports / name).read_bytes() for name in names}
+    assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_OK
+    assert {name: (reports / name).read_bytes() for name in names} == written
+    assert tiny_run.voxmix("analyze-latent") == cli.EXIT_OK
+    assert tiny_run.voxmix("proximity") == cli.EXIT_OK
+    assert tiny_run.voxmix("alpha-sweep", "--alphas", "1.0") == cli.EXIT_OK
+    assert tiny_run.voxmix("mix-preview", "--pairs", "2") == cli.EXIT_OK
+    assert cli.main(["grad-check", "--probes", "1"]) == cli.EXIT_OK
+    assert not list(tiny_run.root.rglob("*.tmp"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxmix import nn
+from voxmix import nn, runs
 
 
 def fresh_store():
@@ -326,7 +326,7 @@ def test_grad_check_locates_corrupted_backward():
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format
+# checkpoint format (written and read by runs)
 # ---------------------------------------------------------------------------
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
@@ -337,8 +337,8 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     store.slot("m", "a.w")[...] = rng.standard_normal((3, 4)).astype(np.float32)
     store.step = 17
     path = tmp_path / "model.ckpt"
-    nn.save_checkpoint(path, store, {"variant": "prior", "note": 1})
-    loaded, meta = nn.load_checkpoint(path)
+    runs.save_checkpoint(path, store, {"variant": "prior", "note": 1})
+    loaded, meta = runs.load_checkpoint(path)
     assert meta["variant"] == "prior"
     assert loaded.step == 17
     assert set(loaded.params) == {"a.w", "a.b"}
@@ -347,19 +347,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.slots["m"]["a.w"].tobytes() == store.slots["m"]["a.w"].tobytes()
     # Re-saving the loaded store reproduces the file byte for byte.
     path2 = tmp_path / "again.ckpt"
-    nn.save_checkpoint(path2, loaded, {"variant": "prior", "note": 1})
+    runs.save_checkpoint(path2, loaded, {"variant": "prior", "note": 1})
     assert path.read_bytes() == path2.read_bytes()
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "junk.ckpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="not a checkpoint"):
-        nn.load_checkpoint(path)
+    with pytest.raises(runs.MissingArtifactError, match="not a checkpoint"):
+        runs.load_checkpoint(path)
 
 
 def test_checkpoint_rejects_float64(tmp_path):
     store = fresh_store()
     store.add("w", np.zeros(2, dtype=np.float64))
     with pytest.raises(ValueError, match="float32"):
-        nn.save_checkpoint(tmp_path / "bad.ckpt", store, {})
+        runs.save_checkpoint(tmp_path / "bad.ckpt", store, {})

@@ -1,0 +1,81 @@
+import numpy as np
+import pytest
+
+from voxmix import nn, runs
+
+
+def _store():
+    store = nn.ParamStore()
+    rng = np.random.default_rng(0)
+    store.add("a.w", rng.standard_normal((3, 4)).astype(np.float32))
+    store.add("a.b", rng.standard_normal(4).astype(np.float32))
+    store.slot("m", "a.w")[...] = 1.0
+    store.step = 5
+    return store
+
+
+class _NotBytes:
+    """Data whose write fails after the temporary file exists."""
+
+
+def _fail_replace(exc):
+    def replace(src, dst):
+        raise exc
+    return replace
+
+
+@pytest.mark.parametrize("fault", ["write", "replace", "interrupt"])
+def test_an_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch, fault):
+    path = tmp_path / "report.csv"
+    path.write_bytes(b"old bytes\n")
+    data = b"new bytes\n"
+    if fault == "write":
+        data, expected = _NotBytes(), TypeError
+    elif fault == "replace":
+        monkeypatch.setattr(runs.os, "replace", _fail_replace(OSError("disk")))
+        expected = OSError
+    else:
+        monkeypatch.setattr(runs.os, "replace",
+                            _fail_replace(KeyboardInterrupt()))
+        expected = KeyboardInterrupt
+    with pytest.raises(expected):
+        runs.write_atomic(path, data)
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+def test_write_atomic_replaces_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "config.resolved.txt"
+    path.write_text("old\n")
+    runs.write_atomic(path, "seed = 1\n")
+    assert path.read_bytes() == b"seed = 1\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["config.resolved.txt"]
+
+
+def test_write_csv_writes_floats_at_full_precision(tmp_path):
+    path = tmp_path / "t.csv"
+    runs.write_csv(path, ("class", "iou", "n"), [("lamp", 0.1 + 0.2, 3)])
+    assert path.read_bytes() == b"class,iou,n\r\nlamp,0.30000000000000004,3\r\n"
+
+
+def test_checkpoint_keeps_its_file_name(tmp_path):
+    runs.save_checkpoint(tmp_path / "dual_mix_stage3.ckpt", _store(), {})
+    assert [p.name for p in tmp_path.iterdir()] == ["dual_mix_stage3.ckpt"]
+
+
+def test_every_truncated_checkpoint_is_a_missing_artifact(tmp_path):
+    path = tmp_path / "model.ckpt"
+    runs.save_checkpoint(path, _store(), {"variant": "prior"})
+    full = path.read_bytes()
+    for size in range(len(full)):
+        path.write_bytes(full[:size])
+        with pytest.raises(runs.MissingArtifactError, match="model.ckpt"):
+            runs.load_checkpoint(path)
+
+
+def test_a_checkpoint_with_a_foreign_entry_is_rejected(tmp_path):
+    path = tmp_path / "model.ckpt"
+    with path.open("wb") as fh:
+        np.savez(fh, meta=np.array('{"step": 0}'), other=np.zeros(2, np.float32))
+    with pytest.raises(runs.MissingArtifactError, match="'other'"):
+        runs.load_checkpoint(path)
