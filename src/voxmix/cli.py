@@ -226,8 +226,12 @@ def _read_iou_csv(path: Path) -> dict[str, float]:
     values: dict[str, float] = {}
     with open(path, newline="") as fh:
         for row in csv.DictReader(fh):
-            if row["class"] != "__average__":
-                values[row["class"]] = float(row["mean_iou"])
+            try:
+                if row["class"] != "__average__":
+                    values[row["class"]] = float(row["mean_iou"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise runs.MissingArtifactError(
+                    f"{path}: unreadable IoU table ({exc!r})") from exc
     return values
 
 

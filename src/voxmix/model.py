@@ -190,18 +190,21 @@ class Network:
             return  # a single sample would center its own embedding to zero
         aux_bias = "prior_encoder.fc.b" if self.config.variant == "prior" \
             else "pool_proj.fc.b"
+        # Only dense layers move below, so the conv stacks run once.
+        slices = [slice(start, min(start + batch_size, len(images)))
+                  for start in range(0, len(images), batch_size)]
+        feats = [self._conv_features(
+            images[sl], None if priors is None else priors[sl], store)
+            for sl in slices]
         for bias_name in ("image_encoder.fc.b", aux_bias, "merger.fc0.b",
                           "merger.fc1.b", "gt_encoder.fc.b"):
             total = 0.0
             count = 0
-            for start in range(0, len(images), batch_size):
-                sl = slice(start, min(start + batch_size, len(images)))
+            for sl, feat in zip(slices, feats):
                 if bias_name == "gt_encoder.fc.b":
                     value = self.encode_gt(volumes[sl], store)
                 else:
-                    e_image, e_aux, e_fused = self.encode(
-                        images[sl], None if priors is None else priors[sl],
-                        store)
+                    e_image, e_aux, e_fused = self._heads(*feat, store)
                     if bias_name == "image_encoder.fc.b":
                         value = e_image
                     elif bias_name == aux_bias:
@@ -238,29 +241,42 @@ class Network:
         # mapped to [-1, 1] so first-layer features are sign-balanced.
         return arr * arr.dtype.type(2.0) - arr.dtype.type(1.0)
 
-    def encode(self, images: np.ndarray, priors: np.ndarray | None,
-               store: ParamStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _conv_features(self, images: np.ndarray, priors: np.ndarray | None,
+                       store: ParamStore):
+        """The conv stacks of `encode`: the image features, and for the
+        prior variant the prior features that enter the prior's Dense."""
         dtype = next(iter(store.params.values())).dtype
         images = self._prep(images, dtype)
         if images.ndim != 4 or images.shape[1] != 2 \
                 or images.shape[2] != self.config.image_size:
             raise ValueError(f"bad image batch shape {images.shape}")
         feat = self.image_conv.forward(self._centered(images), store)
-        e_image = self.image_head.forward(feat, store)
-        if self.config.variant == "prior":
-            if priors is None:
-                raise ValueError("the prior variant requires a prior batch")
-            priors = self._prep(priors, dtype)
-            if priors.shape != (images.shape[0], 1) + (self.config.vox_dim,) * 3:
-                raise ValueError(f"bad prior batch shape {priors.shape}")
-            e_aux = self.prior_encoder.forward(self._centered(priors), store)
-        else:
+        if self.config.variant != "prior":
             if priors is not None:
                 raise ValueError("the no-prior variant takes no prior batch")
-            e_aux = self.pool_proj.forward(feat, store)
+            return feat, None
+        if priors is None:
+            raise ValueError("the prior variant requires a prior batch")
+        priors = self._prep(priors, dtype)
+        if priors.shape != (images.shape[0], 1) + (self.config.vox_dim,) * 3:
+            raise ValueError(f"bad prior batch shape {priors.shape}")
+        aux = self._centered(priors)
+        for layer in self.prior_encoder.layers[:-1]:
+            aux = layer.forward(aux, store)
+        return feat, aux
+
+    def _heads(self, feat: np.ndarray, aux: np.ndarray | None,
+               store: ParamStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        e_image = self.image_head.forward(feat, store)
+        e_aux = self.pool_proj.forward(feat, store) if aux is None \
+            else self.prior_encoder.layers[-1].forward(aux, store)
         fused_in = np.concatenate([e_image, e_aux], axis=1)
         e_fused = self.merger.forward(fused_in, store)
         return e_image, e_aux, e_fused
+
+    def encode(self, images: np.ndarray, priors: np.ndarray | None,
+               store: ParamStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return self._heads(*self._conv_features(images, priors, store), store)
 
     def decode(self, e_fused: np.ndarray, store: ParamStore) -> np.ndarray:
         out = self.decoder.forward(e_fused, store)

@@ -11,6 +11,13 @@ The four convolution kernels are two adjoint pairs on one `_gather`
 add per kernel offset: `conv_transpose_forward`, dx of `conv_backward`).
 The first conv of each encoder skips its dx (`input_grad=False`): its
 input is data, so nothing reads that gradient.
+
+Layers take and return (N, C, *S), but inside the kernels the batch axis
+is last, (C, *S, N) (the CHWN layout of cuDNN, arXiv:1410.0759).  The
+spatial extents here are 2-16, so with N first every strided window copy
+and every per-offset add moves runs of 2-4 floats; with N last each run
+is N contiguous floats.  Outputs are `moveaxis` views of batch-last
+arrays, so the next kernel's batch-last copy reads them in order.
 """
 
 from __future__ import annotations
@@ -75,18 +82,33 @@ class ParamStore:
 # Convolution kernels, generic over spatial rank
 # ---------------------------------------------------------------------------
 
-def _gather(x: np.ndarray, w: np.ndarray, stride: int, pad: int):
-    """Strided convolution without bias: x (N, C, *S), w (Cout, C, *K).
-    Returns (y, windows), y (N, Cout, *So); the windows are a view of the
-    padded x, shaped (N, C, *So, *K)."""
-    rank = x.ndim - 2
-    if pad:
-        x = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
-    win = sliding_window_view(x, w.shape[2:], axis=tuple(range(2, 2 + rank)))
-    win = win[(slice(None), slice(None)) + (slice(None, None, stride),) * rank]
-    y = np.tensordot(win, w, axes=([1] + list(range(2 + rank, 2 + 2 * rank)),
-                                   [1] + list(range(2, 2 + rank))))
-    return np.moveaxis(y, -1, 1), win
+def _batch_last(x: np.ndarray, pad: int) -> np.ndarray:
+    """(N, C, *S) -> a contiguous (C, *(S + 2 * pad), N), zero-padded."""
+    spatial = tuple(s + 2 * pad for s in x.shape[2:])
+    xb = np.zeros((x.shape[1],) + spatial + (x.shape[0],), dtype=x.dtype)
+    xb[(slice(None),) + tuple(slice(pad, pad + s) for s in x.shape[2:])] = \
+        np.moveaxis(x, 0, -1)
+    return xb
+
+
+def _im2col(xb: np.ndarray, kernel: tuple[int, ...], stride: int) -> np.ndarray:
+    """The columns (C, *K, *So, N) of a batch-last xb (C, *Sp, N): one
+    copy of the strided windows (C, *So, N, *K), transposed."""
+    rank = len(kernel)
+    win = sliding_window_view(xb, kernel, axis=tuple(range(1, 1 + rank)))
+    win = win[(slice(None),) + (slice(None, None, stride),) * rank]
+    return np.ascontiguousarray(win.transpose(
+        (0,) + tuple(range(rank + 2, 2 * rank + 2))
+        + tuple(range(1, rank + 2))))
+
+
+def _gather(xb: np.ndarray, w: np.ndarray, stride: int):
+    """Strided convolution without bias of a batch-last, padded xb
+    (C, *Sp, N) with w (Cout, C, *K).  Returns (y, cols): y (N, Cout, *So)
+    is a view of a batch-last array, cols the (C, *K, *So, N) columns."""
+    cols = _im2col(xb, w.shape[2:], stride)
+    y = np.tensordot(w, cols, axes=w.ndim - 1)             # (Cout, *So, N)
+    return np.moveaxis(y, -1, 0), cols
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
@@ -99,31 +121,34 @@ def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     in_shape = x.shape[2:]
     if full is None:
         full = tuple((s - 1) * stride + k for s, k in zip(in_shape, kernel))
-    cols = np.tensordot(w, x, axes=([0], [1]))             # (Cout, *K, N, *S)
-    grid = np.zeros((w.shape[1], x.shape[0]) + full, dtype=cols.dtype)
+    cols = np.tensordot(w, np.moveaxis(x, 0, -1), axes=([0], [0]))
+    # cols: (Cout, *K, *S, N); the grid is batch-last too.
+    grid = np.zeros((w.shape[1],) + full + (x.shape[0],), dtype=cols.dtype)
     for idx in np.ndindex(*kernel):
         sl = tuple(slice(i, i + s * stride, stride)
                    for i, s in zip(idx, in_shape))
-        grid[(slice(None), slice(None)) + sl] += cols[(slice(None),) + idx]
+        grid[(slice(None),) + sl] += cols[(slice(None),) + idx]
     inner = tuple(slice(pad, f - pad) for f in full)
-    return np.moveaxis(grid[(slice(None), slice(None)) + inner], 0, 1)
+    return np.moveaxis(grid[(slice(None),) + inner], -1, 0)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                  stride: int, pad: int):
     """x: (N, Cin, *S); w: (Cout, Cin, *K). Returns (y, cache)."""
-    y, win = _gather(x, w, stride, pad)
+    xb = _batch_last(x, pad)
+    y, _ = _gather(xb, w, stride)
     y += b.reshape((1, -1) + (1,) * (x.ndim - 2))
-    return y, (x.shape[2:], win)
+    return y, (x.shape[2:], xb)
 
 
 def conv_backward(dy: np.ndarray, cache, w: np.ndarray, stride: int, pad: int,
                   input_grad: bool = True):
     """Returns (dx, dw, db); dx is None unless `input_grad`."""
-    in_shape, win = cache
-    spatial = list(range(2, dy.ndim))
-    dw = np.tensordot(dy, win, axes=([0] + spatial, [0] + spatial))
-    db = dy.sum(axis=tuple([0] + spatial))
+    in_shape, xb = cache
+    axes = list(range(1, dy.ndim))                  # *So and N, batch-last
+    dw = np.tensordot(np.moveaxis(dy, 0, -1), _im2col(xb, w.shape[2:], stride),
+                      axes=(axes, [a + dy.ndim - 2 for a in axes]))
+    db = dy.sum(axis=(0,) + tuple(range(2, dy.ndim)))
     dx = _scatter(dy, w, stride, pad, tuple(s + 2 * pad for s in in_shape)) \
         if input_grad else None
     return dx, dw, db
@@ -140,10 +165,11 @@ def conv_transpose_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 def conv_transpose_backward(dy: np.ndarray, cache, w: np.ndarray,
                             stride: int, pad: int):
     (x,) = cache
-    dx, win = _gather(dy, w, stride, pad)             # win: (N, Cout, *S, *K)
-    spatial = list(range(2, dy.ndim))
-    dw = np.tensordot(x, win, axes=([0] + spatial, [0] + spatial))
-    db = dy.sum(axis=tuple([0] + spatial))
+    dx, cols = _gather(_batch_last(dy, pad), w, stride)   # (Cout, *K, *S, N)
+    axes = list(range(1, x.ndim))                   # *S and N, batch-last
+    dw = np.tensordot(np.moveaxis(x, 0, -1), cols,
+                      axes=(axes, [a + x.ndim - 2 for a in axes]))
+    db = dy.sum(axis=(0,) + tuple(range(2, dy.ndim)))
     return dx, dw, db
 
 

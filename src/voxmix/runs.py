@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -174,18 +175,30 @@ class RunPaths:
         write_atomic(self.resolved_config_path, dump_config(config))
 
 
+@contextmanager
+def _parsing(path):
+    """Raise a parse error inside as a MissingArtifactError naming `path`."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise MissingArtifactError(f"{path}: {exc}") from exc
+
+
 def load_manifest(paths: RunPaths) -> corpus.DatasetManifest:
-    if not (paths.dataset_dir / "manifest.jsonl").exists():
+    path = paths.dataset_dir / "manifest.jsonl"
+    if not path.exists():
         raise MissingArtifactError(
             f"no dataset under {paths.dataset_dir}; run gen-data first")
-    return corpus.DatasetManifest.load(paths.dataset_dir)
+    with _parsing(path):
+        return corpus.DatasetManifest.load(paths.dataset_dir)
 
 
 def load_split(paths: RunPaths) -> corpus.FewShotSplit:
     if not paths.split_path.exists():
         raise MissingArtifactError(
             f"no split at {paths.split_path}; run build-priors first")
-    return corpus.FewShotSplit.load(paths.split_path)
+    with _parsing(paths.split_path):
+        return corpus.FewShotSplit.load(paths.split_path)
 
 
 def load_priors(paths: RunPaths, classes) -> dict[str, np.ndarray]:
@@ -196,5 +209,6 @@ def load_priors(paths: RunPaths, classes) -> dict[str, np.ndarray]:
         if not path.exists():
             raise MissingArtifactError(
                 f"no prior for class {class_id!r} at {path}; run build-priors")
-        priors[class_id] = voxel.load_binvox(path).values.astype(np.float32)[None]
+        with _parsing(path):
+            priors[class_id] = voxel.load_binvox(path).values.astype(np.float32)[None]
     return priors

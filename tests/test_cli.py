@@ -1,6 +1,7 @@
 import csv
 
 import numpy as np
+import pytest
 
 from voxmix import cli, mixup, trainer
 from voxmix.config import ExperimentConfig, apply_assignments
@@ -26,6 +27,32 @@ def test_proximity_names_a_class_missing_from_the_iou_table(tiny_run, capsys):
             writer.writerow([class_id, "0.5", "4", "0.3", "correct"])
     assert tiny_run.voxmix("proximity", "--pipeline", "dual_mix") == cli.EXIT_USAGE
     assert novel[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rows", [[["class", "iou"], ["lamp", "0.5"]],
+                                  [["class", "mean_iou"], ["lamp", "high"]]],
+                         ids=["missing_column", "unparsable_value"])
+def test_proximity_on_a_damaged_iou_table_exits_3_and_names_it(tiny_run,
+                                                                capsys, rows):
+    table = tiny_run.paths.reports_dir / "dual_mix_iou.csv"
+    table.parent.mkdir(parents=True, exist_ok=True)
+    with open(table, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    assert tiny_run.voxmix("proximity", "--pipeline", "dual_mix") == cli.EXIT_MISSING
+    assert f"{table}: unreadable IoU table" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("relpath,keep", [("dataset/manifest.jsonl", 500),
+                                          ("split.json", 30),
+                                          ("priors/prior_lamp.binvox", 30)],
+                         ids=["manifest", "split", "prior"])
+def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
+                                                             relpath, keep):
+    damaged = tiny_run.paths.root / relpath
+    damaged.write_bytes(damaged.read_bytes()[:keep])
+    capsys.readouterr()
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_MISSING
+    assert f"missing artifact: {damaged}: " in capsys.readouterr().err
 
 
 def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,

@@ -115,6 +115,24 @@ def test_variant_store_mismatch_detected():
         net_np.check_store(store_prior)
 
 
+@pytest.mark.parametrize("cfg", [CFG, CFG_NO_PRIOR], ids=["prior", "no_prior"])
+def test_centring_zeroes_the_pool_mean_of_every_latent(cfg):
+    net, store = make(cfg, seed=4)
+    images, priors, volumes = batch(n=70, seed=9, cfg=cfg)
+    if cfg.variant == "no_prior":
+        priors = None
+    # 70 samples in batches of 32: two full batches and a partial one.
+    net.center_latent_biases(store, images, priors, volumes, batch_size=32)
+    e_image, e_aux, e_fused = net.encode(images, priors, store)
+    fc0 = net.merger.layers[0]._x @ store.params["merger.fc0.w"] \
+        + store.params["merger.fc0.b"]
+    gt = net.encode_gt(volumes, store)
+    for name, value in [("e_image", e_image), ("e_aux", e_aux),
+                        ("merger.fc0", fc0), ("e_fused", e_fused), ("gt", gt)]:
+        mean = np.abs(value.mean(axis=0)).max()
+        assert mean <= 1e-5 * np.abs(value).max(), name
+
+
 def test_gradient_reaches_every_parameter():
     net, store = make(seed=5)
     images, priors, volumes = batch(seed=6)

@@ -125,6 +125,13 @@ KERNEL_CASES = [(2, 2, 3, 1), (3, 2, 3, 1), (3, 2, 4, 1), (2, 1, 3, 0),
                 (2, 1, 1, 0)]
 
 
+def _layouts(a):
+    """a itself, a copy in batch-last memory order (what a conv's `y + b`
+    hands to the next layer) and a strided view, all equal to a."""
+    batch_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    return [a, batch_last, np.repeat(a, 2, axis=-1)[..., ::2]]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("size", [5, 6])
 @pytest.mark.parametrize("rank,stride,kernel,pad", KERNEL_CASES)
@@ -136,30 +143,60 @@ def test_conv_kernels_match_the_per_offset_loops(rank, stride, kernel, pad,
     def draw(*shape):
         return rng.standard_normal(shape).astype(dtype)
 
-    x = draw(3, 2, *(size,) * rank)
     w = draw(4, 2, *(kernel,) * rank)
-    b = draw(4)
-    xp = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
-    y, cache = nn.conv_forward(x, w, b, stride, pad)
-    _assert_close(y, _reference_gather(x, w, stride, pad)
-                  + b.reshape((1, -1) + (1,) * rank), dtype)
-    dy = draw(*y.shape)
-    dx, dw, db = nn.conv_backward(dy, cache, w, stride, pad)
-    _assert_close(dx, _reference_scatter(dy, w, stride, pad, xp.shape[2:]), dtype)
-    _assert_close(dw, _reference_kernel_grad(dy, xp, stride, w.shape[2:]), dtype)
-    _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
-
     wt = draw(2, 4, *(kernel,) * rank)
+    b = draw(4)
     full = tuple((size - 1) * stride + kernel for _ in range(rank))
-    y, cache = nn.conv_transpose_forward(x, wt, b, stride, pad)
-    _assert_close(y, _reference_scatter(x, wt, stride, pad, full)
-                  + b.reshape((1, -1) + (1,) * rank), dtype)
-    dy = draw(*y.shape)
-    dyp = np.pad(dy, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
-    dx, dw, db = nn.conv_transpose_backward(dy, cache, wt, stride, pad)
-    _assert_close(dx, _reference_gather(dy, wt, stride, pad), dtype)
-    _assert_close(dw, _reference_kernel_grad(x, dyp, stride, wt.shape[2:]), dtype)
-    _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
+    for n in (3, 1):
+        x = draw(n, 2, *(size,) * rank)
+        xp = np.pad(x, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
+        want = _reference_gather(x, w, stride, pad)
+        dy = draw(*want.shape)
+        for x_in in _layouts(x):
+            y, cache = nn.conv_forward(x_in, w, b, stride, pad)
+            _assert_close(y, want + b.reshape((1, -1) + (1,) * rank), dtype)
+            for dy_in in _layouts(dy):
+                dx, dw, db = nn.conv_backward(dy_in, cache, w, stride, pad)
+                _assert_close(dx, _reference_scatter(dy, w, stride, pad,
+                                                     xp.shape[2:]), dtype)
+                _assert_close(dw, _reference_kernel_grad(dy, xp, stride,
+                                                         w.shape[2:]), dtype)
+                _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
+
+        want = _reference_scatter(x, wt, stride, pad, full)
+        dy = draw(*want.shape)
+        dyp = np.pad(dy, [(0, 0), (0, 0)] + [(pad, pad)] * rank)
+        for x_in in _layouts(x):
+            y, cache = nn.conv_transpose_forward(x_in, wt, b, stride, pad)
+            _assert_close(y, want + b.reshape((1, -1) + (1,) * rank), dtype)
+            for dy_in in _layouts(dy):
+                dx, dw, db = nn.conv_transpose_backward(dy_in, cache, wt,
+                                                        stride, pad)
+                _assert_close(dx, _reference_gather(dy, wt, stride, pad), dtype)
+                _assert_close(dw, _reference_kernel_grad(x, dyp, stride,
+                                                         wt.shape[2:]), dtype)
+                _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
+
+
+def _owner(a):
+    """The array that owns a's memory, also through as_strided's wrapper."""
+    while getattr(a, "base", None) is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("rank,stride,kernel,pad", KERNEL_CASES)
+def test_conv_forward_caches_no_more_than_the_padded_input(rank, stride,
+                                                           kernel, pad):
+    # The columns are K^rank times the input; backward rebuilds them.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 2) + (6,) * rank).astype(np.float32)
+    w = rng.standard_normal((4, 2) + (kernel,) * rank).astype(np.float32)
+    _, cache = nn.conv_forward(x, w, np.zeros(4, np.float32), stride, pad)
+    owners = {id(o): o for o in (_owner(a) for a in cache
+                                    if isinstance(a, np.ndarray))}
+    padded = x.itemsize * 3 * 2 * (6 + 2 * pad) ** rank
+    assert sum(o.nbytes for o in owners.values()) <= padded
 
 
 # ---------------------------------------------------------------------------
