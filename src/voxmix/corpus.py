@@ -223,17 +223,23 @@ class SampleArrays:
         return len(self.object_ids)
 
 
+def _read(reader, path):
+    from .runs import _parsing   # a parse error names the file, exit code 3
+    with _parsing(path):
+        return reader(path)
+
+
 def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> SampleArrays:
     volume_cache: dict[str, np.ndarray] = {}
     images = []
     volumes = []
     object_ids, class_ids, pose_ids = [], [], []
     for rec in records:
-        sil = render.read_pgm(manifest.root / rec.sil)
-        dep = render.read_pgm(manifest.root / rec.dep)
+        sil = _read(render.read_pgm, manifest.root / rec.sil)
+        dep = _read(render.read_pgm, manifest.root / rec.dep)
         images.append(np.stack([sil, dep]))
         if rec.volume not in volume_cache:
-            grid = voxel.load_binvox(manifest.root / rec.volume)
+            grid = _read(voxel.load_binvox, manifest.root / rec.volume)
             volume_cache[rec.volume] = grid.values.astype(np.float32)
         volumes.append(volume_cache[rec.volume][None])
         object_ids.append(rec.object_id)
@@ -249,7 +255,8 @@ def load_object_volumes(manifest: DatasetManifest,
     by_object = {}
     for rec in manifest.records:
         if rec.object_id in object_ids and rec.object_id not in by_object:
-            by_object[rec.object_id] = voxel.load_binvox(manifest.root / rec.volume)
+            by_object[rec.object_id] = _read(voxel.load_binvox,
+                                             manifest.root / rec.volume)
     missing = set(object_ids) - set(by_object)
     if missing:
         raise ValueError(f"volumes missing for objects: {sorted(missing)}")

@@ -98,9 +98,8 @@ def write_vgrid(values: np.ndarray, path) -> None:
         raise ValueError(f"expected a cubic grid, got shape {values.shape}")
     dim = values.shape[0]
     flat = values.transpose(0, 2, 1).astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(f"vgrid {dim}\n".encode("ascii"))
-        fh.write(flat)
+    from .runs import write_atomic
+    write_atomic(path, f"vgrid {dim}\n".encode("ascii") + flat)
 
 
 def read_vgrid(path) -> np.ndarray:

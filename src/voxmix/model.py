@@ -154,19 +154,15 @@ class Network:
 
     def init_params(self, rng: np.random.Generator,
                     dtype=TRAIN_DTYPE) -> ParamStore:
-        store = ParamStore()
-        for part in self._main_parts():
-            part.init_params(store, rng, dtype)
-        return store
+        return ParamStore.pack(pair for part in self._main_parts()
+                               for pair in part.init_params(rng, dtype))
 
     def init_pretrain_params(self, rng: np.random.Generator,
                              dtype=TRAIN_DTYPE) -> ParamStore:
         """Parameters for the volume autoencoder (encoder + throwaway
         decoder) used during pretraining."""
-        store = ParamStore()
-        self.gt_encoder.init_params(store, rng, dtype)
-        self.gt_decoder.init_params(store, rng, dtype)
-        return store
+        return ParamStore.pack(self.gt_encoder.init_params(rng, dtype)
+                               + self.gt_decoder.init_params(rng, dtype))
 
     def param_names(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -218,8 +214,8 @@ class Network:
                         value = e_fused
                 total = total + value.sum(axis=0)
                 count += value.shape[0]
-            store.params[bias_name] -= (total / count).astype(
-                store.params[bias_name].dtype)
+            store.params[bias_name][...] -= (total / count).astype(
+                store.flat.dtype)
 
     def check_store(self, store: ParamStore) -> None:
         expected = set(self.param_names())
@@ -245,7 +241,7 @@ class Network:
                        store: ParamStore):
         """The conv stacks of `encode`: the image features, and for the
         prior variant the prior features that enter the prior's Dense."""
-        dtype = next(iter(store.params.values())).dtype
+        dtype = store.flat.dtype
         images = self._prep(images, dtype)
         if images.ndim != 4 or images.shape[1] != 2 \
                 or images.shape[2] != self.config.image_size:
@@ -317,8 +313,7 @@ class Network:
     # -- ground-truth volume encoder ------------------------------------------
 
     def encode_gt(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
-        dtype = next(iter(store.params.values())).dtype
-        volumes = self._prep(volumes, dtype)
+        volumes = self._prep(volumes, store.flat.dtype)
         if volumes.ndim == 4:
             volumes = volumes[:, None]
         if volumes.shape[1:] != (1,) + (self.config.vox_dim,) * 3:

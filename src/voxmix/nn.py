@@ -22,8 +22,11 @@ arrays, so the next kernel's batch-last copy reads them in order.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,38 +45,69 @@ class NumericError(RuntimeError):
 
 
 class ParamStore:
-    """Named parameter tensors with paired gradient buffers, optimizer
-    slots, and a global step counter."""
+    """Named parameters packed into one contiguous array per role (the
+    `FlatParameter` of PyTorch FSDP, arXiv:2304.11277): `flat`, in `names`
+    order, `flat_grads` and one `flat_slots[kind]` per optimizer slot.
+    `params`, `grads` and `slots[kind]` map each name to its view into
+    those, `spans[name]` to its slice.  The mappings are read-only, since a
+    rebound name would silently drop out of training: write into the views,
+    as in `grads[name][...] += g`.  `step` counts optimizer steps."""
 
-    def __init__(self):
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        self.slots: dict[str, dict[str, np.ndarray]] = {}
+    def __init__(self, names: Sequence[str], shapes: Sequence[Sequence[int]],
+                 flat: np.ndarray, slots: dict[str, np.ndarray] | None = None):
+        self.names = tuple(names)
+        self.shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
+        if len(set(self.names)) < len(self.names):
+            raise ValueError(f"duplicate parameter names in {self.names}")
+        sizes = [math.prod(shape) for shape in self.shapes]
+        if flat.ndim != 1 or flat.size != sum(sizes):
+            raise ValueError(f"the shapes hold {sum(sizes)} values, the "
+                             f"parameter buffer has shape {flat.shape}")
+        self.flat, self.flat_grads = flat, np.zeros_like(flat)
+        self.flat_slots = dict(slots or {})
+        for kind, buf in self.flat_slots.items():
+            if buf.shape != flat.shape or buf.dtype != flat.dtype:
+                raise ValueError(f"slot {kind!r} is {buf.dtype} {buf.shape}, "
+                                 f"the parameters {flat.dtype} {flat.shape}")
+        ends = np.cumsum([0] + sizes).tolist()
+        self.spans = {name: slice(start, stop)
+                      for name, start, stop in zip(self.names, ends, ends[1:])}
+        self.params = self._views(flat)
+        self.grads = self._views(self.flat_grads)
+        self.slots = {kind: self._views(buf)
+                      for kind, buf in self.flat_slots.items()}
         self.step = 0
 
-    def add(self, name: str, value: np.ndarray) -> None:
-        if name in self.params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self.params[name] = value
-        self.grads[name] = np.zeros_like(value)
+    @classmethod
+    def pack(cls, named: Iterable[tuple[str, np.ndarray]]) -> "ParamStore":
+        """A store holding copies of the (name, array) pairs, in order."""
+        pairs = list(named)
+        dtypes = sorted({str(value.dtype) for _, value in pairs})
+        if len(dtypes) > 1:
+            raise ValueError(f"one store holds one dtype, not {dtypes}")
+        flat = np.concatenate([value.ravel() for _, value in pairs]) if pairs \
+            else np.zeros(0, TRAIN_DTYPE)
+        return cls([name for name, _ in pairs],
+                   [value.shape for _, value in pairs], flat)
+
+    def _views(self, buf: np.ndarray) -> MappingProxyType:
+        return MappingProxyType({name: buf[span].reshape(shape) for (name, span),
+                                 shape in zip(self.spans.items(), self.shapes)})
 
     def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0
+        self.flat_grads.fill(0)
 
-    def slot(self, kind: str, name: str) -> np.ndarray:
-        per_kind = self.slots.setdefault(kind, {})
-        if name not in per_kind:
-            per_kind[name] = np.zeros_like(self.params[name])
-        return per_kind[name]
+    def slot(self, kind: str) -> np.ndarray:
+        """The flat buffer of optimizer slot `kind`, zero-filled at first use."""
+        if kind not in self.flat_slots:
+            self.flat_slots[kind] = np.zeros_like(self.flat)
+            self.slots[kind] = self._views(self.flat_slots[kind])
+        return self.flat_slots[kind]
 
     def copy(self) -> "ParamStore":
-        dup = ParamStore()
-        for name, value in self.params.items():
-            dup.params[name] = value.copy()
-            dup.grads[name] = self.grads[name].copy()
-        dup.slots = {kind: {n: a.copy() for n, a in per.items()}
-                     for kind, per in self.slots.items()}
+        dup = ParamStore(self.names, self.shapes, self.flat.copy(),
+                         {kind: buf.copy() for kind, buf in self.flat_slots.items()})
+        dup.flat_grads[...] = self.flat_grads
         dup.step = self.step
         return dup
 
@@ -182,9 +216,10 @@ class Layer:
 
     param_names: tuple[str, ...] = ()
 
-    def init_params(self, store: ParamStore, rng: np.random.Generator,
-                    dtype=TRAIN_DTYPE) -> None:
-        pass
+    def init_params(self, rng: np.random.Generator,
+                    dtype=TRAIN_DTYPE) -> list[tuple[str, np.ndarray]]:
+        """The (name, initial value) pairs that `ParamStore.pack` takes."""
+        return []
 
     def forward(self, x: np.ndarray, store: ParamStore) -> np.ndarray:
         raise NotImplementedError
@@ -209,18 +244,18 @@ class Dense(Layer):
         self.n_out = n_out
         self.param_names = (f"{name}.w", f"{name}.b")
 
-    def init_params(self, store, rng, dtype=TRAIN_DTYPE):
-        store.add(self.param_names[0],
-                  _he_init(rng, (self.n_in, self.n_out), self.n_in, dtype))
-        store.add(self.param_names[1], _bias_init(self.n_out, dtype))
+    def init_params(self, rng, dtype=TRAIN_DTYPE):
+        return list(zip(self.param_names, (
+            _he_init(rng, (self.n_in, self.n_out), self.n_in, dtype),
+            _bias_init(self.n_out, dtype))))
 
     def forward(self, x, store):
         self._x = x
         return x @ store.params[self.param_names[0]] + store.params[self.param_names[1]]
 
     def backward(self, dy, store):
-        store.grads[self.param_names[0]] += self._x.T @ dy
-        store.grads[self.param_names[1]] += dy.sum(axis=0)
+        store.grads[self.param_names[0]][...] += self._x.T @ dy
+        store.grads[self.param_names[1]][...] += dy.sum(axis=0)
         return dy @ store.params[self.param_names[0]].T
 
 
@@ -235,10 +270,10 @@ class _ConvBase(Layer):
         self.pad = pad
         self.param_names = (f"{name}.w", f"{name}.b")
 
-    def init_params(self, store, rng, dtype=TRAIN_DTYPE):
-        store.add(self.param_names[0],
-                  _he_init(rng, self._w_shape(), self._fan_in(), dtype))
-        store.add(self.param_names[1], _bias_init(self.c_out, dtype))
+    def init_params(self, rng, dtype=TRAIN_DTYPE):
+        return list(zip(self.param_names, (
+            _he_init(rng, self._w_shape(), self._fan_in(), dtype),
+            _bias_init(self.c_out, dtype))))
 
 
 class Conv2d(_ConvBase):
@@ -265,8 +300,8 @@ class Conv2d(_ConvBase):
         dx, dw, db = conv_backward(dy, self._cache,
                                    store.params[self.param_names[0]],
                                    self.stride, self.pad, self.input_grad)
-        store.grads[self.param_names[0]] += dw
-        store.grads[self.param_names[1]] += db
+        store.grads[self.param_names[0]][...] += dw
+        store.grads[self.param_names[1]][...] += db
         return dx
 
 
@@ -293,8 +328,8 @@ class ConvTranspose3d(_ConvBase):
         dx, dw, db = conv_transpose_backward(
             dy, self._cache, store.params[self.param_names[0]],
             self.stride, self.pad)
-        store.grads[self.param_names[0]] += dw
-        store.grads[self.param_names[1]] += db
+        store.grads[self.param_names[0]][...] += dw
+        store.grads[self.param_names[1]][...] += db
         return dx
 
 
@@ -372,9 +407,9 @@ class Sequential(Layer):
             names.extend(layer.param_names)
         self.param_names = tuple(names)
 
-    def init_params(self, store, rng, dtype=TRAIN_DTYPE):
-        for layer in self.layers:
-            layer.init_params(store, rng, dtype)
+    def init_params(self, rng, dtype=TRAIN_DTYPE):
+        return [pair for layer in self.layers
+                for pair in layer.init_params(rng, dtype)]
 
     def forward(self, x, store):
         for layer in self.layers:
@@ -406,6 +441,14 @@ class Optimizer:
     def __init__(self, store: ParamStore, config: OptimizerConfig):
         self.store = store
         self.config = config
+        # (slice, lr) per run of names with one rate: two on the main store,
+        # where `gt_encoder.*` comes last, one on the pretraining store.
+        self.rates = []
+        for lr, run in itertools.groupby(store.names, key=self.lr_for):
+            run = list(run)
+            self.rates.append((slice(store.spans[run[0]].start,
+                                     store.spans[run[-1]].stop),
+                               store.flat.dtype.type(lr)))
 
     def lr_for(self, name: str) -> float:
         for prefix, lr in self.config.groups:
@@ -416,42 +459,54 @@ class Optimizer:
     def step(self) -> None:
         raise NotImplementedError
 
-    def _check_finite(self, name: str, grad: np.ndarray) -> None:
-        if not np.all(np.isfinite(grad)):
+    def _check_finite(self) -> None:
+        if not np.isfinite(self.store.flat_grads).all():
+            name = next(name for name, g in self.store.grads.items()
+                        if not np.isfinite(g).all())
             raise NumericError(f"non-finite gradient for parameter {name!r}")
+
+    def _apply(self, update: np.ndarray) -> None:
+        """Parameters -= rate * update, per group; then zero the gradients."""
+        for span, lr in self.rates:
+            update[span] *= lr
+        self.store.flat -= update
+        self.store.flat_grads.fill(0)
 
 
 class Adam(Optimizer):
-    """Adaptive-moment update with bias correction and per-group rates."""
+    """Adaptive-moment update with bias correction and per-group rates on
+    the flat buffers, in place: a full-size temporary costs more than the
+    arithmetic, so it writes into the gradient buffer (zeroed afterwards
+    anyway) and its own `_update` buffer."""
+
+    def __init__(self, store: ParamStore, config: OptimizerConfig):
+        super().__init__(store, config)
+        self._update = np.empty_like(store.flat)
 
     def step(self) -> None:
-        cfg = self.config
-        self.store.step += 1
-        t = self.store.step
-        c1 = 1.0 - cfg.beta1 ** t
-        c2 = 1.0 - cfg.beta2 ** t
-        for name, p in self.store.params.items():
-            g = self.store.grads[name]
-            self._check_finite(name, g)
-            m = self.store.slot("m", name)
-            v = self.store.slot("v", name)
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * np.square(g)
-            update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-            p -= p.dtype.type(self.lr_for(name)) * update
-            g[...] = 0
+        cfg, store, g, u = self.config, self.store, self.store.flat_grads, self._update
+        self._check_finite()
+        m, v = store.slot("m"), store.slot("v")
+        store.step += 1
+        c1 = 1.0 - cfg.beta1 ** store.step
+        c2 = 1.0 - cfg.beta2 ** store.step
+        m *= cfg.beta1
+        m += np.multiply(g, 1.0 - cfg.beta1, out=u)
+        v *= cfg.beta2
+        v += np.multiply(np.square(g, out=g), 1.0 - cfg.beta2, out=g)
+        # update = (m / c1) / (sqrt(v / c2) + eps), rounded as written
+        np.sqrt(np.divide(v, c2, out=g), out=g)
+        g += cfg.eps
+        np.divide(m, c1, out=u)
+        u /= g
+        self._apply(u)
 
 
 class SGD(Optimizer):
     def step(self) -> None:
+        self._check_finite()
         self.store.step += 1
-        for name, p in self.store.params.items():
-            g = self.store.grads[name]
-            self._check_finite(name, g)
-            p -= p.dtype.type(self.lr_for(name)) * g
-            g[...] = 0
+        self._apply(self.store.flat_grads)
 
 
 def make_optimizer(store: ParamStore, config: OptimizerConfig) -> Optimizer:

@@ -79,9 +79,8 @@ def write_pgm(image: np.ndarray, path) -> None:
         raise ValueError(f"expected a 2-D image, got shape {image.shape}")
     quantized = np.rint(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
     h, w = quantized.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(quantized.tobytes())
+    from .runs import write_atomic
+    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + quantized.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

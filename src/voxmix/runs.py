@@ -9,20 +9,25 @@ Every experiment lives under one run directory:
     logs/                  per-pipeline training CSVs
     reports/               IoU / cosine / proximity / sweep CSVs
 
-Checkpoints, CSVs, the split, the manifest and the resolved config are
-written through `write_atomic`: the bytes go to a `.<name>.<pid>.tmp`
-sibling, which no `*.ckpt` or `*.csv` glob matches, and `os.replace` then
-puts it in place.  A write interrupted before the rename leaves the
+Every artifact file is written through `write_atomic`: checkpoints, CSVs,
+the split, the manifest, the resolved config, binvox volumes and priors,
+PGM views and vgrid previews.  The bytes go to a `.<name>.<pid>.tmp`
+sibling, which no glob for an artifact's suffix matches, and `os.replace`
+then puts it in place.  A write interrupted before the rename leaves the
 earlier file as it was.  (There is no fsync: this guards against a
 process dying mid-write, not against losing power.)
 
 A checkpoint is an npz archive, written uncompressed under the name it is
-given, holding
-    meta                  the metadata and "step", as a JSON string array
-    param/<name>          every parameter, float32, in store order
-    slot/<kind>/<name>    every optimizer slot, float32, kinds sorted
-It is read with `allow_pickle=False`; a file that is not such an archive,
-or whose zip CRC fails, raises `MissingArtifactError` naming the path.
+given, holding one array per role of a `ParamStore`:
+    meta          the metadata, "step" and "layout" (the parameter names,
+                  their shapes and the slot kinds), as a JSON string array
+    params        every parameter, flat float32, in the layout's name order
+    slot/<kind>   one optimizer slot kind, in the same layout
+It is read with `allow_pickle=False`.  A file that is not such an archive,
+whose zip CRC fails, whose entries are not exactly the ones its layout
+declares (a damaged zip directory can drop entries silently), or whose
+arrays do not fit the layout's shapes raises `MissingArtifactError`
+naming the path.
 """
 
 from __future__ import annotations
@@ -75,16 +80,14 @@ def write_csv(path, header, rows) -> None:
 
 
 def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> None:
-    meta = dict(metadata or {}, step=store.step)
-    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True))}
-    arrays.update((f"param/{name}", value) for name, value in store.params.items())
-    for kind in sorted(store.slots):
-        arrays.update((f"slot/{kind}/{name}", value)
-                      for name, value in store.slots[kind].items())
-    for name, value in arrays.items():
-        if name != "meta" and value.dtype != np.float32:
-            raise ValueError(f"checkpoints hold float32 tensors; {name!r} is "
-                             f"{value.dtype}")
+    if store.flat.dtype != np.float32:
+        raise ValueError(f"checkpoints hold float32 tensors, not {store.flat.dtype}")
+    kinds = sorted(store.flat_slots)
+    meta = dict(metadata or {}, step=store.step, layout={
+        "names": store.names, "shapes": store.shapes, "slots": kinds})
+    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True)),
+              "params": store.flat}
+    arrays.update((f"slot/{kind}", store.flat_slots[kind]) for kind in kinds)
     # np.savez appends ".npz" to a path that lacks it; a buffer keeps the name.
     buf = io.BytesIO()
     np.savez(buf, **arrays)
@@ -97,19 +100,18 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
     if not is_zip:
         # np.load would try pickle here and name allow_pickle as the cause.
         raise MissingArtifactError(f"{path}: not a checkpoint file")
-    store = ParamStore()
     try:
         with np.load(path, allow_pickle=False) as archive:
             metadata = json.loads(archive["meta"].item())
-            for key in archive.files:
-                role, _, name = key.partition("/")
-                if role == "param":
-                    store.add(name, archive[key])
-                elif role == "slot":
-                    kind, _, name = name.partition("/")
-                    store.slots.setdefault(kind, {})[name] = archive[key]
-                elif role != "meta":
-                    raise KeyError(f"unexpected entry {key!r}")
+            layout = metadata.pop("layout", {})
+            kinds = layout.get("slots", [])
+            declared = {"meta", "params", *(f"slot/{kind}" for kind in kinds)}
+            found = set(archive.files)
+            if found != declared:   # the first three of each, in name order
+                raise KeyError(f"unexpected entries {sorted(found - declared)[:3]}"
+                               f", missing entries {sorted(declared - found)[:3]}")
+            store = ParamStore(layout["names"], layout["shapes"], archive["params"],
+                               slots={kind: archive[f"slot/{kind}"] for kind in kinds})
             store.step = int(metadata["step"])
     # zipfile and numpy's .npy reader raise a dozen error types on a damaged
     # archive; every one of them means the file cannot be used.

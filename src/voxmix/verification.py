@@ -58,9 +58,8 @@ def _net_relu_margin(net: Network) -> float:
 
 def _layer_fragment(layer, x, seed):
     """Scalar loss sum(forward(x) * probe); differentiates params and input."""
-    store = nn.ParamStore()
     rng = np.random.default_rng(seed)
-    layer.init_params(store, rng, np.float64)
+    store = nn.ParamStore.pack(layer.init_params(rng, np.float64))
     y = layer.forward(x, store)
     probe = rng.standard_normal(y.shape)
     arrays = {"input": x, **store.params}
@@ -70,10 +69,7 @@ def _layer_fragment(layer, x, seed):
         loss = float(np.sum(out * probe))
         store.zero_grads()
         dx = layer.backward(probe, store)
-        grads = {"input": dx}
-        for name in store.params:
-            grads[name] = store.grads[name].copy()
-        return loss, grads
+        return loss, {"input": dx, **{n: g.copy() for n, g in store.grads.items()}}
 
     return fn, arrays
 

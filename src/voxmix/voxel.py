@@ -232,5 +232,5 @@ def load_binvox(path) -> VoxelGrid:
 
 
 def save_binvox(grid: VoxelGrid, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(write_binvox(grid))
+    from .runs import write_atomic
+    write_atomic(path, write_binvox(grid))

@@ -42,10 +42,12 @@ def test_proximity_on_a_damaged_iou_table_exits_3_and_names_it(tiny_run,
     assert f"{table}: unreadable IoU table" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("relpath,keep", [("dataset/manifest.jsonl", 500),
-                                          ("split.json", 30),
-                                          ("priors/prior_lamp.binvox", 30)],
-                         ids=["manifest", "split", "prior"])
+@pytest.mark.parametrize("relpath,keep", [
+    ("dataset/manifest.jsonl", 500), ("split.json", 30),
+    ("priors/prior_lamp.binvox", 30),
+    ("dataset/images/box_000_p0_dep.pgm", 20),
+    ("dataset/volumes/box_000.binvox", 30)],
+    ids=["manifest", "split", "prior", "view", "volume"])
 def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
                                                              relpath, keep):
     damaged = tiny_run.paths.root / relpath

@@ -171,8 +171,7 @@ def test_skipping_the_first_convs_input_gradient_keeps_every_gradient():
     (Conv2d("c", 2, 3, 3, stride=2, pad=1), (2, 2, 6, 6)),
     (Conv3d("c", 1, 2, 3, stride=2, pad=1), (2, 1, 4, 4, 4))])
 def test_a_default_conv_returns_its_input_gradient(layer, shape):
-    store = ParamStore()
-    layer.init_params(store, np.random.default_rng(0), np.float64)
+    store = ParamStore.pack(layer.init_params(np.random.default_rng(0), np.float64))
     x = np.random.default_rng(1).standard_normal(shape)
     dx = layer.backward(np.ones_like(layer.forward(x, store)), store)
     assert dx.shape == x.shape and np.any(dx != 0.0)

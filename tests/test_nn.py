@@ -4,8 +4,8 @@ import pytest
 from voxmix import nn, runs
 
 
-def fresh_store():
-    return nn.ParamStore()
+def fresh_store(*pairs):
+    return nn.ParamStore.pack(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -13,18 +13,46 @@ def fresh_store():
 # ---------------------------------------------------------------------------
 
 def test_store_rejects_duplicate_names():
-    store = fresh_store()
-    store.add("w", np.zeros(3, dtype=np.float32))
     with pytest.raises(ValueError):
-        store.add("w", np.zeros(3, dtype=np.float32))
+        fresh_store(("w", np.zeros(3, dtype=np.float32)),
+                    ("w", np.zeros(3, dtype=np.float32)))
 
 
 def test_store_copy_is_deep():
-    store = fresh_store()
-    store.add("w", np.ones(2, dtype=np.float32))
+    store = fresh_store(("w", np.ones(2, dtype=np.float32)))
     dup = store.copy()
     dup.params["w"][0] = 5.0
     assert store.params["w"][0] == 1.0
+
+
+def test_store_rejects_mixed_dtypes():
+    with pytest.raises(ValueError, match="dtype"):
+        fresh_store(("w", np.zeros(2, dtype=np.float32)),
+                    ("b", np.zeros(2, dtype=np.float64)))
+
+
+def test_a_view_writes_through_to_the_flat_buffer():
+    store = fresh_store(("a.w", np.zeros((2, 3), dtype=np.float32)),
+                        ("a.b", np.zeros(3, dtype=np.float32)))
+    store.params["a.b"][1] = 7.0
+    store.grads["a.w"][...] += 2.0
+    store.slot("m")
+    store.slots["m"]["a.b"][...] = 3.0
+    assert store.flat.tolist() == [0.0] * 7 + [7.0, 0.0]
+    assert store.flat_grads.tolist() == [2.0] * 6 + [0.0] * 3
+    assert store.flat_slots["m"].tolist() == [0.0] * 6 + [3.0] * 3
+    store.zero_grads()
+    assert not store.grads["a.w"].any()
+
+
+def test_rebinding_a_name_raises():
+    store = fresh_store(("a.w", np.zeros(2, dtype=np.float32)))
+    store.slot("v")
+    for views in (store.params, store.grads, store.slots["v"]):
+        with pytest.raises(TypeError):
+            views["a.w"] = np.ones(2, dtype=np.float32)
+    store.params["a.w"][...] = 1.0
+    assert store.flat.tolist() == [1.0, 1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -33,8 +61,7 @@ def test_store_copy_is_deep():
 
 def test_dense_identity():
     layer = nn.Dense("d", 4, 4)
-    store = fresh_store()
-    layer.init_params(store, np.random.default_rng(0), np.float64)
+    store = fresh_store(*layer.init_params(np.random.default_rng(0), np.float64))
     store.params["d.w"][...] = np.eye(4)
     store.params["d.b"][...] = 0.0
     x = np.random.default_rng(1).standard_normal((3, 4))
@@ -43,8 +70,7 @@ def test_dense_identity():
 
 def test_one_by_one_conv_identity():
     layer = nn.Conv2d("c", 1, 1, kernel=1, stride=1, pad=0)
-    store = fresh_store()
-    layer.init_params(store, np.random.default_rng(0), np.float64)
+    store = fresh_store(*layer.init_params(np.random.default_rng(0), np.float64))
     store.params["c.w"][...] = 1.0
     store.params["c.b"][...] = 0.0
     x = np.random.default_rng(2).standard_normal((2, 1, 5, 5))
@@ -53,8 +79,7 @@ def test_one_by_one_conv_identity():
 
 def test_conv_transpose_doubles_spatial_extent():
     layer = nn.ConvTranspose3d("t", 3, 2, kernel=4, stride=2, pad=1)
-    store = fresh_store()
-    layer.init_params(store, np.random.default_rng(0), np.float64)
+    store = fresh_store(*layer.init_params(np.random.default_rng(0), np.float64))
     y = layer.forward(np.zeros((2, 3, 4, 4, 4)), store)
     assert y.shape == (2, 2, 8, 8, 8)
 
@@ -205,8 +230,7 @@ def test_conv_forward_caches_no_more_than_the_padded_input(rank, stride,
 
 def _layer_check(layer, x_shape, seed=0):
     rng = np.random.default_rng(seed)
-    store = fresh_store()
-    layer.init_params(store, rng, np.float64)
+    store = fresh_store(*layer.init_params(rng, np.float64))
     x = rng.uniform(0.1, 1.0, x_shape) * np.where(
         rng.random(x_shape) < 0.5, -1.0, 1.0)
     probe = rng.standard_normal(layer.forward(x, store).shape)
@@ -244,8 +268,7 @@ def test_layer_gradients_match_finite_differences(layer, shape):
 # ---------------------------------------------------------------------------
 
 def test_adam_zero_gradients_leave_params_unchanged():
-    store = fresh_store()
-    store.add("w", np.ones(4, dtype=np.float32))
+    store = fresh_store(("w", np.ones(4, dtype=np.float32)))
     opt = nn.make_optimizer(store, nn.OptimizerConfig())
     opt.step()
     assert np.array_equal(store.params["w"], np.ones(4, dtype=np.float32))
@@ -254,8 +277,7 @@ def test_adam_zero_gradients_leave_params_unchanged():
 
 def test_adam_matches_scalar_reference():
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
-    store = fresh_store()
-    store.add("w", np.array([1.0], dtype=np.float32))
+    store = fresh_store(("w", np.array([1.0], dtype=np.float32)))
     opt = nn.make_optimizer(store, nn.OptimizerConfig(lr=lr, beta1=b1,
                                                       beta2=b2, eps=eps))
     grads = [1.0, 0.5, -0.25, 2.0, 1.0, -1.0]
@@ -278,8 +300,7 @@ def test_adam_matches_scalar_reference():
 
 
 def test_adam_gradients_are_zeroed_and_step_counted():
-    store = fresh_store()
-    store.add("w", np.ones(2, dtype=np.float32))
+    store = fresh_store(("w", np.ones(2, dtype=np.float32)))
     store.grads["w"][...] = 1.0
     opt = nn.make_optimizer(store, nn.OptimizerConfig())
     opt.step()
@@ -288,9 +309,8 @@ def test_adam_gradients_are_zeroed_and_step_counted():
 
 
 def test_parameter_groups_scale_updates():
-    store = fresh_store()
-    store.add("net.w", np.zeros(1, dtype=np.float32))
-    store.add("gt_encoder.w", np.zeros(1, dtype=np.float32))
+    store = fresh_store(("net.w", np.zeros(1, dtype=np.float32)),
+                        ("gt_encoder.w", np.zeros(1, dtype=np.float32)))
     config = nn.OptimizerConfig(lr=1e-3, groups=(("gt_encoder.", 1e-4),))
     opt = nn.make_optimizer(store, config)
     store.grads["net.w"][...] = 1.0
@@ -303,8 +323,7 @@ def test_parameter_groups_scale_updates():
 
 
 def test_non_finite_gradient_names_the_parameter():
-    store = fresh_store()
-    store.add("enc.w", np.zeros(2, dtype=np.float32))
+    store = fresh_store(("enc.w", np.zeros(2, dtype=np.float32)))
     store.grads["enc.w"][0] = np.nan
     opt = nn.make_optimizer(store, nn.OptimizerConfig())
     with pytest.raises(nn.NumericError, match="enc.w"):
@@ -312,8 +331,7 @@ def test_non_finite_gradient_names_the_parameter():
 
 
 def test_sgd_step():
-    store = fresh_store()
-    store.add("w", np.ones(1, dtype=np.float32))
+    store = fresh_store(("w", np.ones(1, dtype=np.float32)))
     store.grads["w"][...] = 2.0
     opt = nn.make_optimizer(store, nn.OptimizerConfig(kind="sgd", lr=0.1))
     opt.step()
@@ -322,8 +340,7 @@ def test_sgd_step():
 
 def test_optimizer_deterministic():
     def run():
-        store = fresh_store()
-        store.add("w", np.ones(3, dtype=np.float32))
+        store = fresh_store(("w", np.ones(3, dtype=np.float32)))
         opt = nn.make_optimizer(store, nn.OptimizerConfig())
         for k in range(5):
             store.grads["w"][...] = k + 0.5
@@ -331,6 +348,96 @@ def test_optimizer_deterministic():
         return store.params["w"].copy()
 
     assert np.array_equal(run(), run())
+
+
+class _PerTensorOptimizer:
+    """The per-tensor Adam and SGD that the flat-buffer optimizers replaced:
+    one pass over the names per step, each rate looked up by prefix."""
+
+    def __init__(self, pairs, config):
+        self.config = config
+        self.params = {name: value.copy() for name, value in pairs}
+        self.grads = {name: np.zeros_like(v) for name, v in self.params.items()}
+        self.m = {name: np.zeros_like(v) for name, v in self.params.items()}
+        self.v = {name: np.zeros_like(v) for name, v in self.params.items()}
+        self.t = 0
+
+    def lr_for(self, name):
+        for prefix, lr in self.config.groups:
+            if name.startswith(prefix):
+                return lr
+        return self.config.lr
+
+    def step(self):
+        cfg = self.config
+        self.t += 1
+        c1 = 1.0 - cfg.beta1 ** self.t
+        c2 = 1.0 - cfg.beta2 ** self.t
+        for name, p in self.params.items():
+            g = self.grads[name]
+            if cfg.kind == "sgd":
+                p -= p.dtype.type(self.lr_for(name)) * g
+            else:
+                m, v = self.m[name], self.v[name]
+                m *= cfg.beta1
+                m += (1.0 - cfg.beta1) * g
+                v *= cfg.beta2
+                v += (1.0 - cfg.beta2) * np.square(g)
+                update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
+                p -= p.dtype.type(self.lr_for(name)) * update
+            g[...] = 0
+
+
+# Two rates, with the second group's names in two runs.
+_GROUPED_SHAPES = {"enc.w": (3, 4), "enc.b": (4,), "gt_encoder.w": (2, 3, 3),
+                   "gt_encoder.b": (2,), "head.w": (5,)}
+_GROUPS = (("gt_encoder.", 1e-4),)
+
+
+def _grouped_pairs(dtype, rng):
+    # Small enough that a last-bit change in an update reaches the params.
+    return [(name, (1e-4 * rng.standard_normal(shape)).astype(dtype))
+            for name, shape in _GROUPED_SHAPES.items()]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_flat_optimizers_match_the_per_tensor_oracle(kind, dtype):
+    rng = np.random.default_rng(3)
+    pairs = _grouped_pairs(dtype, rng)
+    config = nn.OptimizerConfig(kind=kind, lr=1e-3, groups=_GROUPS)
+    store = fresh_store(*pairs)
+    opt = nn.make_optimizer(store, config)
+    assert len(opt.rates) == 3
+    opt.lr_for = None   # the rates are worked out once, not per step
+    oracle = _PerTensorOptimizer(pairs, config)
+    for _ in range(6):
+        # Magnitudes from 1e-4 to 10, either sign.
+        for name, shape in _GROUPED_SHAPES.items():
+            g = 10.0 ** rng.uniform(-4, 1, shape) * rng.choice([-1.0, 1.0], shape)
+            store.grads[name][...] = g
+            oracle.grads[name][...] = g
+        opt.step()
+        oracle.step()
+    assert store.step == 6
+    assert not store.flat_grads.any()
+    for name in _GROUPED_SHAPES:
+        assert store.params[name].tobytes() == oracle.params[name].tobytes()
+        if kind == "adam":
+            assert store.slots["m"][name].tobytes() == oracle.m[name].tobytes()
+            assert store.slots["v"][name].tobytes() == oracle.v[name].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["adam", "sgd"])
+def test_a_non_finite_gradient_in_a_grouped_store_names_its_parameter(kind):
+    store = fresh_store(*_grouped_pairs(np.float32, np.random.default_rng(0)))
+    before = store.flat.copy()
+    opt = nn.make_optimizer(store, nn.OptimizerConfig(kind=kind, groups=_GROUPS))
+    store.grads["enc.b"][...] = 1.0
+    store.grads["gt_encoder.b"][1] = np.inf
+    with pytest.raises(nn.NumericError, match="'gt_encoder.b'"):
+        opt.step()
+    assert store.flat.tobytes() == before.tobytes() and store.step == 0
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +475,10 @@ def test_grad_check_locates_corrupted_backward():
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
-    store = fresh_store()
-    store.add("a.w", rng.standard_normal((3, 4)).astype(np.float32))
-    store.add("a.b", rng.standard_normal(4).astype(np.float32))
-    store.slot("m", "a.w")[...] = rng.standard_normal((3, 4)).astype(np.float32)
+    store = fresh_store(("a.w", rng.standard_normal((3, 4)).astype(np.float32)),
+                        ("a.b", rng.standard_normal(4).astype(np.float32)))
+    store.slot("m")
+    store.slots["m"]["a.w"][...] = rng.standard_normal((3, 4)).astype(np.float32)
     store.step = 17
     path = tmp_path / "model.ckpt"
     runs.save_checkpoint(path, store, {"variant": "prior", "note": 1})
@@ -396,7 +503,6 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
 
 
 def test_checkpoint_rejects_float64(tmp_path):
-    store = fresh_store()
-    store.add("w", np.zeros(2, dtype=np.float64))
+    store = fresh_store(("w", np.zeros(2, dtype=np.float64)))
     with pytest.raises(ValueError, match="float32"):
         runs.save_checkpoint(tmp_path / "bad.ckpt", store, {})
