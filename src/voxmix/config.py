@@ -14,6 +14,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
+from .losses import LossConfig
+
 
 class ConfigError(ValueError):
     """Bad config file, bad key, or bad value."""
@@ -49,19 +51,12 @@ class ModelSection:
 
 
 @dataclass(frozen=True)
-class LossSection:
-    w_recon: float = 10.0
-    w_align: float = 0.5
-    margin: float = 0.1
-    kind: str = "bce"               # bce | focal
-    focal_gamma: float = 2.0
-    focal_balance: float = 0.5
-    clamp_eps: float = 1e-7
-
-
-@dataclass(frozen=True)
 class MixupSection:
     alpha: float = 0.2
+
+    def __post_init__(self):
+        if not self.alpha > 0.0:
+            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -75,11 +70,26 @@ class TrainSection:
     pretrain_epochs: int = 400
     pretrain_batch: int = 4
 
+    def __post_init__(self):
+        # One count each for the base, input-mixing and latent-mixing stages.
+        if len(self.stage_epochs) != 3 or min(self.stage_epochs) < 0:
+            raise ValueError("stage_epochs needs one count >= 0 per stage, "
+                             f"3 in all, got {self.stage_epochs}")
+        if self.batch_size < 1 or self.pretrain_batch < 1:
+            raise ValueError("batch sizes must be at least 1")
+
 
 @dataclass(frozen=True)
 class EvalSection:
     iou_threshold: float = 0.3
     batch_size: int = 64
+
+    def __post_init__(self):
+        if not 0.0 < self.iou_threshold < 1.0:
+            raise ValueError(
+                f"iou_threshold must be in (0, 1), got {self.iou_threshold}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -89,7 +99,7 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     prior: PriorConfig = field(default_factory=PriorConfig)
     model: ModelSection = field(default_factory=ModelSection)
-    loss: LossSection = field(default_factory=LossSection)
+    loss: LossConfig = field(default_factory=LossConfig)
     mixup: MixupSection = field(default_factory=MixupSection)
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
@@ -130,14 +140,10 @@ def _coerce(raw: str, annotation: Any, key: str):
     raise ConfigError(f"{key}: unsupported config field type {annotation}")
 
 
-def _field_map(dc_type) -> dict[str, Any]:
-    return get_type_hints(dc_type)
-
-
 def apply_assignments(config: ExperimentConfig,
                       items: dict[str, str]) -> ExperimentConfig:
     """Apply `dotted.key -> raw string` assignments onto a config."""
-    top_fields = _field_map(ExperimentConfig)
+    top_fields = get_type_hints(ExperimentConfig)
     section_updates: dict[str, dict[str, Any]] = {}
     top_updates: dict[str, Any] = {}
     for key, raw in items.items():
@@ -145,7 +151,7 @@ def apply_assignments(config: ExperimentConfig,
             section, name = key.split(".", 1)
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section {section!r} in {key!r}")
-            sec_fields = _field_map(type(getattr(config, section)))
+            sec_fields = get_type_hints(type(getattr(config, section)))
             if name not in sec_fields:
                 raise ConfigError(f"unknown config key {key!r}")
             section_updates.setdefault(section, {})[name] = \
@@ -155,7 +161,15 @@ def apply_assignments(config: ExperimentConfig,
                 raise ConfigError(f"unknown config key {key!r}")
             top_updates[key] = _coerce(raw, top_fields[key], key)
     for section, updates in section_updates.items():
-        top_updates[section] = replace(getattr(config, section), **updates)
+        # Every section checks its fields one by one, so assigning them one
+        # at a time names the key of a rejected value.
+        value = getattr(config, section)
+        for name, item in updates.items():
+            try:
+                value = replace(value, **{name: item})
+            except ValueError as exc:
+                raise ConfigError(f"{section}.{name}: {exc}") from None
+        top_updates[section] = value
     return replace(config, **top_updates)
 
 

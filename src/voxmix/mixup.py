@@ -85,6 +85,18 @@ def apply_pairs(stack: np.ndarray, pairs: list[MixPair]) -> np.ndarray:
     return (1 - lams) * left + lams * right
 
 
+def apply_pairs_backward(d_mixed: np.ndarray, pairs: list[MixPair],
+                         n: int) -> np.ndarray:
+    """Adjoint of `apply_pairs` on a batch of `n`: each mixed row's
+    gradient spreads back over its two sources, weighted by the ratio."""
+    lams = np.asarray([p.lam for p in pairs], dtype=d_mixed.dtype)
+    lams = lams.reshape((len(pairs),) + (1,) * (d_mixed.ndim - 1))
+    d_stack = np.zeros((n,) + d_mixed.shape[1:], dtype=d_mixed.dtype)
+    np.add.at(d_stack, [p.i for p in pairs], (1 - lams) * d_mixed)
+    np.add.at(d_stack, [p.j for p in pairs], lams * d_mixed)
+    return d_stack
+
+
 # ---------------------------------------------------------------------------
 # Raw real-valued grid dump (for the mix-preview command)
 #

@@ -301,15 +301,6 @@ class Network:
             d_feat = d_feat + self.image_head.backward(d_image, store)
         self.image_conv.backward(d_feat, store)
 
-    def backward(self, d_pred: np.ndarray, store: ParamStore,
-                 d_fused_extra: np.ndarray | None = None) -> None:
-        """Full backward from a prediction gradient, optionally adding a
-        gradient that acts on the fused latent directly (alignment loss)."""
-        d_fused = self.decode_backward(d_pred, store)
-        if d_fused_extra is not None:
-            d_fused = d_fused + d_fused_extra
-        self.encode_backward(d_fused, store)
-
     # -- ground-truth volume encoder ------------------------------------------
 
     def encode_gt(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:

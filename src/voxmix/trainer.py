@@ -83,12 +83,6 @@ def effective_prior_mode(config: ExperimentConfig) -> str:
     return config.prior.mode
 
 
-def loss_config(config: ExperimentConfig) -> losses.LossConfig:
-    sec = config.loss
-    return losses.LossConfig(sec.w_recon, sec.w_align, sec.margin, sec.kind,
-                             sec.focal_gamma, sec.focal_balance, sec.clamp_eps)
-
-
 def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
     # The volume encoder learns on its own, slower rate in every stage.
     return OptimizerConfig(kind=config.train.optimizer, lr=config.train.lr,
@@ -153,9 +147,8 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
         for start in range(0, n, batch_size):
             batch = volumes[order[start:start + batch_size]]
             recon = net.gt_autoencode(batch, store)
-            target = batch[:, 0]
-            value = losses.bce_loss(recon, target)
-            net.gt_autoencode_backward(losses.bce_loss_grad(recon, target), store)
+            value, d_recon = losses.bce_loss(recon, batch[:, 0])
+            net.gt_autoencode_backward(d_recon, store)
             opt.step()
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
@@ -219,10 +212,14 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
                rng: np.random.Generator) -> losses.LossBreakdown:
     """Forward pass, loss and backward pass of one training step of `stage`.
 
+    The stages differ only in where the batch is mixed: nowhere (stage 1),
+    in the inputs (stage 2), or in the fused and volume latents (stage 3),
+    where the alignment is cosine-only (mixed rows have no one identity to
+    contrast) and `mixup.apply_pairs_backward` unmixes the latent gradients.
     Replaces `store.grads` with the gradient of the batch loss and returns
     its breakdown; the caller applies the update.  Draws from `rng` in a
-    fixed order: the input-mixing pairs (stage 2), then the triplet
-    negatives (stages 1-2) or the latent-mixing pairs (stage 3).
+    fixed order: the input-mixing pairs (stage 2), then the latent-mixing
+    pairs (stage 3) or the triplet negatives (stages 1-2).
     """
     if stage not in _ALLOWED_PREVIOUS:
         raise ValueError(f"unknown stage {stage}")
@@ -240,53 +237,35 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
         object_ids = None  # every mixed sample is its own object
 
     _, _, e_fused = net.encode(images, priors, store)
-
+    vol_latent = net.encode_gt(volumes, store)
+    latent_pairs = None
     if stage == STAGE_LATENT_MIX:
-        vol_latent = net.encode_gt(volumes, store)
-        pairs = mixup.pair_batch(n, alpha, rng)
-        e_mix = mixup.apply_pairs(e_fused, pairs)
-        lat_mix = mixup.apply_pairs(vol_latent, pairs)
-        targets = mixup.apply_pairs(volumes, pairs)[:, 0]
-        pred = net.decode(e_mix, store)
-        recon = losses.reconstruction_loss(pred, targets, lcfg)
-        align = losses.align_loss_no_triplet(e_mix, lat_mix)
-        sim_pos = 1.0 - align
-        sim_neg = 0.0
-        d_pred = lcfg.w_recon * losses.reconstruction_loss_grad(
-            pred, targets, lcfg)
-        d_mix, d_latmix = losses.align_loss_no_triplet_grads(e_mix, lat_mix)
-        d_mix = lcfg.w_align * d_mix + net.decode_backward(d_pred, store)
-        d_latmix = lcfg.w_align * d_latmix
-        # Each mixed row spreads its gradient back over its two sources.
-        d_fused = np.zeros_like(e_fused)
-        d_vol_latent = np.zeros_like(vol_latent)
-        left = np.asarray([p.i for p in pairs])
-        right = np.asarray([p.j for p in pairs])
-        lams = np.asarray([p.lam for p in pairs],
-                          dtype=e_fused.dtype)[:, None]
-        np.add.at(d_fused, left, (1 - lams) * d_mix)
-        np.add.at(d_fused, right, lams * d_mix)
-        np.add.at(d_vol_latent, left, (1 - lams) * d_latmix)
-        np.add.at(d_vol_latent, right, lams * d_latmix)
-        net.encode_backward(d_fused, store)
-        net.encode_gt_backward(d_vol_latent, store)
-    else:
-        targets = volumes[:, 0]
-        pred = net.decode(e_fused, store)
-        recon = losses.reconstruction_loss(pred, targets, lcfg)
-        vol_latent = net.encode_gt(volumes, store)
-        neg_idx, mask = _negative_indices(object_ids, n, rng)
-        align, sim_pos, sim_neg = losses.align_loss(
-            e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
-        d_pred = lcfg.w_recon * losses.reconstruction_loss_grad(
-            pred, targets, lcfg)
-        d_fused, d_pos, d_neg = losses.align_loss_grads(
-            e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
-        d_vol_latent = lcfg.w_align * d_pos
-        np.add.at(d_vol_latent, neg_idx, lcfg.w_align * d_neg)
-        net.backward(d_pred, store, d_fused_extra=lcfg.w_align * d_fused)
-        net.encode_gt_backward(d_vol_latent, store)
+        latent_pairs = mixup.pair_batch(n, alpha, rng)
+        e_fused, vol_latent, volumes = (mixup.apply_pairs(x, latent_pairs)
+                                        for x in (e_fused, vol_latent, volumes))
+    pred = net.decode(e_fused, store)
 
+    recon, d_pred = losses.reconstruction_loss(pred, volumes[:, 0], lcfg)
+    w_align = lcfg.w_align
+    if latent_pairs is not None:
+        align, (d_fused, d_vol_latent) = losses.align_loss_no_triplet(
+            e_fused, vol_latent)
+        sim_pos, sim_neg = 1.0 - align, 0.0
+        d_vol_latent = w_align * d_vol_latent
+    else:
+        neg_idx, mask = _negative_indices(object_ids, n, rng)
+        align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
+            e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
+        d_vol_latent = w_align * d_pos
+        np.add.at(d_vol_latent, neg_idx, w_align * d_neg)
+
+    d_fused = w_align * d_fused + net.decode_backward(lcfg.w_recon * d_pred,
+                                                      store)
+    if latent_pairs is not None:
+        d_fused = mixup.apply_pairs_backward(d_fused, latent_pairs, n)
+        d_vol_latent = mixup.apply_pairs_backward(d_vol_latent, latent_pairs, n)
+    net.encode_backward(d_fused, store)
+    net.encode_gt_backward(d_vol_latent, store)
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
 
 
@@ -299,7 +278,6 @@ def train_stage(net: Network, store: ParamStore, stage: int,
         raise StageOrderError(
             f"stage {stage} cannot start from stage {previous_stage}")
     net.check_store(store)
-    lcfg = loss_config(config)
     opt = make_optimizer(store, optimizer_config(config))
     samples = pool.samples
     batch_size = min(config.train.batch_size, len(pool))
@@ -313,7 +291,7 @@ def train_stage(net: Network, store: ParamStore, stage: int,
                           None if pool.priors is None else pool.priors[idx],
                           samples.volumes[idx],
                           [samples.object_ids[i] for i in idx])
-            breakdown = stage_step(net, store, batch, stage, lcfg,
+            breakdown = stage_step(net, store, batch, stage, config.loss,
                                    config.mixup.alpha, rng)
             if not np.isfinite(breakdown.total):
                 raise NumericError(
@@ -442,11 +420,14 @@ def pretrain_gt_encoder(net: Network, ctx: ExperimentContext
 
 def prepare_gt_encoder(net: Network, ctx: ExperimentContext) -> ParamStore:
     """Load the pretrained volume encoder, pretraining it on the training
-    volumes first if no checkpoint exists yet or the one there was
-    pretrained under other settings."""
+    volumes first if no checkpoint exists yet, the one there cannot be
+    read, or it was pretrained under other settings."""
     path = ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT
     if path.exists():
-        store, metadata = runs.load_checkpoint(path)
+        try:
+            store, metadata = runs.load_checkpoint(path)
+        except runs.MissingArtifactError:
+            metadata = {}
         if metadata.get("pretrain_hash") == pretrain_hash(ctx.config):
             return store
     store, _ = pretrain_gt_encoder(net, ctx)

@@ -105,15 +105,14 @@ def loss_fragments(seed: int = 0):
     target = rng.uniform(0.0, 1.0, (2, 5, 5, 5))
 
     def bce_fn(arrs):
-        value = losses.bce_loss(arrs["pred"], target)
-        return value, {"pred": losses.bce_loss_grad(arrs["pred"], target)}
+        value, d_pred = losses.bce_loss(arrs["pred"], target)
+        return value, {"pred": d_pred}
 
     fragments.append(("bce_loss", bce_fn, {"pred": pred.copy()}))
 
     def focal_fn(arrs):
-        value = losses.focal_loss(arrs["pred"], target, 2.0, 0.25)
-        return value, {"pred": losses.focal_loss_grad(arrs["pred"], target,
-                                                      2.0, 0.25)}
+        value, d_pred = losses.focal_loss(arrs["pred"], target, 2.0, 0.25)
+        return value, {"pred": d_pred}
 
     fragments.append(("focal_loss", focal_fn, {"pred": pred.copy()}))
 
@@ -122,10 +121,8 @@ def loss_fragments(seed: int = 0):
     neg = _signed_uniform(rng, (4, 6))
 
     def align_fn(arrs):
-        value, _, _ = losses.align_loss(arrs["fused"], arrs["pos"],
-                                        arrs["neg"], 0.3)
-        d_f, d_p, d_n = losses.align_loss_grads(arrs["fused"], arrs["pos"],
-                                                arrs["neg"], 0.3)
+        value, _, _, (d_f, d_p, d_n) = losses.align_loss(
+            arrs["fused"], arrs["pos"], arrs["neg"], 0.3)
         return value, {"fused": d_f, "pos": d_p, "neg": d_n}
 
     fragments.append(("align_loss", align_fn,
@@ -133,8 +130,8 @@ def loss_fragments(seed: int = 0):
                        "neg": neg.copy()}))
 
     def align_nt_fn(arrs):
-        value = losses.align_loss_no_triplet(arrs["fused"], arrs["pos"])
-        d_f, d_p = losses.align_loss_no_triplet_grads(arrs["fused"], arrs["pos"])
+        value, (d_f, d_p) = losses.align_loss_no_triplet(arrs["fused"],
+                                                         arrs["pos"])
         return value, {"fused": d_f, "pos": d_p}
 
     fragments.append(("align_loss_no_triplet", align_nt_fn,

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from voxmix import cli, mixup, trainer
+from voxmix import cli, mixup, runs, trainer
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -108,14 +108,30 @@ def test_the_pretrain_hash_ignores_what_pretraining_does_not_read():
         apply_assignments(config, {"train.pretrain_epochs": "1"}))
 
 
-def test_a_truncated_encoder_checkpoint_exits_3_and_names_the_file(tiny_run,
-                                                                   capsys):
+@pytest.mark.parametrize("damage", [lambda data: data[:200],
+                                    lambda data: b"garbage"],
+                         ids=["truncated", "garbage"])
+def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
     assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
-    ckpt.write_bytes(ckpt.read_bytes()[:200])
+    ckpt.write_bytes(damage(ckpt.read_bytes()))
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    _, metadata = runs.load_checkpoint(ckpt)
+    assert metadata["pretrain_hash"] == trainer.pretrain_hash(tiny_run.config)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("loss.margin", "5"), ("train.stage_epochs", "1,1"),
+    ("train.batch_size", "0"), ("train.pretrain_batch", "0"),
+    ("eval.batch_size", "0"), ("mixup.alpha", "-1"),
+    ("eval.iou_threshold", "1.5")])
+def test_an_out_of_range_value_exits_2_before_any_work(tiny_run, capsys,
+                                                       key, value):
     capsys.readouterr()
-    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_MISSING
-    assert str(ckpt) in capsys.readouterr().err
+    assert tiny_run.voxmix("train", "-o", f"{key}={value}", "--pipeline",
+                           "dual_mix") == cli.EXIT_CONFIG
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
 
 def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,

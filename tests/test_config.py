@@ -1,14 +1,33 @@
 import dataclasses
 from typing import get_args, get_origin, get_type_hints
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxmix.config import ExperimentConfig, dump_config, parse_config_text
+from voxmix.config import (ConfigError, ExperimentConfig, apply_assignments,
+                           config_hash, dump_config, parse_config_text)
 
 # What a config file can hold as a name: no comma (the list separator), no
 # newline, no "#" and no whitespace at either end.
 NAMES = st.text(st.characters(blacklist_characters=",#\n"), min_size=1) \
     .filter(lambda s: s == s.strip())
+
+_OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+# The fields a section range-checks draw from inside their range.
+IN_RANGE = {
+    "loss.w_recon": _NON_NEGATIVE, "loss.w_align": _NON_NEGATIVE,
+    "loss.margin": st.floats(0.0, 1.0),
+    "loss.kind": st.sampled_from(("bce", "focal")),
+    "loss.focal_gamma": _NON_NEGATIVE, "loss.focal_balance": _OPEN_UNIT,
+    "loss.clamp_eps": _POSITIVE, "mixup.alpha": _POSITIVE,
+    "train.batch_size": st.integers(min_value=1),
+    "train.pretrain_batch": st.integers(min_value=1),
+    "train.stage_epochs": st.tuples(*[st.integers(min_value=0)] * 3),
+    "eval.iou_threshold": _OPEN_UNIT, "eval.batch_size": st.integers(min_value=1),
+}
 
 
 def _values(annotation):
@@ -20,14 +39,39 @@ def _values(annotation):
             str: NAMES}[annotation]
 
 
-def _configs(cls=ExperimentConfig):
+def _configs(cls=ExperimentConfig, prefix=""):
     hints = get_type_hints(cls)
     return st.builds(cls, **{
-        f.name: _configs(hints[f.name]) if dataclasses.is_dataclass(hints[f.name])
-        else _values(hints[f.name]) for f in dataclasses.fields(cls)})
+        f.name: _configs(hints[f.name], f"{f.name}.")
+        if dataclasses.is_dataclass(hints[f.name])
+        else IN_RANGE.get(prefix + f.name, _values(hints[f.name]))
+        for f in dataclasses.fields(cls)})
 
 
 @given(_configs())
 @settings(max_examples=100, deadline=None)
 def test_dump_config_round_trips_through_the_parser(config):
     assert parse_config_text(dump_config(config)) == config
+
+
+def test_dump_and_hash_keep_their_bytes():
+    # Hashes of configs written before the loss section became a LossConfig.
+    assert config_hash(ExperimentConfig()) == "dbee5667abee6e48"
+    assert config_hash(apply_assignments(
+        ExperimentConfig(), {"loss.kind": "focal", "loss.margin": "0.3"})) \
+        == "17dfacab23f57fa5"
+    loss_lines = [line for line in dump_config(ExperimentConfig()).split("\n")
+                  if line.startswith("loss.")]
+    assert loss_lines == [
+        "loss.w_recon = 10.0", "loss.w_align = 0.5", "loss.margin = 0.1",
+        "loss.kind = bce", "loss.focal_gamma = 2.0", "loss.focal_balance = 0.5",
+        "loss.clamp_eps = 1e-07"]
+
+
+@pytest.mark.parametrize("key,value", [
+    ("loss.margin", "5"), ("loss.kind", "dice"), ("mixup.alpha", "0"),
+    ("train.stage_epochs", "1,1"), ("eval.iou_threshold", "1.0")])
+def test_a_value_a_section_rejects_is_a_config_error_naming_its_key(key, value):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        apply_assignments(ExperimentConfig(), {"seed": "1", "loss.w_recon": "2",
+                                               key: value})

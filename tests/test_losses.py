@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from voxmix import losses
-from voxmix.voxel import VoxelGrid
 
 
 def unit_vectors_with_cosine(target):
@@ -25,26 +24,21 @@ def unit_vectors_with_cosine(target):
 def test_bce_half_prediction_is_ln2():
     pred = np.full((4, 4, 4), 0.5)
     target = (np.arange(64).reshape(4, 4, 4) % 2).astype(np.float64)
-    assert losses.bce_loss(pred, target) == pytest.approx(math.log(2), abs=1e-9)
+    assert losses.bce_loss(pred, target)[0] \
+        == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_bce_soft_target_binary_entropy():
     pred = np.full((4, 4, 4), 0.3)
     target = np.full((4, 4, 4), 0.3)
     expected = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
-    assert losses.bce_loss(pred, target) == pytest.approx(expected, abs=1e-9)
+    assert losses.bce_loss(pred, target)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_bce_at_binary_target_is_near_zero():
     target = (np.random.default_rng(0).random((4, 4, 4)) < 0.4).astype(float)
-    value = losses.bce_loss(target, target)
+    value = losses.bce_loss(target, target)[0]
     assert 0.0 <= value <= 1e-6
-
-
-def test_bce_accepts_voxel_grids():
-    pred = VoxelGrid(2, np.full((2, 2, 2), 0.5))
-    target = VoxelGrid(2, np.ones((2, 2, 2)), binary=True)
-    assert losses.bce_loss(pred, target) == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_bce_shape_mismatch():
@@ -57,7 +51,7 @@ def test_bce_shape_mismatch():
 def test_bce_minimised_at_target(y):
     # Grid search over the prediction: the per-voxel loss is smallest at p=y.
     grid = np.linspace(0.01, 0.99, 99)
-    values = [losses.bce_loss(np.full(1, p), np.full(1, y)) for p in grid]
+    values = [losses.bce_loss(np.full(1, p), np.full(1, y))[0] for p in grid]
     best = grid[int(np.argmin(values))]
     assert abs(best - y) <= 0.011
 
@@ -73,7 +67,7 @@ def test_align_perfect_positive_is_zero():
     pos[0] = 1.0
     neg = np.zeros(8)
     neg[1] = 1.0
-    value, sim_pos, sim_neg = losses.align_loss(fused, pos, neg, margin=0.1)
+    value, sim_pos, sim_neg, _ = losses.align_loss(fused, pos, neg, margin=0.1)
     assert value == pytest.approx(0.0, abs=1e-12)
     assert sim_pos == pytest.approx(1.0)
     assert sim_neg == pytest.approx(0.0)
@@ -84,14 +78,14 @@ def test_align_equal_similarities():
     fused = np.array([1.0, 0.0, 0.0])
     pos = np.array([0.5, math.sqrt(0.75), 0.0])
     neg = np.array([0.5, 0.0, math.sqrt(0.75)])
-    value, _, _ = losses.align_loss(fused, pos, neg, margin=0.1)
+    value, _, _, _ = losses.align_loss(fused, pos, neg, margin=0.1)
     assert value == pytest.approx(0.6, abs=1e-9)
 
 
 def test_align_reference_point_nine_eighty_five():
     fused, pos = unit_vectors_with_cosine(0.9)
     _, neg = unit_vectors_with_cosine(0.85)
-    value, sim_pos, sim_neg = losses.align_loss(fused, pos, neg, margin=0.1)
+    value, sim_pos, sim_neg, _ = losses.align_loss(fused, pos, neg, margin=0.1)
     assert sim_pos == pytest.approx(0.9, abs=1e-12)
     assert sim_neg == pytest.approx(0.85, abs=1e-12)
     assert value == pytest.approx(0.15, abs=1e-9)
@@ -104,18 +98,19 @@ def test_align_zero_norm_rejected():
 
 def test_align_no_triplet_cases():
     v = np.array([0.3, -0.7, 2.0])
-    assert losses.align_loss_no_triplet(v, 2.5 * v) == pytest.approx(0.0, abs=1e-12)
+    assert losses.align_loss_no_triplet(v, 2.5 * v)[0] \
+        == pytest.approx(0.0, abs=1e-12)
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 1.0])
-    assert losses.align_loss_no_triplet(a, b) == pytest.approx(1.0)
-    assert losses.align_loss_no_triplet(a, -a) == pytest.approx(2.0)
+    assert losses.align_loss_no_triplet(a, b)[0] == pytest.approx(1.0)
+    assert losses.align_loss_no_triplet(a, -a)[0] == pytest.approx(2.0)
 
 
 def test_align_batch_reduction_is_mean():
     fused = np.stack([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
     pos = np.stack([np.array([1.0, 0.0]), np.array([1.0, 0.0])])
     neg = np.stack([np.array([0.0, 1.0]), np.array([0.0, 1.0])])
-    value, sim_pos, sim_neg = losses.align_loss(fused, pos, neg, margin=0.0)
+    value, sim_pos, sim_neg, _ = losses.align_loss(fused, pos, neg, margin=0.0)
     # Row 0: aligned, loss 0; row 1: sim_pos 0, sim_neg 1 -> 1 + 1 = 2.
     assert value == pytest.approx(1.0)
     assert sim_pos == pytest.approx(0.5)
@@ -130,7 +125,7 @@ def test_align_nonnegative_and_zero_condition(seed):
     pos = rng.standard_normal((3, 6))
     neg = rng.standard_normal((3, 6))
     margin = float(rng.uniform(0, 1))
-    value, sim_pos, sim_neg = losses.align_loss(fused, pos, neg, margin)
+    value, sim_pos, sim_neg, _ = losses.align_loss(fused, pos, neg, margin)
     assert value >= -1e-12
 
 
@@ -138,9 +133,9 @@ def test_align_triplet_mask_disables_hinge():
     fused = np.array([1.0, 0.0])
     pos = np.array([1.0, 0.0])
     neg = np.array([1.0, 0.0])  # worst-case negative
-    with_hinge, _, _ = losses.align_loss(fused, pos, neg, margin=0.2)
-    masked, _, _ = losses.align_loss(fused, pos, neg, margin=0.2,
-                                     triplet_mask=[0.0])
+    with_hinge, _, _, _ = losses.align_loss(fused, pos, neg, margin=0.2)
+    masked, _, _, _ = losses.align_loss(fused, pos, neg, margin=0.2,
+                                        triplet_mask=[0.0])
     assert with_hinge == pytest.approx(0.2)
     assert masked == pytest.approx(0.0)
 
@@ -153,25 +148,26 @@ def test_focal_gamma_zero_is_half_bce():
     rng = np.random.default_rng(1)
     pred = rng.uniform(0.05, 0.95, (5, 5, 5))
     target = (rng.random((5, 5, 5)) < 0.5).astype(float)
-    focal = losses.focal_loss(pred, target, gamma=0.0, balance=0.5)
-    assert focal == pytest.approx(0.5 * losses.bce_loss(pred, target), abs=1e-12)
+    focal = losses.focal_loss(pred, target, gamma=0.0, balance=0.5)[0]
+    assert focal == pytest.approx(0.5 * losses.bce_loss(pred, target)[0],
+                                  abs=1e-12)
 
 
 def test_focal_at_target_is_near_zero():
     target = (np.random.default_rng(2).random((4, 4, 4)) < 0.4).astype(float)
-    assert losses.focal_loss(target, target) == pytest.approx(0.0, abs=1e-5)
+    assert losses.focal_loss(target, target)[0] == pytest.approx(0.0, abs=1e-5)
 
 
 def test_focal_single_voxel_reference_value():
     value = losses.focal_loss(np.full(1, 0.5), np.ones(1), gamma=2.0,
-                              balance=0.5)
+                              balance=0.5)[0]
     assert value == pytest.approx(0.5 * 0.25 * math.log(2), abs=1e-9)
 
 
 def test_focal_balance_weights_occupied_term():
     pred = np.full(1, 0.5)
-    hot = losses.focal_loss(pred, np.ones(1), gamma=0.0, balance=0.9)
-    cold = losses.focal_loss(pred, np.zeros(1), gamma=0.0, balance=0.9)
+    hot = losses.focal_loss(pred, np.ones(1), gamma=0.0, balance=0.9)[0]
+    cold = losses.focal_loss(pred, np.zeros(1), gamma=0.0, balance=0.9)[0]
     assert hot == pytest.approx(0.9 * math.log(2), abs=1e-12)
     assert cold == pytest.approx(0.1 * math.log(2), abs=1e-12)
 
@@ -233,8 +229,8 @@ def test_bce_grad_matches_fd():
     rng = np.random.default_rng(3)
     pred = rng.uniform(0.1, 0.9, (3, 3))
     target = rng.uniform(0, 1, (3, 3))
-    fd = _central_diff(lambda: losses.bce_loss(pred, target), pred)
-    assert np.allclose(losses.bce_loss_grad(pred, target), fd, atol=1e-7)
+    fd = _central_diff(lambda: losses.bce_loss(pred, target)[0], pred)
+    assert np.allclose(losses.bce_loss(pred, target)[1], fd, atol=1e-7)
 
 
 def test_focal_grad_matches_fd():
@@ -242,8 +238,8 @@ def test_focal_grad_matches_fd():
     pred = rng.uniform(0.1, 0.9, (3, 3))
     target = rng.uniform(0, 1, (3, 3))
     fd = _central_diff(
-        lambda: losses.focal_loss(pred, target, 2.0, 0.3), pred)
-    analytic = losses.focal_loss_grad(pred, target, 2.0, 0.3)
+        lambda: losses.focal_loss(pred, target, 2.0, 0.3)[0], pred)
+    analytic = losses.focal_loss(pred, target, 2.0, 0.3)[1]
     assert np.allclose(analytic, fd, atol=1e-7)
 
 
@@ -252,7 +248,7 @@ def test_align_grads_match_fd():
     fused = rng.standard_normal((2, 5))
     pos = rng.standard_normal((2, 5))
     neg = rng.standard_normal((2, 5))
-    d_f, d_p, d_n = losses.align_loss_grads(fused, pos, neg, 0.3)
+    d_f, d_p, d_n = losses.align_loss(fused, pos, neg, 0.3)[3]
     for arr, grad in ((fused, d_f), (pos, d_p), (neg, d_n)):
         fd = _central_diff(
             lambda: losses.align_loss(fused, pos, neg, 0.3)[0], arr)
@@ -263,8 +259,8 @@ def test_align_no_triplet_grads_match_fd():
     rng = np.random.default_rng(6)
     fused = rng.standard_normal((2, 5))
     pos = rng.standard_normal((2, 5))
-    d_f, d_p = losses.align_loss_no_triplet_grads(fused, pos)
+    d_f, d_p = losses.align_loss_no_triplet(fused, pos)[1]
     for arr, grad in ((fused, d_f), (pos, d_p)):
         fd = _central_diff(
-            lambda: losses.align_loss_no_triplet(fused, pos), arr)
+            lambda: losses.align_loss_no_triplet(fused, pos)[0], arr)
         assert np.allclose(grad, fd, atol=1e-7)

@@ -160,6 +160,19 @@ def test_apply_pairs_matches_pairwise_mix():
         assert np.allclose(mixed[k], expected, atol=1e-7)
 
 
+def test_apply_pairs_backward_is_the_adjoint_of_apply_pairs():
+    # <apply_pairs(x), d> = <x, apply_pairs_backward(d)>; sample 2 is the
+    # partner of two rows and sample 3 is mixed with itself.
+    rng = np.random.default_rng(11)
+    pairs = [mixup.MixPair(0, 2, 0.3), mixup.MixPair(1, 2, 0.8),
+             mixup.MixPair(2, 0, 0.5), mixup.MixPair(3, 3, 0.1)]
+    x = rng.standard_normal((4, 3, 5))
+    d = rng.standard_normal((4, 3, 5))
+    lhs = np.sum(mixup.apply_pairs(x, pairs) * d)
+    rhs = np.sum(x * mixup.apply_pairs_backward(d, pairs, 4))
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # vgrid dump format
 # ---------------------------------------------------------------------------

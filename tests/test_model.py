@@ -160,7 +160,8 @@ def test_skipping_the_first_convs_input_gradient_keeps_every_gradient():
             conv.input_grad = input_grad
         store.zero_grads()
         net.forward(images, priors, store)
-        net.backward(d_pred, store, d_fused_extra=d_fused)
+        net.encode_backward(net.decode_backward(d_pred, store) + d_fused,
+                            store)
         net.encode_gt(volumes, store)
         net.encode_gt_backward(d_latent, store)
         grads.append({name: g.tobytes() for name, g in store.grads.items()})

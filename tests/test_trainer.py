@@ -1,10 +1,11 @@
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import TINY_OVERRIDES
 
-from voxmix import nn, trainer, verification
+from voxmix import losses, mixup, nn, trainer, verification
 from voxmix.model import Network
 
 
@@ -59,3 +60,88 @@ def test_pipeline_fragments_check_the_training_step():
     for name, fn, arrays in fragments:
         report = nn.grad_check(fn, arrays, 1e-4, probes=1)
         assert report.passed, f"{name}: {report.summary()}"
+
+
+def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
+    """The training step as two branches, each with its own decode, loss and
+    backward sequence, and the latent-mixing adjoint written inline: the
+    reference the one-path `trainer.stage_step` must match bit for bit."""
+    store.zero_grads()
+    images, priors, volumes = batch.images, batch.priors, batch.volumes
+    object_ids = batch.object_ids
+    n = len(images)
+    if stage == trainer.STAGE_INPUT_MIX:
+        pairs = mixup.pair_batch(n, alpha, rng)
+        images = mixup.apply_pairs(images, pairs)
+        volumes = mixup.apply_pairs(volumes, pairs)
+        if priors is not None:
+            priors = mixup.apply_pairs(priors, pairs)
+        object_ids = None
+    _, _, e_fused = net.encode(images, priors, store)
+    if stage == trainer.STAGE_LATENT_MIX:
+        vol_latent = net.encode_gt(volumes, store)
+        pairs = mixup.pair_batch(n, alpha, rng)
+        e_mix = mixup.apply_pairs(e_fused, pairs)
+        lat_mix = mixup.apply_pairs(vol_latent, pairs)
+        targets = mixup.apply_pairs(volumes, pairs)[:, 0]
+        pred = net.decode(e_mix, store)
+        recon, d_pred = losses.reconstruction_loss(pred, targets, lcfg)
+        align, (d_mix, d_latmix) = losses.align_loss_no_triplet(e_mix, lat_mix)
+        sim_pos, sim_neg = 1.0 - align, 0.0
+        d_mix = lcfg.w_align * d_mix + net.decode_backward(
+            lcfg.w_recon * d_pred, store)
+        d_latmix = lcfg.w_align * d_latmix
+        d_fused = np.zeros_like(e_fused)
+        d_vol_latent = np.zeros_like(vol_latent)
+        left = np.asarray([p.i for p in pairs])
+        right = np.asarray([p.j for p in pairs])
+        lams = np.asarray([p.lam for p in pairs], dtype=e_fused.dtype)[:, None]
+        np.add.at(d_fused, left, (1 - lams) * d_mix)
+        np.add.at(d_fused, right, lams * d_mix)
+        np.add.at(d_vol_latent, left, (1 - lams) * d_latmix)
+        np.add.at(d_vol_latent, right, lams * d_latmix)
+        net.encode_backward(d_fused, store)
+        net.encode_gt_backward(d_vol_latent, store)
+    else:
+        pred = net.decode(e_fused, store)
+        recon, d_pred = losses.reconstruction_loss(pred, volumes[:, 0], lcfg)
+        vol_latent = net.encode_gt(volumes, store)
+        neg_idx, mask = trainer._negative_indices(object_ids, n, rng)
+        align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
+            e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
+        d_vol_latent = lcfg.w_align * d_pos
+        np.add.at(d_vol_latent, neg_idx, lcfg.w_align * d_neg)
+        net.encode_backward(net.decode_backward(lcfg.w_recon * d_pred, store)
+                            + lcfg.w_align * d_fused, store)
+        net.encode_gt_backward(d_vol_latent, store)
+    return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
+
+
+@pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("kind", ["bce", "focal"])
+@pytest.mark.parametrize("variant", ["prior", "no_prior"])
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
+    cfg = verification.TINY_NET if variant == "prior" \
+        else verification.TINY_NET_NO_PRIOR
+    # An alignment weight that is not a power of two rounds, so scaling
+    # before or after a sum shows.
+    lcfg = losses.LossConfig(w_align=0.3, kind=kind, focal_balance=0.3)
+    net = Network(cfg)
+    store = net.init_params(np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    images = rng.uniform(0.0, 1.0, (n, 2, cfg.image_size, cfg.image_size))
+    priors = rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) \
+        if variant == "prior" else None
+    volumes = (rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) > 0.5)
+    # Two views of one object, so the triplet must look past a partner.
+    batch = trainer.Batch(images.astype(np.float32),
+                          None if priors is None else priors.astype(np.float32),
+                          volumes.astype(np.float32), ["a", "a", "b", "c"][:n])
+
+    runs = []
+    for step in (_two_branch_stage_step, trainer.stage_step):
+        breakdown = step(net, store, batch, stage, lcfg, 0.2,
+                         trainer.stream_rng(3, stage))
+        runs.append((breakdown, store.flat_grads.tobytes()))
+    assert runs[0] == runs[1]
