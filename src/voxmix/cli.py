@@ -3,7 +3,12 @@
 Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
 ``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing
-or unreadable input artifact, 4 numeric failure.
+or unreadable input artifact, 4 numeric failure.  Every bad config value
+exits 2 when the config is loaded, before any work, and the message names
+its key: an unknown key, a value its section rejects, a size the network's
+strides do not divide, or an unknown pipeline.  The one exception is the
+split's rules across `data` fields (class lists, shots per class), which
+`build-priors` checks when it makes the split: they exit 1.
 """
 
 from __future__ import annotations
@@ -39,8 +44,11 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="voxmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def add(name, help_text, needs_config=True):
+    def add(name, help_text, needs_config=True, pipeline=None):
         p = sub.add_parser(name, help=help_text)
+        if pipeline:
+            p.add_argument("--pipeline", default=None,
+                           choices=sorted(trainer.PIPELINES), help=pipeline)
         if needs_config:
             p.add_argument("--config", required=True,
                            help="path to the experiment config file")
@@ -55,23 +63,19 @@ def _build_parser() -> _Parser:
     add("gen-data", "generate the synthetic dataset")
     add("build-priors", "write the few-shot split and per-class priors")
     add("pretrain-gt", "pretrain the volume encoder, replacing its checkpoint")
-    p = add("train", "run the configured training pipeline")
-    p.add_argument("--pipeline", default=None,
-                   choices=sorted(trainer.PIPELINES),
-                   help="override the configured pipeline")
+    p = add("train", "run the configured training pipeline",
+            pipeline="override the configured pipeline")
     p.add_argument("--all", action="store_true",
                    help="train all four pipelines, sharing stage prefixes")
-    p = add("eval", "evaluate a trained checkpoint on the query set")
-    p.add_argument("--pipeline", default=None,
-                   choices=sorted(trainer.PIPELINES))
+    trained = "the trained pipeline (default: the configured one)"
+    p = add("eval", "evaluate a trained checkpoint on the query set",
+            pipeline=trained)
     p.add_argument("--dump-predictions", action="store_true",
                    help="also write binarized predictions as binvox files")
-    p = add("analyze-latent", "same/different-object cosine report")
-    p.add_argument("--pipeline", default=None,
-                   choices=sorted(trainer.PIPELINES))
-    p = add("proximity", "join class proximity with the evaluated IoU table")
-    p.add_argument("--pipeline", default=None,
-                   choices=sorted(trainer.PIPELINES))
+    add("analyze-latent", "same/different-object cosine report",
+        pipeline=trained)
+    add("proximity", "join class proximity with the evaluated IoU table",
+        pipeline=trained)
     p = add("alpha-sweep", "IoU of both mixing stages across mixing ratios")
     p.add_argument("--alphas", default="0.2,0.4,1.0",
                    help="comma-separated Beta-distribution parameters")
@@ -86,18 +90,34 @@ def _build_parser() -> _Parser:
 
 def _load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
     config = load_config(args.config, args.override)
+    # Each section checked its own values; these rules need the network
+    # (strides that span `data` and `model`) or the pipelines.
+    try:
+        trainer.network_config(config)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if config.train.pipeline not in trainer.PIPELINES:
+        raise ConfigError(f"train.pipeline: unknown pipeline "
+                          f"{config.train.pipeline!r}, not one of "
+                          f"{tuple(trainer.PIPELINES)}")
     paths = runs.RunPaths.for_config(config, args.run_root)
     return config, paths
 
 
-def _last_checkpoint(config: ExperimentConfig, paths: runs.RunPaths,
-                     pipeline: str) -> Path:
+def _trained(args):
+    """(config, paths, pipeline, context, network, parameters) of the
+    trained pipeline that `args` names."""
+    config, paths = _load(args)
+    pipeline = args.pipeline or config.train.pipeline
     stage = trainer.PIPELINES[pipeline][-1]
-    path = paths.checkpoints_dir / f"{pipeline}_stage{stage}.ckpt"
-    if not path.exists():
+    ckpt = paths.checkpoints_dir / f"{pipeline}_stage{stage}.ckpt"
+    if not ckpt.exists():
         raise runs.MissingArtifactError(
-            f"no checkpoint at {path}; run train first")
-    return path
+            f"no checkpoint at {ckpt}; run train first")
+    store, _ = trainer.load_stage_checkpoint(ckpt, config, expect_hash=False)
+    ctx = trainer.ExperimentContext.load(config, paths)
+    net = Network(trainer.network_config(config))
+    return config, paths, pipeline, ctx, net, store
 
 
 def cmd_gen_data(args) -> int:
@@ -152,12 +172,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, paths = _load(args)
-    pipeline = args.pipeline or config.train.pipeline
-    ckpt = _last_checkpoint(config, paths, pipeline)
-    store, _ = trainer.load_stage_checkpoint(ckpt, config, expect_hash=False)
-    ctx = trainer.ExperimentContext.load(config, paths)
-    net = Network(trainer.network_config(config))
+    config, paths, pipeline, ctx, net, store = _trained(args)
     table = ctx.eval_table(net, store)
     trainer.write_iou_reports(paths, pipeline, table)
     if args.dump_predictions:
@@ -176,12 +191,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze_latent(args) -> int:
-    config, paths = _load(args)
-    pipeline = args.pipeline or config.train.pipeline
-    ckpt = _last_checkpoint(config, paths, pipeline)
-    store, _ = trainer.load_stage_checkpoint(ckpt, config, expect_hash=False)
-    ctx = trainer.ExperimentContext.load(config, paths)
-    net = Network(trainer.network_config(config))
+    config, paths, pipeline, ctx, net, store = _trained(args)
     samples = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     report = evaluate.cosine_report(net, store, samples, ctx.priors_by_class,
                                     trainer.effective_prior_mode(config),

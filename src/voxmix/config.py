@@ -14,7 +14,10 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, get_args, get_origin, get_type_hints
 
+from .evaluate import PRIOR_MODES
 from .losses import LossConfig
+from .model import VARIANTS
+from .nn import OPTIMIZERS
 
 
 class ConfigError(ValueError):
@@ -34,11 +37,25 @@ class DataConfig:
     image_size: int = 32
     shots: int = 1
 
+    def __post_init__(self):
+        # Rules across fields (classes, shots per class) are the split's.
+        if min(self.objects_per_class, self.poses_per_object, self.shots) < 1:
+            raise ValueError("object, pose and shot counts must be >= 1")
+        if not self.elevations:
+            raise ValueError("at least one elevation is needed")
+
 
 @dataclass(frozen=True)
 class PriorConfig:
     threshold: float = 0.5          # mean-occupancy cut for class priors
     mode: str = "correct"           # correct | corrupted | none
+
+    def __post_init__(self):
+        if not 0.0 <= self.threshold < 1.0:
+            raise ValueError(f"threshold must be in [0, 1), got {self.threshold}")
+        if self.mode not in PRIOR_MODES:
+            raise ValueError(f"unknown prior mode {self.mode!r}, not one of "
+                             f"{PRIOR_MODES}")
 
 
 @dataclass(frozen=True)
@@ -48,6 +65,15 @@ class ModelSection:
     prior_channels: tuple[int, ...] = (8, 16, 32)
     decoder_channels: tuple[int, ...] = (32, 16, 8)
     variant: str = "prior"          # prior | no_prior
+
+    def __post_init__(self):
+        layers = (self.image_channels, self.prior_channels, self.decoder_channels)
+        if not all(layers) or min(self.latent_width, *sum(layers, ())) < 1:
+            raise ValueError("every encoder and decoder needs a layer, and "
+                             "every width and channel count must be >= 1")
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown variant {self.variant!r}, not one of "
+                             f"{VARIANTS}")
 
 
 @dataclass(frozen=True)
@@ -77,6 +103,9 @@ class TrainSection:
                              f"3 in all, got {self.stage_epochs}")
         if self.batch_size < 1 or self.pretrain_batch < 1:
             raise ValueError("batch sizes must be at least 1")
+        if self.optimizer not in OPTIMIZERS:
+            raise ValueError(f"unknown optimizer {self.optimizer!r}, not one "
+                             f"of {tuple(OPTIMIZERS)}")
 
 
 @dataclass(frozen=True)

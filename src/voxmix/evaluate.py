@@ -67,7 +67,9 @@ class CosineReport:
 def _batched_forward(net: Network, store: ParamStore, samples: SampleArrays,
                      priors_by_class, prior_mode: str,
                      all_classes: tuple[str, ...], batch_size: int):
-    """Yield (start, trace) over the sample stack in fixed-size batches."""
+    """Yield (slice, trace) over the sample stack in fixed-size batches,
+    once the store is checked against the network."""
+    net.check_store(store)
     n = len(samples)
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
@@ -83,7 +85,6 @@ def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
     """Per-query-sample IoU of the binarized prediction against ground
     truth, aggregated per class; the overall score is the mean of class
     means."""
-    net.check_store(store)
     per_sample: list[tuple[str, int, str, float]] = []
     by_class: dict[str, list[float]] = {}
     for sl, trace in _batched_forward(net, store, samples, priors_by_class,

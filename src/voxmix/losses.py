@@ -146,11 +146,6 @@ def _cosine_grads(a, b):
     return sim[:, 0], da, db
 
 
-def cosine_similarity(a, b) -> np.ndarray:
-    """Row-wise cosine similarity of two equally shaped latent batches."""
-    return _cosine_grads(a, b)[0]
-
-
 def align_loss(fused, pos, neg, margin: float = 0.1, triplet_mask=None):
     """Triplet-plus-cosine alignment; returns (loss, mean sim to positive,
     mean sim to negative, (d loss/d fused, d loss/d pos, d loss/d neg)).

@@ -1,11 +1,14 @@
 """Network assembly: image and prior encoders, merger, volume decoder, and
 the auxiliary ground-truth volume encoder used by the alignment loss.
 
-Two variants exist.  The "prior" variant encodes a class shape prior with
-a 3-D conv branch and fuses it with the image latent.  The "no_prior"
-variant drops that branch and instead global-average-pools the final 2-D
-feature map, projecting it to the same latent width, so everything
-downstream is unchanged.
+Every encoder is a (conv stack, head) pair from `_encoder`; every decoder
+ends in a Reshape to (D, D, D).  The variants differ only in the aux head,
+whose latent the merger fuses with the image latent: the "prior" variant
+encodes a class shape prior with a 3-D encoder, the "no_prior" variant
+global-average-pools the image features and projects them (`pool_proj.fc`)
+to the same width.  The order of `Network.parts` fixes the parameter
+names' order, the init draw order and the checkpoint layout, so it must
+not change.
 """
 
 from __future__ import annotations
@@ -23,31 +26,29 @@ VARIANTS = ("prior", "no_prior")
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    vox_dim: int = 16
-    image_size: int = 32
-    image_channels: tuple[int, ...] = (8, 16, 32, 32)
-    prior_channels: tuple[int, ...] = (8, 16, 32)
-    decoder_channels: tuple[int, ...] = (32, 16, 8)
-    latent_width: int = 128
-    variant: str = "prior"
+    """`trainer.network_config` reads `vox_dim` and `image_size` from the
+    config's `data` section and the other fields from `model`, which holds
+    the defaults; an error names the config key."""
+
+    vox_dim: int
+    image_size: int
+    image_channels: tuple[int, ...]
+    prior_channels: tuple[int, ...]
+    decoder_channels: tuple[int, ...]
+    latent_width: int
+    variant: str
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        down_img = 2 ** len(self.image_channels)
-        if self.image_size % down_img or self.image_size < down_img:
-            raise ValueError(
-                f"image_size {self.image_size} not divisible by {down_img}")
-        down_pri = 2 ** len(self.prior_channels)
-        if self.vox_dim % down_pri:
-            raise ValueError(
-                f"vox_dim {self.vox_dim} not divisible by {down_pri}")
-        down_dec = 2 ** len(self.decoder_channels)
-        if self.vox_dim % down_dec:
-            raise ValueError(
-                f"vox_dim {self.vox_dim} not divisible by {down_dec}")
-        if self.latent_width < 1:
-            raise ValueError("latent_width must be positive")
+            raise ValueError(f"model.variant: unknown variant {self.variant!r}")
+        # Every conv and every transposed conv has stride 2.
+        for size, layers in (("image_size", "image_channels"),
+                             ("vox_dim", "prior_channels"),
+                             ("vox_dim", "decoder_channels")):
+            value, down = getattr(self, size), 2 ** len(getattr(self, layers))
+            if value < down or value % down:
+                raise ValueError(f"data.{size}: {value} is not a multiple of "
+                                 f"{down}, the stride of model.{layers}")
 
 
 @dataclass(frozen=True)
@@ -60,115 +61,120 @@ class ForwardTrace:
     prediction: np.ndarray  # (n, D, D, D), strictly inside (0, 1)
 
 
-def _conv_encoder_3d(prefix: str, channels: tuple[int, ...], vox_dim: int,
-                     width: int) -> Sequential:
+def _encoder(prefix: str, rank: int, c_in: int, side: int,
+             channels: tuple[int, ...], width: int
+             ) -> tuple[Sequential, Sequential]:
+    """(conv stack, head) for a `rank`-D input of `c_in` channels and
+    extent `side`: one stride-2 conv and ReLU per entry of `channels`,
+    then a Dense `{prefix}.fc` from the flattened features to `width`."""
+    conv = Conv2d if rank == 2 else Conv3d
     layers = []
-    c_in = 1
     for k, c_out in enumerate(channels):
-        # conv0 reads the volume itself, whose gradient nothing uses.
-        layers.append(Conv3d(f"{prefix}.conv{k}", c_in, c_out, 3, stride=2,
-                             pad=1, input_grad=k > 0))
-        layers.append(ReLU())
+        # conv0 reads the data itself, whose gradient nothing uses.
+        layers += [conv(f"{prefix}.conv{k}", c_in, c_out, 3, stride=2, pad=1,
+                        input_grad=k > 0), ReLU()]
         c_in = c_out
-    side = vox_dim // 2 ** len(channels)
-    layers.append(Flatten())
-    layers.append(Dense(f"{prefix}.fc", c_in * side ** 3, width))
-    return Sequential(layers)
+    side //= 2 ** len(channels)
+    head = Sequential([Flatten(), Dense(f"{prefix}.fc", c_in * side ** rank,
+                                        width)])
+    return Sequential(layers), head
 
 
-def _volume_decoder(prefix: str, channels: tuple[int, ...], vox_dim: int,
-                    width: int) -> Sequential:
+def _decoder(prefix: str, channels: tuple[int, ...], vox_dim: int,
+             width: int) -> Sequential:
+    """A Dense `{prefix}.fc` from `width` to a (channels[0], base^3) grid, one
+    stride-2 transposed conv per channel count (the last to one channel,
+    then a sigmoid), and a Reshape to (D, D, D)."""
     base = vox_dim // 2 ** len(channels)
-    layers: list = [
-        Dense(f"{prefix}.fc", width, channels[0] * base ** 3),
-        ReLU(),
-        Reshape((channels[0], base, base, base)),
-    ]
-    c_in = channels[0]
-    for k, c_out in enumerate(channels[1:], start=1):
-        layers.append(ConvTranspose3d(f"{prefix}.up{k}", c_in, c_out, 4,
-                                      stride=2, pad=1))
-        layers.append(ReLU())
-        c_in = c_out
-    layers.append(ConvTranspose3d(f"{prefix}.up{len(channels)}", c_in, 1, 4,
-                                  stride=2, pad=1))
-    layers.append(Sigmoid())
-    return Sequential(layers)
+    layers: list = [Dense(f"{prefix}.fc", width, channels[0] * base ** 3),
+                    ReLU(), Reshape((channels[0], base, base, base))]
+    for k, (c_in, c_out) in enumerate(zip(channels, channels[1:] + (1,)),
+                                      start=1):
+        layers += [ConvTranspose3d(f"{prefix}.up{k}", c_in, c_out, 4, stride=2,
+                                   pad=1),
+                   ReLU() if k < len(channels) else Sigmoid()]
+    return Sequential(layers + [Reshape((vox_dim,) * 3)])
+
+
+def _input(batch: np.ndarray, sample_shape: tuple[int, ...], what: str,
+           store: ParamStore) -> np.ndarray:
+    """A data batch in the store's dtype, mapped from [0, 1] to [-1, 1] so
+    that first-layer features are sign-balanced."""
+    batch = np.ascontiguousarray(batch, dtype=store.flat.dtype)
+    if batch.shape[1:] != sample_shape:
+        raise ValueError(f"bad {what} batch shape {batch.shape}")
+    return batch * batch.dtype.type(2.0) - batch.dtype.type(1.0)
 
 
 class Network:
     """Owns the layer graph for one variant; parameters live in a
-    ParamStore so snapshots and checkpoints stay plain data."""
+    ParamStore so snapshots and checkpoints stay plain data.
+
+    `parts` is the main network in its fixed order: image conv stack and
+    head, prior conv stack (prior variant only), aux head, merger, decoder,
+    volume-encoder conv stack and head.  Parameter names, the init draw
+    order and the checkpoint layout all follow it, so it must not change.
+    The volume decoder `gt_decoder` is not a part: only pretraining uses
+    it, and its parameters never enter the main store."""
 
     def __init__(self, config: NetworkConfig):
-        self.config = config
-        cfg = config
-        conv_layers = []
-        c_in = 2
-        for k, c_out in enumerate(cfg.image_channels):
-            # conv0 reads the images, whose gradient nothing uses.
-            conv_layers.append(Conv2d(f"image_encoder.conv{k}", c_in, c_out, 3,
-                                      stride=2, pad=1, input_grad=k > 0))
-            conv_layers.append(ReLU())
-            c_in = c_out
-        self.image_conv = Sequential(conv_layers)
-        side = cfg.image_size // 2 ** len(cfg.image_channels)
-        self.image_head = Sequential([
-            Flatten(),
-            Dense("image_encoder.fc", c_in * side ** 2, cfg.latent_width),
-        ])
+        self.config = cfg = config
+        width = cfg.latent_width
+        self.image_conv, self.image_head = _encoder(
+            "image_encoder", 2, 2, cfg.image_size, cfg.image_channels, width)
         if cfg.variant == "prior":
-            self.prior_encoder = _conv_encoder_3d(
-                "prior_encoder", cfg.prior_channels, cfg.vox_dim, cfg.latent_width)
-            self.pool_proj = None
+            self.prior_conv, self.aux_head = _encoder(
+                "prior_encoder", 3, 1, cfg.vox_dim, cfg.prior_channels, width)
         else:
-            self.prior_encoder = None
-            self.pool_proj = Sequential([
+            self.prior_conv = None
+            self.aux_head = Sequential([
                 GlobalAvgPool2d(),
-                Dense("pool_proj.fc", c_in, cfg.latent_width),
-            ])
-        self.merger = Sequential([
-            Dense("merger.fc0", 2 * cfg.latent_width, cfg.latent_width),
-            ReLU(),
-            Dense("merger.fc1", cfg.latent_width, cfg.latent_width),
-        ])
-        self.decoder = _volume_decoder("decoder", cfg.decoder_channels,
-                                       cfg.vox_dim, cfg.latent_width)
-        self.gt_encoder = _conv_encoder_3d(
-            "gt_encoder", cfg.prior_channels, cfg.vox_dim, cfg.latent_width)
-        # Throwaway decoder, only materialized for volume-autoencoder
-        # pretraining; its parameters never enter the main store.
-        self.gt_decoder = _volume_decoder("gt_decoder", cfg.decoder_channels,
-                                          cfg.vox_dim, cfg.latent_width)
+                Dense("pool_proj.fc", cfg.image_channels[-1], width)])
+        self.merger = Sequential([Dense("merger.fc0", 2 * width, width), ReLU(),
+                                  Dense("merger.fc1", width, width)])
+        self.decoder = _decoder("decoder", cfg.decoder_channels, cfg.vox_dim,
+                                width)
+        self.gt_conv, self.gt_head = _encoder(
+            "gt_encoder", 3, 1, cfg.vox_dim, cfg.prior_channels, width)
+        self.gt_decoder = _decoder("gt_decoder", cfg.decoder_channels,
+                                   cfg.vox_dim, width)
+        self.parts = [part for part in (
+            self.image_conv, self.image_head, self.prior_conv, self.aux_head,
+            self.merger, self.decoder, self.gt_conv, self.gt_head)
+            if part is not None]
 
     # -- parameter management ------------------------------------------------
 
-    def _main_parts(self):
-        parts = [self.image_conv, self.image_head]
-        if self.prior_encoder is not None:
-            parts.append(self.prior_encoder)
-        if self.pool_proj is not None:
-            parts.append(self.pool_proj)
-        parts.extend([self.merger, self.decoder, self.gt_encoder])
-        return parts
-
     def init_params(self, rng: np.random.Generator,
                     dtype=TRAIN_DTYPE) -> ParamStore:
-        return ParamStore.pack(pair for part in self._main_parts()
-                               for pair in part.init_params(rng, dtype))
+        return ParamStore.pack(Sequential(self.parts).init_params(rng, dtype))
 
     def init_pretrain_params(self, rng: np.random.Generator,
                              dtype=TRAIN_DTYPE) -> ParamStore:
         """Parameters for the volume autoencoder (encoder + throwaway
         decoder) used during pretraining."""
-        return ParamStore.pack(self.gt_encoder.init_params(rng, dtype)
-                               + self.gt_decoder.init_params(rng, dtype))
+        return ParamStore.pack(Sequential(
+            [self.gt_conv, self.gt_head, self.gt_decoder]).init_params(rng, dtype))
+
+    def _param_shapes(self) -> dict[str, tuple[int, ...]]:
+        whole = Sequential(self.parts)
+        return dict(zip(whole.param_names, whole.param_shapes))
 
     def param_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        for part in self._main_parts():
-            names.extend(part.param_names)
-        return tuple(names)
+        return tuple(self._param_shapes())
+
+    def check_store(self, store: ParamStore) -> None:
+        """Raise ValueError unless the store holds exactly this network's
+        parameters, each in the shape its layer gives it."""
+        expected = self._param_shapes()
+        have = dict(zip(store.names, store.shapes))
+        diffs = [f"{name} is {have.get(name, 'missing')}, not {shape}"
+                 for name, shape in expected.items() if have.get(name) != shape]
+        diffs += [f"{name} is unexpected" for name in have if name not in expected]
+        if diffs:
+            raise ValueError(f"parameters do not fit the {self.config.variant!r} "
+                             f"variant network of this config: "
+                             f"{'; '.join(diffs[:4])}")
 
     def center_latent_biases(self, store: ParamStore, images: np.ndarray,
                              priors: np.ndarray | None, volumes: np.ndarray,
@@ -179,104 +185,64 @@ class Network:
         direction (the per-layer offsets w . E[h]), which collapses cosine
         geometry between embeddings.  Folding the training-pool mean of
         each latent-producing dense layer into its bias, upstream layers
-        first, removes that shared direction exactly.  One-time, at
-        initialization; deterministic given the pool.
+        first, removes that shared direction exactly.  The latent layers
+        are every Dense of `parts` outside the decoder, in `parts` order.
+        One-time, at initialization; deterministic given the pool.
         """
         if len(images) < 2:
             return  # a single sample would center its own embedding to zero
-        aux_bias = "prior_encoder.fc.b" if self.config.variant == "prior" \
-            else "pool_proj.fc.b"
         # Only dense layers move below, so the conv stacks run once.
-        slices = [slice(start, min(start + batch_size, len(images)))
-                  for start in range(0, len(images), batch_size)]
-        feats = [self._conv_features(
-            images[sl], None if priors is None else priors[sl], store)
-            for sl in slices]
-        for bias_name in ("image_encoder.fc.b", aux_bias, "merger.fc0.b",
-                          "merger.fc1.b", "gt_encoder.fc.b"):
+        feats = []
+        for start in range(0, len(images), batch_size):
+            sl = slice(start, min(start + batch_size, len(images)))
+            feats.append((*self._features(
+                images[sl], None if priors is None else priors[sl], store),
+                self._gt_features(volumes[sl], store)))
+        for dense in [layer for part in self.parts if part is not self.decoder
+                      for layer in part.layers if isinstance(layer, Dense)]:
+            w, b = (store.params[name] for name in dense.param_names)
             total = 0.0
             count = 0
-            for sl, feat in zip(slices, feats):
-                if bias_name == "gt_encoder.fc.b":
-                    value = self.encode_gt(volumes[sl], store)
-                else:
-                    e_image, e_aux, e_fused = self._heads(*feat, store)
-                    if bias_name == "image_encoder.fc.b":
-                        value = e_image
-                    elif bias_name == aux_bias:
-                        value = e_aux
-                    elif bias_name == "merger.fc0.b":
-                        # pre-activation of the merger's hidden layer
-                        value = self.merger.layers[0]._x \
-                            @ store.params["merger.fc0.w"] \
-                            + store.params["merger.fc0.b"]
-                    else:
-                        value = e_fused
+            for feat, aux_in, gt_feat in feats:
+                self._heads(feat, aux_in, store)
+                self.gt_head.forward(gt_feat, store)
+                value = dense._x @ w + b
                 total = total + value.sum(axis=0)
                 count += value.shape[0]
-            store.params[bias_name][...] -= (total / count).astype(
-                store.flat.dtype)
-
-    def check_store(self, store: ParamStore) -> None:
-        expected = set(self.param_names())
-        have = set(store.params)
-        if expected != have:
-            missing = sorted(expected - have)
-            extra = sorted(have - expected)
-            raise ValueError(
-                f"parameter set does not match the {self.config.variant!r} "
-                f"variant (missing {missing[:4]}, unexpected {extra[:4]})")
+            b[...] -= (total / count).astype(b.dtype)
 
     # -- forward / backward --------------------------------------------------
 
-    def _prep(self, arr: np.ndarray, dtype) -> np.ndarray:
-        return np.ascontiguousarray(arr, dtype=dtype)
-
-    def _centered(self, arr: np.ndarray) -> np.ndarray:
-        # Occupancy-style inputs live in [0, 1]; encoders consume them
-        # mapped to [-1, 1] so first-layer features are sign-balanced.
-        return arr * arr.dtype.type(2.0) - arr.dtype.type(1.0)
-
-    def _conv_features(self, images: np.ndarray, priors: np.ndarray | None,
-                       store: ParamStore):
-        """The conv stacks of `encode`: the image features, and for the
-        prior variant the prior features that enter the prior's Dense."""
-        dtype = store.flat.dtype
-        images = self._prep(images, dtype)
-        if images.ndim != 4 or images.shape[1] != 2 \
-                or images.shape[2] != self.config.image_size:
-            raise ValueError(f"bad image batch shape {images.shape}")
-        feat = self.image_conv.forward(self._centered(images), store)
-        if self.config.variant != "prior":
-            if priors is not None:
-                raise ValueError("the no-prior variant takes no prior batch")
-            return feat, None
-        if priors is None:
+    def _features(self, images: np.ndarray, priors: np.ndarray | None,
+                  store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+        """The conv stacks of `encode`: the image features, and what the aux
+        head reads (the prior features, or the image features again)."""
+        if priors is None and self.prior_conv is not None:
             raise ValueError("the prior variant requires a prior batch")
-        priors = self._prep(priors, dtype)
-        if priors.shape != (images.shape[0], 1) + (self.config.vox_dim,) * 3:
-            raise ValueError(f"bad prior batch shape {priors.shape}")
-        aux = self._centered(priors)
-        for layer in self.prior_encoder.layers[:-1]:
-            aux = layer.forward(aux, store)
-        return feat, aux
+        if priors is not None and self.prior_conv is None:
+            raise ValueError("the no-prior variant takes no prior batch")
+        side, dim = self.config.image_size, self.config.vox_dim
+        feat = self.image_conv.forward(
+            _input(images, (2, side, side), "image", store), store)
+        if priors is None:
+            return feat, feat
+        return feat, self.prior_conv.forward(
+            _input(priors, (1, dim, dim, dim), "prior", store), store)
 
-    def _heads(self, feat: np.ndarray, aux: np.ndarray | None,
-               store: ParamStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _heads(self, feat: np.ndarray, aux_in: np.ndarray, store: ParamStore
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         e_image = self.image_head.forward(feat, store)
-        e_aux = self.pool_proj.forward(feat, store) if aux is None \
-            else self.prior_encoder.layers[-1].forward(aux, store)
-        fused_in = np.concatenate([e_image, e_aux], axis=1)
-        e_fused = self.merger.forward(fused_in, store)
+        e_aux = self.aux_head.forward(aux_in, store)
+        e_fused = self.merger.forward(np.concatenate([e_image, e_aux], axis=1),
+                                      store)
         return e_image, e_aux, e_fused
 
     def encode(self, images: np.ndarray, priors: np.ndarray | None,
                store: ParamStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self._heads(*self._conv_features(images, priors, store), store)
+        return self._heads(*self._features(images, priors, store), store)
 
     def decode(self, e_fused: np.ndarray, store: ParamStore) -> np.ndarray:
-        out = self.decoder.forward(e_fused, store)
-        return out.reshape(out.shape[0], *out.shape[2:])
+        return self.decoder.forward(e_fused, store)
 
     def forward(self, images: np.ndarray, priors: np.ndarray | None,
                 store: ParamStore) -> ForwardTrace:
@@ -285,43 +251,36 @@ class Network:
         return ForwardTrace(e_image, e_aux, e_fused, prediction)
 
     def decode_backward(self, d_pred: np.ndarray, store: ParamStore) -> np.ndarray:
-        d_pred = d_pred.reshape(d_pred.shape[0], 1, *d_pred.shape[1:])
         return self.decoder.backward(d_pred, store)
 
     def encode_backward(self, d_fused: np.ndarray, store: ParamStore) -> None:
         width = self.config.latent_width
         d_cat = self.merger.backward(d_fused, store)
-        d_image = d_cat[:, :width]
-        d_aux = d_cat[:, width:]
-        if self.config.variant == "prior":
-            self.prior_encoder.backward(d_aux, store)
-            d_feat = self.image_head.backward(d_image, store)
+        d_aux_in = self.aux_head.backward(d_cat[:, width:], store)
+        d_feat = self.image_head.backward(d_cat[:, :width], store)
+        if self.prior_conv is None:
+            d_feat = d_aux_in + d_feat   # the aux head reads the image features
         else:
-            d_feat = self.pool_proj.backward(d_aux, store)
-            d_feat = d_feat + self.image_head.backward(d_image, store)
+            self.prior_conv.backward(d_aux_in, store)
         self.image_conv.backward(d_feat, store)
 
     # -- ground-truth volume encoder ------------------------------------------
 
+    def _gt_features(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
+        dim = self.config.vox_dim
+        return self.gt_conv.forward(
+            _input(volumes, (1, dim, dim, dim), "volume", store), store)
+
     def encode_gt(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
-        volumes = self._prep(volumes, store.flat.dtype)
-        if volumes.ndim == 4:
-            volumes = volumes[:, None]
-        if volumes.shape[1:] != (1,) + (self.config.vox_dim,) * 3:
-            raise ValueError(f"bad volume batch shape {volumes.shape}")
-        return self.gt_encoder.forward(self._centered(volumes), store)
+        return self.gt_head.forward(self._gt_features(volumes, store), store)
 
     def encode_gt_backward(self, d_latent: np.ndarray, store: ParamStore) -> None:
-        self.gt_encoder.backward(d_latent, store)
+        self.gt_conv.backward(self.gt_head.backward(d_latent, store), store)
 
     # -- pretraining autoencoder ----------------------------------------------
 
     def gt_autoencode(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
-        latent = self.encode_gt(volumes, store)
-        out = self.gt_decoder.forward(latent, store)
-        return out.reshape(out.shape[0], *out.shape[2:])
+        return self.gt_decoder.forward(self.encode_gt(volumes, store), store)
 
     def gt_autoencode_backward(self, d_pred: np.ndarray, store: ParamStore) -> None:
-        d_pred = d_pred.reshape(d_pred.shape[0], 1, *d_pred.shape[1:])
-        d_latent = self.gt_decoder.backward(d_pred, store)
-        self.gt_encoder.backward(d_latent, store)
+        self.encode_gt_backward(self.gt_decoder.backward(d_pred, store), store)

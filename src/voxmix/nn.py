@@ -32,7 +32,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 TRAIN_DTYPE = np.float32
-CHECK_DTYPE = np.float64
 
 # Sigmoid outputs are clipped into (0, 1) by this margin; the backward pass
 # reports zero gradient for clipped units so analytic and finite-difference
@@ -212,9 +211,11 @@ def conv_transpose_backward(dy: np.ndarray, cache, w: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class Layer:
-    """Base: layers cache what their backward pass needs on `self`."""
+    """Base: layers cache what their backward pass needs on `self`.
+    `param_shapes[k]` is the shape of parameter `param_names[k]`."""
 
     param_names: tuple[str, ...] = ()
+    param_shapes: tuple[tuple[int, ...], ...] = ()
 
     def init_params(self, rng: np.random.Generator,
                     dtype=TRAIN_DTYPE) -> list[tuple[str, np.ndarray]]:
@@ -243,10 +244,11 @@ class Dense(Layer):
         self.n_in = n_in
         self.n_out = n_out
         self.param_names = (f"{name}.w", f"{name}.b")
+        self.param_shapes = ((n_in, n_out), (n_out,))
 
     def init_params(self, rng, dtype=TRAIN_DTYPE):
         return list(zip(self.param_names, (
-            _he_init(rng, (self.n_in, self.n_out), self.n_in, dtype),
+            _he_init(rng, self.param_shapes[0], self.n_in, dtype),
             _bias_init(self.n_out, dtype))))
 
     def forward(self, x, store):
@@ -269,10 +271,11 @@ class _ConvBase(Layer):
         self.stride = stride
         self.pad = pad
         self.param_names = (f"{name}.w", f"{name}.b")
+        self.param_shapes = (self._w_shape(), (c_out,))
 
     def init_params(self, rng, dtype=TRAIN_DTYPE):
         return list(zip(self.param_names, (
-            _he_init(rng, self._w_shape(), self._fan_in(), dtype),
+            _he_init(rng, self.param_shapes[0], self._fan_in(), dtype),
             _bias_init(self.c_out, dtype))))
 
 
@@ -402,10 +405,10 @@ class GlobalAvgPool2d(Layer):
 class Sequential(Layer):
     def __init__(self, layers: Sequence[Layer]):
         self.layers = list(layers)
-        names: list[str] = []
-        for layer in self.layers:
-            names.extend(layer.param_names)
-        self.param_names = tuple(names)
+        self.param_names = tuple(name for layer in self.layers
+                                 for name in layer.param_names)
+        self.param_shapes = tuple(shape for layer in self.layers
+                                  for shape in layer.param_shapes)
 
     def init_params(self, rng, dtype=TRAIN_DTYPE):
         return [pair for layer in self.layers
@@ -509,12 +512,13 @@ class SGD(Optimizer):
         self._apply(self.store.flat_grads)
 
 
+OPTIMIZERS = {"adam": Adam, "sgd": SGD}
+
+
 def make_optimizer(store: ParamStore, config: OptimizerConfig) -> Optimizer:
-    if config.kind == "adam":
-        return Adam(store, config)
-    if config.kind == "sgd":
-        return SGD(store, config)
-    raise ValueError(f"unknown optimizer kind {config.kind!r}")
+    if config.kind not in OPTIMIZERS:
+        raise ValueError(f"unknown optimizer kind {config.kind!r}")
+    return OPTIMIZERS[config.kind](store, config)
 
 
 # ---------------------------------------------------------------------------

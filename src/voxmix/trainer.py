@@ -19,7 +19,7 @@ point, and `run_ablation` trains each shared prefix once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -63,16 +63,12 @@ def stream_rng(seed: int, stream) -> np.random.Generator:
 
 
 def network_config(config: ExperimentConfig) -> NetworkConfig:
+    """Every `model` field, and the `data` sizes; a run without priors
+    builds the no-prior variant."""
     variant = "no_prior" if config.prior.mode == "none" else config.model.variant
-    return NetworkConfig(
-        vox_dim=config.data.vox_dim,
-        image_size=config.data.image_size,
-        image_channels=config.model.image_channels,
-        prior_channels=config.model.prior_channels,
-        decoder_channels=config.model.decoder_channels,
-        latent_width=config.model.latent_width,
-        variant=variant,
-    )
+    return NetworkConfig(**{**asdict(config.model), "variant": variant},
+                         vox_dim=config.data.vox_dim,
+                         image_size=config.data.image_size)
 
 
 def effective_prior_mode(config: ExperimentConfig) -> str:
@@ -321,12 +317,10 @@ def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
 
 def load_stage_checkpoint(path, config: ExperimentConfig,
                           expect_hash: bool = True):
+    """(parameters, metadata); ValueError unless the parameters fit the
+    configured network and, with `expect_hash`, the config is the same."""
     store, metadata = runs.load_checkpoint(path)
-    net_cfg = network_config(config)
-    if metadata.get("variant") != net_cfg.variant:
-        raise ValueError(
-            f"checkpoint variant {metadata.get('variant')!r} does not match "
-            f"the configured {net_cfg.variant!r} network")
+    Network(network_config(config)).check_store(store)
     if expect_hash and metadata.get("config_hash") != config_hash(config):
         raise ValueError("checkpoint was written under a different config")
     return store, metadata

@@ -10,6 +10,8 @@ is well defined.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import losses, nn, trainer
@@ -22,11 +24,7 @@ TINY_NET = NetworkConfig(vox_dim=8, image_size=16,
                          decoder_channels=(4, 3, 2),
                          latent_width=6, variant="prior")
 
-TINY_NET_NO_PRIOR = NetworkConfig(vox_dim=8, image_size=16,
-                                  image_channels=(2, 3, 3, 4),
-                                  prior_channels=(2, 3, 3),
-                                  decoder_channels=(4, 3, 2),
-                                  latent_width=6, variant="no_prior")
+TINY_NET_NO_PRIOR = replace(TINY_NET, variant="no_prior")
 
 
 # Central differences use step 1e-5.  Layer and loss fragments sample
@@ -44,14 +42,8 @@ def _signed_uniform(rng, shape, lo=0.1, hi=1.0):
 
 
 def _net_relu_margin(net: Network) -> float:
-    parts = [net.image_conv, net.image_head, net.merger, net.decoder,
-             net.gt_encoder]
-    if net.prior_encoder is not None:
-        parts.append(net.prior_encoder)
-    if net.pool_proj is not None:
-        parts.append(net.pool_proj)
     margins = [layer.last_min_abs
-               for part in parts for layer in part.layers
+               for part in net.parts for layer in part.layers
                if isinstance(layer, nn.ReLU) and hasattr(layer, "last_min_abs")]
     return min(margins) if margins else np.inf
 

@@ -124,7 +124,11 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     ("loss.margin", "5"), ("train.stage_epochs", "1,1"),
     ("train.batch_size", "0"), ("train.pretrain_batch", "0"),
     ("eval.batch_size", "0"), ("mixup.alpha", "-1"),
-    ("eval.iou_threshold", "1.5")])
+    ("eval.iou_threshold", "1.5"), ("data.vox_dim", "12"),
+    ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
+    ("prior.threshold", "1.5"), ("prior.mode", "wrong"), ("model.variant", "x"),
+    ("model.latent_width", "0"), ("model.decoder_channels", ""),
+    ("train.optimizer", "foo"), ("train.pipeline", "foo")])
 def test_an_out_of_range_value_exits_2_before_any_work(tiny_run, capsys,
                                                        key, value):
     capsys.readouterr()
@@ -132,6 +136,20 @@ def test_an_out_of_range_value_exits_2_before_any_work(tiny_run, capsys,
                            "dual_mix") == cli.EXIT_CONFIG
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+def test_eval_refuses_a_checkpoint_of_other_parameter_shapes(tiny_run,
+                                                            capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    report = tiny_run.paths.reports_dir / "base_iou.csv"
+    written = report.read_bytes()
+    capsys.readouterr()
+    # The same parameter names as at latent_width 16, in other shapes.
+    assert tiny_run.voxmix("eval", "-o", "model.latent_width=8",
+                           "--pipeline", "base") == cli.EXIT_USAGE
+    assert "image_encoder.fc.w is (4, 16), not (4, 8)" \
+        in capsys.readouterr().err
+    assert report.read_bytes() == written
 
 
 def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,

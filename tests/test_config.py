@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from voxmix.config import (ConfigError, ExperimentConfig, apply_assignments,
                            config_hash, dump_config, parse_config_text)
+from voxmix.evaluate import PRIOR_MODES
+from voxmix.model import VARIANTS
+from voxmix.nn import OPTIMIZERS
 
 # What a config file can hold as a name: no comma (the list separator), no
 # newline, no "#" and no whitespace at either end.
@@ -15,6 +18,7 @@ NAMES = st.text(st.characters(blacklist_characters=",#\n"), min_size=1) \
 _OPEN_UNIT = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_CHANNELS = st.lists(st.integers(min_value=1), min_size=1, max_size=4).map(tuple)
 
 # The fields a section range-checks draw from inside their range.
 IN_RANGE = {
@@ -27,6 +31,17 @@ IN_RANGE = {
     "train.pretrain_batch": st.integers(min_value=1),
     "train.stage_epochs": st.tuples(*[st.integers(min_value=0)] * 3),
     "eval.iou_threshold": _OPEN_UNIT, "eval.batch_size": st.integers(min_value=1),
+    "data.objects_per_class": st.integers(min_value=1),
+    "data.poses_per_object": st.integers(min_value=1),
+    "data.shots": st.integers(min_value=1),
+    "data.elevations": st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                min_size=1, max_size=4).map(tuple),
+    "prior.threshold": st.floats(0.0, 1.0, exclude_max=True),
+    "prior.mode": st.sampled_from(PRIOR_MODES),
+    "model.latent_width": st.integers(min_value=1),
+    "model.image_channels": _CHANNELS, "model.prior_channels": _CHANNELS,
+    "model.decoder_channels": _CHANNELS, "model.variant": st.sampled_from(VARIANTS),
+    "train.optimizer": st.sampled_from(tuple(OPTIMIZERS)),
 }
 
 
@@ -70,7 +85,9 @@ def test_dump_and_hash_keep_their_bytes():
 
 @pytest.mark.parametrize("key,value", [
     ("loss.margin", "5"), ("loss.kind", "dice"), ("mixup.alpha", "0"),
-    ("train.stage_epochs", "1,1"), ("eval.iou_threshold", "1.0")])
+    ("train.stage_epochs", "1,1"), ("eval.iou_threshold", "1.0"),
+    ("prior.mode", "wrong"), ("model.variant", "x"), ("model.latent_width", "0"),
+    ("model.image_channels", "4,0"), ("train.optimizer", "foo")])
 def test_a_value_a_section_rejects_is_a_config_error_naming_its_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         apply_assignments(ExperimentConfig(), {"seed": "1", "loss.w_recon": "2",

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -6,15 +8,55 @@ import pytest
 from conftest import TINY_OVERRIDES
 
 from voxmix import losses, mixup, nn, trainer, verification
+from voxmix.config import ExperimentConfig
 from voxmix.model import Network
+
+VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
+
+# Model methods the benchmark traces that no longer exist, with the reason.
+GONE_MODEL_METHODS = {
+    "backward": "each loss returns its own gradient and stage_step runs the "
+                "part backwards, so Network.backward was deleted; "
+                "voxbench/layers.py still traces it and model.backward.ms "
+                "reads 0 on working code"}
+
+
+def _assignments(source: Path) -> dict[str, ast.expr]:
+    return {node.targets[0].id: node.value
+            for node in ast.parse(source.read_text()).body
+            if isinstance(node, ast.Assign)
+            and isinstance(node.targets[0], ast.Name)}
 
 
 def test_tiny_config_is_the_benchmark_smoke_profile():
-    source = Path(__file__).resolve().parent.parent / "voxbench" / "workloads.py"
-    smoke = next(node.value for node in ast.parse(source.read_text()).body
-                 if isinstance(node, ast.Assign)
-                 and getattr(node.targets[0], "id", None) == "SMOKE_OVERRIDES")
+    smoke = _assignments(VOXBENCH / "workloads.py")["SMOKE_OVERRIDES"]
     assert ast.literal_eval(smoke) == TINY_OVERRIDES
+
+
+def test_every_name_the_benchmark_traces_exists_in_src():
+    # The values are built from literals and builtins alone.
+    bench = {name: eval(compile(ast.Expression(value), "layers.py", "eval"), {})
+             for name, value in _assignments(VOXBENCH / "layers.py").items()
+             if name in ("MODEL_METHODS", "CONV_LAYERS", "SETUP_SPANS",
+                         "PASS_SPANS", "STEP_LOOPS")}
+    assert {m for m in bench["MODEL_METHODS"]
+            if not inspect.isfunction(vars(Network).get(m))} \
+        <= set(GONE_MODEL_METHODS)
+
+    net = Network(trainer.network_config(ExperimentConfig()))
+    layers = {getattr(layer, "name", None) for part in net.parts + [net.gt_decoder]
+              for layer in part.layers}
+    assert set(bench["CONV_LAYERS"]) <= layers
+
+    for target in (*bench["SETUP_SPANS"].values(), *bench["PASS_SPANS"].values(),
+                   *bench["STEP_LOOPS"]):
+        module, *path = target.split(".")
+        assert not any(part.startswith("_") for part in path), target
+        obj = importlib.import_module(f"voxmix.{module}")
+        for attr in path:
+            obj = getattr(obj, attr, None)
+        assert callable(obj), target
+        assert f"{obj.__module__}.{obj.__qualname__}" == f"voxmix.{target}"
 
 
 def test_shared_prefix_ablation_matches_a_single_pipeline(tiny_run):
