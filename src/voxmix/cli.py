@@ -6,9 +6,9 @@ under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
 or unreadable input artifact, 4 numeric failure.  Every bad config value
 exits 2 when the config is loaded, before any work, and the message names
 its key: an unknown key, a value its section rejects, a size the network's
-strides do not divide, or an unknown pipeline.  The one exception is the
-split's rules across `data` fields (class lists, shots per class), which
-`build-priors` checks when it makes the split: they exit 1.
+strides do not divide, an unknown pipeline, or a split that breaks the
+rules across `data` fields (class lists, shots per class).  A bad
+`--alphas` exits 2 as well.
 """
 
 from __future__ import annotations
@@ -20,8 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import corpus, evaluate, mixup, runs, trainer, verification, voxel
-from .config import ConfigError, ExperimentConfig, load_config
-from .model import Network
+from .config import ConfigError, ExperimentConfig, MixupSection, load_config
 from .nn import NumericError
 
 EXIT_OK = 0
@@ -76,7 +75,8 @@ def _build_parser() -> _Parser:
         pipeline=trained)
     add("proximity", "join class proximity with the evaluated IoU table",
         pipeline=trained)
-    p = add("alpha-sweep", "IoU of both mixing stages across mixing ratios")
+    p = add("alpha-sweep", "IoU of both mixing stages across mixing ratios; "
+            "the base stage trains once for all of them")
     p.add_argument("--alphas", default="0.2,0.4,1.0",
                    help="comma-separated Beta-distribution parameters")
     p = add("mix-preview", "dump mixed images and volumes for inspection")
@@ -90,8 +90,8 @@ def _build_parser() -> _Parser:
 
 def _load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
     config = load_config(args.config, args.override)
-    # Each section checked its own values; these rules need the network
-    # (strides that span `data` and `model`) or the pipelines.
+    # Each section checked its own values; these rules span sections or
+    # fields (network strides, pipelines, the split), so they run last.
     try:
         trainer.network_config(config)
     except ValueError as exc:
@@ -100,13 +100,25 @@ def _load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
         raise ConfigError(f"train.pipeline: unknown pipeline "
                           f"{config.train.pipeline!r}, not one of "
                           f"{tuple(trainer.PIPELINES)}")
+    data = config.data
+    known, base, novel = (set(c) for c in (data.classes, data.base_classes,
+                                           data.novel_classes))
+    for key, bad, why in (
+            ("data.base_classes", base - known, "not in data.classes"),
+            ("data.novel_classes", novel - known, "not in data.classes"),
+            ("data.novel_classes", novel & base, "also in data.base_classes")):
+        if bad:
+            raise ConfigError(f"{key}: {sorted(bad)} {why}")
+    if data.shots >= data.objects_per_class:
+        raise ConfigError(f"data.shots: {data.shots} shots leave no query "
+                          f"object of {data.objects_per_class} per class")
     paths = runs.RunPaths.for_config(config, args.run_root)
     return config, paths
 
 
 def _trained(args):
-    """(config, paths, pipeline, context, network, parameters) of the
-    trained pipeline that `args` names."""
+    """(config, paths, pipeline, context, parameters) of the trained
+    pipeline that `args` names."""
     config, paths = _load(args)
     pipeline = args.pipeline or config.train.pipeline
     stage = trainer.PIPELINES[pipeline][-1]
@@ -116,8 +128,7 @@ def _trained(args):
             f"no checkpoint at {ckpt}; run train first")
     store, _ = trainer.load_stage_checkpoint(ckpt, config, expect_hash=False)
     ctx = trainer.ExperimentContext.load(config, paths)
-    net = Network(trainer.network_config(config))
-    return config, paths, pipeline, ctx, net, store
+    return config, paths, pipeline, ctx, store
 
 
 def cmd_gen_data(args) -> int:
@@ -153,8 +164,7 @@ def cmd_build_priors(args) -> int:
 def cmd_pretrain_gt(args) -> int:
     config, paths = _load(args)
     ctx = trainer.ExperimentContext.load(config, paths)
-    net = Network(trainer.network_config(config))
-    _, history = trainer.pretrain_gt_encoder(net, ctx)
+    _, history = trainer.pretrain_gt_encoder(ctx)
     last = history[-1] if history else float("nan")
     print(f"pretrained volume encoder for {len(history)} epochs "
           f"(final loss {last:.4f}) -> "
@@ -172,14 +182,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, paths, pipeline, ctx, net, store = _trained(args)
-    table = ctx.eval_table(net, store)
+    config, paths, pipeline, ctx, store = _trained(args)
+    table = ctx.eval_table(store)
     trainer.write_iou_reports(paths, pipeline, table)
     if args.dump_predictions:
         dump_dir = paths.reports_dir / f"{pipeline}_predictions"
         dump_dir.mkdir(parents=True, exist_ok=True)
         grids = evaluate.predictions_as_grids(
-            net, store, ctx.query_samples, ctx.priors_by_class,
+            ctx.net, store, ctx.query_samples, ctx.priors_by_class,
             trainer.effective_prior_mode(config), config.data.classes,
             config.eval.iou_threshold, config.eval.batch_size)
         for object_id, pose_id, grid in grids:
@@ -191,9 +201,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze_latent(args) -> int:
-    config, paths, pipeline, ctx, net, store = _trained(args)
+    config, paths, pipeline, ctx, store = _trained(args)
     samples = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
-    report = evaluate.cosine_report(net, store, samples, ctx.priors_by_class,
+    report = evaluate.cosine_report(ctx.net, store, samples, ctx.priors_by_class,
                                     trainer.effective_prior_mode(config),
                                     config.data.classes, config.eval.batch_size)
     runs.write_csv(paths.reports_dir / f"{pipeline}_cosine.csv",
@@ -248,10 +258,17 @@ def _read_iou_csv(path: Path) -> dict[str, float]:
 def cmd_alpha_sweep(args) -> int:
     config, paths = _load(args)
     try:
-        alphas = tuple(float(a) for a in args.alphas.split(","))
-    except ValueError:
-        raise ConfigError(f"bad --alphas value {args.alphas!r}")
-    rows = trainer.alpha_sweep(config, paths, alphas)
+        alphas = tuple(MixupSection(float(a)).alpha
+                       for a in args.alphas.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"--alphas: {exc}") from None
+    if len(set(alphas)) < len(alphas):
+        raise ConfigError(f"--alphas: {args.alphas!r} names an alpha twice")
+    results = trainer.run_ablation(config, paths, ("input_mix", "latent_mix"),
+                                   alphas)
+    iou = {(r.pipeline, r.config.mixup.alpha): r.final_table.overall
+           for r in results.values()}
+    rows = [(a, iou["input_mix", a], iou["latent_mix", a]) for a in alphas]
     runs.write_csv(paths.reports_dir / "alpha_sweep.csv",
                    ("alpha", "input_mix_iou", "latent_mix_iou"), rows)
     for alpha, in_iou, lat_iou in rows:

@@ -81,8 +81,8 @@ class MixupSection:
     alpha: float = 0.2
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not 0.0 < self.alpha < float("inf"):   # Beta(inf, inf) draws NaN
+            raise ValueError(f"alpha must be in (0, inf), got {self.alpha}")
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ Every experiment lives under one run directory:
     dataset/               manifest, binvox volumes, PGM views
     split.json             the base/novel few-shot split
     priors/prior_<class>.binvox
-    checkpoints/           gt_encoder.ckpt and per-pipeline stage snapshots
-    logs/                  per-pipeline training CSVs
-    reports/               IoU / cosine / proximity / sweep CSVs
+    checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
+    logs/                  <arm>_train.csv
+    reports/               <arm>_iou.csv, <arm>_iou_samples.csv, and cosine,
+                           proximity and alpha_sweep CSVs
+where an arm is a pipeline or, in an alpha sweep, <pipeline>_alpha<alpha>.
 
 Every artifact file is written through `write_atomic`: checkpoints, CSVs,
 the split, the manifest, the resolved config, binvox volumes and priors,

@@ -12,14 +12,16 @@ selectable pipelines are
     input_mix   stages 1-2
     latent_mix  stages 1+3
     dual_mix    stages 1-2-3
-Each stage draws from its own seeded random stream, so pipelines sharing
-a prefix of stages produce bit-identical parameters up to the branch
-point, and `run_ablation` trains each shared prefix once.
+An experiment is a tree of (stage, alpha) nodes, and each arm, a pipeline
+at one alpha, is a path from the root.  Only the mixing stages read alpha,
+so the base stage node has alpha None and an alpha sweep shares it.  Each
+stage draws from its own seeded random stream, so arms sharing a prefix of
+nodes are bit-identical up to the branch point; each node trains once.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -100,17 +102,6 @@ class TrainingPool:
         return len(self.samples)
 
 
-def build_pool(manifest: DatasetManifest, object_ids, priors_by_class,
-               prior_mode: str, all_classes: tuple[str, ...]) -> TrainingPool:
-    records = manifest.records_for_objects(object_ids)
-    if not records:
-        raise ValueError("training pool is empty")
-    samples = load_samples(manifest, records)
-    priors = evaluate.prior_batch(samples.class_ids, priors_by_class,
-                                  prior_mode, all_classes)
-    return TrainingPool(samples, priors)
-
-
 def unique_volumes(samples: SampleArrays) -> np.ndarray:
     """One (1, D, D, D) volume per distinct object, in first-seen order."""
     seen: dict[str, int] = {}
@@ -149,12 +140,6 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
     return store, history
-
-
-def adopt_pretrained_encoder(store: ParamStore, pretrain_store: ParamStore) -> None:
-    for name, value in pretrain_store.params.items():
-        if name.startswith("gt_encoder.") and name in store.params:
-            store.params[name][...] = value
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +287,12 @@ def train_stage(net: Network, store: ParamStore, stage: int,
 # ---------------------------------------------------------------------------
 
 def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
-                          stage: int, epoch: int) -> None:
+                          stage: int) -> None:
     net_cfg = network_config(config)
     metadata = {
         "variant": net_cfg.variant,
         "stage": stage,
-        "epoch": epoch,
+        "epoch": config.train.stage_epochs[stage - 1],
         "config_hash": config_hash(config),
         "latent_width": net_cfg.latent_width,
         "vox_dim": net_cfg.vox_dim,
@@ -332,7 +317,10 @@ def load_stage_checkpoint(path, config: ExperimentConfig,
 
 @dataclass
 class PipelineResult:
+    """One arm's pipeline, config, IoU table and final checkpoint."""
+
     pipeline: str
+    config: ExperimentConfig
     final_table: evaluate.IouTable
     checkpoint_path: Path
 
@@ -347,7 +335,7 @@ def _write_train_log(path: Path, stats: list[StepStats]) -> None:
 
 @dataclass
 class ExperimentContext:
-    """Everything run_ablation needs that is derived from artifacts."""
+    """The configured network and everything derived from artifacts."""
 
     config: ExperimentConfig
     paths: runs.RunPaths
@@ -356,21 +344,30 @@ class ExperimentContext:
     priors_by_class: dict[str, np.ndarray]
     train_pool: TrainingPool
     query_samples: SampleArrays
+    net: Network
 
     @classmethod
     def load(cls, config: ExperimentConfig,
              paths: runs.RunPaths) -> "ExperimentContext":
+        # Built before the sample arrays: after them, it raised infer_b64's
+        # peak RSS by 7 MB (heap layout).
+        net = Network(network_config(config))
         manifest = runs.load_manifest(paths)
         split = runs.load_split(paths)
         priors = runs.load_priors(paths, config.data.classes)
-        pool = build_pool(manifest, split.all_train_objects(), priors,
-                          effective_prior_mode(config), config.data.classes)
+        records = manifest.records_for_objects(split.all_train_objects())
+        if not records:
+            raise ValueError("training pool is empty")
+        samples = load_samples(manifest, records)
+        pool = TrainingPool(samples, evaluate.prior_batch(
+            samples.class_ids, priors, effective_prior_mode(config),
+            config.data.classes))
         query_records = manifest.records_for_objects(split.all_query_objects())
         query = load_samples(manifest, query_records)
-        return cls(config, paths, manifest, split, priors, pool, query)
+        return cls(config, paths, manifest, split, priors, pool, query, net)
 
-    def eval_table(self, net: Network, store: ParamStore) -> evaluate.IouTable:
-        return evaluate.eval_iou(net, store, self.query_samples,
+    def eval_table(self, store: ParamStore) -> evaluate.IouTable:
+        return evaluate.eval_iou(self.net, store, self.query_samples,
                                  self.priors_by_class,
                                  effective_prior_mode(self.config),
                                  self.config.data.classes,
@@ -383,7 +380,7 @@ GT_ENCODER_CHECKPOINT = "gt_encoder.ckpt"
 
 def pretrain_hash(config: ExperimentConfig) -> str:
     """Hash of the config fields volume-encoder pretraining reads, and no
-    others: an alpha sweep must not pretrain again for every alpha."""
+    others: a run that changes only alpha must not pretrain again."""
     model, train = config.model, config.train
     return config_hash(ExperimentConfig(
         seed=config.seed, data=config.data,
@@ -394,14 +391,14 @@ def pretrain_hash(config: ExperimentConfig) -> str:
                            gt_lr=train.gt_lr, pretrain_batch=train.pretrain_batch)))
 
 
-def pretrain_gt_encoder(net: Network, ctx: ExperimentContext
+def pretrain_gt_encoder(ctx: ExperimentContext
                         ) -> tuple[ParamStore, list[float]]:
     """Pretrain the volume encoder on the training volumes and save it,
     replacing any earlier checkpoint; returns (parameters, per-epoch mean
     losses)."""
     config = ctx.config
     volumes = unique_volumes(ctx.train_pool.samples)
-    store, history = pretrain_gt(net, volumes, config.train.pretrain_epochs,
+    store, history = pretrain_gt(ctx.net, volumes, config.train.pretrain_epochs,
                                  lr=config.train.gt_lr,
                                  batch_size=config.train.pretrain_batch,
                                  seed=config.seed)
@@ -412,7 +409,7 @@ def pretrain_gt_encoder(net: Network, ctx: ExperimentContext
     return store, history
 
 
-def prepare_gt_encoder(net: Network, ctx: ExperimentContext) -> ParamStore:
+def prepare_gt_encoder(ctx: ExperimentContext) -> ParamStore:
     """Load the pretrained volume encoder, pretraining it on the training
     volumes first if no checkpoint exists yet, the one there cannot be
     read, or it was pretrained under other settings."""
@@ -424,17 +421,20 @@ def prepare_gt_encoder(net: Network, ctx: ExperimentContext) -> ParamStore:
             metadata = {}
         if metadata.get("pretrain_hash") == pretrain_hash(ctx.config):
             return store
-    store, _ = pretrain_gt_encoder(net, ctx)
+    store, _ = pretrain_gt_encoder(ctx)
     return store
 
 
-def init_main_store(net: Network, config: ExperimentConfig,
-                    pretrain_store: ParamStore,
-                    pool: TrainingPool | None = None) -> ParamStore:
-    store = net.init_params(stream_rng(config.seed, "init"))
-    adopt_pretrained_encoder(store, pretrain_store)
-    if pool is not None:
-        net.center_latent_biases(store, pool.samples.images, pool.priors,
+def init_main_store(ctx: ExperimentContext) -> ParamStore:
+    """Fresh parameters holding the pretrained volume encoder, with the
+    latent biases centred on the training pool."""
+    pretrained = prepare_gt_encoder(ctx)
+    store = ctx.net.init_params(stream_rng(ctx.config.seed, "init"))
+    for name, value in pretrained.params.items():
+        if name.startswith("gt_encoder.") and name in store.params:
+            store.params[name][...] = value
+    pool = ctx.train_pool
+    ctx.net.center_latent_biases(store, pool.samples.images, pool.priors,
                                  pool.samples.volumes)
     return store
 
@@ -450,80 +450,61 @@ def write_iou_reports(paths: runs.RunPaths, pipeline: str,
                    ("object_id", "pose_id", "class", "iou"), table.per_sample)
 
 
-def run_ablation(config: ExperimentConfig,
-                 run_dir: Path | str | None = None,
+def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
                  pipelines: tuple[str, ...] = tuple(PIPELINES),
-                 ) -> dict[str, PipelineResult]:
-    """Full experiment for the requested pipelines: pretrain the volume
-    encoder (or load it), train every stage prefix the pipelines need once,
-    evaluate each pipeline's final stage, and leave its CSV log, IoU
-    reports and final checkpoint in the run directory.  Because every
-    stage uses its own seeded stream, sharing a prefix is bit-identical to
-    running each pipeline from scratch."""
+                 alphas: tuple[float, ...] = ()) -> dict[str, PipelineResult]:
+    """Train every node of the experiment tree once, after pretraining the
+    volume encoder or loading it, and leave each arm's train log, IoU
+    reports and final checkpoint, under the arm's name, in the run
+    directory.  Without `alphas` the arms are `pipelines` under `config`;
+    with them there is one arm `<pipeline>_alpha<alpha>` per pipeline and
+    alpha, under `config` with that `mixup.alpha`.  Sharing a prefix of
+    nodes is bit-identical to training each arm from scratch, because
+    every stage draws from its own seeded stream."""
     unknown = [p for p in pipelines if p not in PIPELINES]
     if unknown:
         raise ValueError(f"unknown pipeline {unknown[0]!r}")
-    paths = runs.RunPaths.for_config(config, run_dir) \
-        if not isinstance(run_dir, runs.RunPaths) else run_dir
+    arms = {name: (name, config) for name in pipelines}
+    if alphas:
+        arms = {f"{name}_alpha{alpha:g}":
+                (name, replace(config, mixup=replace(config.mixup, alpha=alpha)))
+                for name in pipelines for alpha in alphas}
     paths.ensure_dirs()
     paths.write_resolved_config(config)
     ctx = ExperimentContext.load(config, paths)
-    net = Network(network_config(config))
-    pretrain_store = prepare_gt_encoder(net, ctx)
 
-    final = {PIPELINES[name]: name for name in pipelines}
-    # Sorted, every prefix comes before its extensions.
-    prefixes = sorted({stages[:k] for stages in final
-                       for k in range(1, len(stages) + 1)})
-    stores: dict[tuple[int, ...], ParamStore] = {}
-    stats: dict[tuple[int, ...], list[StepStats]] = {}
+    # An arm is the path of (stage, alpha) nodes its pipeline runs; a node
+    # trains under the config of any arm through it.
+    leaves: dict[tuple, list[str]] = {}
+    node_config: dict[tuple, ExperimentConfig] = {}
+    for name, (pipeline, arm_config) in arms.items():
+        path = tuple((stage, None if stage == STAGE_BASE
+                      else arm_config.mixup.alpha) for stage in PIPELINES[pipeline])
+        leaves.setdefault(path, []).append(name)
+        for k in range(1, len(path) + 1):
+            node_config.setdefault(path[:k], arm_config)
     results: dict[str, PipelineResult] = {}
-    for prefix in prefixes:
-        parent, stage = prefix[:-1], prefix[-1]
-        if not parent:
-            store = init_main_store(net, config, pretrain_store, ctx.train_pool)
-        elif any(p[:-1] == parent for p in prefixes if p > prefix):
-            # Copy only for a later branch: keeping every prefix's store
-            # alive adds about 6 MB of peak RSS at the default size.
-            store = stores[parent].copy()
-        else:
-            store = stores.pop(parent)
-        stats[prefix] = train_stage(net, store, stage,
-                                    parent[-1] if parent else 0,
-                                    ctx.train_pool, config,
-                                    stream_rng(config.seed, stage))
-        stores[prefix] = store
-        if prefix not in final:
-            continue
-        name = final[prefix]
-        table = ctx.eval_table(net, store)
-        ckpt = paths.checkpoints_dir / f"{name}_stage{stage}.ckpt"
-        save_stage_checkpoint(ckpt, store, config, stage,
-                              config.train.stage_epochs[stage - 1])
-        write_iou_reports(paths, name, table)
-        _write_train_log(paths.logs_dir / f"{name}_train.csv",
-                         [s for k in range(1, len(prefix) + 1)
-                          for s in stats[prefix[:k]]])
-        results[name] = PipelineResult(name, table, ckpt)
-    return {name: results[name] for name in pipelines}
-
-
-def alpha_sweep(config: ExperimentConfig, run_dir: Path | str | None = None,
-                alphas: tuple[float, ...] = (0.2, 0.4, 1.0)
-                ) -> list[tuple[float, float, float]]:
-    """Novel-class average IoU of the two mixing stages for each mixing
-    ratio distribution; rows of (alpha, input-mix IoU, latent-mix IoU).
-    Each alpha runs `run_ablation` afresh, so the base stage trains again
-    for every alpha; only the pretrained volume encoder is reused."""
-    from dataclasses import replace
-    if any(a <= 0 for a in alphas):
-        raise ValueError("alphas must be positive")
-    rows = []
-    for alpha in alphas:
-        swept = replace(config, mixup=replace(config.mixup, alpha=alpha))
-        results = run_ablation(swept, run_dir,
-                               pipelines=("input_mix", "latent_mix"))
-        rows.append((alpha,
-                     results["input_mix"].final_table.overall,
-                     results["latent_mix"].final_table.overall))
-    return rows
+    # Depth first.  A node's first child trains the node's store in place,
+    # so it is stacked first: its siblings copy the store before it changes.
+    stack = [(prefix, init_main_store(ctx), [], True)
+             for prefix in node_config if len(prefix) == 1]
+    while stack:
+        prefix, store, log, in_place = stack.pop()
+        store = store if in_place else store.copy()
+        stage = prefix[-1][0]
+        log = log + train_stage(ctx.net, store, stage,
+                                prefix[-2][0] if len(prefix) > 1 else 0,
+                                ctx.train_pool, node_config[prefix],
+                                stream_rng(config.seed, stage))
+        names = leaves.get(prefix, [])
+        table = ctx.eval_table(store) if names else None
+        for name in names:
+            pipeline, arm_config = arms[name]
+            ckpt = paths.checkpoints_dir / f"{name}_stage{stage}.ckpt"
+            save_stage_checkpoint(ckpt, store, arm_config, stage)
+            write_iou_reports(paths, name, table)
+            _write_train_log(paths.logs_dir / f"{name}_train.csv", log)
+            results[name] = PipelineResult(pipeline, arm_config, table, ckpt)
+        stack.extend((child, store, log, k == 0) for k, child in
+                     enumerate(c for c in node_config if c[:-1] == prefix))
+    return {name: results[name] for name in arms}

@@ -3,7 +3,7 @@ import csv
 import numpy as np
 import pytest
 
-from voxmix import cli, mixup, runs, trainer
+from voxmix import cli, mixup, runs, trainer, voxel
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -128,14 +128,84 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
     ("prior.threshold", "1.5"), ("prior.mode", "wrong"), ("model.variant", "x"),
     ("model.latent_width", "0"), ("model.decoder_channels", ""),
-    ("train.optimizer", "foo"), ("train.pipeline", "foo")])
+    ("train.optimizer", "foo"), ("train.pipeline", "foo"),
+    # The split's rules across `data` fields; the tiny config has 3 objects
+    # per class.
+    ("data.base_classes", "box,foo"), ("data.novel_classes", "foo"),
+    ("data.novel_classes", "lamp,box"), ("data.shots", "3"),
+    # An option, not a config key: `alpha-sweep --alphas=<value>`.
+    ("--alphas", "x"), ("--alphas", "-1"), ("--alphas", "0"),
+    ("--alphas", "inf"), ("--alphas", "0.2,0.2"), ("--alphas", "1,1.0")])
 def test_an_out_of_range_value_exits_2_before_any_work(tiny_run, capsys,
                                                        key, value):
     capsys.readouterr()
-    assert tiny_run.voxmix("train", "-o", f"{key}={value}", "--pipeline",
-                           "dual_mix") == cli.EXIT_CONFIG
+    argv = ("alpha-sweep", f"{key}={value}") if key.startswith("--") \
+        else ("train", "-o", f"{key}={value}", "--pipeline", "dual_mix")
+    assert tiny_run.voxmix(*argv) == cli.EXIT_CONFIG
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+def test_the_split_rules_hold_once_every_override_is_applied(tiny_run):
+    # Each of these overrides alone breaks a rule; together they make a
+    # valid split.
+    overrides = [item for pair in (
+        ("data.shots", "3"), ("data.classes", "box,lamp"),
+        ("data.base_classes", "box"), ("data.novel_classes", "lamp"),
+        ("data.objects_per_class", "4")) for item in ("-o", "=".join(pair))]
+    assert tiny_run.voxmix("gen-data", *overrides) == cli.EXIT_OK
+    assert tiny_run.voxmix("build-priors", *overrides) == cli.EXIT_OK
+    split = runs.load_split(tiny_run.paths)
+    assert (len(split.train_objects["lamp"]), len(split.query_objects["lamp"])) \
+        == (3, 1)
+
+
+def test_alpha_sweep_leaves_the_configured_pipelines_files_alone(tiny_run):
+    assert tiny_run.voxmix("train", "--all") == cli.EXIT_OK
+    assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_OK
+    before = {path: path.read_bytes() for path in tiny_run.root.rglob("*")
+              if path.is_file()}
+    assert tiny_run.voxmix("alpha-sweep", "--alphas", "0.4,1.0") == cli.EXIT_OK
+    assert {path: path.read_bytes() for path in before} == before
+
+    paths = tiny_run.paths
+    with open(paths.reports_dir / "alpha_sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["alpha"] for row in rows] == ["0.4", "1.0"]
+    for row, alpha in zip(rows, ("0.4", "1")):
+        for pipeline, stage in (("input_mix", 2), ("latent_mix", 3)):
+            arm = f"{pipeline}_alpha{alpha}"
+            assert (paths.checkpoints_dir / f"{arm}_stage{stage}.ckpt").exists()
+            assert (paths.logs_dir / f"{arm}_train.csv").exists()
+            assert (paths.reports_dir / f"{arm}_iou_samples.csv").exists()
+            average = _read_average(paths.reports_dir / f"{arm}_iou.csv")
+            assert row[f"{pipeline}_iou"] == average
+
+
+def _read_average(path):
+    with open(path, newline="") as fh:
+        return next(row["mean_iou"] for row in csv.DictReader(fh)
+                    if row["class"] == "__average__")
+
+
+def test_dumped_predictions_reproduce_the_per_sample_ious(tiny_run):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    assert tiny_run.voxmix("eval", "--pipeline", "base",
+                           "--dump-predictions") == cli.EXIT_OK
+    query = trainer.ExperimentContext.load(tiny_run.config,
+                                           tiny_run.paths).query_samples
+    truth = {(obj, pose): volume[0] > 0.5 for obj, pose, volume
+             in zip(query.object_ids, query.pose_ids, query.volumes)}
+    reports = tiny_run.paths.reports_dir
+    with open(reports / "base_iou_samples.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    dumped = sorted((reports / "base_predictions").glob("*.binvox"))
+    assert len(rows) == len(truth) == len(dumped)
+    for row in rows:
+        grid = voxel.load_binvox(reports / "base_predictions"
+                                 / f"{row['object_id']}_p{row['pose_id']}.binvox")
+        pred, gt = grid.values == 1.0, truth[row["object_id"], int(row["pose_id"])]
+        assert float(row["iou"]) == (pred & gt).sum() / (pred | gt).sum()
 
 
 def test_eval_refuses_a_checkpoint_of_other_parameter_shapes(tiny_run,

@@ -1,14 +1,15 @@
 import ast
 import importlib
 import inspect
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import TINY_OVERRIDES
 
-from voxmix import losses, mixup, nn, trainer, verification
-from voxmix.config import ExperimentConfig
+from voxmix import losses, mixup, nn, runs, trainer, verification
+from voxmix.config import ExperimentConfig, MixupSection, config_hash, dump_config
 from voxmix.model import Network
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
@@ -77,6 +78,37 @@ def test_shared_prefix_ablation_matches_a_single_pipeline(tiny_run):
         == ["dual_mix_stage3.ckpt", "gt_encoder.ckpt"]
 
 
+def test_an_alpha_sweep_trains_the_base_stage_once(tiny_run, monkeypatch):
+    config = tiny_run.config
+    plain = trainer.run_ablation(config, tiny_run.paths, ("input_mix",))
+    plain_ckpt = plain["input_mix"].checkpoint_path.read_bytes()
+    stages = []
+    train_stage = trainer.train_stage
+
+    def counted(net, store, stage, *rest):
+        stages.append(stage)
+        return train_stage(net, store, stage, *rest)
+
+    monkeypatch.setattr(trainer, "train_stage", counted)
+    alphas = (0.2, 0.4, 1.0)
+    swept = trainer.run_ablation(config, tiny_run.paths,
+                                 ("input_mix", "latent_mix"), alphas)
+
+    assert sorted(stages) == [1, 2, 2, 2, 3, 3, 3]
+    assert list(swept) == [f"{pipeline}_alpha{alpha:g}" for pipeline
+                           in ("input_mix", "latent_mix") for alpha in alphas]
+    # The configured alpha is 0.2: that arm is the configured pipeline.
+    assert swept["input_mix_alpha0.2"].checkpoint_path.read_bytes() == plain_ckpt
+    for pipeline in ("input_mix", "latent_mix"):
+        for alpha in alphas:
+            result = swept[f"{pipeline}_alpha{alpha:g}"]
+            assert result.pipeline == pipeline
+            assert result.config == replace(config, mixup=MixupSection(alpha))
+            _, metadata = runs.load_checkpoint(result.checkpoint_path)
+            assert metadata["config_hash"] == config_hash(result.config)
+    assert tiny_run.paths.resolved_config_path.read_text() == dump_config(config)
+
+
 def test_run_ablation_rejects_an_unknown_pipeline(tiny_run):
     with pytest.raises(ValueError, match="triple_mix"):
         trainer.run_ablation(tiny_run.config, tiny_run.paths, ("triple_mix",))
@@ -87,10 +119,9 @@ def test_run_ablation_rejects_an_unknown_pipeline(tiny_run):
 def test_train_stage_rejects_a_bad_predecessor(tiny_prepared, stage, previous):
     config = tiny_prepared.config
     ctx = trainer.ExperimentContext.load(config, tiny_prepared.paths)
-    net = Network(trainer.network_config(config))
-    store = net.init_params(trainer.stream_rng(0, "init"))
+    store = ctx.net.init_params(trainer.stream_rng(0, "init"))
     with pytest.raises(trainer.StageOrderError):
-        trainer.train_stage(net, store, stage, previous, ctx.train_pool, config,
+        trainer.train_stage(ctx.net, store, stage, previous, ctx.train_pool, config,
                             trainer.stream_rng(0, 1))
 
 
