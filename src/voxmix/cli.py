@@ -126,7 +126,7 @@ def _trained(args):
     if not ckpt.exists():
         raise runs.MissingArtifactError(
             f"no checkpoint at {ckpt}; run train first")
-    store, _ = trainer.load_stage_checkpoint(ckpt, config, expect_hash=False)
+    store, _ = trainer.load_stage_checkpoint(ckpt, config)
     ctx = trainer.ExperimentContext.load(config, paths)
     return config, paths, pipeline, ctx, store
 
@@ -282,17 +282,17 @@ def cmd_mix_preview(args) -> int:
     pool = ctx.train_pool
     rng = trainer.stream_rng(config.seed, trainer.STAGE_INPUT_MIX)
     count = min(args.pairs, len(pool))
-    pairs = mixup.pair_batch(count, config.mixup.alpha, rng)
+    plan = partners, ratios = mixup.pair_batch(count, config.mixup.alpha, rng)
     out_dir = paths.reports_dir / "mix_preview"
     out_dir.mkdir(parents=True, exist_ok=True)
     from .render import write_pgm
     volumes = pool.samples.volumes[:count]
     priors = np.zeros_like(volumes) if pool.priors is None \
         else pool.priors[:count]
-    images = mixup.apply_pairs(pool.samples.images[:count], pairs)
-    priors = mixup.apply_pairs(priors, pairs)
-    volumes = mixup.apply_pairs(volumes, pairs)
-    for k in range(len(pairs)):
+    images = mixup.apply_pairs(pool.samples.images[:count], plan)
+    priors = mixup.apply_pairs(priors, plan)
+    volumes = mixup.apply_pairs(volumes, plan)
+    for k in range(count):
         write_pgm(images[k, 0], out_dir / f"pair{k}_sil.pgm")
         write_pgm(images[k, 1], out_dir / f"pair{k}_dep.pgm")
         mixup.write_vgrid(priors[k, 0], out_dir / f"pair{k}_prior.vgrid")
@@ -300,8 +300,8 @@ def cmd_mix_preview(args) -> int:
     ids = pool.samples.object_ids
     runs.write_csv(out_dir / "pairs.csv",
                    ("pair", "i", "j", "lam", "object_i", "object_j"),
-                   [(k, p.i, p.j, p.lam, ids[p.i], ids[p.j])
-                    for k, p in enumerate(pairs)])
+                   [(k, k, j, lam, ids[k], ids[j]) for k, (j, lam)
+                    in enumerate(zip(partners.tolist(), ratios.tolist()))])
     print(f"wrote {count} mixed pairs under {out_dir}")
     return EXIT_OK
 

@@ -158,12 +158,6 @@ def _coerce(raw: str, annotation: Any, key: str):
             return float(raw)
         except ValueError:
             raise ConfigError(f"{key}: expected a number, got {raw!r}")
-    if annotation is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if annotation is str:
         return raw
     raise ConfigError(f"{key}: unsupported config field type {annotation}")
@@ -248,8 +242,6 @@ def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
 def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)

@@ -1,38 +1,16 @@
 """Beta-distributed convex interpolation of sample pairs.
 
-Input-space mixing interpolates (image, prior, target volume) triples;
-latent-space mixing interpolates (fused latent, volume latent, target
-volume) triples.  One ratio per pair is shared across all components of
-that pair, which is what keeps the virtual example self-consistent.
+A mixing plan is two arrays, `(partners, ratios)`: row k of a mixed batch
+is `(1 - ratios[k]) * x[k] + ratios[k] * x[partners[k]]`.  Input-space
+mixing applies one plan to the (image, prior, target volume) stacks;
+latent-space mixing applies one to the (fused latent, volume latent, target
+volume) stacks.  Every component of a row shares its ratio, which is what
+keeps the virtual example self-consistent.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class MixPair:
-    """Indices of the two source samples and their shared mixing ratio."""
-
-    i: int
-    j: int
-    lam: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValueError(f"lam must be in [0, 1], got {self.lam}")
-        if self.i < 0 or self.j < 0:
-            raise ValueError("pair indices must be non-negative")
-
-
-def sample_lambda(alpha: float, rng: np.random.Generator) -> float:
-    """One draw from Beta(alpha, alpha)."""
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    return float(rng.beta(alpha, alpha))
 
 
 def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -40,60 +18,48 @@ def random_derangement(n: int, rng: np.random.Generator) -> np.ndarray:
 
     Rejection sampling keeps the partner distribution uniform over the
     other n-1 indices (a positional repair would bias partners toward
-    neighbouring slots).  Acceptance probability tends to 1/e, so the
-    fallback repair is effectively unreachable.
+    neighbouring slots).  Each draw is accepted with probability near 1/e.
     """
     if n < 2:
         raise ValueError("derangements need at least two elements")
-    for _ in range(100):
+    while True:
         perm = rng.permutation(n)
         if not np.any(perm == np.arange(n)):
             return perm
-    for i in range(n):
-        if perm[i] == i:
-            j = (i + 1) % n
-            perm[i], perm[j] = perm[j], perm[i]
-    return perm
 
 
 def pair_batch(batch_size: int, alpha: float,
-               rng: np.random.Generator) -> list[MixPair]:
-    """Pair every batch index with a distinct random partner and draw one
-    Beta(alpha, alpha) ratio per pair.
+               rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The mixing plan of a batch: a distinct random partner for every row,
+    then one Beta(alpha, alpha) ratio per row.
 
-    A batch of one degenerates to a single identity pair with lam=0, so
-    mixing becomes a no-op instead of an error.
+    A batch of one is its own partner at ratio 0, so mixing is a no-op
+    instead of an error, and draws nothing from `rng`.
     """
     if batch_size < 1:
         raise ValueError("batch must contain at least one sample")
     if batch_size == 1:
-        return [MixPair(0, 0, 0.0)]
-    perm = random_derangement(batch_size, rng)
-    return [MixPair(i, int(perm[i]), sample_lambda(alpha, rng))
-            for i in range(batch_size)]
+        return np.zeros(1, dtype=np.int64), np.zeros(1)
+    return (random_derangement(batch_size, rng),
+            rng.beta(alpha, alpha, batch_size))
 
 
-def apply_pairs(stack: np.ndarray, pairs: list[MixPair]) -> np.ndarray:
-    """Build the mixed batch stack[k] = mix(stack[p.i], stack[p.j], p.lam)."""
-    if len(stack) == 0:
-        raise ValueError("empty batch")
-    lams = np.asarray([p.lam for p in pairs], dtype=stack.dtype)
-    left = stack[[p.i for p in pairs]]
-    right = stack[[p.j for p in pairs]]
-    shape = (len(pairs),) + (1,) * (stack.ndim - 1)
-    lams = lams.reshape(shape)
-    return (1 - lams) * left + lams * right
+def apply_pairs(stack: np.ndarray, plan) -> np.ndarray:
+    """The mixed batch of `stack` under the plan `(partners, ratios)`."""
+    partners, ratios = plan
+    lams = ratios.astype(stack.dtype).reshape((-1,) + (1,) * (stack.ndim - 1))
+    return (1 - lams) * stack + lams * stack[partners]
 
 
-def apply_pairs_backward(d_mixed: np.ndarray, pairs: list[MixPair],
-                         n: int) -> np.ndarray:
-    """Adjoint of `apply_pairs` on a batch of `n`: each mixed row's
-    gradient spreads back over its two sources, weighted by the ratio."""
-    lams = np.asarray([p.lam for p in pairs], dtype=d_mixed.dtype)
-    lams = lams.reshape((len(pairs),) + (1,) * (d_mixed.ndim - 1))
-    d_stack = np.zeros((n,) + d_mixed.shape[1:], dtype=d_mixed.dtype)
-    np.add.at(d_stack, [p.i for p in pairs], (1 - lams) * d_mixed)
-    np.add.at(d_stack, [p.j for p in pairs], lams * d_mixed)
+def apply_pairs_backward(d_mixed: np.ndarray, plan) -> np.ndarray:
+    """Adjoint of `apply_pairs`: each mixed row's gradient spreads back over
+    its two sources, weighted by the ratio."""
+    partners, ratios = plan
+    lams = ratios.astype(d_mixed.dtype).reshape(
+        (-1,) + (1,) * (d_mixed.ndim - 1))
+    d_stack = np.zeros_like(d_mixed)
+    d_stack += (1 - lams) * d_mixed
+    np.add.at(d_stack, partners, lams * d_mixed)
     return d_stack
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
@@ -530,7 +530,6 @@ class GradCheckReport:
     tolerance: float
     max_rel_error: float
     worst_name: str
-    per_name: dict[str, float] = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -558,7 +557,6 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
     _, grads = fn(arrays)
     max_rel = 0.0
     worst = ""
-    per_name: dict[str, float] = {}
     for name in arrays:
         arr = arrays[name]
         analytic = grads[name]
@@ -579,8 +577,7 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
             a = float(analytic.reshape(-1)[k])
             rel = abs(a - numeric) / max(1e-6, abs(a) + abs(numeric))
             worst_here = max(worst_here, rel)
-        per_name[name] = worst_here
         if worst_here >= max_rel:
             max_rel = worst_here
             worst = name
-    return GradCheckReport(tolerance, max_rel, worst, per_name)
+    return GradCheckReport(tolerance, max_rel, worst)

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, losses, mixup, runs
-from .config import ExperimentConfig, ModelSection, TrainSection, config_hash
+from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
+                     TrainSection, config_hash)
 from .corpus import DatasetManifest, FewShotSplit, SampleArrays, load_samples
 from .model import Network, NetworkConfig
 from .nn import NumericError, OptimizerConfig, ParamStore, make_optimizer
@@ -148,25 +149,18 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
 
 def _negative_indices(object_ids, n: int, rng: np.random.Generator):
     """Partner index per sample for the triplet negative, plus a mask that
-    zeroes the triplet where the batch holds no different object.  A None
-    `object_ids` means every sample counts as its own object."""
+    zeroes the triplet where the batch holds no different object.  The
+    partner is the first sample of a different object met walking
+    cyclically from a random derangement's pick.  A None `object_ids`
+    means every sample counts as its own object."""
     if n < 2:
         return np.zeros(n, dtype=np.int64), np.zeros(n)
-    neg = mixup.random_derangement(n, rng)
-    mask = np.ones(n)
-    if object_ids is None:
-        return neg, mask
-    for i in range(n):
-        if object_ids[neg[i]] != object_ids[i]:
-            continue
-        for off in range(1, n):
-            j = (neg[i] + off) % n
-            if object_ids[j] != object_ids[i]:
-                neg[i] = j
-                break
-        else:
-            mask[i] = 0.0
-    return neg, mask
+    objects = np.arange(n) if object_ids is None \
+        else np.unique(object_ids, return_inverse=True)[1]
+    walk = (mixup.random_derangement(n, rng)[:, None] + np.arange(n)) % n
+    other = objects[walk] != objects[:, None]
+    return (walk[np.arange(n), other.argmax(axis=1)],
+            other.any(axis=1).astype(float))
 
 
 @dataclass
@@ -199,8 +193,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     contrast) and `mixup.apply_pairs_backward` unmixes the latent gradients.
     Replaces `store.grads` with the gradient of the batch loss and returns
     its breakdown; the caller applies the update.  Draws from `rng` in a
-    fixed order: the input-mixing pairs (stage 2), then the latent-mixing
-    pairs (stage 3) or the triplet negatives (stages 1-2).
+    fixed order: the input-mixing plan (stage 2: partners, then ratios),
+    then the latent-mixing plan (stage 3: partners, then ratios) or the
+    triplet negatives (stages 1-2: one derangement).
     """
     if stage not in _ALLOWED_PREVIOUS:
         raise ValueError(f"unknown stage {stage}")
@@ -210,25 +205,25 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     n = len(images)
 
     if stage == STAGE_INPUT_MIX:
-        pairs = mixup.pair_batch(n, alpha, rng)
-        images = mixup.apply_pairs(images, pairs)
-        volumes = mixup.apply_pairs(volumes, pairs)
+        plan = mixup.pair_batch(n, alpha, rng)
+        images = mixup.apply_pairs(images, plan)
+        volumes = mixup.apply_pairs(volumes, plan)
         if priors is not None:
-            priors = mixup.apply_pairs(priors, pairs)
+            priors = mixup.apply_pairs(priors, plan)
         object_ids = None  # every mixed sample is its own object
 
     _, _, e_fused = net.encode(images, priors, store)
     vol_latent = net.encode_gt(volumes, store)
-    latent_pairs = None
+    latent_plan = None
     if stage == STAGE_LATENT_MIX:
-        latent_pairs = mixup.pair_batch(n, alpha, rng)
-        e_fused, vol_latent, volumes = (mixup.apply_pairs(x, latent_pairs)
+        latent_plan = mixup.pair_batch(n, alpha, rng)
+        e_fused, vol_latent, volumes = (mixup.apply_pairs(x, latent_plan)
                                         for x in (e_fused, vol_latent, volumes))
     pred = net.decode(e_fused, store)
 
     recon, d_pred = losses.reconstruction_loss(pred, volumes[:, 0], lcfg)
     w_align = lcfg.w_align
-    if latent_pairs is not None:
+    if latent_plan is not None:
         align, (d_fused, d_vol_latent) = losses.align_loss_no_triplet(
             e_fused, vol_latent)
         sim_pos, sim_neg = 1.0 - align, 0.0
@@ -242,9 +237,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
 
     d_fused = w_align * d_fused + net.decode_backward(lcfg.w_recon * d_pred,
                                                       store)
-    if latent_pairs is not None:
-        d_fused = mixup.apply_pairs_backward(d_fused, latent_pairs, n)
-        d_vol_latent = mixup.apply_pairs_backward(d_vol_latent, latent_pairs, n)
+    if latent_plan is not None:
+        d_fused = mixup.apply_pairs_backward(d_fused, latent_plan)
+        d_vol_latent = mixup.apply_pairs_backward(d_vol_latent, latent_plan)
     net.encode_backward(d_fused, store)
     net.encode_gt_backward(d_vol_latent, store)
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
@@ -286,6 +281,16 @@ def train_stage(net: Network, store: ParamStore, stage: int,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+def trained_hash(config: ExperimentConfig) -> str:
+    """Hash of the config with the fields evaluation may change (`eval`,
+    `prior.mode`, `train.pipeline`) at their defaults: a stage checkpoint
+    serves every config of the same hash."""
+    return config_hash(replace(
+        config, eval=EvalSection(),
+        prior=replace(config.prior, mode=PriorConfig.mode),
+        train=replace(config.train, pipeline=TrainSection.pipeline)))
+
+
 def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
                           stage: int) -> None:
     net_cfg = network_config(config)
@@ -293,21 +298,21 @@ def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
         "variant": net_cfg.variant,
         "stage": stage,
         "epoch": config.train.stage_epochs[stage - 1],
-        "config_hash": config_hash(config),
+        "config_hash": trained_hash(config),
         "latent_width": net_cfg.latent_width,
         "vox_dim": net_cfg.vox_dim,
     }
     runs.save_checkpoint(path, store, metadata)
 
 
-def load_stage_checkpoint(path, config: ExperimentConfig,
-                          expect_hash: bool = True):
+def load_stage_checkpoint(path, config: ExperimentConfig):
     """(parameters, metadata); ValueError unless the parameters fit the
-    configured network and, with `expect_hash`, the config is the same."""
+    configured network and were trained under the same `trained_hash`."""
     store, metadata = runs.load_checkpoint(path)
     Network(network_config(config)).check_store(store)
-    if expect_hash and metadata.get("config_hash") != config_hash(config):
-        raise ValueError("checkpoint was written under a different config")
+    if metadata.get("config_hash") != trained_hash(config):
+        raise ValueError(f"{path} was trained under another config; "
+                         "train again under this one")
     return store, metadata
 
 

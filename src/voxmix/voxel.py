@@ -55,15 +55,6 @@ class VoxelGrid:
             return self.values == 1.0
         return self.values > threshold
 
-    def occupancy(self) -> float:
-        """Fraction of occupied voxels (binary grids only)."""
-        if not self.binary:
-            raise ValueError("occupancy() is defined for binary grids")
-        return float(self.values.mean())
-
-    def binarize(self, threshold: float = DEFAULT_IOU_THRESHOLD) -> "VoxelGrid":
-        return VoxelGrid(self.dim, self.occupied(threshold), binary=True)
-
 
 @dataclass(frozen=True)
 class ProximityReport:

@@ -222,6 +222,26 @@ def test_eval_refuses_a_checkpoint_of_other_parameter_shapes(tiny_run,
     assert report.read_bytes() == written
 
 
+def test_eval_refuses_a_checkpoint_trained_under_another_config(tiny_run,
+                                                               capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "input_mix") == cli.EXIT_OK
+    report = tiny_run.paths.reports_dir / "input_mix_iou.csv"
+    written = report.read_bytes()
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
+                           "-o", "mixup.alpha=0.4",
+                           "-o", "train.stage_epochs=1,1,1") == cli.EXIT_USAGE
+    ckpt = tiny_run.paths.checkpoints_dir / "input_mix_stage2.ckpt"
+    assert f"{ckpt} was trained under another config" in capsys.readouterr().err
+    assert report.read_bytes() == written
+    # Evaluation may change the prior mode, its own settings and which
+    # pipeline it reads.
+    for args in (("--pipeline", "input_mix", "-o", "prior.mode=corrupted"),
+                 ("--pipeline", "input_mix", "-o", "eval.iou_threshold=0.5"),
+                 ("-o", "train.pipeline=input_mix")):
+        assert tiny_run.voxmix("eval", *args) == cli.EXIT_OK
+
+
 def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,
                                                                 capsys):
     ckpt = tiny_run.paths.checkpoints_dir / "dual_mix_stage3.ckpt"

@@ -50,7 +50,6 @@ def _values(annotation):
         return st.lists(_values(get_args(annotation)[0]), max_size=4).map(tuple)
     return {int: st.integers(),
             float: st.floats(allow_nan=False, allow_infinity=False),
-            bool: st.booleans(),
             str: NAMES}[annotation]
 
 

@@ -144,19 +144,19 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
     object_ids = batch.object_ids
     n = len(images)
     if stage == trainer.STAGE_INPUT_MIX:
-        pairs = mixup.pair_batch(n, alpha, rng)
-        images = mixup.apply_pairs(images, pairs)
-        volumes = mixup.apply_pairs(volumes, pairs)
+        plan = mixup.pair_batch(n, alpha, rng)
+        images = mixup.apply_pairs(images, plan)
+        volumes = mixup.apply_pairs(volumes, plan)
         if priors is not None:
-            priors = mixup.apply_pairs(priors, pairs)
+            priors = mixup.apply_pairs(priors, plan)
         object_ids = None
     _, _, e_fused = net.encode(images, priors, store)
     if stage == trainer.STAGE_LATENT_MIX:
         vol_latent = net.encode_gt(volumes, store)
-        pairs = mixup.pair_batch(n, alpha, rng)
-        e_mix = mixup.apply_pairs(e_fused, pairs)
-        lat_mix = mixup.apply_pairs(vol_latent, pairs)
-        targets = mixup.apply_pairs(volumes, pairs)[:, 0]
+        plan = partners, ratios = mixup.pair_batch(n, alpha, rng)
+        e_mix = mixup.apply_pairs(e_fused, plan)
+        lat_mix = mixup.apply_pairs(vol_latent, plan)
+        targets = mixup.apply_pairs(volumes, plan)[:, 0]
         pred = net.decode(e_mix, store)
         recon, d_pred = losses.reconstruction_loss(pred, targets, lcfg)
         align, (d_mix, d_latmix) = losses.align_loss_no_triplet(e_mix, lat_mix)
@@ -166,13 +166,12 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         d_latmix = lcfg.w_align * d_latmix
         d_fused = np.zeros_like(e_fused)
         d_vol_latent = np.zeros_like(vol_latent)
-        left = np.asarray([p.i for p in pairs])
-        right = np.asarray([p.j for p in pairs])
-        lams = np.asarray([p.lam for p in pairs], dtype=e_fused.dtype)[:, None]
+        left = np.arange(n)
+        lams = ratios.astype(e_fused.dtype)[:, None]
         np.add.at(d_fused, left, (1 - lams) * d_mix)
-        np.add.at(d_fused, right, lams * d_mix)
+        np.add.at(d_fused, partners, lams * d_mix)
         np.add.at(d_vol_latent, left, (1 - lams) * d_latmix)
-        np.add.at(d_vol_latent, right, lams * d_latmix)
+        np.add.at(d_vol_latent, partners, lams * d_latmix)
         net.encode_backward(d_fused, store)
         net.encode_gt_backward(d_vol_latent, store)
     else:
@@ -188,6 +187,53 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
                             + lcfg.w_align * d_fused, store)
         net.encode_gt_backward(d_vol_latent, store)
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
+
+
+def _looped_negative_indices(object_ids, n, rng):
+    """The triplet negatives as a per-sample loop: the reference the array
+    form in `trainer._negative_indices` must match, draws included."""
+    if n < 2:
+        return np.zeros(n, dtype=np.int64), np.zeros(n)
+    neg = mixup.random_derangement(n, rng)
+    mask = np.ones(n)
+    if object_ids is None:
+        return neg, mask
+    for i in range(n):
+        if object_ids[neg[i]] != object_ids[i]:
+            continue
+        for off in range(1, n):
+            j = (neg[i] + off) % n
+            if object_ids[j] != object_ids[i]:
+                neg[i] = j
+                break
+        else:
+            mask[i] = 0.0
+    return neg, mask
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_negative_indices_match_the_per_sample_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    kinds = int(rng.integers(1, 4))
+    cases = [[f"obj{k}" for k in rng.integers(0, kinds, n)], None,
+             ["one"] * n]
+    for object_ids in cases:
+        got_rng, want_rng = (trainer.stream_rng(seed, 1) for _ in range(2))
+        got = trainer._negative_indices(object_ids, n, got_rng)
+        want = _looped_negative_indices(object_ids, n, want_rng)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    if n > 1:
+        assert not got[1].any()   # a batch of one object has no negative
+
+
+def test_negative_indices_of_a_single_sample():
+    rng = trainer.stream_rng(0, 1)
+    neg, mask = trainer._negative_indices(["a"], 1, rng)
+    assert neg.tolist() == [0] and mask.tolist() == [0.0]
+    assert rng.bit_generator.state == trainer.stream_rng(0, 1).bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
