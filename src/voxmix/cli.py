@@ -8,7 +8,9 @@ exits 2 when the config is loaded, before any work, and the message names
 its key: an unknown key, a value its section rejects, a size the network's
 strides do not divide, an unknown pipeline, or a split that breaks the
 rules across `data` fields (class lists, shots per class).  A bad
-`--alphas` exits 2 as well.
+`--alphas` exits 2 as well.  A flag value no run can honour (a count below
+one, a tolerance that is not a finite positive number, `train --all` with
+`--pipeline`) exits 1 before any work, and the message names the flag.
 """
 
 from __future__ import annotations
@@ -39,15 +41,36 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _checked(kind, accept, what: str):
+    """An argparse `type=` that parses with `kind` and refuses, naming the
+    flag, a value that fails to parse or that `accept` rejects."""
+    def parse(text: str):
+        try:
+            if accept(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_COUNT = _checked(int, lambda value: value >= 1, "an integer >= 1")
+_TOLERANCE = _checked(float, lambda value: 0.0 < value < float("inf"),
+                      "a finite number > 0")
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="voxmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
+    def add_pipeline(p, help_text):
+        p.add_argument("--pipeline", default=None,
+                       choices=sorted(trainer.PIPELINES), help=help_text)
+
     def add(name, help_text, needs_config=True, pipeline=None):
         p = sub.add_parser(name, help=help_text)
         if pipeline:
-            p.add_argument("--pipeline", default=None,
-                           choices=sorted(trainer.PIPELINES), help=pipeline)
+            add_pipeline(p, pipeline)
         if needs_config:
             p.add_argument("--config", required=True,
                            help="path to the experiment config file")
@@ -62,10 +85,11 @@ def _build_parser() -> _Parser:
     add("gen-data", "generate the synthetic dataset")
     add("build-priors", "write the few-shot split and per-class priors")
     add("pretrain-gt", "pretrain the volume encoder, replacing its checkpoint")
-    p = add("train", "run the configured training pipeline",
-            pipeline="override the configured pipeline")
-    p.add_argument("--all", action="store_true",
-                   help="train all four pipelines, sharing stage prefixes")
+    which = add("train", "run the configured training pipeline") \
+        .add_mutually_exclusive_group()
+    add_pipeline(which, "override the configured pipeline")
+    which.add_argument("--all", action="store_true",
+                       help="train all four pipelines, sharing stage prefixes")
     trained = "the trained pipeline (default: the configured one)"
     p = add("eval", "evaluate a trained checkpoint on the query set",
             pipeline=trained)
@@ -80,11 +104,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--alphas", default="0.2,0.4,1.0",
                    help="comma-separated Beta-distribution parameters")
     p = add("mix-preview", "dump mixed images and volumes for inspection")
-    p.add_argument("--pairs", type=int, default=4)
+    p.add_argument("--pairs", type=_COUNT, default=4)
     p = add("grad-check", "finite-difference check of all layers and losses",
             needs_config=False)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--probes", type=int, default=20)
+    p.add_argument("--tolerance", type=_TOLERANCE, default=1e-4)
+    p.add_argument("--probes", type=_COUNT, default=20)
     return parser
 
 
@@ -190,7 +214,7 @@ def cmd_eval(args) -> int:
         dump_dir.mkdir(parents=True, exist_ok=True)
         grids = evaluate.predictions_as_grids(
             ctx.net, store, ctx.query_samples, ctx.priors_by_class,
-            trainer.effective_prior_mode(config), config.data.classes,
+            config.prior.mode, config.data.classes,
             config.eval.iou_threshold, config.eval.batch_size)
         for object_id, pose_id, grid in grids:
             voxel.save_binvox(grid, dump_dir / f"{object_id}_p{pose_id}.binvox")
@@ -204,8 +228,8 @@ def cmd_analyze_latent(args) -> int:
     config, paths, pipeline, ctx, store = _trained(args)
     samples = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     report = evaluate.cosine_report(ctx.net, store, samples, ctx.priors_by_class,
-                                    trainer.effective_prior_mode(config),
-                                    config.data.classes, config.eval.batch_size)
+                                    config.prior.mode, config.data.classes,
+                                    config.eval.batch_size)
     runs.write_csv(paths.reports_dir / f"{pipeline}_cosine.csv",
                    ("class", "same_obj_mean", "diff_obj_mean", "same_pairs",
                     "diff_pairs"), report.rows)

@@ -16,7 +16,6 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .evaluate import PRIOR_MODES
 from .losses import LossConfig
-from .model import VARIANTS
 from .nn import OPTIMIZERS
 
 
@@ -64,16 +63,12 @@ class ModelSection:
     image_channels: tuple[int, ...] = (8, 16, 32, 32)
     prior_channels: tuple[int, ...] = (8, 16, 32)
     decoder_channels: tuple[int, ...] = (32, 16, 8)
-    variant: str = "prior"          # prior | no_prior
 
     def __post_init__(self):
         layers = (self.image_channels, self.prior_channels, self.decoder_channels)
         if not all(layers) or min(self.latent_width, *sum(layers, ())) < 1:
             raise ValueError("every encoder and decoder needs a layer, and "
                              "every width and channel count must be >= 1")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}, not one of "
-                             f"{VARIANTS}")
 
 
 @dataclass(frozen=True)
@@ -134,10 +129,8 @@ class ExperimentConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
 
-_SECTIONS = {f.name: f.type for f in fields(ExperimentConfig)
-             if dataclasses.is_dataclass(
-                 f.default_factory() if f.default_factory is not dataclasses.MISSING
-                 else f.default)}
+_SECTIONS = {name for name, hint in get_type_hints(ExperimentConfig).items()
+             if dataclasses.is_dataclass(hint)}
 
 
 def _coerce(raw: str, annotation: Any, key: str):

@@ -2,8 +2,7 @@
 cosine-similarity reports, and the proximity-vs-IoU join.
 
 Every forward pass here gets the prior batch that `prior_mode` assigns,
-or none in mode "none"; callers pass the mode the network sees
-(`trainer.effective_prior_mode`).
+or none in mode "none", the mode of the no-prior network.
 
 Evaluation is read-only over parameter snapshots and fully deterministic;
 aggregates are always accompanied by their per-sample rows so every table
@@ -24,29 +23,19 @@ from .voxel import ProximityReport
 PRIOR_MODES = ("correct", "corrupted", "none")
 
 
-def assigned_prior_class(class_id: str, mode: str,
-                         all_classes: tuple[str, ...]) -> str | None:
-    """Which class prior a sample of `class_id` receives.  The corrupted
-    mode walks one class forward cyclically so runs are reproducible."""
-    if mode == "none":
-        return None
-    if mode == "correct":
-        return class_id
-    if mode == "corrupted":
-        idx = all_classes.index(class_id)
-        return all_classes[(idx + 1) % len(all_classes)]
-    raise ValueError(f"unknown prior mode {mode!r}")
-
-
 def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
                 mode: str, all_classes: tuple[str, ...]) -> np.ndarray | None:
+    """The class prior each sample of `class_ids` receives: its own class's
+    in mode "correct"; in mode "corrupted" the next class's, walking
+    `all_classes` cyclically so runs are reproducible; none in mode "none"."""
     if mode == "none":
         return None
-    rows = []
-    for class_id in class_ids:
-        assigned = assigned_prior_class(class_id, mode, all_classes)
-        rows.append(priors_by_class[assigned])
-    return np.asarray(rows, dtype=np.float32)
+    if mode == "corrupted":
+        class_ids = [all_classes[(all_classes.index(c) + 1) % len(all_classes)]
+                     for c in class_ids]
+    elif mode != "correct":
+        raise ValueError(f"unknown prior mode {mode!r}")
+    return np.asarray([priors_by_class[c] for c in class_ids], dtype=np.float32)
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,10 @@ ends in a Reshape to (D, D, D).  The variants differ only in the aux head,
 whose latent the merger fuses with the image latent: the "prior" variant
 encodes a class shape prior with a 3-D encoder, the "no_prior" variant
 global-average-pools the image features and projects them (`pool_proj.fc`)
-to the same width.  The order of `Network.parts` fixes the parameter
-names' order, the init draw order and the checkpoint layout, so it must
-not change.
+to the same width.  `trainer.network_config` builds the "no_prior" variant
+for prior mode "none" and the "prior" variant otherwise.  The order of
+`Network.parts` fixes the parameter names' order, the init draw order and
+the checkpoint layout, so it must not change.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ VARIANTS = ("prior", "no_prior")
 @dataclass(frozen=True)
 class NetworkConfig:
     """`trainer.network_config` reads `vox_dim` and `image_size` from the
-    config's `data` section and the other fields from `model`, which holds
-    the defaults; an error names the config key."""
+    config's `data` section, `variant` from `prior.mode` ("no_prior" for
+    mode "none") and the other fields from `model`, which holds the
+    defaults; a size error names the config key."""
 
     vox_dim: int
     image_size: int
@@ -40,7 +42,7 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"model.variant: unknown variant {self.variant!r}")
+            raise ValueError(f"unknown network variant {self.variant!r}")
         # Every conv and every transposed conv has stride 2.
         for size, layers in (("image_size", "image_channels"),
                              ("vox_dim", "prior_channels"),

@@ -5,9 +5,9 @@ input-mixing stage, and the latent-mixing stage, with strict determinism.
 backward pass; `train_stage` loops it over epochs and batches, and the
 finite-difference verifier checks that same function.
 
-Stage order is fixed: the base stage always runs first; the latent stage
-may follow either the base stage or the input-mixing stage.  The four
-selectable pipelines are
+`PIPELINES` is the one statement of stage order: the base stage always
+runs first, and the latent stage follows either the base stage or the
+input-mixing stage.  The four selectable pipelines are
     base        stage 1 only
     input_mix   stages 1-2
     latent_mix  stages 1+3
@@ -44,19 +44,9 @@ PIPELINES: dict[str, tuple[int, ...]] = {
     "dual_mix": (STAGE_BASE, STAGE_INPUT_MIX, STAGE_LATENT_MIX),
 }
 
-_ALLOWED_PREVIOUS = {
-    STAGE_BASE: {0},
-    STAGE_INPUT_MIX: {STAGE_BASE},
-    STAGE_LATENT_MIX: {STAGE_BASE, STAGE_INPUT_MIX},
-}
-
 # Nonces separating the independent random streams of one experiment seed.
 _STREAM = {"init": 101, "pretrain_init": 102, "pretrain": 103,
            STAGE_BASE: 111, STAGE_INPUT_MIX: 112, STAGE_LATENT_MIX: 113}
-
-
-class StageOrderError(RuntimeError):
-    """A stage was requested from an incompatible predecessor."""
 
 
 def stream_rng(seed: int, stream) -> np.random.Generator:
@@ -66,20 +56,12 @@ def stream_rng(seed: int, stream) -> np.random.Generator:
 
 
 def network_config(config: ExperimentConfig) -> NetworkConfig:
-    """Every `model` field, and the `data` sizes; a run without priors
-    builds the no-prior variant."""
-    variant = "no_prior" if config.prior.mode == "none" else config.model.variant
-    return NetworkConfig(**{**asdict(config.model), "variant": variant},
-                         vox_dim=config.data.vox_dim,
-                         image_size=config.data.image_size)
-
-
-def effective_prior_mode(config: ExperimentConfig) -> str:
-    """The prior mode the configured network sees: "none" when it takes no
-    prior batch."""
-    if network_config(config).variant == "no_prior":
-        return "none"
-    return config.prior.mode
+    """Every `model` field, and the `data` sizes; prior mode "none", and
+    only it, builds the no-prior variant."""
+    return NetworkConfig(**asdict(config.model), vox_dim=config.data.vox_dim,
+                         image_size=config.data.image_size,
+                         variant="no_prior" if config.prior.mode == "none"
+                         else "prior")
 
 
 def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
@@ -197,7 +179,7 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     then the latent-mixing plan (stage 3: partners, then ratios) or the
     triplet negatives (stages 1-2: one derangement).
     """
-    if stage not in _ALLOWED_PREVIOUS:
+    if stage not in (STAGE_BASE, STAGE_INPUT_MIX, STAGE_LATENT_MIX):
         raise ValueError(f"unknown stage {stage}")
     store.zero_grads()
     images, priors, volumes = batch.images, batch.priors, batch.volumes
@@ -246,13 +228,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
 
 
 def train_stage(net: Network, store: ParamStore, stage: int,
-                previous_stage: int, pool: TrainingPool,
-                config: ExperimentConfig,
+                pool: TrainingPool, config: ExperimentConfig,
                 rng: np.random.Generator) -> list[StepStats]:
     """Run one stage in place and return per-step loss statistics."""
-    if previous_stage not in _ALLOWED_PREVIOUS.get(stage, ()):
-        raise StageOrderError(
-            f"stage {stage} cannot start from stage {previous_stage}")
     net.check_store(store)
     opt = make_optimizer(store, optimizer_config(config))
     samples = pool.samples
@@ -365,7 +343,7 @@ class ExperimentContext:
             raise ValueError("training pool is empty")
         samples = load_samples(manifest, records)
         pool = TrainingPool(samples, evaluate.prior_batch(
-            samples.class_ids, priors, effective_prior_mode(config),
+            samples.class_ids, priors, config.prior.mode,
             config.data.classes))
         query_records = manifest.records_for_objects(split.all_query_objects())
         query = load_samples(manifest, query_records)
@@ -373,8 +351,7 @@ class ExperimentContext:
 
     def eval_table(self, store: ParamStore) -> evaluate.IouTable:
         return evaluate.eval_iou(self.net, store, self.query_samples,
-                                 self.priors_by_class,
-                                 effective_prior_mode(self.config),
+                                 self.priors_by_class, self.config.prior.mode,
                                  self.config.data.classes,
                                  self.config.eval.iou_threshold,
                                  self.config.eval.batch_size)
@@ -497,9 +474,8 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
         prefix, store, log, in_place = stack.pop()
         store = store if in_place else store.copy()
         stage = prefix[-1][0]
-        log = log + train_stage(ctx.net, store, stage,
-                                prefix[-2][0] if len(prefix) > 1 else 0,
-                                ctx.train_pool, node_config[prefix],
+        log = log + train_stage(ctx.net, store, stage, ctx.train_pool,
+                                node_config[prefix],
                                 stream_rng(config.seed, stage))
         names = leaves.get(prefix, [])
         table = ctx.eval_table(store) if names else None

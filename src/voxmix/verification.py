@@ -200,17 +200,12 @@ def pipeline_fragments(seed: int = 0):
 
 def standard_fragments(seed: int = 0):
     """(name, fn, arrays, fd_step) for every layer, loss, and pipeline."""
-    frags = [(name, fn, arrays, _FD_STEP)
-             for name, fn, arrays in layer_fragments(seed) + loss_fragments(seed)]
-    frags.extend((name, fn, arrays, _FD_STEP)
-                 for name, fn, arrays in pipeline_fragments(seed))
-    return frags
+    return [(name, fn, arrays, _FD_STEP) for name, fn, arrays
+            in (*layer_fragments(seed), *loss_fragments(seed),
+                *pipeline_fragments(seed))]
 
 
 def run_standard_checks(tolerance: float = 1e-4, probes: int = 20,
                         seed: int = 0) -> list[tuple[str, nn.GradCheckReport]]:
-    reports = []
-    for name, fn, arrays, fd_step in standard_fragments(seed):
-        reports.append((name, nn.grad_check(fn, arrays, tolerance, probes,
-                                            step=fd_step)))
-    return reports
+    return [(name, nn.grad_check(fn, arrays, tolerance, probes, step=fd_step))
+            for name, fn, arrays, fd_step in standard_fragments(seed)]

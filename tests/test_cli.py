@@ -8,11 +8,61 @@ from voxmix.config import ExperimentConfig, apply_assignments
 
 
 def test_no_prior_variant_trains_and_evaluates(tiny_run):
-    override = ("-o", "model.variant=no_prior")
+    override = ("-o", "prior.mode=none")
     assert tiny_run.voxmix("train", *override, "--pipeline", "base") == cli.EXIT_OK
     assert tiny_run.voxmix("eval", *override, "--pipeline", "base") == cli.EXIT_OK
     with open(tiny_run.paths.reports_dir / "base_iou.csv", newline="") as fh:
         assert {row["prior_mode"] for row in csv.DictReader(fh)} == {"none"}
+    store, _ = runs.load_checkpoint(tiny_run.paths.checkpoints_dir
+                                    / "base_stage1.ckpt")
+    assert {"pool_proj.fc.w", "pool_proj.fc.b"} <= set(store.names)
+    assert not [name for name in store.names
+                if name.startswith("prior_encoder.")]
+
+
+def test_eval_of_a_no_prior_checkpoint_under_a_prior_mode_exits_1(tiny_run,
+                                                                   capsys):
+    assert tiny_run.voxmix("train", "-o", "prior.mode=none",
+                           "--pipeline", "base") == cli.EXIT_OK
+    report = tiny_run.paths.reports_dir / "base_iou.csv"
+    written = report.read_bytes()
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "-o", "prior.mode=correct",
+                           "--pipeline", "base") == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "do not fit the 'prior' variant network" in err
+    assert "prior_encoder.conv0.w is missing" in err
+    assert report.read_bytes() == written
+
+
+def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,
+                                                                capsys):
+    config = tiny_run.root / "tiny.cfg"
+    config.write_text(config.read_text() + "model.variant = prior\n")
+    capsys.readouterr()
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_CONFIG
+    assert "unknown config key 'model.variant'" in capsys.readouterr().err
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("grad-check", "--probes", "0"), "--probes"),
+    (("grad-check", "--tolerance", "inf"), "--tolerance"),
+    (("grad-check", "--tolerance", "0"), "--tolerance"),
+    (("mix-preview", "--pairs", "0"), "--pairs"),
+    (("train", "--all", "--pipeline", "base"), "--pipeline")],
+    ids=["probes_0", "tolerance_inf", "tolerance_0", "pairs_0",
+         "all_and_pipeline"])
+def test_a_flag_value_no_run_can_honour_exits_1_naming_the_flag(
+        tiny_run, capsys, argv, flag):
+    command, *extra = argv
+    capsys.readouterr()
+    code = cli.main([command, *extra]) if command == "grad-check" \
+        else tiny_run.voxmix(command, *extra)
+    assert code == cli.EXIT_USAGE
+    assert f"error: argument {flag}: " in capsys.readouterr().err
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+    assert not (tiny_run.paths.reports_dir / "mix_preview").exists()
 
 
 def test_proximity_names_a_class_missing_from_the_iou_table(tiny_run, capsys):
@@ -126,7 +176,7 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     ("eval.batch_size", "0"), ("mixup.alpha", "-1"),
     ("eval.iou_threshold", "1.5"), ("data.vox_dim", "12"),
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
-    ("prior.threshold", "1.5"), ("prior.mode", "wrong"), ("model.variant", "x"),
+    ("prior.threshold", "1.5"), ("prior.mode", "wrong"),
     ("model.latent_width", "0"), ("model.decoder_channels", ""),
     ("train.optimizer", "foo"), ("train.pipeline", "foo"),
     # The split's rules across `data` fields; the tiny config has 3 objects

@@ -46,10 +46,12 @@ def test_overall_is_the_mean_of_class_means_and_rows_rederive(net_store):
 
 
 def test_the_corrupted_prior_walks_cyclically_from_the_last_class_to_the_first():
-    assert [evaluate.assigned_prior_class(c, "corrupted", CLASSES)
-            for c in CLASSES] == ["b", "c", "a"]
-    batch = evaluate.prior_batch(["c", "a"], PRIORS, "corrupted", CLASSES)
-    assert np.array_equal(batch, np.stack([PRIORS["a"], PRIORS["b"]]))
+    batch = evaluate.prior_batch(list(CLASSES), PRIORS, "corrupted", CLASSES)
+    assert np.array_equal(batch, np.stack([PRIORS[c] for c in "bca"]))
+    batch = evaluate.prior_batch(["c", "a"], PRIORS, "correct", CLASSES)
+    assert np.array_equal(batch, np.stack([PRIORS["c"], PRIORS["a"]]))
+    with pytest.raises(ValueError, match="unknown prior mode 'wrong'"):
+        evaluate.prior_batch(["a"], PRIORS, "wrong", CLASSES)
 
 
 def test_prior_batch_is_none_in_mode_none():

@@ -114,15 +114,17 @@ def test_run_ablation_rejects_an_unknown_pipeline(tiny_run):
         trainer.run_ablation(tiny_run.config, tiny_run.paths, ("triple_mix",))
 
 
-@pytest.mark.parametrize("stage, previous", [(1, 1), (2, 0), (2, 3), (3, 0),
-                                             (3, 3), (4, 3)])
-def test_train_stage_rejects_a_bad_predecessor(tiny_prepared, stage, previous):
-    config = tiny_prepared.config
-    ctx = trainer.ExperimentContext.load(config, tiny_prepared.paths)
-    store = ctx.net.init_params(trainer.stream_rng(0, "init"))
-    with pytest.raises(trainer.StageOrderError):
-        trainer.train_stage(ctx.net, store, stage, previous, ctx.train_pool, config,
-                            trainer.stream_rng(0, 1))
+@pytest.mark.parametrize("stage", [0, 4])
+def test_stage_step_rejects_an_unknown_stage(stage):
+    cfg = verification.TINY_NET
+    net = Network(cfg)
+    store = net.init_params(np.random.default_rng(0))
+    batch = trainer.Batch(np.zeros((2, 2, cfg.image_size, cfg.image_size)),
+                          np.zeros((2, 1) + (cfg.vox_dim,) * 3),
+                          np.zeros((2, 1) + (cfg.vox_dim,) * 3), ["a", "b"])
+    with pytest.raises(ValueError, match=f"unknown stage {stage}"):
+        trainer.stage_step(net, store, batch, stage, losses.LossConfig(), 0.2,
+                           trainer.stream_rng(0, 1))
 
 
 def test_pipeline_fragments_check_the_training_step():

@@ -1,14 +1,18 @@
 """Run the whole command chain on the tiny test config and print one
 ``sha256 path`` line per file the chain writes under the run root.
 
-    python tools/tiny_digest.py SRC ROOT
+    python tools/tiny_digest.py SRC ROOT [KEY=VALUE ...]
 
 SRC is the ``src`` directory of the voxmix tree to run (so one copy of this
 script can digest two checkouts), ROOT an empty directory for the run.  The
 chain is gen-data, build-priors, pretrain-gt, train --all, eval,
 analyze-latent, proximity, alpha-sweep --alphas 0.4,1.0 and mix-preview, on
-``tests/conftest.py``'s ``TINY_OVERRIDES``.  Diffing the output of two trees
-shows whether a change keeps every artifact byte-identical.
+``tests/conftest.py``'s ``TINY_OVERRIDES``; each KEY=VALUE is passed to every
+command as one more ``-o`` override (``prior.mode=none`` runs the no-prior
+chain).  Each ``*.ckpt`` also gets a ``sha256 path [arrays]`` line over its
+arrays alone (``params`` and ``slot/*``, not ``meta``), so a change that
+alters only checkpoint metadata shows as exactly that.  Diffing the output
+of two trees shows whether a change keeps every artifact byte-identical.
 """
 
 import contextlib
@@ -16,12 +20,26 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
+
 CHAIN = (("gen-data",), ("build-priors",), ("pretrain-gt",), ("train", "--all"),
          ("eval",), ("analyze-latent",), ("proximity",),
          ("alpha-sweep", "--alphas", "0.4,1.0"), ("mix-preview",))
 
 
-def main(src: str, root: str) -> int:
+def array_digest(path: Path) -> str:
+    """sha256 over the name, dtype, shape and bytes of every array of a
+    checkpoint but its metadata, in name order."""
+    digest = hashlib.sha256()
+    with np.load(path, allow_pickle=False) as archive:
+        for name in sorted(n for n in archive.files if n != "meta"):
+            array = archive[name]
+            digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+def main(src: str, root: str, *overrides: str) -> int:
     sys.path[:0] = [src, str(Path(__file__).resolve().parents[1] / "tests")]
     from conftest import TinyRun
     from voxmix.config import dump_config
@@ -30,20 +48,23 @@ def main(src: str, root: str) -> int:
     run.root.mkdir(parents=True, exist_ok=True)
     config_file = run.root / "tiny.cfg"
     config_file.write_text(dump_config(run.config), encoding="utf-8")
+    options = [item for override in overrides for item in ("-o", override)]
     for command, *extra in CHAIN:
         with contextlib.redirect_stdout(sys.stderr):
-            code = run.voxmix(command, *extra)
+            code = run.voxmix(command, *extra, *options)
         if code != 0:
             print(f"{command} exited {code}", file=sys.stderr)
             return code
     for path in sorted(p for p in run.root.rglob("*")
                        if p.is_file() and p != config_file):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        print(f"{digest}  {path.relative_to(run.root)}")
+        name = path.relative_to(run.root)
+        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
+        if path.suffix == ".ckpt":
+            print(f"{array_digest(path)}  {name} [arrays]")
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
+    if len(sys.argv) < 3 or any("=" not in arg for arg in sys.argv[3:]):
         sys.exit(__doc__)
     sys.exit(main(*sys.argv[1:]))
