@@ -3,14 +3,15 @@
 Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
 ``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing
-or unreadable input artifact, 4 numeric failure.  Every bad config value
-exits 2 when the config is loaded, before any work, and the message names
-its key: an unknown key, a value its section rejects, a size the network's
-strides do not divide, an unknown pipeline, or a split that breaks the
-rules across `data` fields (class lists, shots per class).  A bad
-`--alphas` exits 2 as well.  A flag value no run can honour (a count below
-one, a tolerance that is not a finite positive number, `train --all` with
-`--pipeline`) exits 1 before any work, and the message names the flag.
+or unreadable input artifact, 4 numeric failure.  On exit 3 the message
+names the file and, for a missing one, the command that writes it.  Every
+bad config value exits 2 when the config is loaded, before any work, and
+the message names its key: an unknown key, a value its section rejects, a
+size the network's strides do not divide, an unknown pipeline, or a split
+that breaks the rules across `data` fields (class lists, shots per class).
+A bad `--alphas` exits 2 as well.  A flag value no run can honour (a count
+below one, a tolerance that is not a finite positive number, `train --all`
+with `--pipeline`) exits 1 before any work, and the message names the flag.
 """
 
 from __future__ import annotations
@@ -145,12 +146,8 @@ def _trained(args):
     pipeline that `args` names."""
     config, paths = _load(args)
     pipeline = args.pipeline or config.train.pipeline
-    stage = trainer.PIPELINES[pipeline][-1]
-    ckpt = paths.checkpoints_dir / f"{pipeline}_stage{stage}.ckpt"
-    if not ckpt.exists():
-        raise runs.MissingArtifactError(
-            f"no checkpoint at {ckpt}; run train first")
-    store, _ = trainer.load_stage_checkpoint(ckpt, config)
+    store, _ = trainer.load_stage_checkpoint(
+        paths.checkpoint_path(pipeline, trainer.PIPELINES[pipeline][-1]), config)
     ctx = trainer.ExperimentContext.load(config, paths)
     return config, paths, pipeline, ctx, store
 
@@ -242,10 +239,7 @@ def cmd_analyze_latent(args) -> int:
 def cmd_proximity(args) -> int:
     config, paths = _load(args)
     pipeline = args.pipeline or config.train.pipeline
-    table_path = paths.reports_dir / f"{pipeline}_iou.csv"
-    if not table_path.exists():
-        raise runs.MissingArtifactError(
-            f"no IoU table at {table_path}; run eval first")
+    iou = runs.read_artifact(paths.iou_path(pipeline), _read_iou_csv, "eval")
     manifest = runs.load_manifest(paths)
     split = runs.load_split(paths)
     novel, base = [], []
@@ -256,8 +250,7 @@ def cmd_proximity(args) -> int:
     for class_id in split.base_classes:
         vols = corpus.load_object_volumes(manifest, split.train_objects[class_id])
         base.extend(vols.items())
-    rows = evaluate.proximity_join(voxel.proximity(novel, base),
-                                   _read_iou_csv(table_path))
+    rows = evaluate.proximity_join(voxel.proximity(novel, base), iou)
     runs.write_csv(paths.reports_dir / f"{pipeline}_proximity.csv",
                    ("class", "proximity", "iou"), rows)
     for class_id, prox_value, iou_value in rows:
@@ -268,14 +261,13 @@ def cmd_proximity(args) -> int:
 def _read_iou_csv(path: Path) -> dict[str, float]:
     import csv
     values: dict[str, float] = {}
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             try:
                 if row["class"] != "__average__":
                     values[row["class"]] = float(row["mean_iou"])
             except (KeyError, TypeError, ValueError) as exc:
-                raise runs.MissingArtifactError(
-                    f"{path}: unreadable IoU table ({exc!r})") from exc
+                raise ValueError(f"unreadable IoU table ({exc!r})") from exc
     return values
 
 

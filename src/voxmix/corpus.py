@@ -223,23 +223,19 @@ class SampleArrays:
         return len(self.object_ids)
 
 
-def _read(reader, path):
-    from .runs import _parsing   # a parse error names the file, exit code 3
-    with _parsing(path):
-        return reader(path)
-
-
 def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> SampleArrays:
+    from .runs import read_artifact
     volume_cache: dict[str, np.ndarray] = {}
     images = []
     volumes = []
     object_ids, class_ids, pose_ids = [], [], []
     for rec in records:
-        sil = _read(render.read_pgm, manifest.root / rec.sil)
-        dep = _read(render.read_pgm, manifest.root / rec.dep)
+        sil = read_artifact(manifest.root / rec.sil, render.read_pgm, "gen-data")
+        dep = read_artifact(manifest.root / rec.dep, render.read_pgm, "gen-data")
         images.append(np.stack([sil, dep]))
         if rec.volume not in volume_cache:
-            grid = _read(voxel.load_binvox, manifest.root / rec.volume)
+            grid = read_artifact(manifest.root / rec.volume, voxel.load_binvox,
+                                 "gen-data")
             volume_cache[rec.volume] = grid.values.astype(np.float32)
         volumes.append(volume_cache[rec.volume][None])
         object_ids.append(rec.object_id)
@@ -252,11 +248,12 @@ def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> Sample
 
 def load_object_volumes(manifest: DatasetManifest,
                         object_ids: Sequence[str]) -> dict[str, voxel.VoxelGrid]:
+    from .runs import read_artifact
     by_object = {}
     for rec in manifest.records:
         if rec.object_id in object_ids and rec.object_id not in by_object:
-            by_object[rec.object_id] = _read(voxel.load_binvox,
-                                             manifest.root / rec.volume)
+            by_object[rec.object_id] = read_artifact(
+                manifest.root / rec.volume, voxel.load_binvox, "gen-data")
     missing = set(object_ids) - set(by_object)
     if missing:
         raise ValueError(f"volumes missing for objects: {sorted(missing)}")

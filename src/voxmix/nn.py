@@ -535,11 +535,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.max_rel_error < self.tolerance
 
-    def summary(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (f"{status}: max relative error {self.max_rel_error:.3e} "
-                f"(worst: {self.worst_name}, tolerance {self.tolerance:.1e})")
-
 
 def grad_check(fn: Callable[[dict[str, np.ndarray]],
                             tuple[float, dict[str, np.ndarray]]],

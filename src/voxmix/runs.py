@@ -19,6 +19,13 @@ then puts it in place.  A write interrupted before the rename leaves the
 earlier file as it was.  (There is no fsync: this guards against a
 process dying mid-write, not against losing power.)
 
+Every input artifact is read through `read_artifact`: the manifest, the
+split, priors, dataset views and volumes, checkpoints and the IoU table.
+Each failure raises `MissingArtifactError` naming the file: a missing
+file's message also names the command that writes it, and any other error
+its loader raises is passed on in the message.  The command line exits 3
+on either.
+
 A checkpoint is an npz archive, written uncompressed under the name it is
 given, holding one array per role of a `ParamStore`:
     meta          the metadata, "step" and "layout" (the parameter names,
@@ -38,7 +45,6 @@ import csv
 import io
 import json
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,6 +60,20 @@ RUN_ROOT_ENV = "VOXMIX_RUN_ROOT"
 class MissingArtifactError(FileNotFoundError):
     """A required input artifact has not been generated yet, or cannot be
     read."""
+
+
+def read_artifact(path, load, made_by: str):
+    """`load(path)`, raising every failure as a MissingArtifactError: a
+    missing file names `made_by`, the command that writes it, and any other
+    error names the path."""
+    try:
+        return load(path)
+    except FileNotFoundError as exc:
+        raise MissingArtifactError(f"no {path}; run {made_by} first") from exc
+    # Loaders raise a dozen error types on a damaged file (zipfile and
+    # numpy's .npy reader alone do); every one means it cannot be used.
+    except Exception as exc:
+        raise MissingArtifactError(f"{path}: {exc}") from exc
 
 
 def write_atomic(path, data: bytes | str) -> None:
@@ -97,29 +117,26 @@ def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> No
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
+    return read_artifact(path, _read_checkpoint, "train")
+
+
+def _read_checkpoint(path) -> tuple[ParamStore, dict]:
     with open(path, "rb") as fh:
-        is_zip = fh.read(4) == b"PK\x03\x04"
-    if not is_zip:
-        # np.load would try pickle here and name allow_pickle as the cause.
-        raise MissingArtifactError(f"{path}: not a checkpoint file")
-    try:
-        with np.load(path, allow_pickle=False) as archive:
-            metadata = json.loads(archive["meta"].item())
-            layout = metadata.pop("layout", {})
-            kinds = layout.get("slots", [])
-            declared = {"meta", "params", *(f"slot/{kind}" for kind in kinds)}
-            found = set(archive.files)
-            if found != declared:   # the first three of each, in name order
-                raise KeyError(f"unexpected entries {sorted(found - declared)[:3]}"
-                               f", missing entries {sorted(declared - found)[:3]}")
-            store = ParamStore(layout["names"], layout["shapes"], archive["params"],
-                               slots={kind: archive[f"slot/{kind}"] for kind in kinds})
-            store.step = int(metadata["step"])
-    # zipfile and numpy's .npy reader raise a dozen error types on a damaged
-    # archive; every one of them means the file cannot be used.
-    except Exception as exc:
-        raise MissingArtifactError(
-            f"{path}: unreadable checkpoint ({exc})") from exc
+        if fh.read(4) != b"PK\x03\x04":
+            # np.load would try pickle here and name allow_pickle as the cause.
+            raise ValueError("not a checkpoint file")
+    with np.load(path, allow_pickle=False) as archive:
+        metadata = json.loads(archive["meta"].item())
+        layout = metadata.pop("layout", {})
+        kinds = layout.get("slots", [])
+        declared = {"meta", "params", *(f"slot/{kind}" for kind in kinds)}
+        found = set(archive.files)
+        if found != declared:   # the first three of each, in name order
+            raise KeyError(f"unexpected entries {sorted(found - declared)[:3]}"
+                           f", missing entries {sorted(declared - found)[:3]}")
+        store = ParamStore(layout["names"], layout["shapes"], archive["params"],
+                           slots={kind: archive[f"slot/{kind}"] for kind in kinds})
+        store.step = int(metadata["step"])
     return store, metadata
 
 
@@ -169,6 +186,12 @@ class RunPaths:
     def prior_path(self, class_id: str) -> Path:
         return self.priors_dir / f"prior_{class_id}.binvox"
 
+    def checkpoint_path(self, arm: str, stage: int) -> Path:
+        return self.checkpoints_dir / f"{arm}_stage{stage}.ckpt"
+
+    def iou_path(self, arm: str) -> Path:
+        return self.reports_dir / f"{arm}_iou.csv"
+
     def ensure_dirs(self) -> None:
         for d in (self.root, self.checkpoints_dir, self.logs_dir,
                   self.reports_dir):
@@ -179,40 +202,21 @@ class RunPaths:
         write_atomic(self.resolved_config_path, dump_config(config))
 
 
-@contextmanager
-def _parsing(path):
-    """Raise a parse error inside as a MissingArtifactError naming `path`."""
-    try:
-        yield
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise MissingArtifactError(f"{path}: {exc}") from exc
-
-
 def load_manifest(paths: RunPaths) -> corpus.DatasetManifest:
-    path = paths.dataset_dir / "manifest.jsonl"
-    if not path.exists():
-        raise MissingArtifactError(
-            f"no dataset under {paths.dataset_dir}; run gen-data first")
-    with _parsing(path):
-        return corpus.DatasetManifest.load(paths.dataset_dir)
+    return read_artifact(paths.dataset_dir / "manifest.jsonl",
+                         lambda path: corpus.DatasetManifest.load(path.parent),
+                         "gen-data")
 
 
 def load_split(paths: RunPaths) -> corpus.FewShotSplit:
-    if not paths.split_path.exists():
-        raise MissingArtifactError(
-            f"no split at {paths.split_path}; run build-priors first")
-    with _parsing(paths.split_path):
-        return corpus.FewShotSplit.load(paths.split_path)
+    return read_artifact(paths.split_path, corpus.FewShotSplit.load,
+                         "build-priors")
 
 
 def load_priors(paths: RunPaths, classes) -> dict[str, np.ndarray]:
     """Per-class prior grids as (1, D, D, D) float32 arrays."""
-    priors: dict[str, np.ndarray] = {}
-    for class_id in classes:
-        path = paths.prior_path(class_id)
-        if not path.exists():
-            raise MissingArtifactError(
-                f"no prior for class {class_id!r} at {path}; run build-priors")
-        with _parsing(path):
-            priors[class_id] = voxel.load_binvox(path).values.astype(np.float32)[None]
-    return priors
+    def load(path):
+        return voxel.load_binvox(path).values.astype(np.float32)[None]
+    return {class_id: read_artifact(paths.prior_path(class_id), load,
+                                    "build-priors")
+            for class_id in classes}

@@ -395,14 +395,13 @@ def prepare_gt_encoder(ctx: ExperimentContext) -> ParamStore:
     """Load the pretrained volume encoder, pretraining it on the training
     volumes first if no checkpoint exists yet, the one there cannot be
     read, or it was pretrained under other settings."""
-    path = ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT
-    if path.exists():
-        try:
-            store, metadata = runs.load_checkpoint(path)
-        except runs.MissingArtifactError:
-            metadata = {}
-        if metadata.get("pretrain_hash") == pretrain_hash(ctx.config):
-            return store
+    try:
+        store, metadata = runs.load_checkpoint(
+            ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT)
+    except runs.MissingArtifactError:
+        metadata = {}
+    if metadata.get("pretrain_hash") == pretrain_hash(ctx.config):
+        return store
     store, _ = pretrain_gt_encoder(ctx)
     return store
 
@@ -424,7 +423,7 @@ def init_main_store(ctx: ExperimentContext) -> ParamStore:
 def write_iou_reports(paths: runs.RunPaths, pipeline: str,
                       table: evaluate.IouTable) -> None:
     average = ("__average__", table.overall, sum(r[2] for r in table.rows))
-    runs.write_csv(paths.reports_dir / f"{pipeline}_iou.csv",
+    runs.write_csv(paths.iou_path(pipeline),
                    ("class", "mean_iou", "n_samples", "threshold", "prior_mode"),
                    [(*row, table.threshold, table.prior_mode)
                     for row in (*table.rows, average)])
@@ -481,7 +480,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
         table = ctx.eval_table(store) if names else None
         for name in names:
             pipeline, arm_config = arms[name]
-            ckpt = paths.checkpoints_dir / f"{name}_stage{stage}.ckpt"
+            ckpt = paths.checkpoint_path(name, stage)
             save_stage_checkpoint(ckpt, store, arm_config, stage)
             write_iou_reports(paths, name, table)
             _write_train_log(paths.logs_dir / f"{name}_train.csv", log)

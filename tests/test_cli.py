@@ -79,32 +79,52 @@ def test_proximity_names_a_class_missing_from_the_iou_table(tiny_run, capsys):
     assert novel[0] in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("rows", [[["class", "iou"], ["lamp", "0.5"]],
-                                  [["class", "mean_iou"], ["lamp", "high"]]],
-                         ids=["missing_column", "unparsable_value"])
+@pytest.mark.parametrize("content,says", [
+    (b"class,iou\r\nlamp,0.5\r\n", "{table}: unreadable IoU table"),
+    (b"class,mean_iou\r\nlamp,high\r\n", "{table}: unreadable IoU table"),
+    (b"\xff\xfeclass,mean_iou\r\n", "{table}: 'utf-8' codec can't decode"),
+    (None, "no {table}; run eval first")],
+    ids=["missing_column", "unparsable_value", "undecodable", "absent"])
 def test_proximity_on_a_damaged_iou_table_exits_3_and_names_it(tiny_run,
-                                                                capsys, rows):
-    table = tiny_run.paths.reports_dir / "dual_mix_iou.csv"
+                                                                capsys, content,
+                                                                says):
+    table = tiny_run.paths.iou_path("dual_mix")
     table.parent.mkdir(parents=True, exist_ok=True)
-    with open(table, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    if content is not None:
+        table.write_bytes(content)
     assert tiny_run.voxmix("proximity", "--pipeline", "dual_mix") == cli.EXIT_MISSING
-    assert f"{table}: unreadable IoU table" in capsys.readouterr().err
+    assert says.format(table=table) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("relpath,keep", [
-    ("dataset/manifest.jsonl", 500), ("split.json", 30),
-    ("priors/prior_lamp.binvox", 30),
-    ("dataset/images/box_000_p0_dep.pgm", 20),
-    ("dataset/volumes/box_000.binvox", 30)],
-    ids=["manifest", "split", "prior", "view", "volume"])
+# keep=None deletes the file, whose message then names the command that
+# writes it; build-priors reads volumes through corpus.load_object_volumes.
+@pytest.mark.parametrize("relpath,keep,command", [
+    ("dataset/manifest.jsonl", 500, "pretrain-gt"),
+    ("split.json", 30, "pretrain-gt"),
+    ("priors/prior_lamp.binvox", 30, "pretrain-gt"),
+    ("dataset/images/box_000_p0_dep.pgm", 20, "pretrain-gt"),
+    ("dataset/volumes/box_000.binvox", 30, "pretrain-gt"),
+    ("dataset/manifest.jsonl", None, "pretrain-gt"),
+    ("split.json", None, "pretrain-gt"),
+    ("priors/prior_lamp.binvox", None, "pretrain-gt"),
+    ("dataset/images/box_000_p0_dep.pgm", None, "pretrain-gt"),
+    ("dataset/volumes/box_000.binvox", None, "build-priors")],
+    ids=["manifest", "split", "prior", "view", "volume", "manifest_deleted",
+         "split_deleted", "prior_deleted", "view_deleted", "volume_deleted"])
 def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
-                                                             relpath, keep):
+                                                             relpath, keep,
+                                                             command):
     damaged = tiny_run.paths.root / relpath
-    damaged.write_bytes(damaged.read_bytes()[:keep])
+    if keep is None:
+        damaged.unlink()
+        made_by = "gen-data" if relpath.startswith("dataset/") else "build-priors"
+        says = f"no {damaged}; run {made_by} first"
+    else:
+        damaged.write_bytes(damaged.read_bytes()[:keep])
+        says = f"{damaged}: "
     capsys.readouterr()
-    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_MISSING
-    assert f"missing artifact: {damaged}: " in capsys.readouterr().err
+    assert tiny_run.voxmix(command) == cli.EXIT_MISSING
+    assert f"missing artifact: {says}" in capsys.readouterr().err
 
 
 def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,
@@ -301,6 +321,18 @@ def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,
     err = capsys.readouterr().err
     assert f"{ckpt}: not a checkpoint file" in err
     assert "allow_pickle" not in err
+
+
+@pytest.mark.parametrize("directory,says", [
+    (False, "no {ckpt}; run train first"), (True, "{ckpt}: ")],
+    ids=["absent", "directory"])
+def test_eval_without_a_readable_stage_checkpoint_exits_3_and_names_it(
+        tiny_run, capsys, directory, says):
+    ckpt = tiny_run.paths.checkpoint_path("dual_mix", 3)
+    if directory:
+        ckpt.mkdir(parents=True)
+    assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_MISSING
+    assert f"missing artifact: {says.format(ckpt=ckpt)}" in capsys.readouterr().err
 
 
 def test_every_subcommand_runs_and_eval_reproduces_the_iou_reports(tiny_run):

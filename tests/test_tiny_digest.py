@@ -1,0 +1,35 @@
+"""`tools/tiny_digest.py`, the byte-identity check for refactors, run as
+its users run it."""
+
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import voxmix
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "tiny_digest.py"
+SRC = Path(voxmix.__file__).resolve().parents[1]
+
+
+def _digest(root: Path) -> list[str]:
+    done = subprocess.run([sys.executable, str(TOOL), str(SRC), str(root)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+def test_the_command_chain_writes_the_same_bytes_in_two_fresh_roots(tmp_path):
+    first = _digest(tmp_path / "a")
+    assert _digest(tmp_path / "b") == first
+    names = [re.fullmatch(r"[0-9a-f]{64}  (.+)", line).group(1)
+             for line in first]
+    written = sorted(str(p.relative_to(tmp_path / "a")) for p in
+                     (tmp_path / "a").rglob("*")
+                     if p.is_file() and p.name != "tiny.cfg")
+    assert sorted(n for n in names if not n.endswith(" [arrays]")) == written
+    checkpoints = [k for k, name in enumerate(names) if name.endswith(".ckpt")]
+    assert checkpoints
+    for k in checkpoints:
+        assert names[k + 1] == f"{names[k]} [arrays]"
+    assert len(names) == len(written) + len(checkpoints)
