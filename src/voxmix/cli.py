@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -323,14 +324,16 @@ def cmd_mix_preview(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    start = time.perf_counter()
     reports = verification.run_standard_checks(args.tolerance, args.probes)
     worst = max(reports, key=lambda item: item[1].max_rel_error)
     for name, report in reports:
         print(f"{name:28s} max rel error {report.max_rel_error:.3e}")
-    overall = worst[1].max_rel_error
+    overall, calls = worst[1].max_rel_error, sum(r.loss_calls for _, r in reports)
     ok = all(report.passed for _, report in reports)
     print(f"{'PASS' if ok else 'FAIL'}: max relative error {overall:.3e} "
-          f"({worst[0]}) at tolerance {args.tolerance:.1e}")
+          f"({worst[0]}) at tolerance {args.tolerance:.1e}; {calls} loss calls "
+          f"in {time.perf_counter() - start:.1f} s")
     if not ok:
         raise NumericError("gradient check failed")
     return EXIT_OK

@@ -53,18 +53,18 @@ class CosineReport:
     rows: tuple[tuple[str, float, float, int, int], ...]
 
 
-def _batched_forward(net: Network, store: ParamStore, samples: SampleArrays,
-                     priors_by_class, prior_mode: str,
-                     all_classes: tuple[str, ...], batch_size: int):
-    """Yield (slice, trace) over the sample stack in fixed-size batches,
-    once the store is checked against the network."""
+def _batched(net: Network, run, store: ParamStore, samples: SampleArrays,
+             priors_by_class, prior_mode: str, all_classes: tuple[str, ...],
+             batch_size: int):
+    """Yield (slice, run(images, priors, store)) over the sample stack in
+    fixed-size batches, once the store is checked against `net`."""
     net.check_store(store)
     n = len(samples)
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
         priors = prior_batch(samples.class_ids[sl], priors_by_class,
                              prior_mode, all_classes)
-        yield sl, net.forward(samples.images[sl], priors, store)
+        yield sl, run(samples.images[sl], priors, store)
 
 
 def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
@@ -76,8 +76,8 @@ def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
     means."""
     per_sample: list[tuple[str, int, str, float]] = []
     by_class: dict[str, list[float]] = {}
-    for sl, trace in _batched_forward(net, store, samples, priors_by_class,
-                                      prior_mode, all_classes, batch_size):
+    for sl, trace in _batched(net, net.forward, store, samples, priors_by_class,
+                              prior_mode, all_classes, batch_size):
         pred_occ = trace.prediction > threshold
         gt_occ = samples.volumes[sl][:, 0] > 0.5
         inter = np.logical_and(pred_occ, gt_occ).sum(axis=(1, 2, 3))
@@ -104,8 +104,8 @@ def predictions_as_grids(net: Network, store: ParamStore,
     """Binarized predictions, one (object_id, pose_id, grid) per sample."""
     from .voxel import VoxelGrid
     out = []
-    for sl, trace in _batched_forward(net, store, samples, priors_by_class,
-                                      prior_mode, all_classes, batch_size):
+    for sl, trace in _batched(net, net.forward, store, samples, priors_by_class,
+                              prior_mode, all_classes, batch_size):
         occ = trace.prediction > threshold
         for k in range(occ.shape[0]):
             i = sl.start + k
@@ -121,10 +121,9 @@ def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
     """Exhaustive intra-class cosine similarities of fused latents:
     same-object pairs are views of one object, different-object pairs
     cross objects within a class."""
-    latents = []
-    for _, trace in _batched_forward(net, store, samples, priors_by_class,
-                                     prior_mode, all_classes, batch_size):
-        latents.append(trace.e_fused)
+    latents = [e_fused for _, (_, _, e_fused) in _batched(
+        net, net.encode, store, samples, priors_by_class, prior_mode,
+        all_classes, batch_size)]
     fused = np.concatenate(latents, axis=0).astype(np.float64)
     norms = np.linalg.norm(fused, axis=1, keepdims=True)
     if np.any(norms == 0.0):

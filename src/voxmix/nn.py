@@ -26,7 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -530,6 +530,7 @@ class GradCheckReport:
     tolerance: float
     max_rel_error: float
     worst_name: str
+    loss_calls: int
 
     @property
     def passed(self) -> bool:
@@ -537,19 +538,20 @@ class GradCheckReport:
 
 
 def grad_check(fn: Callable[[dict[str, np.ndarray]],
-                            tuple[float, dict[str, np.ndarray]]],
+                            tuple[float, Callable[[], Mapping[str, np.ndarray]]]],
                arrays: dict[str, np.ndarray],
                tolerance: float = 1e-4, probes: int = 20,
                step: float = 1e-5, seed: int = 0) -> GradCheckReport:
     """Compare fn's analytic gradients with central finite differences.
 
-    `fn(arrays)` returns (loss, grads) with one gradient per entry of
-    `arrays`.  Arrays should be float64 for the comparison to be
-    meaningful at the default tolerance.  Each tensor gets at least
-    min(size, probes) randomly probed coordinates.
+    `fn(arrays)` returns (loss, pullback); `pullback()` returns one gradient
+    per entry of `arrays`, and only the first call's runs, before the next
+    `fn` call (layers cache forward state for it).  Arrays should be
+    float64 for the comparison to be meaningful at the default tolerance.
+    Each tensor gets at least min(size, probes) randomly probed coordinates.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    _, grads = fn(arrays)
+    grads = fn(arrays)[1]()
     max_rel = 0.0
     worst = ""
     for name in arrays:
@@ -564,9 +566,9 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
         for k in picks:
             original = flat[k]
             flat[k] = original + step
-            loss_plus, _ = fn(arrays)
+            loss_plus = fn(arrays)[0]
             flat[k] = original - step
-            loss_minus, _ = fn(arrays)
+            loss_minus = fn(arrays)[0]
             flat[k] = original
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             a = float(analytic.reshape(-1)[k])
@@ -575,4 +577,5 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
         if worst_here >= max_rel:
             max_rel = worst_here
             worst = name
-    return GradCheckReport(tolerance, max_rel, worst)
+    return GradCheckReport(tolerance, max_rel, worst, 1 + 2 * sum(
+        min(probes, arr.size) for arr in arrays.values()))

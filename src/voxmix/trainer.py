@@ -1,9 +1,9 @@
 """Staged training: volume-encoder pretraining, the base stage, the
 input-mixing stage, and the latent-mixing stage, with strict determinism.
 
-`stage_step` is the one place that runs a stage's forward pass, loss and
-backward pass; `train_stage` loops it over epochs and batches, and the
-finite-difference verifier checks that same function.
+`stage_step` runs a stage's forward pass and loss and returns its backward
+pass as a closure; `train_stage` runs both for every batch, and the
+finite-difference verifier checks that same function, backward only once.
 
 `PIPELINES` is the one statement of stage order: the base stage always
 runs first, and the latent stage follows either the base stage or the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -165,23 +166,24 @@ class StepStats:
 
 
 def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
-               lcfg: losses.LossConfig, alpha: float,
-               rng: np.random.Generator) -> losses.LossBreakdown:
-    """Forward pass, loss and backward pass of one training step of `stage`.
+               lcfg: losses.LossConfig, alpha: float, rng: np.random.Generator
+               ) -> tuple[losses.LossBreakdown, Callable[[], Mapping]]:
+    """Forward pass and loss of one training step of `stage`, and backward.
 
     The stages differ only in where the batch is mixed: nowhere (stage 1),
     in the inputs (stage 2), or in the fused and volume latents (stage 3),
     where the alignment is cosine-only (mixed rows have no one identity to
     contrast) and `mixup.apply_pairs_backward` unmixes the latent gradients.
-    Replaces `store.grads` with the gradient of the batch loss and returns
-    its breakdown; the caller applies the update.  Draws from `rng` in a
+    Returns the loss breakdown and `backward`, which replaces `store.grads`
+    with the gradient of that loss and returns them; run it before the
+    network's next forward pass, which overwrites the layer caches it reads,
+    and then apply the update.  Every draw from `rng` comes first, in a
     fixed order: the input-mixing plan (stage 2: partners, then ratios),
     then the latent-mixing plan (stage 3: partners, then ratios) or the
     triplet negatives (stages 1-2: one derangement).
     """
     if stage not in (STAGE_BASE, STAGE_INPUT_MIX, STAGE_LATENT_MIX):
         raise ValueError(f"unknown stage {stage}")
-    store.zero_grads()
     images, priors, volumes = batch.images, batch.priors, batch.volumes
     object_ids = batch.object_ids
     n = len(images)
@@ -209,7 +211,7 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
         align, (d_fused, d_vol_latent) = losses.align_loss_no_triplet(
             e_fused, vol_latent)
         sim_pos, sim_neg = 1.0 - align, 0.0
-        d_vol_latent = w_align * d_vol_latent
+        d_vol_latent = mixup.apply_pairs_backward(w_align * d_vol_latent, latent_plan)
     else:
         neg_idx, mask = _negative_indices(object_ids, n, rng)
         align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
@@ -217,14 +219,17 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
         d_vol_latent = w_align * d_pos
         np.add.at(d_vol_latent, neg_idx, w_align * d_neg)
 
-    d_fused = w_align * d_fused + net.decode_backward(lcfg.w_recon * d_pred,
-                                                      store)
-    if latent_plan is not None:
-        d_fused = mixup.apply_pairs_backward(d_fused, latent_plan)
-        d_vol_latent = mixup.apply_pairs_backward(d_vol_latent, latent_plan)
-    net.encode_backward(d_fused, store)
-    net.encode_gt_backward(d_vol_latent, store)
-    return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
+    def backward() -> Mapping:
+        store.zero_grads()
+        d_mixed = w_align * d_fused + net.decode_backward(lcfg.w_recon * d_pred,
+                                                          store)
+        if latent_plan is not None:
+            d_mixed = mixup.apply_pairs_backward(d_mixed, latent_plan)
+        net.encode_backward(d_mixed, store)
+        net.encode_gt_backward(d_vol_latent, store)
+        return store.grads
+
+    return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg), backward
 
 
 def train_stage(net: Network, store: ParamStore, stage: int,
@@ -245,11 +250,12 @@ def train_stage(net: Network, store: ParamStore, stage: int,
                           None if pool.priors is None else pool.priors[idx],
                           samples.volumes[idx],
                           [samples.object_ids[i] for i in idx])
-            breakdown = stage_step(net, store, batch, stage, config.loss,
-                                   config.mixup.alpha, rng)
+            breakdown, backward = stage_step(net, store, batch, stage,
+                                             config.loss, config.mixup.alpha, rng)
             if not np.isfinite(breakdown.total):
                 raise NumericError(
                     f"non-finite loss at stage {stage} epoch {epoch} step {step}")
+            backward()
             opt.step()
             stats.append(StepStats(stage, epoch, step, breakdown))
     return stats

@@ -1,11 +1,13 @@
 """Finite-difference verification harness.
 
-Builds a named fragment for every layer type, every loss, and the
-training step of each stage through a whole tiny network (both network
-variants; the steps run `trainer.stage_step`, the code that trains), then
-checks analytic gradients against central differences at float64.
-Inputs are sampled away from the ReLU and hinge kinks so the comparison
-is well defined.
+Builds a named fragment for every layer type, every loss, and the training
+step of each stage through a whole tiny network (both network variants; the
+steps run `trainer.stage_step`, the code that trains), then checks analytic
+gradients against central differences at float64.  A fragment returns its
+loss and a pullback to its gradients, so the probes run no backward pass,
+nor does the pipelines' kink-safe seed search: ReLU margins are recorded in
+the forward pass, the hinge margin in the loss.  Inputs are sampled away
+from the ReLU and hinge kinks so the comparison is well defined.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ def _layer_fragment(layer, x, seed):
 
     def fn(arrs):
         out = layer.forward(arrs["input"], store)
-        loss = float(np.sum(out * probe))
-        store.zero_grads()
-        dx = layer.backward(probe, store)
-        return loss, {"input": dx, **{n: g.copy() for n, g in store.grads.items()}}
+
+        def pullback():
+            store.zero_grads()
+            return {"input": layer.backward(probe, store), **store.grads}
+
+        return float(np.sum(out * probe)), pullback
 
     return fn, arrays
 
@@ -98,13 +102,13 @@ def loss_fragments(seed: int = 0):
 
     def bce_fn(arrs):
         value, d_pred = losses.bce_loss(arrs["pred"], target)
-        return value, {"pred": d_pred}
+        return value, lambda: {"pred": d_pred}
 
     fragments.append(("bce_loss", bce_fn, {"pred": pred.copy()}))
 
     def focal_fn(arrs):
         value, d_pred = losses.focal_loss(arrs["pred"], target, 2.0, 0.25)
-        return value, {"pred": d_pred}
+        return value, lambda: {"pred": d_pred}
 
     fragments.append(("focal_loss", focal_fn, {"pred": pred.copy()}))
 
@@ -115,7 +119,7 @@ def loss_fragments(seed: int = 0):
     def align_fn(arrs):
         value, _, _, (d_f, d_p, d_n) = losses.align_loss(
             arrs["fused"], arrs["pos"], arrs["neg"], 0.3)
-        return value, {"fused": d_f, "pos": d_p, "neg": d_n}
+        return value, lambda: {"fused": d_f, "pos": d_p, "neg": d_n}
 
     fragments.append(("align_loss", align_fn,
                       {"fused": fused.copy(), "pos": pos.copy(),
@@ -124,7 +128,7 @@ def loss_fragments(seed: int = 0):
     def align_nt_fn(arrs):
         value, (d_f, d_p) = losses.align_loss_no_triplet(arrs["fused"],
                                                          arrs["pos"])
-        return value, {"fused": d_f, "pos": d_p}
+        return value, lambda: {"fused": d_f, "pos": d_p}
 
     fragments.append(("align_loss_no_triplet", align_nt_fn,
                       {"fused": fused.copy(), "pos": pos.copy()}))
@@ -149,7 +153,7 @@ def _pipeline_data(cfg: NetworkConfig, seed: int):
 
 def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig,
                        stage: int, seed: int):
-    """One training step of `stage`: the loss and parameter gradients of
+    """One training step of `stage`: the loss and backward pass of
     `trainer.stage_step`, with its random stream reseeded on every call.
     The seed is the first one whose step keeps clear of every kink."""
     alpha = MixupSection().alpha
@@ -173,8 +177,8 @@ def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig,
         raise RuntimeError("no kink-safe seed found for a verification fragment")
 
     def fn(arrs):
-        total = step(net, store, batch, candidate).total
-        return total, {k: store.grads[k].copy() for k in store.params}
+        breakdown, backward = step(net, store, batch, candidate)
+        return breakdown.total, backward
 
     return fn, store.params
 

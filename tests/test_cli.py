@@ -1,9 +1,10 @@
 import csv
+import re
 
 import numpy as np
 import pytest
 
-from voxmix import cli, mixup, runs, trainer, voxel
+from voxmix import cli, mixup, runs, trainer, verification, voxel
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -351,3 +352,12 @@ def test_every_subcommand_runs_and_eval_reproduces_the_iou_reports(tiny_run):
     assert tiny_run.voxmix("mix-preview", "--pairs", "2") == cli.EXIT_OK
     assert cli.main(["grad-check", "--probes", "1"]) == cli.EXIT_OK
     assert not list(tiny_run.root.rglob("*.tmp"))
+
+
+def test_grad_check_reports_its_loss_calls_and_seconds(capsys):
+    assert cli.main(["grad-check", "--probes", "1"]) == cli.EXIT_OK
+    calls = sum(1 + 2 * len(arrays)
+                for _, _, arrays, _ in verification.standard_fragments(0))
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert re.fullmatch(rf"PASS: max relative error \S+ \(\w+\) at tolerance "
+                        rf"1\.0e-04; {calls} loss calls in \d+\.\d s", last)

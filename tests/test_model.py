@@ -136,8 +136,10 @@ def test_gradient_reaches_every_parameter():
     images, priors, volumes = batch(seed=6)
     step = trainer.Batch(images, priors, volumes, ["a", "b", "c"])
     for stage in trainer.PIPELINES["dual_mix"]:
-        trainer.stage_step(net, store, step, stage, losses.LossConfig(), 0.2,
-                           np.random.default_rng(7))
+        _, backward = trainer.stage_step(net, store, step, stage,
+                                         losses.LossConfig(), 0.2,
+                                         np.random.default_rng(7))
+        backward()
         for name, grad in store.grads.items():
             assert np.any(grad != 0.0), f"stage {stage}: no gradient reached {name}"
 

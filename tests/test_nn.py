@@ -238,11 +238,15 @@ def _layer_check(layer, x_shape, seed=0):
 
     def fn(arrs):
         y = layer.forward(arrs["input"], store)
-        store.zero_grads()
-        dx = layer.backward(probe, store)
-        grads = {"input": dx}
-        grads.update({k: store.grads[k].copy() for k in store.params})
-        return float(np.sum(y * probe)), grads
+
+        def pullback():
+            store.zero_grads()
+            dx = layer.backward(probe, store)
+            grads = {"input": dx}
+            grads.update({k: store.grads[k].copy() for k in store.params})
+            return grads
+
+        return float(np.sum(y * probe)), pullback
 
     return nn.grad_check(fn, arrays, tolerance=1e-4, probes=20)
 
@@ -448,7 +452,7 @@ def test_grad_check_passes_constant_fragment():
     arrays = {"x": np.ones(5)}
 
     def fn(arrs):
-        return 3.0, {"x": np.zeros(5)}
+        return 3.0, lambda: {"x": np.zeros(5)}
 
     report = nn.grad_check(fn, arrays)
     assert report.passed
@@ -462,7 +466,8 @@ def test_grad_check_locates_corrupted_backward():
 
     def fn(arrs):
         loss = float(np.sum(w * arrs["good"]) + np.sum(arrs["bad"] ** 2))
-        return loss, {"good": w.copy(), "bad": 3.0 * arrs["bad"]}  # wrong: 2x
+        bad = 3.0 * arrs["bad"]  # wrong: 2x
+        return loss, lambda: {"good": w.copy(), "bad": bad}
 
     report = nn.grad_check(fn, arrays)
     assert not report.passed

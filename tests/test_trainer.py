@@ -192,6 +192,14 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
 
 
+def _stage_step_with_backward(*args):
+    """`trainer.stage_step` with its backward pass run: the breakdown, and
+    the gradients in `store.grads`."""
+    breakdown, backward = trainer.stage_step(*args)
+    backward()
+    return breakdown
+
+
 def _looped_negative_indices(object_ids, n, rng):
     """The triplet negatives as a per-sample loop: the reference the array
     form in `trainer._negative_indices` must match, draws included."""
@@ -262,7 +270,7 @@ def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
                           volumes.astype(np.float32), ["a", "a", "b", "c"][:n])
 
     runs = []
-    for step in (_two_branch_stage_step, trainer.stage_step):
+    for step in (_two_branch_stage_step, _stage_step_with_backward):
         breakdown = step(net, store, batch, stage, lcfg, 0.2,
                          trainer.stream_rng(3, stage))
         runs.append((breakdown, store.flat_grads.tobytes()))
