@@ -2,9 +2,12 @@
 
 Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
-``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing
-or unreadable input artifact, 4 numeric failure.  On exit 3 the message
-names the file and, for a missing one, the command that writes it.  Every
+``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing,
+unreadable or stale input artifact, 4 numeric failure.  A stale input is a
+dataset, split or priors file written under other values of the config
+fields its command reads (`gen-data` for the dataset, `build-priors` for the
+split and priors).  On exit 3 the message names the file and, for a
+missing or stale one, the command that writes it.  Every
 bad config value exits 2 when the config is loaded, before any work, and
 the message names its key: an unknown key, a value its section rejects, a
 size the network's strides do not divide, an unknown pipeline, or a split
@@ -96,7 +99,8 @@ def _build_parser() -> _Parser:
     p = add("eval", "evaluate a trained checkpoint on the query set",
             pipeline=trained)
     p.add_argument("--dump-predictions", action="store_true",
-                   help="also write binarized predictions as binvox files")
+                   help="also write the binarized predictions to "
+                        "reports/<pipeline>_predictions.npz")
     add("analyze-latent", "same/different-object cosine report",
         pipeline=trained)
     add("proximity", "join class proximity with the evaluated IoU table",
@@ -157,29 +161,30 @@ def cmd_gen_data(args) -> int:
     config, paths = _load(args)
     paths.ensure_dirs()
     paths.write_resolved_config(config)
+    data = config.data
     manifest = corpus.build_dataset(
-        paths.dataset_dir, config.data.classes, config.data.objects_per_class,
-        config.data.poses_per_object, config.data.vox_dim,
-        config.data.image_size, config.data.elevations, config.seed)
-    print(f"wrote {len(manifest.records)} records under {paths.dataset_dir}")
+        data.classes, data.objects_per_class, data.poses_per_object,
+        data.vox_dim, data.image_size, data.elevations, config.seed)
+    runs.save_dataset(paths, manifest, config)
+    print(f"wrote {len(manifest.records)} records to {paths.dataset_path}")
     return EXIT_OK
 
 
 def cmd_build_priors(args) -> int:
     config, paths = _load(args)
-    manifest = runs.load_manifest(paths)
+    manifest = runs.load_manifest(paths, config)
     split = corpus.make_split(manifest, config.data.base_classes,
                               config.data.novel_classes, config.data.shots,
                               config.seed)
-    split.save(paths.split_path)
-    paths.priors_dir.mkdir(parents=True, exist_ok=True)
+    runs.save_split(paths, split, config)
+    priors = {}
     for class_id in config.data.classes:
         object_ids = split.train_objects[class_id]
         volumes = corpus.load_object_volumes(manifest, object_ids)
-        prior = voxel.build_prior([volumes[o] for o in object_ids],
-                                  config.prior.threshold)
-        voxel.save_binvox(prior, paths.prior_path(class_id))
-    print(f"wrote split and {len(config.data.classes)} priors under {paths.root}")
+        priors[class_id] = voxel.build_prior([volumes[o] for o in object_ids],
+                                             config.prior.threshold)
+    runs.save_priors(paths, priors, config)
+    print(f"wrote split and {len(priors)} priors under {paths.root}")
     return EXIT_OK
 
 
@@ -208,14 +213,16 @@ def cmd_eval(args) -> int:
     table = ctx.eval_table(store)
     trainer.write_iou_reports(paths, pipeline, table)
     if args.dump_predictions:
-        dump_dir = paths.reports_dir / f"{pipeline}_predictions"
-        dump_dir.mkdir(parents=True, exist_ok=True)
-        grids = evaluate.predictions_as_grids(
-            ctx.net, store, ctx.query_samples, ctx.priors_by_class,
-            config.prior.mode, config.data.classes,
-            config.eval.iou_threshold, config.eval.batch_size)
-        for object_id, pose_id, grid in grids:
-            voxel.save_binvox(grid, dump_dir / f"{object_id}_p{pose_id}.binvox")
+        query = ctx.query_samples
+        predictions = evaluate.binarized_predictions(
+            ctx.net, store, query, ctx.priors_by_class, config.prior.mode,
+            config.data.classes, config.eval.iou_threshold,
+            config.eval.batch_size)
+        runs.save_archive(paths.reports_dir / f"{pipeline}_predictions.npz",
+                          {"object_ids": query.object_ids,
+                           "pose_ids": query.pose_ids,
+                           "threshold": config.eval.iou_threshold},
+                          {"predictions": predictions})
     for class_id, mean_iou, count in table.rows:
         print(f"{class_id:10s} {mean_iou:.4f}  (n={count})")
     print(f"{'average':10s} {table.overall:.4f}  [prior mode: {table.prior_mode}]")
@@ -241,8 +248,8 @@ def cmd_proximity(args) -> int:
     config, paths = _load(args)
     pipeline = args.pipeline or config.train.pipeline
     iou = runs.read_artifact(paths.iou_path(pipeline), _read_iou_csv, "eval")
-    manifest = runs.load_manifest(paths)
-    split = runs.load_split(paths)
+    manifest = runs.load_manifest(paths, config)
+    split = runs.load_split(paths, config)
     novel, base = [], []
     for class_id in split.novel_classes:
         objs = split.train_objects[class_id] + split.query_objects[class_id]
@@ -302,18 +309,13 @@ def cmd_mix_preview(args) -> int:
     plan = partners, ratios = mixup.pair_batch(count, config.mixup.alpha, rng)
     out_dir = paths.reports_dir / "mix_preview"
     out_dir.mkdir(parents=True, exist_ok=True)
-    from .render import write_pgm
     volumes = pool.samples.volumes[:count]
     priors = np.zeros_like(volumes) if pool.priors is None \
         else pool.priors[:count]
-    images = mixup.apply_pairs(pool.samples.images[:count], plan)
-    priors = mixup.apply_pairs(priors, plan)
-    volumes = mixup.apply_pairs(volumes, plan)
-    for k in range(count):
-        write_pgm(images[k, 0], out_dir / f"pair{k}_sil.pgm")
-        write_pgm(images[k, 1], out_dir / f"pair{k}_dep.pgm")
-        mixup.write_vgrid(priors[k, 0], out_dir / f"pair{k}_prior.vgrid")
-        mixup.write_vgrid(volumes[k, 0], out_dir / f"pair{k}_volume.vgrid")
+    runs.save_archive(out_dir / "pairs.npz", {}, {
+        "images": mixup.apply_pairs(pool.samples.images[:count], plan),
+        "priors": mixup.apply_pairs(priors, plan)[:, 0],
+        "volumes": mixup.apply_pairs(volumes, plan)[:, 0]})
     ids = pool.samples.object_ids
     runs.write_csv(out_dir / "pairs.csv",
                    ("pair", "i", "j", "lam", "object_i", "object_j"),

@@ -1,17 +1,16 @@
-"""Synthetic labelled corpus: generation, on-disk manifest, and the
+"""Synthetic labelled corpus: generation, the dataset archive, and the
 base/novel few-shot split.
 
-Layout under a dataset root:
-    manifest.jsonl           one JSON record per view (see Record)
-    volumes/<object>.binvox  ground-truth occupancy per object
-    images/<object>_p<k>_sil.pgm / _dep.pgm   rendered view channels
+The dataset is one npz archive (layout in `runs`): the manifest rows (see
+Record) in its metadata, every view's silhouette and depth as uint8, and
+one boolean volume per object.  `load_samples` scales the views back to
+[0, 1] float32.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, asdict
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -28,15 +27,17 @@ class Record:
     pose_id: int
     azimuth: float
     elevation: float
-    sil: str          # image paths relative to the dataset root
-    dep: str
-    volume: str       # binvox path relative to the dataset root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatasetManifest:
-    root: Path
+    """The manifest and the arrays it indexes: one record per view, each
+    view's silhouette and depth quantized to uint8 (value * 255, rounded),
+    and one binary volume per object."""
+
     records: tuple[Record, ...]
+    views: np.ndarray                  # (n_records, 2, H, W) uint8
+    volumes: dict[str, np.ndarray]     # object id -> (D, D, D) bool
 
     def objects_by_class(self) -> dict[str, list[str]]:
         seen: dict[str, list[str]] = {}
@@ -50,21 +51,26 @@ class DatasetManifest:
         wanted = set(object_ids)
         return [r for r in self.records if r.object_id in wanted]
 
-    def save(self) -> None:
-        from .runs import write_atomic
-        write_atomic(self.root / "manifest.jsonl",
-                     "".join(json.dumps(asdict(rec)) + "\n"
-                             for rec in self.records))
+    def save(self, path, meta: dict) -> None:
+        from .runs import save_archive
+        save_archive(path, dict(meta, records=[asdict(r) for r in self.records]),
+                     {"views": self.views,
+                      "volumes": np.stack(list(self.volumes.values()))})
 
     @classmethod
-    def load(cls, root) -> "DatasetManifest":
-        root = Path(root)
-        path = root / "manifest.jsonl"
-        records = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                records.append(Record(**json.loads(line)))
-        return cls(root, tuple(records))
+    def load(cls, path) -> tuple["DatasetManifest", dict]:
+        """The dataset archive at `path`, and the rest of its metadata."""
+        from .runs import read_archive
+        meta, arrays = read_archive(path, "dataset",
+                                    lambda meta: ("views", "volumes"))
+        records = tuple(Record(**row) for row in meta.pop("records"))
+        objects = list(dict.fromkeys(rec.object_id for rec in records))
+        views, volumes = arrays["views"], arrays["volumes"]
+        if len(views) != len(records) or len(volumes) != len(objects):
+            raise ValueError(f"{len(views)} views and {len(volumes)} volumes "
+                             f"for {len(records)} records of {len(objects)} "
+                             "objects")
+        return cls(records, views, dict(zip(objects, volumes))), meta
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,9 @@ class FewShotSplit:
             out.extend(self.query_objects[cls])
         return out
 
-    def save(self, path) -> None:
+    def save(self, path, meta: dict) -> None:
         payload = {
+            "meta": meta,
             "base_classes": list(self.base_classes),
             "novel_classes": list(self.novel_classes),
             "shots": self.shots,
@@ -102,7 +109,8 @@ class FewShotSplit:
         write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
     @classmethod
-    def load(cls, path) -> "FewShotSplit":
+    def load(cls, path) -> tuple["FewShotSplit", dict]:
+        """The split at `path`, and its metadata."""
         with open(path, "r", encoding="ascii") as fh:
             payload = json.load(fh)
         return cls(
@@ -111,7 +119,7 @@ class FewShotSplit:
             shots=int(payload["shots"]),
             train_objects={c: tuple(v) for c, v in payload["train_objects"].items()},
             query_objects={c: tuple(v) for c, v in payload["query_objects"].items()},
-        )
+        ), payload.get("meta", {})
 
 
 def _object_params(seed: int, class_id: str, index: int, arity: int) -> tuple[float, ...]:
@@ -129,21 +137,20 @@ def _stable_class_code(class_id: str) -> int:
     return code
 
 
-def build_dataset(root, classes: Sequence[str], objects_per_class: int,
+def build_dataset(classes: Sequence[str], objects_per_class: int,
                   poses_per_object: int = 8, vox_dim: int = 16,
                   image_size: int = 32,
                   elevations: Sequence[float] = (-30.0, -10.0, 15.0, 35.0),
                   seed: int = 0) -> DatasetManifest:
     """Generate volumes, rendered views, and the manifest. Deterministic
-    in `seed`; re-running with the same arguments is byte-identical.
+    in `seed`.
 
     Pose k looks from azimuth 360*k/P and cycles through `elevations`, so
     views of one object differ substantially, which is what the
     pose-alignment loss is meant to absorb."""
-    root = Path(root)
-    (root / "volumes").mkdir(parents=True, exist_ok=True)
-    (root / "images").mkdir(parents=True, exist_ok=True)
     records: list[Record] = []
+    views: list[np.ndarray] = []
+    volumes: dict[str, np.ndarray] = {}
     azimuths = [360.0 * k / poses_per_object for k in range(poses_per_object)]
     for class_id in classes:
         arity = shapes.param_count(class_id)
@@ -152,22 +159,16 @@ def build_dataset(root, classes: Sequence[str], objects_per_class: int,
             params = _object_params(seed, class_id, index, arity)
             spec = shapes.ShapeSpec(class_id, class_id, params)
             grid = shapes.voxelize(spec, vox_dim)
-            vol_rel = f"volumes/{object_id}.binvox"
-            voxel.save_binvox(grid, root / vol_rel)
+            volumes[object_id] = grid.occupied()
             for pose_id, azimuth in enumerate(azimuths):
                 elevation = elevations[pose_id % len(elevations)]
                 image = render.render(grid, azimuth, elevation,
                                       (image_size, image_size))
-                sil_rel = f"images/{object_id}_p{pose_id}_sil.pgm"
-                dep_rel = f"images/{object_id}_p{pose_id}_dep.pgm"
-                render.write_pgm(image[0], root / sil_rel)
-                render.write_pgm(image[1], root / dep_rel)
+                views.append(np.rint(np.clip(image, 0.0, 1.0) * 255)
+                             .astype(np.uint8))
                 records.append(Record(object_id, class_id, pose_id,
-                                      azimuth, elevation,
-                                      sil_rel, dep_rel, vol_rel))
-    manifest = DatasetManifest(root, tuple(records))
-    manifest.save()
-    return manifest
+                                      azimuth, elevation))
+    return DatasetManifest(tuple(records), np.stack(views), volumes)
 
 
 def make_split(manifest: DatasetManifest, base_classes: Sequence[str],
@@ -224,37 +225,22 @@ class SampleArrays:
 
 
 def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> SampleArrays:
-    from .runs import read_artifact
-    volume_cache: dict[str, np.ndarray] = {}
-    images = []
-    volumes = []
-    object_ids, class_ids, pose_ids = [], [], []
-    for rec in records:
-        sil = read_artifact(manifest.root / rec.sil, render.read_pgm, "gen-data")
-        dep = read_artifact(manifest.root / rec.dep, render.read_pgm, "gen-data")
-        images.append(np.stack([sil, dep]))
-        if rec.volume not in volume_cache:
-            grid = read_artifact(manifest.root / rec.volume, voxel.load_binvox,
-                                 "gen-data")
-            volume_cache[rec.volume] = grid.values.astype(np.float32)
-        volumes.append(volume_cache[rec.volume][None])
-        object_ids.append(rec.object_id)
-        class_ids.append(rec.class_id)
-        pose_ids.append(rec.pose_id)
-    return SampleArrays(object_ids, class_ids, pose_ids,
-                        np.asarray(images, dtype=np.float32),
-                        np.asarray(volumes, dtype=np.float32))
+    row = {rec: i for i, rec in enumerate(manifest.records)}
+    images = manifest.views[[row[rec] for rec in records]].astype(np.float32)
+    images /= 255.0
+    volumes = np.stack([manifest.volumes[rec.object_id] for rec in records])
+    return SampleArrays([rec.object_id for rec in records],
+                        [rec.class_id for rec in records],
+                        [rec.pose_id for rec in records], images,
+                        volumes[:, None].astype(np.float32))
 
 
 def load_object_volumes(manifest: DatasetManifest,
                         object_ids: Sequence[str]) -> dict[str, voxel.VoxelGrid]:
-    from .runs import read_artifact
-    by_object = {}
-    for rec in manifest.records:
-        if rec.object_id in object_ids and rec.object_id not in by_object:
-            by_object[rec.object_id] = read_artifact(
-                manifest.root / rec.volume, voxel.load_binvox, "gen-data")
-    missing = set(object_ids) - set(by_object)
+    """The volumes of `object_ids`, in manifest order."""
+    wanted = set(object_ids)
+    missing = wanted - set(manifest.volumes)
     if missing:
         raise ValueError(f"volumes missing for objects: {sorted(missing)}")
-    return by_object
+    return {obj: voxel.VoxelGrid(len(volume), volume, binary=True)
+            for obj, volume in manifest.volumes.items() if obj in wanted}

@@ -97,21 +97,14 @@ def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
     return IouTable(threshold, prior_mode, rows, overall, tuple(per_sample))
 
 
-def predictions_as_grids(net: Network, store: ParamStore,
-                         samples: SampleArrays, priors_by_class,
-                         prior_mode: str, all_classes: tuple[str, ...],
-                         threshold: float, batch_size: int = 64):
-    """Binarized predictions, one (object_id, pose_id, grid) per sample."""
-    from .voxel import VoxelGrid
-    out = []
-    for sl, trace in _batched(net, net.forward, store, samples, priors_by_class,
-                              prior_mode, all_classes, batch_size):
-        occ = trace.prediction > threshold
-        for k in range(occ.shape[0]):
-            i = sl.start + k
-            out.append((samples.object_ids[i], samples.pose_ids[i],
-                        VoxelGrid(occ.shape[1], occ[k], binary=True)))
-    return out
+def binarized_predictions(net: Network, store: ParamStore,
+                          samples: SampleArrays, priors_by_class,
+                          prior_mode: str, all_classes: tuple[str, ...],
+                          threshold: float, batch_size: int = 64) -> np.ndarray:
+    """(n, D, D, D) bool: each sample's prediction above `threshold`."""
+    return np.concatenate([trace.prediction > threshold for _, trace in _batched(
+        net, net.forward, store, samples, priors_by_class, prior_mode,
+        all_classes, batch_size)])
 
 
 def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,

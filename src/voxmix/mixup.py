@@ -61,32 +61,3 @@ def apply_pairs_backward(d_mixed: np.ndarray, plan) -> np.ndarray:
     d_stack += (1 - lams) * d_mixed
     np.add.at(d_stack, partners, lams * d_mixed)
     return d_stack
-
-
-# ---------------------------------------------------------------------------
-# Raw real-valued grid dump (for the mix-preview command)
-#
-# Layout: ASCII line "vgrid <dim>\n" then dim^3 little-endian float32
-# values ordered y fastest, then z, then x (binvox order).
-# ---------------------------------------------------------------------------
-
-def write_vgrid(values: np.ndarray, path) -> None:
-    values = np.asarray(values)
-    if values.ndim != 3 or len(set(values.shape)) != 1:
-        raise ValueError(f"expected a cubic grid, got shape {values.shape}")
-    dim = values.shape[0]
-    flat = values.transpose(0, 2, 1).astype("<f4").tobytes()
-    from .runs import write_atomic
-    write_atomic(path, f"vgrid {dim}\n".encode("ascii") + flat)
-
-
-def read_vgrid(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != b"vgrid":
-            raise ValueError(f"{path}: not a vgrid file")
-        dim = int(header[1])
-        raw = np.frombuffer(fh.read(), dtype="<f4")
-    if raw.size != dim ** 3:
-        raise ValueError(f"{path}: expected {dim ** 3} values, got {raw.size}")
-    return raw.reshape(dim, dim, dim).transpose(0, 2, 1).astype(np.float32)

@@ -1,4 +1,4 @@
-"""Orthographic silhouette+depth rendering of voxel grids, plus PGM I/O.
+"""Orthographic silhouette+depth rendering of voxel grids.
 
 View convention: the grid is rotated about its centre by `-azimuth` around
 z (up) and then `-elevation` around y, and projected along +x.  Image rows
@@ -67,43 +67,3 @@ def render(volume: VoxelGrid, azimuth: float, elevation: float,
     sil = sil_img[np.ix_(rows, cols)].astype(np.float32)
     dep = dep_img[np.ix_(rows, cols)].astype(np.float32)
     return np.stack([sil, dep])
-
-
-# ---------------------------------------------------------------------------
-# 8-bit binary PGM (P5)
-# ---------------------------------------------------------------------------
-
-def write_pgm(image: np.ndarray, path) -> None:
-    """Write a single-channel [0,1] float image as an 8-bit binary PGM."""
-    if image.ndim != 2:
-        raise ValueError(f"expected a 2-D image, got shape {image.shape}")
-    quantized = np.rint(np.clip(image, 0.0, 1.0) * 255).astype(np.uint8)
-    h, w = quantized.shape
-    from .runs import write_atomic
-    write_atomic(path, f"P5\n{w} {h}\n255\n".encode("ascii") + quantized.tobytes())
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM back into a [0,1] float32 image."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    fields: list[bytes] = []
-    pos = 0
-    while len(fields) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if data[pos:pos + 1] == b"#":
-            pos = data.index(b"\n", pos) + 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        fields.append(data[start:pos])
-    if fields[0] != b"P5":
-        raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 255:
-        raise ValueError(f"unsupported PGM maxval {maxval}")
-    pos += 1  # single whitespace byte after maxval
-    raw = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=pos)
-    return (raw.reshape(h, w).astype(np.float32)) / 255.0

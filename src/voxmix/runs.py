@@ -2,41 +2,55 @@
 
 Every experiment lives under one run directory:
     config.resolved.txt    full config after file + overrides
-    dataset/               manifest, binvox volumes, PGM views
-    split.json             the base/novel few-shot split
-    priors/prior_<class>.binvox
+    dataset.npz            the views, volumes and manifest (gen-data)
+    split.json             the base/novel few-shot split (build-priors)
+    priors.npz             one binary prior per class (build-priors)
     checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
     logs/                  <arm>_train.csv
     reports/               <arm>_iou.csv, <arm>_iou_samples.csv, and cosine,
-                           proximity and alpha_sweep CSVs
+                           proximity and alpha_sweep CSVs;
+                           <pipeline>_predictions.npz (eval --dump-predictions);
+                           mix_preview/pairs.csv and pairs.npz (mix-preview)
 where an arm is a pipeline or, in an alpha sweep, <pipeline>_alpha<alpha>.
 
-Every artifact file is written through `write_atomic`: checkpoints, CSVs,
-the split, the manifest, the resolved config, binvox volumes and priors,
-PGM views and vgrid previews.  The bytes go to a `.<name>.<pid>.tmp`
+Every artifact file is written through `write_atomic`: archives, CSVs, the
+split and the resolved config.  The bytes go to a `.<name>.<pid>.tmp`
 sibling, which no glob for an artifact's suffix matches, and `os.replace`
 then puts it in place.  A write interrupted before the rename leaves the
 earlier file as it was.  (There is no fsync: this guards against a
 process dying mid-write, not against losing power.)
 
-Every input artifact is read through `read_artifact`: the manifest, the
-split, priors, dataset views and volumes, checkpoints and the IoU table.
-Each failure raises `MissingArtifactError` naming the file: a missing
-file's message also names the command that writes it, and any other error
-its loader raises is passed on in the message.  The command line exits 3
-on either.
+Every input artifact is read through `read_artifact`: the dataset, the
+split, the priors, checkpoints and the IoU table.  Each failure raises
+`MissingArtifactError` naming the file: a missing file's message also
+names the command that writes it, and any other error its loader raises is
+passed on in the message.  The command line exits 3 on either.  The
+dataset stores `dataset_hash` and the split and priors `priors_hash`, each
+a hash of the config fields its command reads; one that does not match
+the config of the reading command is refused the same way, and the
+message names the command to run again.
 
-A checkpoint is an npz archive, written uncompressed under the name it is
-given, holding one array per role of a `ParamStore`:
-    meta          the metadata, "step" and "layout" (the parameter names,
-                  their shapes and the slot kinds), as a JSON string array
-    params        every parameter, flat float32, in the layout's name order
-    slot/<kind>   one optimizer slot kind, in the same layout
+Every array artifact is one npz archive, written by `save_archive`
+uncompressed under the name it is given and read by `read_archive`.  Its
+`meta` entry holds a JSON object; the other entries are arrays:
+    dataset      meta: dataset_hash, records (the manifest rows, see
+                 corpus.Record); views (N, 2, H, W) uint8, row i the
+                 silhouette and depth of record i; volumes (objects, D, D, D)
+                 bool, one per object in order of first record
+    priors       meta: priors_hash, classes; priors (classes, D, D, D) bool
+    checkpoint   meta: the metadata, "step" and "layout" (the parameter
+                 names, their shapes and the slot kinds); params, every
+                 parameter, flat float32, in the layout's name order;
+                 slot/<kind>, one optimizer slot kind, in the same layout
+    predictions  meta: object_ids, pose_ids, threshold; predictions
+                 (N, D, D, D) bool, the binarized query predictions
+    mix preview  meta: {}; images (pairs, 2, H, W), priors and volumes
+                 (pairs, D, D, D), the mixed float32 stacks
 It is read with `allow_pickle=False`.  A file that is not such an archive,
-whose zip CRC fails, whose entries are not exactly the ones its layout
+whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose
-arrays do not fit the layout's shapes raises `MissingArtifactError`
-naming the path.
+arrays do not fit its metadata raises `MissingArtifactError` naming the
+path.
 """
 
 from __future__ import annotations
@@ -47,11 +61,13 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Iterable
 
 import numpy as np
 
 from . import corpus, voxel
-from .config import ExperimentConfig, dump_config
+from .config import (DataConfig, ExperimentConfig, PriorConfig, config_hash,
+                     dump_config)
 from .nn import ParamStore
 
 RUN_ROOT_ENV = "VOXMIX_RUN_ROOT"
@@ -101,19 +117,48 @@ def write_csv(path, header, rows) -> None:
     write_atomic(path, buf.getvalue())
 
 
+def save_archive(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write `meta` and `arrays` as one uncompressed npz archive, atomically,
+    under exactly the name `path`."""
+    entries = {"meta": np.array(json.dumps(meta, sort_keys=True)), **arrays}
+    # np.savez appends ".npz" to a path that lacks it; a buffer keeps the name.
+    buf = io.BytesIO()
+    np.savez(buf, **entries)
+    write_atomic(path, buf.getvalue())
+
+
+def read_archive(path, kind: str, entries: Callable[[dict], Iterable[str]]
+                 ) -> tuple[dict, dict[str, np.ndarray]]:
+    """(meta, arrays) of the archive `save_archive` wrote at `path`, whose
+    entries must be exactly "meta" and `entries(meta)`; `kind` names the
+    file in the error for one that is not an archive."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            # np.load would try pickle here and name allow_pickle as the cause.
+            raise ValueError(f"not a {kind} file")
+    with np.load(path, allow_pickle=False) as archive:
+        meta = json.loads(archive["meta"].item())
+        declared = {"meta", *entries(meta)}
+        found = set(archive.files)
+        if found != declared:   # the first three of each, in name order
+            raise KeyError(f"unexpected entries {sorted(found - declared)[:3]}"
+                           f", missing entries {sorted(declared - found)[:3]}")
+        return meta, {name: archive[name] for name in sorted(declared - {"meta"})}
+
+
 def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> None:
     if store.flat.dtype != np.float32:
         raise ValueError(f"checkpoints hold float32 tensors, not {store.flat.dtype}")
     kinds = sorted(store.flat_slots)
     meta = dict(metadata or {}, step=store.step, layout={
         "names": store.names, "shapes": store.shapes, "slots": kinds})
-    arrays = {"meta": np.array(json.dumps(meta, sort_keys=True)),
-              "params": store.flat}
-    arrays.update((f"slot/{kind}", store.flat_slots[kind]) for kind in kinds)
-    # np.savez appends ".npz" to a path that lacks it; a buffer keeps the name.
-    buf = io.BytesIO()
-    np.savez(buf, **arrays)
-    write_atomic(path, buf.getvalue())
+    save_archive(path, meta, {"params": store.flat, **{
+        f"slot/{kind}": store.flat_slots[kind] for kind in kinds}})
+
+
+def _checkpoint_entries(meta: dict) -> list[str]:
+    return ["params", *(f"slot/{kind}" for kind
+                        in meta.get("layout", {}).get("slots", []))]
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
@@ -121,22 +166,12 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
 
 
 def _read_checkpoint(path) -> tuple[ParamStore, dict]:
-    with open(path, "rb") as fh:
-        if fh.read(4) != b"PK\x03\x04":
-            # np.load would try pickle here and name allow_pickle as the cause.
-            raise ValueError("not a checkpoint file")
-    with np.load(path, allow_pickle=False) as archive:
-        metadata = json.loads(archive["meta"].item())
-        layout = metadata.pop("layout", {})
-        kinds = layout.get("slots", [])
-        declared = {"meta", "params", *(f"slot/{kind}" for kind in kinds)}
-        found = set(archive.files)
-        if found != declared:   # the first three of each, in name order
-            raise KeyError(f"unexpected entries {sorted(found - declared)[:3]}"
-                           f", missing entries {sorted(declared - found)[:3]}")
-        store = ParamStore(layout["names"], layout["shapes"], archive["params"],
-                           slots={kind: archive[f"slot/{kind}"] for kind in kinds})
-        store.step = int(metadata["step"])
+    metadata, arrays = read_archive(path, "checkpoint", _checkpoint_entries)
+    layout = metadata.pop("layout")
+    store = ParamStore(layout["names"], layout["shapes"], arrays["params"],
+                       slots={kind: arrays[f"slot/{kind}"]
+                              for kind in layout["slots"]})
+    store.step = int(metadata["step"])
     return store, metadata
 
 
@@ -156,16 +191,16 @@ class RunPaths:
         return cls(run_root(root) / config.run_name)
 
     @property
-    def dataset_dir(self) -> Path:
-        return self.root / "dataset"
+    def dataset_path(self) -> Path:
+        return self.root / "dataset.npz"
 
     @property
     def split_path(self) -> Path:
         return self.root / "split.json"
 
     @property
-    def priors_dir(self) -> Path:
-        return self.root / "priors"
+    def priors_path(self) -> Path:
+        return self.root / "priors.npz"
 
     @property
     def checkpoints_dir(self) -> Path:
@@ -183,9 +218,6 @@ class RunPaths:
     def resolved_config_path(self) -> Path:
         return self.root / "config.resolved.txt"
 
-    def prior_path(self, class_id: str) -> Path:
-        return self.priors_dir / f"prior_{class_id}.binvox"
-
     def checkpoint_path(self, arm: str, stage: int) -> Path:
         return self.checkpoints_dir / f"{arm}_stage{stage}.ckpt"
 
@@ -202,21 +234,72 @@ class RunPaths:
         write_atomic(self.resolved_config_path, dump_config(config))
 
 
-def load_manifest(paths: RunPaths) -> corpus.DatasetManifest:
-    return read_artifact(paths.dataset_dir / "manifest.jsonl",
-                         lambda path: corpus.DatasetManifest.load(path.parent),
-                         "gen-data")
+def dataset_hash(config: ExperimentConfig) -> str:
+    """Hash of the config fields `gen-data` reads, and no others."""
+    data = config.data
+    return config_hash(ExperimentConfig(seed=config.seed, data=DataConfig(
+        classes=data.classes, objects_per_class=data.objects_per_class,
+        poses_per_object=data.poses_per_object, elevations=data.elevations,
+        vox_dim=data.vox_dim, image_size=data.image_size)))
 
 
-def load_split(paths: RunPaths) -> corpus.FewShotSplit:
-    return read_artifact(paths.split_path, corpus.FewShotSplit.load,
-                         "build-priors")
+def priors_hash(config: ExperimentConfig) -> str:
+    """Hash of the config fields `build-priors` reads, and no others: the
+    dataset's, the class split, the shots and the prior threshold."""
+    return config_hash(ExperimentConfig(
+        seed=config.seed, data=config.data,
+        prior=PriorConfig(threshold=config.prior.threshold)))
 
 
-def load_priors(paths: RunPaths, classes) -> dict[str, np.ndarray]:
+def _check_inputs(meta: dict, key: str, expected: str, made_by: str) -> None:
+    if meta.get(key) != expected:
+        raise ValueError(f"written under other config settings; "
+                         f"run {made_by} again")
+
+
+def save_dataset(paths: RunPaths, manifest: corpus.DatasetManifest,
+                 config: ExperimentConfig) -> None:
+    manifest.save(paths.dataset_path, {"dataset_hash": dataset_hash(config)})
+
+
+def load_manifest(paths: RunPaths,
+                  config: ExperimentConfig) -> corpus.DatasetManifest:
+    def load(path):
+        manifest, meta = corpus.DatasetManifest.load(path)
+        _check_inputs(meta, "dataset_hash", dataset_hash(config), "gen-data")
+        return manifest
+    return read_artifact(paths.dataset_path, load, "gen-data")
+
+
+def save_split(paths: RunPaths, split: corpus.FewShotSplit,
+               config: ExperimentConfig) -> None:
+    split.save(paths.split_path, {"priors_hash": priors_hash(config)})
+
+
+def load_split(paths: RunPaths, config: ExperimentConfig) -> corpus.FewShotSplit:
+    def load(path):
+        split, meta = corpus.FewShotSplit.load(path)
+        _check_inputs(meta, "priors_hash", priors_hash(config), "build-priors")
+        return split
+    return read_artifact(paths.split_path, load, "build-priors")
+
+
+def save_priors(paths: RunPaths, priors: dict[str, voxel.VoxelGrid],
+                config: ExperimentConfig) -> None:
+    save_archive(paths.priors_path, {"priors_hash": priors_hash(config),
+                                     "classes": list(priors)},
+                 {"priors": np.stack([grid.occupied() for grid in priors.values()])})
+
+
+def load_priors(paths: RunPaths,
+                config: ExperimentConfig) -> dict[str, np.ndarray]:
     """Per-class prior grids as (1, D, D, D) float32 arrays."""
     def load(path):
-        return voxel.load_binvox(path).values.astype(np.float32)[None]
-    return {class_id: read_artifact(paths.prior_path(class_id), load,
-                                    "build-priors")
-            for class_id in classes}
+        meta, arrays = read_archive(path, "priors", lambda meta: ("priors",))
+        _check_inputs(meta, "priors_hash", priors_hash(config), "build-priors")
+        grids = arrays["priors"].astype(np.float32)[:, None]
+        if len(grids) != len(meta["classes"]):
+            raise ValueError(f"{len(grids)} priors for {len(meta['classes'])} "
+                             "classes")
+        return dict(zip(meta["classes"], grids))
+    return read_artifact(paths.priors_path, load, "build-priors")

@@ -341,9 +341,9 @@ class ExperimentContext:
         # Built before the sample arrays: after them, it raised infer_b64's
         # peak RSS by 7 MB (heap layout).
         net = Network(network_config(config))
-        manifest = runs.load_manifest(paths)
-        split = runs.load_split(paths)
-        priors = runs.load_priors(paths, config.data.classes)
+        manifest = runs.load_manifest(paths, config)
+        split = runs.load_split(paths, config)
+        priors = runs.load_priors(paths, config)
         records = manifest.records_for_objects(split.all_train_objects())
         if not records:
             raise ValueError("training pool is empty")

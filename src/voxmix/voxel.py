@@ -1,5 +1,5 @@
-"""Voxel occupancy grids: value type, binvox file I/O, class priors, and
-shape-similarity metrics.
+"""Voxel occupancy grids: value type, class priors, and shape-similarity
+metrics.
 
 Grids are cubic, indexed ``values[x, y, z]``, with values in [0, 1].
 Binary grids (ground truth, priors) hold exactly {0, 1}; predictions and
@@ -8,7 +8,6 @@ mixed targets are real-valued.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -131,97 +130,3 @@ def proximity(novel: Sequence[tuple[str, str, VoxelGrid]],
         by_class.setdefault(class_id, []).append(best_val)
     per_class = {c: float(np.mean(vals)) for c, vals in by_class.items()}
     return ProximityReport(per_class, per_shape)
-
-
-# ---------------------------------------------------------------------------
-# binvox I/O
-#
-# Layout: ASCII header then run-length-encoded payload of (value, count)
-# byte pairs, count in 1..255, voxels ordered y fastest, then z, then x.
-# ---------------------------------------------------------------------------
-
-_BINVOX_MAGIC = b"#binvox 1"
-
-
-def parse_binvox(data: bytes) -> VoxelGrid:
-    """Decode a binvox byte string into a binary VoxelGrid."""
-    stream = io.BytesIO(data)
-    magic = stream.readline().rstrip(b"\r\n")
-    if magic != _BINVOX_MAGIC:
-        raise ValueError(f"bad binvox magic line: {magic!r}")
-    dim = None
-    while True:
-        line = stream.readline()
-        if not line:
-            raise ValueError("binvox header ended before a 'data' line")
-        fields = line.split()
-        if not fields:
-            continue
-        key = fields[0]
-        if key == b"dim":
-            if len(fields) != 4:
-                raise ValueError(f"malformed dim line: {line!r}")
-            dims = [int(f) for f in fields[1:]]
-            if len(set(dims)) != 1:
-                raise ValueError(f"only cubic grids are supported: {dims}")
-            dim = dims[0]
-        elif key in (b"translate", b"scale"):
-            continue  # accepted and ignored; grids are unit-cube aligned
-        elif key == b"data":
-            break
-        else:
-            raise ValueError(f"unknown binvox header line: {line!r}")
-    if dim is None:
-        raise ValueError("binvox header has no dim line")
-
-    payload = stream.read()
-    if len(payload) % 2 != 0:
-        raise ValueError("truncated binvox payload (odd byte count)")
-    raw = np.frombuffer(payload, dtype=np.uint8)
-    values, counts = raw[::2], raw[1::2]
-    if np.any(counts == 0):
-        raise ValueError("binvox run with count 0")
-    if not np.all((values == 0) | (values == 1)):
-        raise ValueError("binvox run value outside {0, 1}")
-    total = int(counts.sum())
-    if total != dim ** 3:
-        raise ValueError(
-            f"binvox payload decodes {total} voxels, expected {dim ** 3}")
-    flat = np.repeat(values, counts)
-    # File order is y fastest, then z, then x: flat index (x, z, y).
-    grid = flat.reshape(dim, dim, dim).transpose(0, 2, 1)
-    return VoxelGrid(dim, grid, binary=True)
-
-
-def write_binvox(grid: VoxelGrid) -> bytes:
-    """Encode a binary VoxelGrid as binvox bytes with greedy maximal runs."""
-    if not grid.binary:
-        raise ValueError("only binary grids can be written as binvox")
-    header = (f"#binvox 1\ndim {grid.dim} {grid.dim} {grid.dim}\n"
-              f"translate 0 0 0\nscale 1\ndata\n").encode("ascii")
-    flat = grid.values.transpose(0, 2, 1).reshape(-1).astype(np.uint8)
-    out = bytearray(header)
-    # Split the flat stream into maximal runs of equal value.
-    boundaries = np.flatnonzero(np.diff(flat)) + 1
-    starts = np.concatenate(([0], boundaries))
-    ends = np.concatenate((boundaries, [flat.size]))
-    for start, end in zip(starts, ends):
-        value = int(flat[start])
-        run = int(end - start)
-        while run > 255:
-            out.append(value)
-            out.append(255)
-            run -= 255
-        out.append(value)
-        out.append(run)
-    return bytes(out)
-
-
-def load_binvox(path) -> VoxelGrid:
-    with open(path, "rb") as fh:
-        return parse_binvox(fh.read())
-
-
-def save_binvox(grid: VoxelGrid, path) -> None:
-    from .runs import write_atomic
-    write_atomic(path, write_binvox(grid))

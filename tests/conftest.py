@@ -2,6 +2,8 @@
 pipeline runs in seconds on it."""
 
 import shutil
+import struct
+import zipfile
 
 import pytest
 
@@ -50,3 +52,27 @@ def tiny_run(tiny_prepared, tmp_path):
     root = tmp_path / "root"
     shutil.copytree(tiny_prepared.root, root)
     return TinyRun(root)
+
+
+def rewrite_without(path, entry):
+    """Copy the archive at `path` without one member, as a damaged zip
+    directory would drop it."""
+    with zipfile.ZipFile(path) as zf:
+        members = {name: zf.read(name) for name in zf.namelist()}
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, data in members.items():
+            if name != entry:
+                zf.writestr(name, data)
+
+
+def flip_last_byte(path, entry):
+    """Invert the last data byte of one member of the uncompressed archive
+    at `path`, which its zip CRC then fails."""
+    with zipfile.ZipFile(path) as zf:
+        info = zf.getinfo(entry)
+    data = bytearray(path.read_bytes())
+    # A local file header is 30 bytes, then the name and the extra field.
+    name_len, extra_len = struct.unpack_from("<HH", data, info.header_offset + 26)
+    start = info.header_offset + 30 + name_len + extra_len
+    data[start + info.compress_size - 1] ^= 0xFF
+    path.write_bytes(bytes(data))

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from voxmix import cli, mixup, runs, trainer, verification, voxel
-from voxmix.config import ExperimentConfig, apply_assignments
+from conftest import TinyRun, flip_last_byte, rewrite_without
+from voxmix import cli, mixup, runs, trainer, verification
+from voxmix.config import ExperimentConfig, apply_assignments, dump_config
 
 
 def test_no_prior_variant_trains_and_evaluates(tiny_run):
@@ -97,35 +98,75 @@ def test_proximity_on_a_damaged_iou_table_exits_3_and_names_it(tiny_run,
     assert says.format(table=table) in capsys.readouterr().err
 
 
-# keep=None deletes the file, whose message then names the command that
-# writes it; build-priors reads volumes through corpus.load_object_volumes.
-@pytest.mark.parametrize("relpath,keep,command", [
-    ("dataset/manifest.jsonl", 500, "pretrain-gt"),
+# damage None deletes the file, whose message then names the command that
+# writes it; an int truncates it to that many bytes; ("drop", entry) drops
+# an entry from the archive's zip directory, and ("flip", entry) flips the
+# last byte of its data, which fails the zip CRC.
+@pytest.mark.parametrize("relpath,damage,command", [
+    ("dataset.npz", 500, "pretrain-gt"),
     ("split.json", 30, "pretrain-gt"),
-    ("priors/prior_lamp.binvox", 30, "pretrain-gt"),
-    ("dataset/images/box_000_p0_dep.pgm", 20, "pretrain-gt"),
-    ("dataset/volumes/box_000.binvox", 30, "pretrain-gt"),
-    ("dataset/manifest.jsonl", None, "pretrain-gt"),
+    ("priors.npz", 30, "pretrain-gt"),
+    ("dataset.npz", ("flip", "views.npy"), "pretrain-gt"),
+    ("dataset.npz", ("flip", "volumes.npy"), "build-priors"),
+    ("dataset.npz", None, "pretrain-gt"),
     ("split.json", None, "pretrain-gt"),
-    ("priors/prior_lamp.binvox", None, "pretrain-gt"),
-    ("dataset/images/box_000_p0_dep.pgm", None, "pretrain-gt"),
-    ("dataset/volumes/box_000.binvox", None, "build-priors")],
+    ("priors.npz", None, "pretrain-gt"),
+    ("dataset.npz", ("drop", "views.npy"), "pretrain-gt"),
+    ("dataset.npz", ("drop", "volumes.npy"), "build-priors"),
+    ("priors.npz", ("drop", "priors.npy"), "pretrain-gt")],
     ids=["manifest", "split", "prior", "view", "volume", "manifest_deleted",
-         "split_deleted", "prior_deleted", "view_deleted", "volume_deleted"])
+         "split_deleted", "prior_deleted", "view_deleted", "volume_deleted",
+         "prior_entry_deleted"])
 def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
-                                                             relpath, keep,
+                                                             relpath, damage,
                                                              command):
     damaged = tiny_run.paths.root / relpath
-    if keep is None:
+    says, also = f"{damaged}: ", ""
+    if damage is None:
         damaged.unlink()
-        made_by = "gen-data" if relpath.startswith("dataset/") else "build-priors"
+        made_by = "gen-data" if relpath == "dataset.npz" else "build-priors"
         says = f"no {damaged}; run {made_by} first"
+    elif isinstance(damage, int):
+        damaged.write_bytes(damaged.read_bytes()[:damage])
+    elif damage[0] == "flip":
+        flip_last_byte(damaged, damage[1])
+        also = f"Bad CRC-32 for file '{damage[1]}'"
     else:
-        damaged.write_bytes(damaged.read_bytes()[:keep])
-        says = f"{damaged}: "
+        rewrite_without(damaged, damage[1])
+        also = f"missing entries ['{damage[1].removesuffix('.npy')}']"
     capsys.readouterr()
     assert tiny_run.voxmix(command) == cli.EXIT_MISSING
-    assert f"missing artifact: {says}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"missing artifact: {says}" in err
+    assert also in err
+
+
+@pytest.mark.parametrize("override,relpath,made_by", [
+    ("seed=5", "dataset.npz", "gen-data"),
+    ("data.vox_dim=16", "dataset.npz", "gen-data"),
+    ("data.shots=2", "split.json", "build-priors")],
+    ids=["seed", "vox_dim", "shots"])
+def test_an_input_written_under_other_settings_exits_3_and_names_it(
+        tiny_run, capsys, override, relpath, made_by):
+    capsys.readouterr()
+    assert tiny_run.voxmix("pretrain-gt", "-o", override) == cli.EXIT_MISSING
+    assert (f"missing artifact: {tiny_run.paths.root / relpath}: written under "
+            f"other config settings; run {made_by} again"
+            in capsys.readouterr().err)
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+def test_set_up_writes_one_archive_for_the_dataset_and_one_for_the_priors(
+        tmp_path):
+    run = TinyRun(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    assert run.voxmix("gen-data") == cli.EXIT_OK
+    assert run.voxmix("build-priors") == cli.EXIT_OK
+    assert sorted(str(path.relative_to(tmp_path))
+                  for path in tmp_path.rglob("*")) == [
+        "tiny", "tiny.cfg", "tiny/checkpoints", "tiny/config.resolved.txt",
+        "tiny/dataset.npz", "tiny/logs", "tiny/priors.npz", "tiny/reports",
+        "tiny/split.json"]
 
 
 def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,
@@ -146,10 +187,14 @@ def test_mix_preview_writes_the_stage_two_mix(tiny_run):
                              trainer.stream_rng(config.seed,
                                                 trainer.STAGE_INPUT_MIX))
     volumes = mixup.apply_pairs(pool.samples.volumes[:3], pairs)
-    out_dir = tiny_run.paths.reports_dir / "mix_preview"
-    for k in range(3):
-        got = mixup.read_vgrid(out_dir / f"pair{k}_volume.vgrid")
-        assert np.array_equal(got, volumes[k, 0])
+    images = mixup.apply_pairs(pool.samples.images[:3], pairs)
+    priors = mixup.apply_pairs(pool.priors[:3], pairs)
+    _, got = runs.read_archive(tiny_run.paths.reports_dir / "mix_preview"
+                               / "pairs.npz", "mix preview",
+                               lambda meta: ("images", "priors", "volumes"))
+    assert np.array_equal(got["images"], images)
+    assert np.array_equal(got["priors"], priors[:, 0])
+    assert np.array_equal(got["volumes"], volumes[:, 0])
 
 
 def test_train_pretrains_again_when_the_encoder_checkpoint_is_stale(tiny_run):
@@ -226,7 +271,8 @@ def test_the_split_rules_hold_once_every_override_is_applied(tiny_run):
         ("data.objects_per_class", "4")) for item in ("-o", "=".join(pair))]
     assert tiny_run.voxmix("gen-data", *overrides) == cli.EXIT_OK
     assert tiny_run.voxmix("build-priors", *overrides) == cli.EXIT_OK
-    split = runs.load_split(tiny_run.paths)
+    split = runs.load_split(tiny_run.paths, apply_assignments(
+        tiny_run.config, dict(pair.split("=") for pair in overrides[1::2])))
     assert (len(split.train_objects["lamp"]), len(split.query_objects["lamp"])) \
         == (3, 1)
 
@@ -270,12 +316,14 @@ def test_dumped_predictions_reproduce_the_per_sample_ious(tiny_run):
     reports = tiny_run.paths.reports_dir
     with open(reports / "base_iou_samples.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
-    dumped = sorted((reports / "base_predictions").glob("*.binvox"))
-    assert len(rows) == len(truth) == len(dumped)
+    meta, arrays = runs.read_archive(reports / "base_predictions.npz",
+                                     "predictions", lambda meta: ("predictions",))
+    dumped = dict(zip(zip(meta["object_ids"], meta["pose_ids"]),
+                      arrays["predictions"]))
+    assert len(rows) == len(truth) == len(dumped) == len(arrays["predictions"])
     for row in rows:
-        grid = voxel.load_binvox(reports / "base_predictions"
-                                 / f"{row['object_id']}_p{row['pose_id']}.binvox")
-        pred, gt = grid.values == 1.0, truth[row["object_id"], int(row["pose_id"])]
+        key = row["object_id"], int(row["pose_id"])
+        pred, gt = dumped[key], truth[key]
         assert float(row["iou"]) == (pred & gt).sum() / (pred | gt).sum()
 
 

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from voxmix import corpus
-from voxmix.voxel import load_binvox
+from voxmix import corpus, render, shapes
 
 CLASSES = ("box", "table", "lamp")
+BUILD = dict(objects_per_class=3, poses_per_object=4, vox_dim=16,
+             image_size=32, seed=7)
 
 
 @pytest.fixture(scope="module")
-def small_dataset(tmp_path_factory):
-    root = tmp_path_factory.mktemp("data")
-    manifest = corpus.build_dataset(root, CLASSES, objects_per_class=3,
-                                    poses_per_object=4, vox_dim=16,
-                                    image_size=32, seed=7)
-    return manifest
+def small_dataset():
+    return corpus.build_dataset(CLASSES, **BUILD)
+
+
+@pytest.fixture(scope="module")
+def reloaded(small_dataset, tmp_path_factory):
+    """`small_dataset` saved as its archive and loaded again."""
+    path = tmp_path_factory.mktemp("data") / "dataset.npz"
+    small_dataset.save(path, {"dataset_hash": "h"})
+    return corpus.DatasetManifest.load(path)[0]
 
 
 def test_manifest_row_count(small_dataset):
@@ -21,50 +26,73 @@ def test_manifest_row_count(small_dataset):
 
 
 def test_regeneration_is_byte_identical(small_dataset, tmp_path):
-    corpus.build_dataset(tmp_path, CLASSES, objects_per_class=3,
-                         poses_per_object=4, vox_dim=16, image_size=32, seed=7)
-    first = (small_dataset.root / "manifest.jsonl").read_bytes()
-    second = (tmp_path / "manifest.jsonl").read_bytes()
-    assert first == second
-    for rec in small_dataset.records[:6]:
-        assert (small_dataset.root / rec.sil).read_bytes() == \
-            (tmp_path / rec.sil).read_bytes()
-        assert (small_dataset.root / rec.volume).read_bytes() == \
-            (tmp_path / rec.volume).read_bytes()
+    small_dataset.save(tmp_path / "first.npz", {})
+    corpus.build_dataset(CLASSES, **BUILD).save(tmp_path / "second.npz", {})
+    assert (tmp_path / "first.npz").read_bytes() == \
+        (tmp_path / "second.npz").read_bytes()
 
 
-def test_different_seed_changes_volumes(small_dataset, tmp_path):
-    other = corpus.build_dataset(tmp_path, CLASSES, objects_per_class=3,
-                                 poses_per_object=4, vox_dim=16,
-                                 image_size=32, seed=8)
-    changed = any(
-        (small_dataset.root / rec.volume).read_bytes()
-        != (tmp_path / other.records[i].volume).read_bytes()
-        for i, rec in enumerate(small_dataset.records))
-    assert changed
+def test_different_seed_changes_volumes(small_dataset):
+    other = corpus.build_dataset(CLASSES, **dict(BUILD, seed=8))
+    assert any(not np.array_equal(small_dataset.volumes[obj], volume)
+               for obj, volume in other.volumes.items())
 
 
-def test_per_class_counts_recounted_from_disk(small_dataset):
-    by_class = small_dataset.objects_by_class()
+def test_per_class_counts_recounted_from_disk(reloaded):
+    by_class = reloaded.objects_by_class()
     assert set(by_class) == set(CLASSES)
     for class_id, objects in by_class.items():
         assert len(objects) == 3
         for obj in objects:
-            path = small_dataset.root / "volumes" / f"{obj}.binvox"
-            assert path.exists()
-            assert load_binvox(path).dim == 16
+            assert reloaded.volumes[obj].shape == (16, 16, 16)
 
 
-def test_views_of_one_object_share_volume_ref(small_dataset):
-    by_object = {}
-    for rec in small_dataset.records:
-        by_object.setdefault(rec.object_id, set()).add(rec.volume)
-    assert all(len(refs) == 1 for refs in by_object.values())
+def test_views_of_one_object_share_volume_ref(reloaded):
+    assert list(reloaded.volumes) == list(dict.fromkeys(
+        rec.object_id for rec in reloaded.records))
+    samples = corpus.load_samples(reloaded, reloaded.records)
+    for k, obj in enumerate(samples.object_ids):
+        assert np.array_equal(samples.volumes[k, 0], reloaded.volumes[obj])
 
 
-def test_manifest_round_trip(small_dataset):
-    again = corpus.DatasetManifest.load(small_dataset.root)
+def test_manifest_round_trip(small_dataset, tmp_path):
+    path = tmp_path / "dataset.npz"
+    small_dataset.save(path, {"dataset_hash": "h"})
+    again, meta = corpus.DatasetManifest.load(path)
+    assert meta == {"dataset_hash": "h"}
     assert again.records == small_dataset.records
+    assert again.views.dtype == np.uint8
+    assert np.array_equal(again.views, small_dataset.views)
+    assert list(again.volumes) == list(small_dataset.volumes)
+    for obj, volume in again.volumes.items():
+        assert volume.dtype == bool
+        assert np.array_equal(volume, small_dataset.volumes[obj])
+
+
+def _grid(rec):
+    params = corpus._object_params(BUILD["seed"], rec.class_id,
+                                   int(rec.object_id.rsplit("_", 1)[1]),
+                                   shapes.param_count(rec.class_id))
+    return shapes.voxelize(shapes.ShapeSpec(rec.class_id, rec.class_id, params),
+                           BUILD["vox_dim"])
+
+
+def test_a_loaded_view_is_its_rendering_quantized_to_eight_bits(reloaded):
+    records = reloaded.records[::5]
+    samples = corpus.load_samples(reloaded, records)
+    assert samples.images.dtype == np.float32
+    for image, rec in zip(samples.images, records):
+        size = (BUILD["image_size"],) * 2
+        rendered = render.render(_grid(rec), rec.azimuth, rec.elevation, size)
+        expected = (np.rint(np.clip(rendered, 0, 1) * 255) / 255).astype(np.float32)
+        assert np.array_equal(image, expected)
+
+
+def test_a_loaded_volume_is_the_voxelized_object(reloaded):
+    samples = corpus.load_samples(reloaded, reloaded.records)
+    assert samples.volumes.dtype == np.float32
+    for volume, rec in zip(samples.volumes, reloaded.records):
+        assert np.array_equal(volume[0], _grid(rec).values)
 
 
 def test_load_samples_shapes(small_dataset):
@@ -116,5 +144,5 @@ def test_split_deterministic(small_dataset):
 def test_split_round_trip(small_dataset, tmp_path):
     split = corpus.make_split(small_dataset, ("box", "table"), ("lamp",), 1, 0)
     path = tmp_path / "split.json"
-    split.save(path)
-    assert corpus.FewShotSplit.load(path) == split
+    split.save(path, {"priors_hash": "h"})
+    assert corpus.FewShotSplit.load(path) == (split, {"priors_hash": "h"})

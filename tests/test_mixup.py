@@ -176,21 +176,3 @@ def test_apply_pairs_backward_is_the_adjoint_of_apply_pairs():
     lhs = np.sum(mixup.apply_pairs(x, mixing) * d)
     rhs = np.sum(x * mixup.apply_pairs_backward(d, mixing))
     assert lhs == pytest.approx(rhs, rel=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# vgrid dump format
-# ---------------------------------------------------------------------------
-
-def test_vgrid_round_trip(tmp_path):
-    rng = np.random.default_rng(10)
-    values = rng.random((8, 8, 8)).astype(np.float32)
-    path = tmp_path / "mix.vgrid"
-    mixup.write_vgrid(values, path)
-    assert np.array_equal(mixup.read_vgrid(path), values)
-
-
-def test_vgrid_rejects_non_cubic(tmp_path):
-    with pytest.raises(ValueError):
-        mixup.write_vgrid(np.zeros((2, 3, 2), dtype=np.float32),
-                          tmp_path / "x.vgrid")

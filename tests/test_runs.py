@@ -1,10 +1,12 @@
 import json
-import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from voxmix import nn, runs, voxel
+from conftest import rewrite_without
+from voxmix import cli, nn, runs
+from voxmix.config import ExperimentConfig, apply_assignments
 
 
 def _store():
@@ -49,17 +51,27 @@ def test_an_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch, fault):
 
 
 @pytest.mark.parametrize("fault", ["replace", "interrupt"])
-def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
-                                                         fault):
-    path = tmp_path / "prior_lamp.binvox"
-    path.write_bytes(b"old bytes\n")
+def test_an_interrupted_gen_data_leaves_the_old_dataset(tiny_run, monkeypatch,
+                                                        fault):
+    dataset = tiny_run.paths.dataset_path
+    written = dataset.read_bytes()
     exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
-    monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
-    grid = voxel.VoxelGrid(2, np.ones((2, 2, 2), dtype=np.uint8), binary=True)
-    with pytest.raises(type(exc)):
-        voxel.save_binvox(grid, path)
-    assert path.read_bytes() == b"old bytes\n"
-    assert [p.name for p in tmp_path.iterdir()] == ["prior_lamp.binvox"]
+    replace = runs.os.replace
+
+    def fail_on_the_dataset(src, dst):
+        if Path(dst) == dataset:
+            raise exc
+        replace(src, dst)
+    monkeypatch.setattr(runs.os, "replace", fail_on_the_dataset)
+    if fault == "replace":
+        assert tiny_run.voxmix("gen-data", "-o", "seed=5") == cli.EXIT_USAGE
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            tiny_run.voxmix("gen-data", "-o", "seed=5")
+    monkeypatch.undo()
+    assert dataset.read_bytes() == written
+    assert not list(tiny_run.root.rglob("*.tmp"))
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
 
 
 def test_write_atomic_replaces_and_leaves_no_temporary(tmp_path):
@@ -99,21 +111,10 @@ def test_a_checkpoint_with_a_foreign_entry_is_rejected(tmp_path):
         runs.load_checkpoint(path)
 
 
-def _rewrite_without(path, entry):
-    """Copy the archive at `path` without one member, as a damaged zip
-    directory would drop it."""
-    with zipfile.ZipFile(path) as zf:
-        members = {name: zf.read(name) for name in zf.namelist()}
-    with zipfile.ZipFile(path, "w") as zf:
-        for name, data in members.items():
-            if name != entry:
-                zf.writestr(name, data)
-
-
 def test_a_checkpoint_missing_a_declared_slot_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     runs.save_checkpoint(path, _store(), {})
-    _rewrite_without(path, "slot/m.npy")
+    rewrite_without(path, "slot/m.npy")
     with pytest.raises(runs.MissingArtifactError,
                        match=r"model.ckpt: .*missing entries \['slot/m'\]"):
         runs.load_checkpoint(path)
@@ -150,3 +151,37 @@ def test_a_per_tensor_checkpoint_is_rejected(tmp_path):
                     "slot/m/a.w": np.zeros(2, np.float32)})
     with pytest.raises(runs.MissingArtifactError, match="model.ckpt: .*param/a.w"):
         runs.load_checkpoint(path)
+
+
+def test_the_input_hashes_cover_what_their_commands_read_and_no_more():
+    config = ExperimentConfig()
+    for make, ignored, read in (
+            (runs.dataset_hash, {"data.shots": "2", "data.novel_classes": "lamp",
+                                 "prior.threshold": "0.2"},
+             ("seed", "data.classes", "data.objects_per_class",
+              "data.poses_per_object", "data.elevations", "data.vox_dim",
+              "data.image_size")),
+            (runs.priors_hash, {"prior.mode": "corrupted"},
+             ("seed", "data.vox_dim", "data.shots", "data.novel_classes",
+              "prior.threshold"))):
+        ignored.update({"model.latent_width": "8", "train.stage_epochs": "1,1,1",
+                        "eval.iou_threshold": "0.5", "run_name": "other"})
+        assert make(apply_assignments(config, ignored)) == make(config)
+        values = {"seed": "5", "data.classes": "box,lamp",
+                  "data.objects_per_class": "4", "data.poses_per_object": "2",
+                  "data.elevations": "10", "data.vox_dim": "8",
+                  "data.image_size": "16", "data.shots": "2",
+                  "data.novel_classes": "lamp", "prior.threshold": "0.2"}
+        for key in read:
+            assert make(apply_assignments(config, {key: values[key]})) \
+                != make(config), key
+
+
+def test_a_split_or_priors_of_another_prior_threshold_are_refused(tiny_run):
+    config = apply_assignments(tiny_run.config, {"prior.threshold": "0.2"})
+    for load, name in ((runs.load_split, "split.json"),
+                       (runs.load_priors, "priors.npz")):
+        with pytest.raises(runs.MissingArtifactError,
+                           match=rf"{name}: written under other config "
+                                 "settings; run build-priors again"):
+            load(tiny_run.paths, config)

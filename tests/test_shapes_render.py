@@ -137,24 +137,3 @@ def test_silhouette_is_binary_and_depth_bounded():
     assert set(np.unique(image[0])) <= {0.0, 1.0}
     assert image[1].min() >= 0.0 and image[1].max() <= 1.0
     assert np.array_equal(image[0] > 0, image[1] > 0)
-
-
-# ---------------------------------------------------------------------------
-# PGM round trip
-# ---------------------------------------------------------------------------
-
-def test_pgm_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    image = np.round(rng.random((24, 32)) * 255) / 255
-    path = tmp_path / "img.pgm"
-    render.write_pgm(image, path)
-    again = render.read_pgm(path)
-    assert again.shape == image.shape
-    assert np.allclose(again, image, atol=1 / 510)
-
-
-def test_pgm_preserves_binary_silhouette(tmp_path):
-    sil = (np.arange(64).reshape(8, 8) % 3 == 0).astype(np.float64)
-    path = tmp_path / "sil.pgm"
-    render.write_pgm(sil, path)
-    assert np.array_equal(render.read_pgm(path), sil)

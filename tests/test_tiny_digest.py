@@ -28,8 +28,11 @@ def test_the_command_chain_writes_the_same_bytes_in_two_fresh_roots(tmp_path):
                      (tmp_path / "a").rglob("*")
                      if p.is_file() and p.name != "tiny.cfg")
     assert sorted(n for n in names if not n.endswith(" [arrays]")) == written
-    checkpoints = [k for k, name in enumerate(names) if name.endswith(".ckpt")]
-    assert checkpoints
-    for k in checkpoints:
+    archives = [k for k, name in enumerate(names)
+                if name.endswith((".ckpt", ".npz"))]
+    assert {"tiny/dataset.npz", "tiny/priors.npz",
+            "tiny/reports/mix_preview/pairs.npz",
+            "tiny/checkpoints/gt_encoder.ckpt"} <= {names[k] for k in archives}
+    for k in archives:
         assert names[k + 1] == f"{names[k]} [arrays]"
-    assert len(names) == len(written) + len(checkpoints)
+    assert len(names) == len(written) + len(archives)

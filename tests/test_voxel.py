@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxmix.voxel import (VoxelGrid, build_prior, iou, parse_binvox,
-                          proximity, write_binvox)
+from voxmix.voxel import VoxelGrid, build_prior, iou, proximity
 
 
 def grid_from_coords(dim, coords):
@@ -181,70 +180,3 @@ def test_proximity_matches_brute_force():
         assert report.per_novel_class[cls] == pytest.approx(np.mean(values))
     for (obj, base_id, value), (_, cls, grid) in zip(report.per_shape, novel):
         assert value == pytest.approx(max(iou(grid, bg) for _, bg in base))
-
-
-# ---------------------------------------------------------------------------
-# binvox
-# ---------------------------------------------------------------------------
-
-def test_binvox_round_trip_parse_write():
-    rng = np.random.default_rng(4)
-    g = random_binary_grid(rng, dim=8)
-    again = parse_binvox(write_binvox(g))
-    assert again.dim == g.dim
-    assert np.array_equal(again.values, g.values)
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=40, deadline=None)
-def test_binvox_bytes_round_trip(seed):
-    rng = np.random.default_rng(seed)
-    g = random_binary_grid(rng, dim=rng.integers(2, 10), p=rng.random())
-    data = write_binvox(g)
-    assert write_binvox(parse_binvox(data)) == data
-
-
-def test_binvox_hand_built_two_cube():
-    # Runs (0,4)(1,4) with y fastest, then z, then x: the low-x half is
-    # empty and the high-x half is full.
-    data = b"#binvox 1\ndim 2 2 2\ntranslate 0 0 0\nscale 1\ndata\n" + \
-        bytes([0, 4, 1, 4])
-    g = parse_binvox(data)
-    assert not g.values[0].any()
-    assert g.values[1].all()
-
-
-def test_binvox_run_longer_than_255():
-    g = VoxelGrid(8, np.ones((8, 8, 8)), binary=True)  # 512 occupied
-    data = write_binvox(g)
-    payload = data.split(b"data\n", 1)[1]
-    assert list(payload) == [1, 255, 1, 255, 1, 2]
-    assert np.array_equal(parse_binvox(data).values, g.values)
-
-
-def test_binvox_bad_magic():
-    with pytest.raises(ValueError, match="magic"):
-        parse_binvox(b"#voxbin 1\ndim 2 2 2\ndata\n" + bytes([0, 8]))
-
-
-def test_binvox_count_zero():
-    data = b"#binvox 1\ndim 2 2 2\ndata\n" + bytes([0, 0, 1, 8])
-    with pytest.raises(ValueError, match="count 0"):
-        parse_binvox(data)
-
-
-def test_binvox_total_mismatch():
-    data = b"#binvox 1\ndim 2 2 2\ndata\n" + bytes([1, 7])
-    with pytest.raises(ValueError, match="expected 8"):
-        parse_binvox(data)
-
-
-def test_binvox_truncated_payload():
-    data = b"#binvox 1\ndim 2 2 2\ndata\n" + bytes([1])
-    with pytest.raises(ValueError, match="odd byte count"):
-        parse_binvox(data)
-
-
-def test_binvox_requires_binary_grid():
-    with pytest.raises(ValueError):
-        write_binvox(VoxelGrid(2, np.full((2, 2, 2), 0.5)))

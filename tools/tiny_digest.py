@@ -9,9 +9,10 @@ chain is gen-data, build-priors, pretrain-gt, train --all, eval,
 analyze-latent, proximity, alpha-sweep --alphas 0.4,1.0 and mix-preview, on
 ``tests/conftest.py``'s ``TINY_OVERRIDES``; each KEY=VALUE is passed to every
 command as one more ``-o`` override (``prior.mode=none`` runs the no-prior
-chain).  Each ``*.ckpt`` also gets a ``sha256 path [arrays]`` line over its
-arrays alone (``params`` and ``slot/*``, not ``meta``), so a change that
-alters only checkpoint metadata shows as exactly that.  Diffing the output
+chain).  Each archive the chain writes (``*.ckpt`` and ``*.npz``) also gets
+a ``sha256 path [arrays]`` line over its arrays alone (every entry but
+``meta``), so a change that alters only an archive's metadata shows as
+exactly that.  Diffing the output
 of two trees shows whether a change keeps every artifact byte-identical.
 """
 
@@ -28,8 +29,8 @@ CHAIN = (("gen-data",), ("build-priors",), ("pretrain-gt",), ("train", "--all"),
 
 
 def array_digest(path: Path) -> str:
-    """sha256 over the name, dtype, shape and bytes of every array of a
-    checkpoint but its metadata, in name order."""
+    """sha256 over the name, dtype, shape and bytes of every array of an
+    archive but its metadata, in name order."""
     digest = hashlib.sha256()
     with np.load(path, allow_pickle=False) as archive:
         for name in sorted(n for n in archive.files if n != "meta"):
@@ -59,7 +60,7 @@ def main(src: str, root: str, *overrides: str) -> int:
                        if p.is_file() and p != config_file):
         name = path.relative_to(run.root)
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
-        if path.suffix == ".ckpt":
+        if path.suffix in (".ckpt", ".npz"):
             print(f"{array_digest(path)}  {name} [arrays]")
     return 0
 
