@@ -137,6 +137,12 @@ def _stable_class_code(class_id: str) -> int:
     return code
 
 
+def quantize_views(images: np.ndarray) -> np.ndarray:
+    """[0, 1] images as the dataset stores them: 8-bit gray, value * 255
+    rounded.  `load_samples` divides by 255 again."""
+    return np.rint(np.clip(images, 0.0, 1.0) * 255).astype(np.uint8)
+
+
 def build_dataset(classes: Sequence[str], objects_per_class: int,
                   poses_per_object: int = 8, vox_dim: int = 16,
                   image_size: int = 32,
@@ -164,8 +170,7 @@ def build_dataset(classes: Sequence[str], objects_per_class: int,
                 elevation = elevations[pose_id % len(elevations)]
                 image = render.render(grid, azimuth, elevation,
                                       (image_size, image_size))
-                views.append(np.rint(np.clip(image, 0.0, 1.0) * 255)
-                             .astype(np.uint8))
+                views.append(quantize_views(image))
                 records.append(Record(object_id, class_id, pose_id,
                                       azimuth, elevation))
     return DatasetManifest(tuple(records), np.stack(views), volumes)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_without
-from voxmix import cli, nn, runs
+from voxmix import cli, nn, runs, voxel
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -48,6 +48,28 @@ def test_an_interrupted_write_leaves_the_old_file(tmp_path, monkeypatch, fault):
         runs.write_atomic(path, data)
     assert path.read_bytes() == b"old bytes\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
+@pytest.mark.parametrize("fault", ["replace", "interrupt"])
+def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
+                                                         fault):
+    """The priors, once one binvox file per class, are now one archive; an
+    interrupted save of it leaves the old one whole."""
+    config = ExperimentConfig()
+    paths = runs.RunPaths(tmp_path)
+    old = voxel.VoxelGrid(2, np.ones((2, 2, 2), dtype=np.uint8), binary=True)
+    runs.save_priors(paths, {"lamp": old}, config)
+    written = paths.priors_path.read_bytes()
+    exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
+    monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
+    new = voxel.VoxelGrid(2, np.zeros((2, 2, 2), dtype=np.uint8), binary=True)
+    with pytest.raises(type(exc)):
+        runs.save_priors(paths, {"lamp": new}, config)
+    monkeypatch.undo()
+    assert paths.priors_path.read_bytes() == written
+    assert [p.name for p in tmp_path.iterdir()] == ["priors.npz"]
+    assert np.array_equal(runs.load_priors(paths, config)["lamp"],
+                          np.ones((1, 2, 2, 2), dtype=np.float32))
 
 
 @pytest.mark.parametrize("fault", ["replace", "interrupt"])

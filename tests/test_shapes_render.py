@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxmix import render
+from voxmix import corpus, render
 from voxmix.shapes import ARCHETYPE_NAMES, ShapeSpec, param_count, voxelize
 from voxmix.voxel import VoxelGrid, iou
 
@@ -137,3 +137,32 @@ def test_silhouette_is_binary_and_depth_bounded():
     assert set(np.unique(image[0])) <= {0.0, 1.0}
     assert image[1].min() >= 0.0 and image[1].max() <= 1.0
     assert np.array_equal(image[0] > 0, image[1] > 0)
+
+
+# ---------------------------------------------------------------------------
+# 8-bit gray views, as the PGM files held them, through the dataset archive
+# ---------------------------------------------------------------------------
+
+def _stored_and_loaded(image, tmp_path):
+    """`image` as silhouette and depth of one view, saved in a dataset
+    archive and loaded back as training sees it."""
+    views = corpus.quantize_views(np.stack([image, image]))[None]
+    record = corpus.Record("box_000", "box", 0, 0.0, 0.0)
+    manifest = corpus.DatasetManifest(
+        (record,), views, {"box_000": np.ones((2, 2, 2), dtype=bool)})
+    manifest.save(tmp_path / "dataset.npz", {})
+    again, _ = corpus.DatasetManifest.load(tmp_path / "dataset.npz")
+    return corpus.load_samples(again, again.records).images[0]
+
+
+def test_pgm_round_trip(tmp_path):
+    rng = np.random.default_rng(0)
+    image = np.round(rng.random((24, 32)) * 255) / 255
+    again = _stored_and_loaded(image, tmp_path)
+    assert again.shape == (2, 24, 32) and again.dtype == np.float32
+    assert np.allclose(again, image, atol=1 / 510)
+
+
+def test_pgm_preserves_binary_silhouette(tmp_path):
+    sil = (np.arange(64).reshape(8, 8) % 3 == 0).astype(np.float64)
+    assert np.array_equal(_stored_and_loaded(sil, tmp_path)[0], sil)
