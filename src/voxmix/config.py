@@ -16,7 +16,6 @@ from typing import Any, get_args, get_origin, get_type_hints
 
 from .evaluate import PRIOR_MODES
 from .losses import LossConfig
-from .nn import OPTIMIZERS
 
 
 class ConfigError(ValueError):
@@ -38,10 +37,20 @@ class DataConfig:
 
     def __post_init__(self):
         # Rules across fields (classes, shots per class) are the split's.
+        for names in (self.classes, self.base_classes, self.novel_classes):
+            twice = sorted({c for c in names if names.count(c) > 1})
+            if twice:
+                raise ValueError(f"{twice} named more than once")
         if min(self.objects_per_class, self.poses_per_object, self.shots) < 1:
             raise ValueError("object, pose and shot counts must be >= 1")
         if not self.elevations:
             raise ValueError("at least one elevation is needed")
+        # The renderer's range, and the smallest grid `shapes.voxelize` fills.
+        if not all(-45.0 <= e <= 45.0 for e in self.elevations):
+            raise ValueError(f"elevations must lie in [-45, 45], got "
+                             f"{self.elevations}")
+        if self.vox_dim < 8:
+            raise ValueError(f"vox_dim must be at least 8, got {self.vox_dim}")
 
 
 @dataclass(frozen=True)
@@ -86,7 +95,6 @@ class TrainSection:
     batch_size: int = 32
     lr: float = 1e-3
     gt_lr: float = 1e-4
-    optimizer: str = "adam"         # adam | sgd
     stage_epochs: tuple[int, ...] = (12, 8, 8)
     pretrain_epochs: int = 400
     pretrain_batch: int = 4
@@ -98,9 +106,6 @@ class TrainSection:
                              f"3 in all, got {self.stage_epochs}")
         if self.batch_size < 1 or self.pretrain_batch < 1:
             raise ValueError("batch sizes must be at least 1")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}, not one "
-                             f"of {tuple(OPTIMIZERS)}")
 
 
 @dataclass(frozen=True)

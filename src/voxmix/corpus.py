@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import render, shapes, voxel
+from . import render, shapes
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,12 @@ class DatasetManifest:
         records = tuple(Record(**row) for row in meta.pop("records"))
         objects = list(dict.fromkeys(rec.object_id for rec in records))
         views, volumes = arrays["views"], arrays["volumes"]
+        if views.dtype != np.uint8:
+            raise ValueError(f"views are {views.dtype}, not uint8")
+        if volumes.dtype != bool or volumes.ndim != 4 \
+                or len(set(volumes.shape[1:])) != 1:
+            raise ValueError(f"volumes are {volumes.dtype} {volumes.shape}, "
+                             "not bool (objects, D, D, D)")
         if len(views) != len(records) or len(volumes) != len(objects):
             raise ValueError(f"{len(views)} views and {len(volumes)} volumes "
                              f"for {len(records)} records of {len(objects)} "
@@ -164,8 +170,7 @@ def build_dataset(classes: Sequence[str], objects_per_class: int,
             object_id = f"{class_id}_{index:03d}"
             params = _object_params(seed, class_id, index, arity)
             spec = shapes.ShapeSpec(class_id, class_id, params)
-            grid = shapes.voxelize(spec, vox_dim)
-            volumes[object_id] = grid.occupied()
+            grid = volumes[object_id] = shapes.voxelize(spec, vox_dim)
             for pose_id, azimuth in enumerate(azimuths):
                 elevation = elevations[pose_id % len(elevations)]
                 image = render.render(grid, azimuth, elevation,
@@ -241,11 +246,11 @@ def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> Sample
 
 
 def load_object_volumes(manifest: DatasetManifest,
-                        object_ids: Sequence[str]) -> dict[str, voxel.VoxelGrid]:
-    """The volumes of `object_ids`, in manifest order."""
+                        object_ids: Sequence[str]) -> dict[str, np.ndarray]:
+    """The (D, D, D) bool volumes of `object_ids`, in manifest order."""
     wanted = set(object_ids)
     missing = wanted - set(manifest.volumes)
     if missing:
         raise ValueError(f"volumes missing for objects: {sorted(missing)}")
-    return {obj: voxel.VoxelGrid(len(volume), volume, binary=True)
-            for obj, volume in manifest.volumes.items() if obj in wanted}
+    return {obj: volume for obj, volume in manifest.volumes.items()
+            if obj in wanted}

@@ -76,9 +76,10 @@ def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
     means."""
     per_sample: list[tuple[str, int, str, float]] = []
     by_class: dict[str, list[float]] = {}
-    for sl, trace in _batched(net, net.forward, store, samples, priors_by_class,
-                              prior_mode, all_classes, batch_size):
-        pred_occ = trace.prediction > threshold
+    for sl, prediction in _batched(net, net.forward, store, samples,
+                                   priors_by_class, prior_mode, all_classes,
+                                   batch_size):
+        pred_occ = prediction > threshold
         gt_occ = samples.volumes[sl][:, 0] > 0.5
         inter = np.logical_and(pred_occ, gt_occ).sum(axis=(1, 2, 3))
         union = np.logical_or(pred_occ, gt_occ).sum(axis=(1, 2, 3))
@@ -102,7 +103,7 @@ def binarized_predictions(net: Network, store: ParamStore,
                           prior_mode: str, all_classes: tuple[str, ...],
                           threshold: float, batch_size: int = 64) -> np.ndarray:
     """(n, D, D, D) bool: each sample's prediction above `threshold`."""
-    return np.concatenate([trace.prediction > threshold for _, trace in _batched(
+    return np.concatenate([prediction > threshold for _, prediction in _batched(
         net, net.forward, store, samples, priors_by_class, prior_mode,
         all_classes, batch_size)])
 
@@ -114,7 +115,7 @@ def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
     """Exhaustive intra-class cosine similarities of fused latents:
     same-object pairs are views of one object, different-object pairs
     cross objects within a class."""
-    latents = [e_fused for _, (_, _, e_fused) in _batched(
+    latents = [e_fused for _, e_fused in _batched(
         net, net.encode, store, samples, priors_by_class, prior_mode,
         all_classes, batch_size)]
     fused = np.concatenate(latents, axis=0).astype(np.float64)

@@ -1,9 +1,9 @@
 """Reconstruction and embedding-alignment losses.
 
 Reconstruction compares a real-valued predicted occupancy grid against a
-(possibly soft) target grid with voxel-mean binary cross-entropy, or with
-a balanced focal variant for heavily imbalanced shapes.  The alignment
-loss pulls a fused image+prior latent toward the embedding of its own
+(possibly soft) target grid with voxel-mean binary cross-entropy, on
+predictions clamped into [CLAMP_EPS, 1 - CLAMP_EPS].  The alignment loss
+pulls a fused image+prior latent toward the embedding of its own
 ground-truth volume (cosine term) while keeping it further from a
 different object's embedding than a margin (triplet term).
 
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_CLAMP_EPS = 1e-7
+CLAMP_EPS = 1e-7
 
 # How close the hinge of an unmasked row came to its kink at zero in the
 # last align_loss call; the verification harness reads it.
@@ -33,24 +33,12 @@ class LossConfig:
     w_recon: float = 10.0
     w_align: float = 0.5
     margin: float = 0.1
-    kind: str = "bce"              # bce | focal
-    focal_gamma: float = 2.0
-    focal_balance: float = 0.5
-    clamp_eps: float = DEFAULT_CLAMP_EPS
 
     def __post_init__(self):
         if self.w_recon < 0 or self.w_align < 0:
             raise ValueError("loss weights must be non-negative")
         if not 0.0 <= self.margin <= 1.0:
             raise ValueError(f"margin must be in [0, 1], got {self.margin}")
-        if self.kind not in ("bce", "focal"):
-            raise ValueError(f"unknown reconstruction kind {self.kind!r}")
-        if self.focal_gamma < 0:
-            raise ValueError("focal gamma must be >= 0")
-        if not 0.0 < self.focal_balance < 1.0:
-            raise ValueError("focal balance must be in (0, 1)")
-        if self.clamp_eps <= 0:
-            raise ValueError("clamp eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -63,57 +51,20 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction losses: (voxel-mean value, d value / d pred)
+# Reconstruction loss: (voxel-mean value, d value / d pred)
 # ---------------------------------------------------------------------------
 
-def _clamped(pred, target, eps: float):
-    """(pred, clamped pred, target, where the clamp is inactive)."""
-    p, t = np.asarray(pred), np.asarray(target)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    return p, np.clip(p, eps, 1.0 - eps), t, (p > eps) & (p < 1.0 - eps)
-
-
-def bce_loss(pred, target, eps: float = DEFAULT_CLAMP_EPS
-             ) -> tuple[float, np.ndarray]:
+def bce_loss(pred, target) -> tuple[float, np.ndarray]:
     """Voxel-mean binary cross-entropy; accepts soft targets in [0, 1].  The
     gradient is zero where the clamp is active, matching the computed
     function exactly."""
-    p, pc, t, inside = _clamped(pred, target, eps)
+    p, t = np.asarray(pred), np.asarray(target)
+    if p.shape != t.shape:
+        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
+    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
     value = float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)))
     grad = (pc - t) / (pc * (1.0 - pc)) / p.size
-    return value, np.where(inside, grad, 0.0)
-
-
-def focal_loss(pred, target, gamma: float = 2.0, balance: float = 0.5,
-               eps: float = DEFAULT_CLAMP_EPS) -> tuple[float, np.ndarray]:
-    """Balanced focal loss, voxel-mean.  `balance` weights the occupied
-    term, (1 - balance) the empty term; gamma=0 with balance=0.5 reduces
-    to 0.5 * bce_loss exactly."""
-    p, pc, t, inside = _clamped(pred, target, eps)
-    q = 1.0 - pc
-    log_p, log_q = np.log(pc), np.log1p(-pc)
-    pos = balance * t * q ** gamma * log_p
-    neg = (1.0 - balance) * (1.0 - t) * pc ** gamma * log_q
-    value = float(-np.mean(pos + neg))
-    if gamma == 0.0:
-        dpos = balance * t / pc
-        dneg = (1.0 - balance) * (1.0 - t) / q
-        grad = -(dpos - dneg) / p.size
-    else:
-        dpos = balance * t * (q ** gamma / pc - gamma * q ** (gamma - 1.0) * log_p)
-        dneg = (1.0 - balance) * (1.0 - t) * (
-            gamma * pc ** (gamma - 1.0) * log_q - pc ** gamma / q)
-        grad = -(dpos + dneg) / p.size
-    return value, np.where(inside, grad, 0.0)
-
-
-def reconstruction_loss(pred, target, config: LossConfig
-                        ) -> tuple[float, np.ndarray]:
-    if config.kind == "focal":
-        return focal_loss(pred, target, config.focal_gamma,
-                          config.focal_balance, config.clamp_eps)
-    return bce_loss(pred, target, config.clamp_eps)
+    return value, np.where((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS), grad, 0.0)
 
 
 # ---------------------------------------------------------------------------

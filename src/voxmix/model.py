@@ -53,16 +53,6 @@ class NetworkConfig:
                                  f"{down}, the stride of model.{layers}")
 
 
-@dataclass(frozen=True)
-class ForwardTrace:
-    """Batched intermediate embeddings plus the decoded prediction."""
-
-    e_image: np.ndarray    # (n, width)
-    e_aux: np.ndarray      # (n, width): prior latent, or pooled projection
-    e_fused: np.ndarray    # (n, width)
-    prediction: np.ndarray  # (n, D, D, D), strictly inside (0, 1)
-
-
 def _encoder(prefix: str, rank: int, c_in: int, side: int,
              channels: tuple[int, ...], width: int
              ) -> tuple[Sequential, Sequential]:
@@ -231,26 +221,25 @@ class Network:
         return feat, self.prior_conv.forward(
             _input(priors, (1, dim, dim, dim), "prior", store), store)
 
-    def _heads(self, feat: np.ndarray, aux_in: np.ndarray, store: ParamStore
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        e_image = self.image_head.forward(feat, store)
-        e_aux = self.aux_head.forward(aux_in, store)
-        e_fused = self.merger.forward(np.concatenate([e_image, e_aux], axis=1),
-                                      store)
-        return e_image, e_aux, e_fused
+    def _heads(self, feat: np.ndarray, aux_in: np.ndarray,
+               store: ParamStore) -> np.ndarray:
+        """The fused latent: the merger over the image and aux latents."""
+        return self.merger.forward(np.concatenate(
+            [self.image_head.forward(feat, store),
+             self.aux_head.forward(aux_in, store)], axis=1), store)
 
     def encode(self, images: np.ndarray, priors: np.ndarray | None,
-               store: ParamStore) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+               store: ParamStore) -> np.ndarray:
+        """(n, width): the fused latent of each sample."""
         return self._heads(*self._features(images, priors, store), store)
 
     def decode(self, e_fused: np.ndarray, store: ParamStore) -> np.ndarray:
         return self.decoder.forward(e_fused, store)
 
     def forward(self, images: np.ndarray, priors: np.ndarray | None,
-                store: ParamStore) -> ForwardTrace:
-        e_image, e_aux, e_fused = self.encode(images, priors, store)
-        prediction = self.decode(e_fused, store)
-        return ForwardTrace(e_image, e_aux, e_fused, prediction)
+                store: ParamStore) -> np.ndarray:
+        """(n, D, D, D): the predicted occupancy, strictly inside (0, 1)."""
+        return self.decode(self.encode(images, priors, store), store)
 
     def decode_backward(self, d_pred: np.ndarray, store: ParamStore) -> np.ndarray:
         return self.decoder.backward(d_pred, store)

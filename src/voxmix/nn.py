@@ -426,21 +426,27 @@ class Sequential(Layer):
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
+# Optimizer
 # ---------------------------------------------------------------------------
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    kind: str = "adam"                 # adam | sgd
     lr: float = 1e-3
     # (prefix, lr) overrides; first matching prefix wins.
     groups: tuple[tuple[str, float], ...] = ()
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
-class Optimizer:
+class Adam:
+    """Adaptive-moment update with bias correction and per-group rates on
+    the flat buffers, in place: a full-size temporary costs more than the
+    arithmetic, so it writes into the gradient buffer (zeroed afterwards
+    anyway) and its own `_update` buffer."""
+
     def __init__(self, store: ParamStore, config: OptimizerConfig):
         self.store = store
         self.config = config
@@ -452,6 +458,7 @@ class Optimizer:
             self.rates.append((slice(store.spans[run[0]].start,
                                      store.spans[run[-1]].stop),
                                store.flat.dtype.type(lr)))
+        self._update = np.empty_like(store.flat)
 
     def lr_for(self, name: str) -> float:
         for prefix, lr in self.config.groups:
@@ -460,65 +467,31 @@ class Optimizer:
         return self.config.lr
 
     def step(self) -> None:
-        raise NotImplementedError
-
-    def _check_finite(self) -> None:
-        if not np.isfinite(self.store.flat_grads).all():
-            name = next(name for name, g in self.store.grads.items()
-                        if not np.isfinite(g).all())
+        """One update from `store.flat_grads`, which it then zeroes; a
+        non-finite gradient raises NumericError naming its parameter and
+        changes nothing."""
+        store, g, u = self.store, self.store.flat_grads, self._update
+        if not np.isfinite(g).all():
+            name = next(name for name, grad in store.grads.items()
+                        if not np.isfinite(grad).all())
             raise NumericError(f"non-finite gradient for parameter {name!r}")
-
-    def _apply(self, update: np.ndarray) -> None:
-        """Parameters -= rate * update, per group; then zero the gradients."""
-        for span, lr in self.rates:
-            update[span] *= lr
-        self.store.flat -= update
-        self.store.flat_grads.fill(0)
-
-
-class Adam(Optimizer):
-    """Adaptive-moment update with bias correction and per-group rates on
-    the flat buffers, in place: a full-size temporary costs more than the
-    arithmetic, so it writes into the gradient buffer (zeroed afterwards
-    anyway) and its own `_update` buffer."""
-
-    def __init__(self, store: ParamStore, config: OptimizerConfig):
-        super().__init__(store, config)
-        self._update = np.empty_like(store.flat)
-
-    def step(self) -> None:
-        cfg, store, g, u = self.config, self.store, self.store.flat_grads, self._update
-        self._check_finite()
         m, v = store.slot("m"), store.slot("v")
         store.step += 1
-        c1 = 1.0 - cfg.beta1 ** store.step
-        c2 = 1.0 - cfg.beta2 ** store.step
-        m *= cfg.beta1
-        m += np.multiply(g, 1.0 - cfg.beta1, out=u)
-        v *= cfg.beta2
-        v += np.multiply(np.square(g, out=g), 1.0 - cfg.beta2, out=g)
+        c1 = 1.0 - ADAM_BETA1 ** store.step
+        c2 = 1.0 - ADAM_BETA2 ** store.step
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=u)
+        v *= ADAM_BETA2
+        v += np.multiply(np.square(g, out=g), 1.0 - ADAM_BETA2, out=g)
         # update = (m / c1) / (sqrt(v / c2) + eps), rounded as written
         np.sqrt(np.divide(v, c2, out=g), out=g)
-        g += cfg.eps
+        g += ADAM_EPS
         np.divide(m, c1, out=u)
         u /= g
-        self._apply(u)
-
-
-class SGD(Optimizer):
-    def step(self) -> None:
-        self._check_finite()
-        self.store.step += 1
-        self._apply(self.store.flat_grads)
-
-
-OPTIMIZERS = {"adam": Adam, "sgd": SGD}
-
-
-def make_optimizer(store: ParamStore, config: OptimizerConfig) -> Optimizer:
-    if config.kind not in OPTIMIZERS:
-        raise ValueError(f"unknown optimizer kind {config.kind!r}")
-    return OPTIMIZERS[config.kind](store, config)
+        for span, lr in self.rates:
+            u[span] *= lr
+        store.flat -= u
+        g.fill(0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .voxel import VoxelGrid
-
 
 def _rotation(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
     az = np.deg2rad(azimuth_deg)
@@ -25,25 +23,27 @@ def _rotation(azimuth_deg: float, elevation_deg: float) -> np.ndarray:
     return rot_y @ rot_z
 
 
-def rotate_grid(volume: VoxelGrid, azimuth: float, elevation: float) -> np.ndarray:
-    """Nearest-neighbour resampled occupancy after the view rotation."""
-    dim = volume.dim
+def rotate_grid(volume: np.ndarray, azimuth: float,
+                elevation: float) -> np.ndarray:
+    """Nearest-neighbour resampled occupancy of a (D, D, D) bool grid after
+    the view rotation."""
+    dim = len(volume)
     rot = _rotation(azimuth, elevation)
     c = (dim - 1) / 2.0
     coords = np.indices((dim, dim, dim), dtype=np.float64).reshape(3, -1)
     src = rot.T @ (coords - c) + c
     idx = np.rint(src).astype(np.int64)
     inside = np.all((idx >= 0) & (idx < dim), axis=0)
-    occ = volume.occupied()
     out = np.zeros(dim ** 3, dtype=bool)
     sel = idx[:, inside]
-    out[inside] = occ[sel[0], sel[1], sel[2]]
+    out[inside] = volume[sel[0], sel[1], sel[2]]
     return out.reshape(dim, dim, dim)
 
 
-def render(volume: VoxelGrid, azimuth: float, elevation: float,
+def render(volume: np.ndarray, azimuth: float, elevation: float,
            out_size: tuple[int, int] = (32, 32)) -> np.ndarray:
-    """Render a (2, H, W) float32 silhouette+depth image of `volume`."""
+    """Render a (2, H, W) float32 silhouette+depth image of the (D, D, D)
+    bool grid `volume`."""
     if not 0.0 <= azimuth < 360.0:
         raise ValueError(f"azimuth must be in [0, 360), got {azimuth}")
     if not -45.0 <= elevation <= 45.0:
@@ -51,7 +51,7 @@ def render(volume: VoxelGrid, azimuth: float, elevation: float,
     h, w = out_size
     if h <= 0 or w <= 0:
         raise ValueError(f"bad output size {out_size}")
-    dim = volume.dim
+    dim = len(volume)
     occ = rotate_grid(volume, azimuth, elevation)
 
     hits = occ.any(axis=0)                      # (y, z)

@@ -49,8 +49,8 @@ uncompressed under the name it is given and read by `read_archive`.  Its
 It is read with `allow_pickle=False`.  A file that is not such an archive,
 whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose
-arrays do not fit its metadata raises `MissingArtifactError` naming the
-path.
+arrays do not fit its metadata (or, in the dataset, the dtype and shape
+above) raises `MissingArtifactError` naming the path.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from . import corpus, voxel
+from . import corpus
 from .config import (DataConfig, ExperimentConfig, PriorConfig, config_hash,
                      dump_config)
 from .nn import ParamStore
@@ -284,11 +284,12 @@ def load_split(paths: RunPaths, config: ExperimentConfig) -> corpus.FewShotSplit
     return read_artifact(paths.split_path, load, "build-priors")
 
 
-def save_priors(paths: RunPaths, priors: dict[str, voxel.VoxelGrid],
+def save_priors(paths: RunPaths, priors: dict[str, np.ndarray],
                 config: ExperimentConfig) -> None:
+    """Save one (D, D, D) bool prior per class."""
     save_archive(paths.priors_path, {"priors_hash": priors_hash(config),
                                      "classes": list(priors)},
-                 {"priors": np.stack([grid.occupied() for grid in priors.values()])})
+                 {"priors": np.stack(list(priors.values()))})
 
 
 def load_priors(paths: RunPaths,

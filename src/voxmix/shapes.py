@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voxel import VoxelGrid
-
 
 def _lerp_int(ratio: float, lo: int, hi: int) -> int:
     """Round-half-up interpolation from [0,1] onto the integers [lo, hi]."""
@@ -162,8 +160,9 @@ class ShapeSpec:
             raise ValueError(f"params outside [0, 1]: {self.params}")
 
 
-def voxelize(spec: ShapeSpec, dim: int) -> VoxelGrid:
-    """Deterministically voxelize a shape spec onto a dim^3 binary grid."""
+def voxelize(spec: ShapeSpec, dim: int) -> np.ndarray:
+    """Deterministically voxelize a shape spec onto a (dim, dim, dim) bool
+    grid."""
     if dim < 8:
         raise ValueError(f"dim must be at least 8, got {dim}")
     _, builder = _ARCHETYPES[spec.archetype]
@@ -172,4 +171,4 @@ def voxelize(spec: ShapeSpec, dim: int) -> VoxelGrid:
     if not 0.0 < frac < 0.9:
         raise ValueError(
             f"degenerate {spec.archetype} occupancy {frac:.3f} for {spec.params}")
-    return VoxelGrid(dim, grid, binary=True)
+    return grid

@@ -32,7 +32,7 @@ from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
 from .corpus import DatasetManifest, FewShotSplit, SampleArrays, load_samples
 from .model import Network, NetworkConfig
-from .nn import NumericError, OptimizerConfig, ParamStore, make_optimizer
+from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
 STAGE_BASE = 1
 STAGE_INPUT_MIX = 2
@@ -51,9 +51,9 @@ _STREAM = {"init": 101, "pretrain_init": 102, "pretrain": 103,
 
 
 def stream_rng(seed: int, stream) -> np.random.Generator:
-    nonce = _STREAM[stream] if stream in _STREAM else int(stream)
+    """The random stream `stream`, a key of `_STREAM`, of experiment `seed`."""
     return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence([seed, nonce])))
+        np.random.PCG64(np.random.SeedSequence([seed, _STREAM[stream]])))
 
 
 def network_config(config: ExperimentConfig) -> NetworkConfig:
@@ -67,7 +67,7 @@ def network_config(config: ExperimentConfig) -> NetworkConfig:
 
 def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
     # The volume encoder learns on its own, slower rate in every stage.
-    return OptimizerConfig(kind=config.train.optimizer, lr=config.train.lr,
+    return OptimizerConfig(lr=config.train.lr,
                            groups=(("gt_encoder.", config.train.gt_lr),))
 
 
@@ -107,7 +107,7 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
     if len(volumes) == 0:
         raise ValueError("no volumes to pretrain on")
     store = net.init_pretrain_params(stream_rng(seed, "pretrain_init"))
-    opt = make_optimizer(store, OptimizerConfig(kind="adam", lr=lr))
+    opt = Adam(store, OptimizerConfig(lr=lr))
     rng = stream_rng(seed, "pretrain")
     history: list[float] = []
     n = len(volumes)
@@ -196,7 +196,7 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
             priors = mixup.apply_pairs(priors, plan)
         object_ids = None  # every mixed sample is its own object
 
-    _, _, e_fused = net.encode(images, priors, store)
+    e_fused = net.encode(images, priors, store)
     vol_latent = net.encode_gt(volumes, store)
     latent_plan = None
     if stage == STAGE_LATENT_MIX:
@@ -205,7 +205,7 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
                                         for x in (e_fused, vol_latent, volumes))
     pred = net.decode(e_fused, store)
 
-    recon, d_pred = losses.reconstruction_loss(pred, volumes[:, 0], lcfg)
+    recon, d_pred = losses.bce_loss(pred, volumes[:, 0])
     w_align = lcfg.w_align
     if latent_plan is not None:
         align, (d_fused, d_vol_latent) = losses.align_loss_no_triplet(
@@ -237,7 +237,7 @@ def train_stage(net: Network, store: ParamStore, stage: int,
                 rng: np.random.Generator) -> list[StepStats]:
     """Run one stage in place and return per-step loss statistics."""
     net.check_store(store)
-    opt = make_optimizer(store, optimizer_config(config))
+    opt = Adam(store, optimizer_config(config))
     samples = pool.samples
     batch_size = min(config.train.batch_size, len(pool))
     stats: list[StepStats] = []

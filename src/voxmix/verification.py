@@ -106,12 +106,6 @@ def loss_fragments(seed: int = 0):
 
     fragments.append(("bce_loss", bce_fn, {"pred": pred.copy()}))
 
-    def focal_fn(arrs):
-        value, d_pred = losses.focal_loss(arrs["pred"], target, 2.0, 0.25)
-        return value, lambda: {"pred": d_pred}
-
-    fragments.append(("focal_loss", focal_fn, {"pred": pred.copy()}))
-
     fused = _signed_uniform(rng, (4, 6))
     pos = _signed_uniform(rng, (4, 6))
     neg = _signed_uniform(rng, (4, 6))
@@ -184,20 +178,18 @@ def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig,
 
 
 def pipeline_fragments(seed: int = 0):
-    bce_cfg = losses.LossConfig()
-    focal_cfg = losses.LossConfig(kind="focal", focal_gamma=2.0,
-                                  focal_balance=0.3)
+    lcfg = losses.LossConfig()
     return [
         ("pipeline_prior_bce",
-         *_pipeline_fragment(TINY_NET, bce_cfg, trainer.STAGE_BASE, seed)),
+         *_pipeline_fragment(TINY_NET, lcfg, trainer.STAGE_BASE, seed)),
         ("pipeline_no_prior_bce",
-         *_pipeline_fragment(TINY_NET_NO_PRIOR, bce_cfg, trainer.STAGE_BASE,
+         *_pipeline_fragment(TINY_NET_NO_PRIOR, lcfg, trainer.STAGE_BASE,
                              seed + 1)),
-        ("pipeline_prior_focal",
-         *_pipeline_fragment(TINY_NET, focal_cfg, trainer.STAGE_INPUT_MIX,
+        ("pipeline_input_mix",
+         *_pipeline_fragment(TINY_NET, lcfg, trainer.STAGE_INPUT_MIX,
                              seed + 2)),
         ("pipeline_latent_mix",
-         *_pipeline_fragment(TINY_NET, bce_cfg, trainer.STAGE_LATENT_MIX,
+         *_pipeline_fragment(TINY_NET, lcfg, trainer.STAGE_LATENT_MIX,
                              seed + 3)),
     ]
 

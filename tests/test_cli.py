@@ -47,6 +47,45 @@ def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("key,value", [
+    ("train.optimizer", "adam"), ("loss.kind", "bce"),
+    ("loss.focal_gamma", "2.0"), ("loss.focal_balance", "0.5"),
+    ("loss.clamp_eps", "1e-07")])
+@pytest.mark.parametrize("where", ["file", "override"])
+def test_a_config_that_sets_a_removed_key_exits_2_naming_the_key(
+        tiny_run, capsys, where, key, value):
+    extra = ()
+    if where == "file":
+        config = tiny_run.root / "tiny.cfg"
+        config.write_text(config.read_text() + f"{key} = {value}\n")
+    else:
+        extra = ("-o", f"{key}={value}")
+    capsys.readouterr()
+    assert tiny_run.voxmix("train", "--pipeline", "base", *extra) \
+        == cli.EXIT_CONFIG
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("overrides", [
+    ("data.classes=box,box,table,cylstack,chair,lamp,lbeam",),
+    ("data.elevations=60",),
+    ("data.vox_dim=4", "model.prior_channels=4,4",
+     "model.decoder_channels=4,4")],
+    ids=["repeated_class", "elevation", "vox_dim"])
+def test_a_data_value_gen_data_cannot_honour_exits_2_naming_the_key(
+        tmp_path, capsys, overrides):
+    run = TinyRun(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    capsys.readouterr()
+    assert run.voxmix("gen-data", *(item for override in overrides
+                                    for item in ("-o", override))) \
+        == cli.EXIT_CONFIG
+    key = overrides[0].split("=")[0]
+    assert f"config error: {key}: " in capsys.readouterr().err
+    assert not run.paths.root.exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (("grad-check", "--probes", "0"), "--probes"),
     (("grad-check", "--tolerance", "inf"), "--tolerance"),
@@ -139,6 +178,26 @@ def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
     err = capsys.readouterr().err
     assert f"missing artifact: {says}" in err
     assert also in err
+
+
+@pytest.mark.parametrize("entry,convert,says", [
+    ("volumes", lambda a: a.astype(np.float32),
+     "volumes are float32 (18, 8, 8, 8), not bool (objects, D, D, D)"),
+    ("volumes", lambda a: a[..., :4],
+     "volumes are bool (18, 8, 8, 4), not bool (objects, D, D, D)"),
+    ("views", lambda a: a.astype(np.float32), "views are float32, not uint8")],
+    ids=["float_volumes", "non_cubic_volumes", "float_views"])
+def test_a_dataset_entry_of_another_type_exits_3_and_names_the_file(
+        tiny_run, capsys, entry, convert, says):
+    dataset = tiny_run.paths.dataset_path
+    meta, arrays = runs.read_archive(dataset, "dataset",
+                                     lambda meta: ("views", "volumes"))
+    arrays[entry] = convert(arrays[entry])
+    runs.save_archive(dataset, meta, arrays)
+    capsys.readouterr()
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_MISSING
+    assert f"missing artifact: {dataset}: {says}" in capsys.readouterr().err
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
 
 @pytest.mark.parametrize("override,relpath,made_by", [
@@ -244,7 +303,7 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
     ("prior.threshold", "1.5"), ("prior.mode", "wrong"),
     ("model.latent_width", "0"), ("model.decoder_channels", ""),
-    ("train.optimizer", "foo"), ("train.pipeline", "foo"),
+    ("train.pipeline", "foo"),
     # The split's rules across `data` fields; the tiny config has 3 objects
     # per class.
     ("data.base_classes", "box,foo"), ("data.novel_classes", "foo"),

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from voxmix.config import (ConfigError, ExperimentConfig, apply_assignments,
                            config_hash, dump_config, parse_config_text)
 from voxmix.evaluate import PRIOR_MODES
-from voxmix.nn import OPTIMIZERS
 
 # What a config file can hold as a name: no comma (the list separator), no
 # newline, no "#" and no whitespace at either end.
@@ -22,10 +21,7 @@ _CHANNELS = st.lists(st.integers(min_value=1), min_size=1, max_size=4).map(tuple
 # The fields a section range-checks draw from inside their range.
 IN_RANGE = {
     "loss.w_recon": _NON_NEGATIVE, "loss.w_align": _NON_NEGATIVE,
-    "loss.margin": st.floats(0.0, 1.0),
-    "loss.kind": st.sampled_from(("bce", "focal")),
-    "loss.focal_gamma": _NON_NEGATIVE, "loss.focal_balance": _OPEN_UNIT,
-    "loss.clamp_eps": _POSITIVE, "mixup.alpha": _POSITIVE,
+    "loss.margin": st.floats(0.0, 1.0), "mixup.alpha": _POSITIVE,
     "train.batch_size": st.integers(min_value=1),
     "train.pretrain_batch": st.integers(min_value=1),
     "train.stage_epochs": st.tuples(*[st.integers(min_value=0)] * 3),
@@ -33,14 +29,16 @@ IN_RANGE = {
     "data.objects_per_class": st.integers(min_value=1),
     "data.poses_per_object": st.integers(min_value=1),
     "data.shots": st.integers(min_value=1),
-    "data.elevations": st.lists(st.floats(allow_nan=False, allow_infinity=False),
-                                min_size=1, max_size=4).map(tuple),
+    "data.vox_dim": st.integers(min_value=8),
+    "data.elevations": st.lists(st.floats(-45.0, 45.0), min_size=1,
+                                max_size=4).map(tuple),
+    **{f"data.{name}": st.lists(NAMES, max_size=4, unique=True).map(tuple)
+       for name in ("classes", "base_classes", "novel_classes")},
     "prior.threshold": st.floats(0.0, 1.0, exclude_max=True),
     "prior.mode": st.sampled_from(PRIOR_MODES),
     "model.latent_width": st.integers(min_value=1),
     "model.image_channels": _CHANNELS, "model.prior_channels": _CHANNELS,
     "model.decoder_channels": _CHANNELS,
-    "train.optimizer": st.sampled_from(tuple(OPTIMIZERS)),
 }
 
 
@@ -69,24 +67,24 @@ def test_dump_config_round_trips_through_the_parser(config):
 
 def test_dump_and_hash_keep_their_bytes():
     # Hashes of the dumps written before the loss section became a
-    # LossConfig, less their `model.variant` line.
-    assert config_hash(ExperimentConfig()) == "ec5bee9d74cf2fbf"
+    # LossConfig, less their `model.variant`, `train.optimizer`, `loss.kind`,
+    # `loss.focal_gamma`, `loss.focal_balance` and `loss.clamp_eps` lines.
+    assert config_hash(ExperimentConfig()) == "f0a01c094dc672e7"
     assert config_hash(apply_assignments(
-        ExperimentConfig(), {"loss.kind": "focal", "loss.margin": "0.3"})) \
-        == "64aefa9b1bef4a16"
+        ExperimentConfig(), {"loss.margin": "0.3"})) == "86a9a0b39cf76e52"
     loss_lines = [line for line in dump_config(ExperimentConfig()).split("\n")
                   if line.startswith("loss.")]
     assert loss_lines == [
-        "loss.w_recon = 10.0", "loss.w_align = 0.5", "loss.margin = 0.1",
-        "loss.kind = bce", "loss.focal_gamma = 2.0", "loss.focal_balance = 0.5",
-        "loss.clamp_eps = 1e-07"]
+        "loss.w_recon = 10.0", "loss.w_align = 0.5", "loss.margin = 0.1"]
 
 
 @pytest.mark.parametrize("key,value", [
-    ("loss.margin", "5"), ("loss.kind", "dice"), ("mixup.alpha", "0"),
+    ("loss.margin", "5"), ("mixup.alpha", "0"),
     ("train.stage_epochs", "1,1"), ("eval.iou_threshold", "1.0"),
     ("prior.mode", "wrong"), ("model.latent_width", "0"),
-    ("model.image_channels", "4,0"), ("train.optimizer", "foo")])
+    ("model.image_channels", "4,0"), ("data.classes", "box,lamp,box"),
+    ("data.base_classes", "box,box"), ("data.novel_classes", "lamp,lamp"),
+    ("data.elevations", "10,60"), ("data.vox_dim", "4")])
 def test_a_value_a_section_rejects_is_a_config_error_naming_its_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         apply_assignments(ExperimentConfig(), {"seed": "1", "loss.w_recon": "2",

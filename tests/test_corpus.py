@@ -92,7 +92,7 @@ def test_a_loaded_volume_is_the_voxelized_object(reloaded):
     samples = corpus.load_samples(reloaded, reloaded.records)
     assert samples.volumes.dtype == np.float32
     for volume, rec in zip(samples.volumes, reloaded.records):
-        assert np.array_equal(volume[0], _grid(rec).values)
+        assert np.array_equal(volume[0], _grid(rec))
 
 
 def test_load_samples_shapes(small_dataset):

@@ -141,38 +141,6 @@ def test_align_triplet_mask_disables_hinge():
 
 
 # ---------------------------------------------------------------------------
-# focal
-# ---------------------------------------------------------------------------
-
-def test_focal_gamma_zero_is_half_bce():
-    rng = np.random.default_rng(1)
-    pred = rng.uniform(0.05, 0.95, (5, 5, 5))
-    target = (rng.random((5, 5, 5)) < 0.5).astype(float)
-    focal = losses.focal_loss(pred, target, gamma=0.0, balance=0.5)[0]
-    assert focal == pytest.approx(0.5 * losses.bce_loss(pred, target)[0],
-                                  abs=1e-12)
-
-
-def test_focal_at_target_is_near_zero():
-    target = (np.random.default_rng(2).random((4, 4, 4)) < 0.4).astype(float)
-    assert losses.focal_loss(target, target)[0] == pytest.approx(0.0, abs=1e-5)
-
-
-def test_focal_single_voxel_reference_value():
-    value = losses.focal_loss(np.full(1, 0.5), np.ones(1), gamma=2.0,
-                              balance=0.5)[0]
-    assert value == pytest.approx(0.5 * 0.25 * math.log(2), abs=1e-9)
-
-
-def test_focal_balance_weights_occupied_term():
-    pred = np.full(1, 0.5)
-    hot = losses.focal_loss(pred, np.ones(1), gamma=0.0, balance=0.9)[0]
-    cold = losses.focal_loss(pred, np.zeros(1), gamma=0.0, balance=0.9)[0]
-    assert hot == pytest.approx(0.9 * math.log(2), abs=1e-12)
-    assert cold == pytest.approx(0.1 * math.log(2), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # combined
 # ---------------------------------------------------------------------------
 
@@ -200,10 +168,6 @@ def test_loss_config_validation():
         losses.LossConfig(w_recon=-1.0)
     with pytest.raises(ValueError):
         losses.LossConfig(margin=1.5)
-    with pytest.raises(ValueError):
-        losses.LossConfig(kind="dice")
-    with pytest.raises(ValueError):
-        losses.LossConfig(focal_balance=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -231,16 +195,6 @@ def test_bce_grad_matches_fd():
     target = rng.uniform(0, 1, (3, 3))
     fd = _central_diff(lambda: losses.bce_loss(pred, target)[0], pred)
     assert np.allclose(losses.bce_loss(pred, target)[1], fd, atol=1e-7)
-
-
-def test_focal_grad_matches_fd():
-    rng = np.random.default_rng(4)
-    pred = rng.uniform(0.1, 0.9, (3, 3))
-    target = rng.uniform(0, 1, (3, 3))
-    fd = _central_diff(
-        lambda: losses.focal_loss(pred, target, 2.0, 0.3)[0], pred)
-    analytic = losses.focal_loss(pred, target, 2.0, 0.3)[1]
-    assert np.allclose(analytic, fd, atol=1e-7)
 
 
 def test_align_grads_match_fd():

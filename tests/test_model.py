@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from voxmix import losses, trainer
-from voxmix.model import ForwardTrace, Network, NetworkConfig
+from voxmix.model import Network, NetworkConfig
 from voxmix.nn import Conv2d, Conv3d, ParamStore
 
 CFG = NetworkConfig(vox_dim=16, image_size=32, image_channels=(4, 4, 8, 8),
@@ -30,11 +30,10 @@ def batch(n=3, seed=1, cfg=CFG):
 def test_forward_shapes_and_open_interval():
     net, store = make()
     images, priors, _ = batch()
-    trace = net.forward(images, priors, store)
-    assert trace.prediction.shape == (3, 16, 16, 16)
-    assert trace.prediction.min() > 0.0 and trace.prediction.max() < 1.0
-    assert trace.e_image.shape == trace.e_aux.shape == trace.e_fused.shape \
-        == (3, 32)
+    prediction = net.forward(images, priors, store)
+    assert prediction.shape == (3, 16, 16, 16)
+    assert prediction.min() > 0.0 and prediction.max() < 1.0
+    assert net.encode(images, priors, store).shape == (3, 32)
 
 
 def test_forward_is_pure():
@@ -42,8 +41,9 @@ def test_forward_is_pure():
     images, priors, _ = batch()
     a = net.forward(images, priors, store)
     b = net.forward(images, priors, store)
-    assert a.prediction.tobytes() == b.prediction.tobytes()
-    assert a.e_fused.tobytes() == b.e_fused.tobytes()
+    assert a.tobytes() == b.tobytes()
+    assert net.encode(images, priors, store).tobytes() \
+        == net.encode(images, priors, store).tobytes()
 
 
 def test_prior_sensitivity_of_fused_latent():
@@ -60,8 +60,7 @@ def test_prior_sensitivity_of_fused_latent():
         hi[0, 0, x, y, z] += step
         lo = priors.copy()
         lo[0, 0, x, y, z] -= step
-        delta = net.forward(images, hi, store).e_fused \
-            - net.forward(images, lo, store).e_fused
+        delta = net.encode(images, hi, store) - net.encode(images, lo, store)
         best = max(best, float(np.abs(delta).max() / (2 * step)))
     assert best > 0.0
 
@@ -89,9 +88,9 @@ def test_encode_gt_deterministic_and_distinct():
 def test_no_prior_variant_contract():
     net, store = make(CFG_NO_PRIOR)
     images, priors, _ = batch(cfg=CFG_NO_PRIOR)
-    trace = net.forward(images, None, store)
-    assert trace.prediction.shape == (3, 16, 16, 16)
-    assert trace.prediction.min() > 0.0 and trace.prediction.max() < 1.0
+    prediction = net.forward(images, None, store)
+    assert prediction.shape == (3, 16, 16, 16)
+    assert prediction.min() > 0.0 and prediction.max() < 1.0
     # No prior-encoder tensors exist; the pooled projection replaces them.
     assert not any(name.startswith("prior_encoder.") for name in store.params)
     assert any(name.startswith("pool_proj.") for name in store.params)
@@ -121,9 +120,12 @@ def test_centring_zeroes_the_pool_mean_of_every_latent(cfg):
         priors = None
     # 70 samples in batches of 32: two full batches and a partial one.
     net.center_latent_biases(store, images, priors, volumes, batch_size=32)
-    e_image, e_aux, e_fused = net.encode(images, priors, store)
+    e_fused = net.encode(images, priors, store)
     fc0 = net.merger.layers[0]._x @ store.params["merger.fc0.w"] \
         + store.params["merger.fc0.b"]
+    feat, aux_in = net._features(images, priors, store)
+    e_image = net.image_head.forward(feat, store)
+    e_aux = net.aux_head.forward(aux_in, store)
     gt = net.encode_gt(volumes, store)
     for name, value in [("e_image", e_image), ("e_aux", e_aux),
                         ("merger.fc0", fc0), ("e_fused", e_fused), ("gt", gt)]:
@@ -182,16 +184,10 @@ def test_corrupted_prior_is_pure_input_substitution():
     net, store = make()
     images, priors, _ = batch()
     wrong = np.roll(priors, 1, axis=0)
-    correct = net.forward(images, priors, store)
-    corrupted = net.forward(images, wrong, store)
-    assert corrupted.prediction.shape == correct.prediction.shape
-    assert not np.array_equal(corrupted.e_fused, correct.e_fused)
-
-
-def test_trace_is_plain_data():
-    trace = ForwardTrace(np.zeros((1, 4)), np.zeros((1, 4)), np.zeros((1, 4)),
-                         np.full((1, 2, 2, 2), 0.5))
-    assert trace.prediction.shape == (1, 2, 2, 2)
+    assert net.forward(images, wrong, store).shape \
+        == net.forward(images, priors, store).shape
+    assert not np.array_equal(net.encode(images, wrong, store),
+                              net.encode(images, priors, store))
 
 
 def test_network_config_validation():

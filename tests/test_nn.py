@@ -273,7 +273,7 @@ def test_layer_gradients_match_finite_differences(layer, shape):
 
 def test_adam_zero_gradients_leave_params_unchanged():
     store = fresh_store(("w", np.ones(4, dtype=np.float32)))
-    opt = nn.make_optimizer(store, nn.OptimizerConfig())
+    opt = nn.Adam(store, nn.OptimizerConfig())
     opt.step()
     assert np.array_equal(store.params["w"], np.ones(4, dtype=np.float32))
     assert store.step == 1
@@ -281,9 +281,9 @@ def test_adam_zero_gradients_leave_params_unchanged():
 
 def test_adam_matches_scalar_reference():
     lr, b1, b2, eps = 0.05, 0.9, 0.999, 1e-8
+    assert (nn.ADAM_BETA1, nn.ADAM_BETA2, nn.ADAM_EPS) == (b1, b2, eps)
     store = fresh_store(("w", np.array([1.0], dtype=np.float32)))
-    opt = nn.make_optimizer(store, nn.OptimizerConfig(lr=lr, beta1=b1,
-                                                      beta2=b2, eps=eps))
+    opt = nn.Adam(store, nn.OptimizerConfig(lr=lr))
     grads = [1.0, 0.5, -0.25, 2.0, 1.0, -1.0]
 
     # Independent scalar re-derivation of the update rule.
@@ -306,7 +306,7 @@ def test_adam_matches_scalar_reference():
 def test_adam_gradients_are_zeroed_and_step_counted():
     store = fresh_store(("w", np.ones(2, dtype=np.float32)))
     store.grads["w"][...] = 1.0
-    opt = nn.make_optimizer(store, nn.OptimizerConfig())
+    opt = nn.Adam(store, nn.OptimizerConfig())
     opt.step()
     assert np.array_equal(store.grads["w"], np.zeros(2, dtype=np.float32))
     assert store.step == 1
@@ -316,7 +316,7 @@ def test_parameter_groups_scale_updates():
     store = fresh_store(("net.w", np.zeros(1, dtype=np.float32)),
                         ("gt_encoder.w", np.zeros(1, dtype=np.float32)))
     config = nn.OptimizerConfig(lr=1e-3, groups=(("gt_encoder.", 1e-4),))
-    opt = nn.make_optimizer(store, config)
+    opt = nn.Adam(store, config)
     store.grads["net.w"][...] = 1.0
     store.grads["gt_encoder.w"][...] = 1.0
     opt.step()
@@ -329,23 +329,15 @@ def test_parameter_groups_scale_updates():
 def test_non_finite_gradient_names_the_parameter():
     store = fresh_store(("enc.w", np.zeros(2, dtype=np.float32)))
     store.grads["enc.w"][0] = np.nan
-    opt = nn.make_optimizer(store, nn.OptimizerConfig())
+    opt = nn.Adam(store, nn.OptimizerConfig())
     with pytest.raises(nn.NumericError, match="enc.w"):
         opt.step()
-
-
-def test_sgd_step():
-    store = fresh_store(("w", np.ones(1, dtype=np.float32)))
-    store.grads["w"][...] = 2.0
-    opt = nn.make_optimizer(store, nn.OptimizerConfig(kind="sgd", lr=0.1))
-    opt.step()
-    assert store.params["w"][0] == pytest.approx(0.8)
 
 
 def test_optimizer_deterministic():
     def run():
         store = fresh_store(("w", np.ones(3, dtype=np.float32)))
-        opt = nn.make_optimizer(store, nn.OptimizerConfig())
+        opt = nn.Adam(store, nn.OptimizerConfig())
         for k in range(5):
             store.grads["w"][...] = k + 0.5
             opt.step()
@@ -354,9 +346,9 @@ def test_optimizer_deterministic():
     assert np.array_equal(run(), run())
 
 
-class _PerTensorOptimizer:
-    """The per-tensor Adam and SGD that the flat-buffer optimizers replaced:
-    one pass over the names per step, each rate looked up by prefix."""
+class _PerTensorAdam:
+    """The per-tensor Adam that the flat-buffer one replaced: one pass over
+    the names per step, each rate looked up by prefix."""
 
     def __init__(self, pairs, config):
         self.config = config
@@ -373,22 +365,19 @@ class _PerTensorOptimizer:
         return self.config.lr
 
     def step(self):
-        cfg = self.config
+        b1, b2 = 0.9, 0.999
         self.t += 1
-        c1 = 1.0 - cfg.beta1 ** self.t
-        c2 = 1.0 - cfg.beta2 ** self.t
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
             g = self.grads[name]
-            if cfg.kind == "sgd":
-                p -= p.dtype.type(self.lr_for(name)) * g
-            else:
-                m, v = self.m[name], self.v[name]
-                m *= cfg.beta1
-                m += (1.0 - cfg.beta1) * g
-                v *= cfg.beta2
-                v += (1.0 - cfg.beta2) * np.square(g)
-                update = (m / c1) / (np.sqrt(v / c2) + cfg.eps)
-                p -= p.dtype.type(self.lr_for(name)) * update
+            m, v = self.m[name], self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * np.square(g)
+            update = (m / c1) / (np.sqrt(v / c2) + 1e-8)
+            p -= p.dtype.type(self.lr_for(name)) * update
             g[...] = 0
 
 
@@ -405,16 +394,15 @@ def _grouped_pairs(dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_flat_optimizers_match_the_per_tensor_oracle(kind, dtype):
+def test_flat_optimizers_match_the_per_tensor_oracle(dtype):
     rng = np.random.default_rng(3)
     pairs = _grouped_pairs(dtype, rng)
-    config = nn.OptimizerConfig(kind=kind, lr=1e-3, groups=_GROUPS)
+    config = nn.OptimizerConfig(lr=1e-3, groups=_GROUPS)
     store = fresh_store(*pairs)
-    opt = nn.make_optimizer(store, config)
+    opt = nn.Adam(store, config)
     assert len(opt.rates) == 3
     opt.lr_for = None   # the rates are worked out once, not per step
-    oracle = _PerTensorOptimizer(pairs, config)
+    oracle = _PerTensorAdam(pairs, config)
     for _ in range(6):
         # Magnitudes from 1e-4 to 10, either sign.
         for name, shape in _GROUPED_SHAPES.items():
@@ -427,16 +415,14 @@ def test_flat_optimizers_match_the_per_tensor_oracle(kind, dtype):
     assert not store.flat_grads.any()
     for name in _GROUPED_SHAPES:
         assert store.params[name].tobytes() == oracle.params[name].tobytes()
-        if kind == "adam":
-            assert store.slots["m"][name].tobytes() == oracle.m[name].tobytes()
-            assert store.slots["v"][name].tobytes() == oracle.v[name].tobytes()
+        assert store.slots["m"][name].tobytes() == oracle.m[name].tobytes()
+        assert store.slots["v"][name].tobytes() == oracle.v[name].tobytes()
 
 
-@pytest.mark.parametrize("kind", ["adam", "sgd"])
-def test_a_non_finite_gradient_in_a_grouped_store_names_its_parameter(kind):
+def test_a_non_finite_gradient_in_a_grouped_store_names_its_parameter():
     store = fresh_store(*_grouped_pairs(np.float32, np.random.default_rng(0)))
     before = store.flat.copy()
-    opt = nn.make_optimizer(store, nn.OptimizerConfig(kind=kind, groups=_GROUPS))
+    opt = nn.Adam(store, nn.OptimizerConfig(groups=_GROUPS))
     store.grads["enc.b"][...] = 1.0
     store.grads["gt_encoder.b"][1] = np.inf
     with pytest.raises(nn.NumericError, match="'gt_encoder.b'"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_without
-from voxmix import cli, nn, runs, voxel
+from voxmix import cli, nn, runs
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -57,12 +57,12 @@ def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
     interrupted save of it leaves the old one whole."""
     config = ExperimentConfig()
     paths = runs.RunPaths(tmp_path)
-    old = voxel.VoxelGrid(2, np.ones((2, 2, 2), dtype=np.uint8), binary=True)
+    old = np.ones((2, 2, 2), dtype=bool)
     runs.save_priors(paths, {"lamp": old}, config)
     written = paths.priors_path.read_bytes()
     exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
     monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
-    new = voxel.VoxelGrid(2, np.zeros((2, 2, 2), dtype=np.uint8), binary=True)
+    new = np.zeros((2, 2, 2), dtype=bool)
     with pytest.raises(type(exc)):
         runs.save_priors(paths, {"lamp": new}, config)
     monkeypatch.undo()

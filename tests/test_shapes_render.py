@@ -3,7 +3,6 @@ import pytest
 
 from voxmix import corpus, render
 from voxmix.shapes import ARCHETYPE_NAMES, ShapeSpec, param_count, voxelize
-from voxmix.voxel import VoxelGrid, iou
 
 
 # ---------------------------------------------------------------------------
@@ -12,17 +11,18 @@ from voxmix.voxel import VoxelGrid, iou
 
 def test_full_box_is_solid_block_with_margin():
     grid = voxelize(ShapeSpec("box", "box", (1.0, 1.0, 1.0)), 16)
-    inner = grid.values[1:15, 1:15, 1:15]
+    assert grid.dtype == bool and grid.shape == (16, 16, 16)
+    inner = grid[1:15, 1:15, 1:15]
     assert inner.all()
-    assert grid.values.sum() == inner.size
-    assert not grid.values[0].any() and not grid.values[-1].any()
+    assert grid.sum() == inner.size
+    assert not grid[0].any() and not grid[-1].any()
 
 
 def test_voxelize_is_deterministic():
     spec = ShapeSpec("chair", "chair", (0.3, 0.7, 0.2, 0.9))
     a = voxelize(spec, 16)
     b = voxelize(spec, 16)
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
 
 
 def test_table_matches_constructive_oracle():
@@ -47,7 +47,7 @@ def test_table_matches_constructive_oracle():
                 leg_y = 1 <= y < 1 + leg_w or dim - 1 - leg_w <= y < dim - 1
                 in_leg = leg_x and leg_y and 1 <= z < top_lo
                 expected[x, y, z] = in_top or in_leg
-    assert np.array_equal(grid.values.astype(bool), expected)
+    assert np.array_equal(grid, expected)
 
 
 @pytest.mark.parametrize("archetype", ARCHETYPE_NAMES)
@@ -57,11 +57,11 @@ def test_occupancy_bounds_across_parameter_space(archetype, dim):
     arity = param_count(archetype)
     for corner in ([0.0] * arity, [1.0] * arity):
         grid = voxelize(ShapeSpec(archetype, archetype, tuple(corner)), dim)
-        assert 0.0 < grid.values.mean() < 0.9
+        assert 0.0 < grid.mean() < 0.9
     for _ in range(10):
         params = tuple(rng.uniform(0, 1, arity))
         grid = voxelize(ShapeSpec(archetype, archetype, params), dim)
-        assert 0.0 < grid.values.mean() < 0.9
+        assert 0.0 < grid.mean() < 0.9
 
 
 def test_bad_params_rejected():
@@ -78,7 +78,7 @@ def test_bad_params_rejected():
 # ---------------------------------------------------------------------------
 
 def test_empty_volume_renders_black():
-    empty = VoxelGrid(16, np.zeros((16, 16, 16)), binary=True)
+    empty = np.zeros((16, 16, 16), dtype=bool)
     image = render.render(empty, 30.0, 10.0, (32, 32))
     assert image.shape == (2, 32, 32)
     assert not image.any()
@@ -94,9 +94,8 @@ def test_asymmetric_shape_depends_on_azimuth():
 def test_single_voxel_rotates_as_computed_by_hand():
     # Voxel at (12, 7, 7) with the centre at 7.5: offset (+4.5, -0.5, -0.5).
     dim = 16
-    values = np.zeros((dim, dim, dim))
-    values[12, 7, 7] = 1.0
-    grid = VoxelGrid(dim, values, binary=True)
+    grid = np.zeros((dim, dim, dim), dtype=bool)
+    grid[12, 7, 7] = True
 
     # azimuth 90, elevation 0: the grid is rotated by -90 degrees about z,
     # mapping offset (dx, dy) -> (dy, -dx): (4.5, -0.5) -> (-0.5, -4.5),

@@ -130,7 +130,7 @@ def test_stage_step_rejects_an_unknown_stage(stage):
 def test_pipeline_fragments_check_the_training_step():
     fragments = verification.pipeline_fragments(0)
     assert [name for name, *_ in fragments] == [
-        "pipeline_prior_bce", "pipeline_no_prior_bce", "pipeline_prior_focal",
+        "pipeline_prior_bce", "pipeline_no_prior_bce", "pipeline_input_mix",
         "pipeline_latent_mix"]
     for name, fn, arrays in fragments:
         report = nn.grad_check(fn, arrays, 1e-4, probes=1)
@@ -153,7 +153,7 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         if priors is not None:
             priors = mixup.apply_pairs(priors, plan)
         object_ids = None
-    _, _, e_fused = net.encode(images, priors, store)
+    e_fused = net.encode(images, priors, store)
     if stage == trainer.STAGE_LATENT_MIX:
         vol_latent = net.encode_gt(volumes, store)
         plan = partners, ratios = mixup.pair_batch(n, alpha, rng)
@@ -161,7 +161,7 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         lat_mix = mixup.apply_pairs(vol_latent, plan)
         targets = mixup.apply_pairs(volumes, plan)[:, 0]
         pred = net.decode(e_mix, store)
-        recon, d_pred = losses.reconstruction_loss(pred, targets, lcfg)
+        recon, d_pred = losses.bce_loss(pred, targets)
         align, (d_mix, d_latmix) = losses.align_loss_no_triplet(e_mix, lat_mix)
         sim_pos, sim_neg = 1.0 - align, 0.0
         d_mix = lcfg.w_align * d_mix + net.decode_backward(
@@ -179,7 +179,7 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         net.encode_gt_backward(d_vol_latent, store)
     else:
         pred = net.decode(e_fused, store)
-        recon, d_pred = losses.reconstruction_loss(pred, volumes[:, 0], lcfg)
+        recon, d_pred = losses.bce_loss(pred, volumes[:, 0])
         vol_latent = net.encode_gt(volumes, store)
         neg_idx, mask = trainer._negative_indices(object_ids, n, rng)
         align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
@@ -248,15 +248,14 @@ def test_negative_indices_of_a_single_sample():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
-@pytest.mark.parametrize("kind", ["bce", "focal"])
 @pytest.mark.parametrize("variant", ["prior", "no_prior"])
 @pytest.mark.parametrize("stage", [1, 2, 3])
-def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
+def test_stage_step_matches_the_two_branch_reference(stage, variant, n):
     cfg = verification.TINY_NET if variant == "prior" \
         else verification.TINY_NET_NO_PRIOR
     # An alignment weight that is not a power of two rounds, so scaling
     # before or after a sum shows.
-    lcfg = losses.LossConfig(w_align=0.3, kind=kind, focal_balance=0.3)
+    lcfg = losses.LossConfig(w_align=0.3)
     net = Network(cfg)
     store = net.init_params(np.random.default_rng(1))
     rng = np.random.default_rng(2)

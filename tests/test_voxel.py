@@ -2,43 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxmix.voxel import VoxelGrid, build_prior, iou, proximity
+from voxmix.voxel import build_prior, iou, proximity
 
 
 def grid_from_coords(dim, coords):
-    values = np.zeros((dim, dim, dim), dtype=np.float64)
+    grid = np.zeros((dim, dim, dim), dtype=bool)
     for x, y, z in coords:
-        values[x, y, z] = 1.0
-    return VoxelGrid(dim, values, binary=True)
+        grid[x, y, z] = True
+    return grid
 
 
 def random_binary_grid(rng, dim=8, p=0.3):
-    return VoxelGrid(dim, rng.random((dim, dim, dim)) < p, binary=True)
-
-
-# ---------------------------------------------------------------------------
-# VoxelGrid invariants
-# ---------------------------------------------------------------------------
-
-def test_grid_rejects_out_of_range_values():
-    with pytest.raises(ValueError):
-        VoxelGrid(2, np.full((2, 2, 2), 1.5))
-
-
-def test_grid_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        VoxelGrid(3, np.zeros((2, 2, 2)))
-
-
-def test_binary_flag_requires_exact_zero_one():
-    with pytest.raises(ValueError):
-        VoxelGrid(2, np.full((2, 2, 2), 0.5), binary=True)
-
-
-def test_grid_values_are_immutable():
-    g = grid_from_coords(2, [(0, 0, 0)])
-    with pytest.raises(ValueError):
-        g.values[0, 0, 0] = 0.0
+    return rng.random((dim, dim, dim)) < p
 
 
 # ---------------------------------------------------------------------------
@@ -72,16 +47,9 @@ def test_iou_dim_mismatch():
 
 
 def test_iou_both_empty_is_an_error():
-    empty = VoxelGrid(3, np.zeros((3, 3, 3)), binary=True)
+    empty = np.zeros((3, 3, 3), dtype=bool)
     with pytest.raises(ValueError, match="empty"):
         iou(empty, empty)
-
-
-def test_iou_thresholds_real_valued_input():
-    soft = VoxelGrid(2, np.full((2, 2, 2), 0.4))
-    hard = VoxelGrid(2, np.ones((2, 2, 2)), binary=True)
-    assert iou(soft, hard, threshold=0.3) == 1.0
-    assert iou(soft, hard, threshold=0.5) == 0.0
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -90,12 +58,12 @@ def test_iou_symmetric_and_bounded(seed):
     rng = np.random.default_rng(seed)
     a = random_binary_grid(rng)
     b = random_binary_grid(rng)
-    if not (a.values.any() or b.values.any()):
+    if not (a.any() or b.any()):
         return
     ab = iou(a, b)
     assert ab == iou(b, a)
     assert 0.0 <= ab <= 1.0
-    same_sets = np.array_equal(a.values, b.values) and a.values.any()
+    same_sets = np.array_equal(a, b) and a.any()
     assert (ab == 1.0) == same_sets
 
 
@@ -107,21 +75,21 @@ def test_prior_single_volume_is_that_volume():
     rng = np.random.default_rng(0)
     g = random_binary_grid(rng)
     prior = build_prior([g], 0.5)
-    assert np.array_equal(prior.values, g.values)
+    assert prior.dtype == bool and np.array_equal(prior, g)
 
 
 def test_prior_strict_inequality_drops_ties():
-    ones = VoxelGrid(2, np.ones((2, 2, 2)), binary=True)
-    zeros = VoxelGrid(2, np.zeros((2, 2, 2)), binary=True)
+    ones = np.ones((2, 2, 2), dtype=bool)
+    zeros = np.zeros((2, 2, 2), dtype=bool)
     prior = build_prior([ones, zeros], 0.5)  # mean 0.5 is not > 0.5
-    assert not prior.values.any()
+    assert not prior.any()
 
 
 def test_prior_two_of_three():
-    ones = VoxelGrid(2, np.ones((2, 2, 2)), binary=True)
-    zeros = VoxelGrid(2, np.zeros((2, 2, 2)), binary=True)
+    ones = np.ones((2, 2, 2), dtype=bool)
+    zeros = np.zeros((2, 2, 2), dtype=bool)
     prior = build_prior([ones, ones, zeros], 0.5)  # 2/3 > 0.5
-    assert prior.values.all()
+    assert prior.all()
 
 
 def test_prior_empty_list_errors():
@@ -130,8 +98,8 @@ def test_prior_empty_list_errors():
 
 
 def test_prior_dim_mismatch_errors():
-    a = VoxelGrid(2, np.zeros((2, 2, 2)), binary=True)
-    b = VoxelGrid(4, np.zeros((4, 4, 4)), binary=True)
+    a = np.zeros((2, 2, 2), dtype=bool)
+    b = np.zeros((4, 4, 4), dtype=bool)
     with pytest.raises(ValueError):
         build_prior([a, b], 0.5)
 
@@ -142,9 +110,9 @@ def test_prior_matches_count_oracle(seed, t):
     rng = np.random.default_rng(seed)
     volumes = [random_binary_grid(rng, dim=4) for _ in range(rng.integers(1, 6))]
     prior = build_prior(volumes, t)
-    counts = np.sum([v.values for v in volumes], axis=0)
+    counts = np.sum(volumes, axis=0)
     expected = counts > t * len(volumes)
-    assert np.array_equal(prior.values.astype(bool), expected)
+    assert np.array_equal(prior, expected)
 
 
 # ---------------------------------------------------------------------------
