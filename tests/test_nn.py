@@ -394,7 +394,8 @@ def _grouped_pairs(dtype, rng):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_flat_optimizers_match_the_per_tensor_oracle(dtype):
+@pytest.mark.parametrize("kind", ["adam"])   # the one optimizer
+def test_flat_optimizers_match_the_per_tensor_oracle(kind, dtype):
     rng = np.random.default_rng(3)
     pairs = _grouped_pairs(dtype, rng)
     config = nn.OptimizerConfig(lr=1e-3, groups=_GROUPS)
@@ -419,7 +420,8 @@ def test_flat_optimizers_match_the_per_tensor_oracle(dtype):
         assert store.slots["v"][name].tobytes() == oracle.v[name].tobytes()
 
 
-def test_a_non_finite_gradient_in_a_grouped_store_names_its_parameter():
+@pytest.mark.parametrize("kind", ["adam"])   # the one optimizer
+def test_a_non_finite_gradient_in_a_grouped_store_names_its_parameter(kind):
     store = fresh_store(*_grouped_pairs(np.float32, np.random.default_rng(0)))
     before = store.flat.copy()
     opt = nn.Adam(store, nn.OptimizerConfig(groups=_GROUPS))

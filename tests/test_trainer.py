@@ -248,9 +248,10 @@ def test_negative_indices_of_a_single_sample():
 
 
 @pytest.mark.parametrize("n", [1, 3, 4])
+@pytest.mark.parametrize("kind", ["bce"])   # the one reconstruction loss
 @pytest.mark.parametrize("variant", ["prior", "no_prior"])
 @pytest.mark.parametrize("stage", [1, 2, 3])
-def test_stage_step_matches_the_two_branch_reference(stage, variant, n):
+def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
     cfg = verification.TINY_NET if variant == "prior" \
         else verification.TINY_NET_NO_PRIOR
     # An alignment weight that is not a power of two rounds, so scaling
