@@ -311,7 +311,7 @@ def cmd_mix_preview(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     volumes = pool.samples.volumes[:count]
     priors = np.zeros_like(volumes) if pool.priors is None \
-        else pool.priors[:count]
+        else pool.priors.grids[pool.priors.rows[:count]]
     runs.save_archive(out_dir / "pairs.npz", {}, {
         "images": mixup.apply_pairs(pool.samples.images[:count], plan),
         "priors": mixup.apply_pairs(priors, plan)[:, 0],

@@ -2,7 +2,9 @@
 cosine-similarity reports, and the proximity-vs-IoU join.
 
 Every forward pass here gets the prior batch that `prior_mode` assigns,
-or none in mode "none", the mode of the no-prior network.
+or none in mode "none", the mode of the no-prior network.  `prior_batch`
+builds every prior batch of a run, here and in training: one grid per
+class the batch's samples receive, and each sample's row into them.
 
 Evaluation is read-only over parameter snapshots and fully deterministic;
 aggregates are always accompanied by their per-sample rows so every table
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SampleArrays
-from .model import Network
+from .model import Network, PriorBatch
 from .nn import ParamStore
 from .voxel import ProximityReport
 
@@ -24,10 +26,12 @@ PRIOR_MODES = ("correct", "corrupted", "none")
 
 
 def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
-                mode: str, all_classes: tuple[str, ...]) -> np.ndarray | None:
-    """The class prior each sample of `class_ids` receives: its own class's
-    in mode "correct"; in mode "corrupted" the next class's, walking
-    `all_classes` cyclically so runs are reproducible; none in mode "none"."""
+                mode: str, all_classes: tuple[str, ...]) -> PriorBatch | None:
+    """The prior input of the samples of `class_ids`: the (1, D, D, D) grid
+    of each class they receive, once, in class-name order, and each
+    sample's row.  A sample receives its own class's prior in mode
+    "correct"; in mode "corrupted" the next class's, walking `all_classes`
+    cyclically so runs are reproducible; none in mode "none"."""
     if mode == "none":
         return None
     if mode == "corrupted":
@@ -35,7 +39,9 @@ def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
                      for c in class_ids]
     elif mode != "correct":
         raise ValueError(f"unknown prior mode {mode!r}")
-    return np.asarray([priors_by_class[c] for c in class_ids], dtype=np.float32)
+    names, rows = np.unique(np.asarray(class_ids), return_inverse=True)
+    return PriorBatch(np.asarray([priors_by_class[c] for c in names],
+                                 dtype=np.float32), rows)
 
 
 @dataclass(frozen=True)

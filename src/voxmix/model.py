@@ -6,8 +6,12 @@ ends in a Reshape to (D, D, D).  The variants differ only in the aux head,
 whose latent the merger fuses with the image latent: the "prior" variant
 encodes a class shape prior with a 3-D encoder, the "no_prior" variant
 global-average-pools the image features and projects them (`pool_proj.fc`)
-to the same width.  `trainer.network_config` builds the "no_prior" variant
-for prior mode "none" and the "prior" variant otherwise.  The order of
+to the same width.  The prior variant's prior input is a `PriorBatch`: the
+distinct prior grids and each sample's row into them.  Its conv stack runs
+once per grid a sample reads, and the aux head reads each sample's row of
+the conv features, so samples of one class share one prior encoding.
+`trainer.network_config` builds the "no_prior" variant for prior mode
+"none" and the "prior" variant otherwise.  The order of
 `Network.parts` fixes the parameter names' order, the init draw order and
 the checkpoint layout, so it must not change.
 """
@@ -15,6 +19,7 @@ the checkpoint layout, so it must not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,6 +56,20 @@ class NetworkConfig:
             if value < down or value % down:
                 raise ValueError(f"data.{size}: {value} is not a multiple of "
                                  f"{down}, the stride of model.{layers}")
+
+
+class PriorBatch(NamedTuple):
+    """The prior input of a batch of n samples: the prior grids
+    (k, 1, D, D, D) and each sample's row index into them, `rows` (n,).
+    `evaluate.prior_batch` builds one per class set; the per-sample layout
+    is the case rows = arange(n)."""
+
+    grids: np.ndarray
+    rows: np.ndarray
+
+    def take(self, index) -> "PriorBatch":
+        """The prior input of the samples `index` selects."""
+        return PriorBatch(self.grids, self.rows[index])
 
 
 def _encoder(prefix: str, rank: int, c_in: int, side: int,
@@ -169,7 +188,7 @@ class Network:
                              f"{'; '.join(diffs[:4])}")
 
     def center_latent_biases(self, store: ParamStore, images: np.ndarray,
-                             priors: np.ndarray | None, volumes: np.ndarray,
+                             priors: PriorBatch | None, volumes: np.ndarray,
                              batch_size: int = 64) -> None:
         """Mean-only data-dependent initialization of the latent layers.
 
@@ -179,7 +198,9 @@ class Network:
         each latent-producing dense layer into its bias, upstream layers
         first, removes that shared direction exactly.  The latent layers
         are every Dense of `parts` outside the decoder, in `parts` order.
-        One-time, at initialization; deterministic given the pool.
+        `priors` is the prior input of the whole pool; the aux head reads one
+        row per sample, so every mean is a mean over samples, not over prior
+        grids.  One-time, at initialization; deterministic given the pool.
         """
         if len(images) < 2:
             return  # a single sample would center its own embedding to zero
@@ -188,7 +209,7 @@ class Network:
         for start in range(0, len(images), batch_size):
             sl = slice(start, min(start + batch_size, len(images)))
             feats.append((*self._features(
-                images[sl], None if priors is None else priors[sl], store),
+                images[sl], None if priors is None else priors.take(sl), store),
                 self._gt_features(volumes[sl], store)))
         for dense in [layer for part in self.parts if part is not self.decoder
                       for layer in part.layers if isinstance(layer, Dense)]:
@@ -205,10 +226,13 @@ class Network:
 
     # -- forward / backward --------------------------------------------------
 
-    def _features(self, images: np.ndarray, priors: np.ndarray | None,
+    def _features(self, images: np.ndarray, priors: PriorBatch | None,
                   store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
         """The conv stacks of `encode`: the image features, and what the aux
-        head reads (the prior features, or the image features again)."""
+        head reads (each sample's row of the prior features, or the image
+        features again).  The prior conv stack runs on the grids the rows
+        name, each once, so a batch never encodes more grids than it has
+        samples."""
         if priors is None and self.prior_conv is not None:
             raise ValueError("the prior variant requires a prior batch")
         if priors is not None and self.prior_conv is None:
@@ -218,8 +242,14 @@ class Network:
             _input(images, (2, side, side), "image", store), store)
         if priors is None:
             return feat, feat
-        return feat, self.prior_conv.forward(
-            _input(priors, (1, dim, dim, dim), "prior", store), store)
+        grids, rows = priors
+        if np.shape(rows) != (len(feat),):
+            raise ValueError(f"bad prior rows shape {np.shape(rows)} for "
+                             f"{len(feat)} samples")
+        used, self._prior_rows = np.unique(rows, return_inverse=True)
+        prior_feat = self.prior_conv.forward(
+            _input(grids[used], (1, dim, dim, dim), "prior", store), store)
+        return feat, prior_feat[self._prior_rows]
 
     def _heads(self, feat: np.ndarray, aux_in: np.ndarray,
                store: ParamStore) -> np.ndarray:
@@ -228,17 +258,20 @@ class Network:
             [self.image_head.forward(feat, store),
              self.aux_head.forward(aux_in, store)], axis=1), store)
 
-    def encode(self, images: np.ndarray, priors: np.ndarray | None,
+    def encode(self, images: np.ndarray, priors: PriorBatch | None,
                store: ParamStore) -> np.ndarray:
-        """(n, width): the fused latent of each sample."""
+        """(n, width): the fused latent of each sample of `images` (n, 2, H, W)
+        under its row of `priors`, a PriorBatch or a (grids, rows) pair, which
+        the no-prior variant does not take."""
         return self._heads(*self._features(images, priors, store), store)
 
     def decode(self, e_fused: np.ndarray, store: ParamStore) -> np.ndarray:
         return self.decoder.forward(e_fused, store)
 
-    def forward(self, images: np.ndarray, priors: np.ndarray | None,
+    def forward(self, images: np.ndarray, priors: PriorBatch | None,
                 store: ParamStore) -> np.ndarray:
-        """(n, D, D, D): the predicted occupancy, strictly inside (0, 1)."""
+        """(n, D, D, D): the predicted occupancy of each sample, strictly
+        inside (0, 1); `images` and `priors` as in `encode`."""
         return self.decode(self.encode(images, priors, store), store)
 
     def decode_backward(self, d_pred: np.ndarray, store: ParamStore) -> np.ndarray:
@@ -252,7 +285,14 @@ class Network:
         if self.prior_conv is None:
             d_feat = d_aux_in + d_feat   # the aux head reads the image features
         else:
-            self.prior_conv.backward(d_aux_in, store)
+            # Each grid's gradient sums those of the samples that read it,
+            # as a one-hot matmul (np.add.at took 40x as long at batch 64).
+            rows = self._prior_rows
+            onehot = (np.arange(rows.max() + 1)[:, None] == rows).astype(
+                d_aux_in.dtype)
+            d_grids = onehot @ d_aux_in.reshape(len(rows), -1)
+            self.prior_conv.backward(
+                d_grids.reshape((len(onehot),) + d_aux_in.shape[1:]), store)
         self.image_conv.backward(d_feat, store)
 
     # -- ground-truth volume encoder ------------------------------------------

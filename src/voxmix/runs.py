@@ -49,8 +49,8 @@ uncompressed under the name it is given and read by `read_archive`.  Its
 It is read with `allow_pickle=False`.  A file that is not such an archive,
 whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose
-arrays do not fit its metadata (or, in the dataset, the dtype and shape
-above) raises `MissingArtifactError` naming the path.
+arrays do not fit its metadata (or, in the dataset and the priors, the
+dtype and shape above) raises `MissingArtifactError` naming the path.
 """
 
 from __future__ import annotations
@@ -294,13 +294,16 @@ def save_priors(paths: RunPaths, priors: dict[str, np.ndarray],
 
 def load_priors(paths: RunPaths,
                 config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Per-class prior grids as (1, D, D, D) float32 arrays."""
+    """Per-class prior grids as (1, D, D, D) float32 arrays; a `priors`
+    entry that is not bool (classes, D, D, D), D the config's `data.vox_dim`,
+    is refused."""
     def load(path):
         meta, arrays = read_archive(path, "priors", lambda meta: ("priors",))
         _check_inputs(meta, "priors_hash", priors_hash(config), "build-priors")
-        grids = arrays["priors"].astype(np.float32)[:, None]
-        if len(grids) != len(meta["classes"]):
-            raise ValueError(f"{len(grids)} priors for {len(meta['classes'])} "
-                             "classes")
-        return dict(zip(meta["classes"], grids))
+        grids = arrays["priors"]
+        shape = (len(meta["classes"]),) + (config.data.vox_dim,) * 3
+        if grids.dtype != bool or grids.shape != shape:
+            raise ValueError(f"priors are {grids.dtype} {grids.shape}, not bool "
+                             f"{shape}; run build-priors again")
+        return dict(zip(meta["classes"], grids.astype(np.float32)[:, None]))
     return read_artifact(paths.priors_path, load, "build-priors")

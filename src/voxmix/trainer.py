@@ -31,7 +31,7 @@ from . import evaluate, losses, mixup, runs
 from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
 from .corpus import DatasetManifest, FewShotSplit, SampleArrays, load_samples
-from .model import Network, NetworkConfig
+from .model import Network, NetworkConfig, PriorBatch
 from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
 STAGE_BASE = 1
@@ -77,10 +77,13 @@ def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
 
 @dataclass
 class TrainingPool:
-    """Preloaded training views plus per-sample prior assignment."""
+    """Preloaded training views and the prior input of the whole pool, as
+    `evaluate.prior_batch` builds it: one grid per class and each sample's
+    row, or None for no-prior runs.  A training batch takes its samples'
+    rows of it."""
 
     samples: SampleArrays
-    priors: np.ndarray | None     # (n, 1, D, D, D) or None for no-prior runs
+    priors: PriorBatch | None
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -148,11 +151,12 @@ def _negative_indices(object_ids, n: int, rng: np.random.Generator):
 
 @dataclass
 class Batch:
-    """One step's samples.  `priors` is None for a network that takes no
-    prior batch; `object_ids` None counts every sample as its own object."""
+    """One step's samples.  `priors` is their prior input, a PriorBatch
+    (see `model.PriorBatch`), or None for a network that takes no prior
+    batch; `object_ids` None counts every sample as its own object."""
 
     images: np.ndarray
-    priors: np.ndarray | None
+    priors: PriorBatch | None
     volumes: np.ndarray
     object_ids: list[str] | None
 
@@ -171,7 +175,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     """Forward pass and loss of one training step of `stage`, and backward.
 
     The stages differ only in where the batch is mixed: nowhere (stage 1),
-    in the inputs (stage 2), or in the fused and volume latents (stage 3),
+    in the inputs (stage 2: images, volumes and each sample's prior grid,
+    so the mixed batch has one prior grid per sample), or in the fused and
+    volume latents (stage 3),
     where the alignment is cosine-only (mixed rows have no one identity to
     contrast) and `mixup.apply_pairs_backward` unmixes the latent gradients.
     Returns the loss breakdown and `backward`, which replaces `store.grads`
@@ -193,7 +199,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
         images = mixup.apply_pairs(images, plan)
         volumes = mixup.apply_pairs(volumes, plan)
         if priors is not None:
-            priors = mixup.apply_pairs(priors, plan)
+            grids, rows = priors
+            priors = PriorBatch(mixup.apply_pairs(grids[rows], plan),
+                                np.arange(n))
         object_ids = None  # every mixed sample is its own object
 
     e_fused = net.encode(images, priors, store)
@@ -247,7 +255,7 @@ def train_stage(net: Network, store: ParamStore, stage: int,
         for step, start in enumerate(range(0, n, batch_size)):
             idx = order[start:start + batch_size]
             batch = Batch(samples.images[idx],
-                          None if pool.priors is None else pool.priors[idx],
+                          None if pool.priors is None else pool.priors.take(idx),
                           samples.volumes[idx],
                           [samples.object_ids[i] for i in idx])
             breakdown, backward = stage_step(net, store, batch, stage,
@@ -338,8 +346,11 @@ class ExperimentContext:
     @classmethod
     def load(cls, config: ExperimentConfig,
              paths: runs.RunPaths) -> "ExperimentContext":
-        # Built before the sample arrays: after them, it raised infer_b64's
-        # peak RSS by 7 MB (heap layout).
+        # Built before the sample arrays: after them, it once raised
+        # infer_b64's peak RSS by 7 MB (heap layout), while the pool held a
+        # prior grid per sample.  With one grid per class the two orders
+        # read within 3 MB of each other, with no consistent sign (3 runs
+        # each, 2-core host).
         net = Network(network_config(config))
         manifest = runs.load_manifest(paths, config)
         split = runs.load_split(paths, config)

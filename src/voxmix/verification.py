@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses, nn, trainer
 from .config import MixupSection
-from .model import Network, NetworkConfig
+from .model import Network, NetworkConfig, PriorBatch
 
 TINY_NET = NetworkConfig(vox_dim=8, image_size=16,
                          image_channels=(2, 3, 3, 4),
@@ -136,8 +136,10 @@ def _pipeline_data(cfg: NetworkConfig, seed: int):
         np.random.Generator(np.random.PCG64(seed)), np.float64)
     n = 3
     images = rng.uniform(0.0, 1.0, (n, 2, cfg.image_size, cfg.image_size))
-    priors = rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) \
-        if cfg.variant == "prior" else None
+    # The two views of object "a" share one prior row, so the prior
+    # encoder's backward sums two samples' gradients into one grid.
+    priors = PriorBatch(rng.uniform(0.0, 1.0, (2, 1) + (cfg.vox_dim,) * 3),
+                        np.array([0, 0, 1])) if cfg.variant == "prior" else None
     volumes = (rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) > 0.5) \
         .astype(np.float64)
     # Two views of one object: the triplet must pick the other object.

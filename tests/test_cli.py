@@ -200,6 +200,26 @@ def test_a_dataset_entry_of_another_type_exits_3_and_names_the_file(
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
 
+@pytest.mark.parametrize("command", [("pretrain-gt",),
+                                     ("train", "--pipeline", "base")],
+                         ids=["pretrain_gt", "train"])
+@pytest.mark.parametrize("convert,says", [
+    (lambda a: np.full(a.shape, 7.5, np.float32),
+     "priors are float32 (6, 8, 8, 8), not bool (6, 8, 8, 8)"),
+    (lambda a: a[..., :4], "priors are bool (6, 8, 8, 4), not bool (6, 8, 8, 8)")],
+    ids=["float_priors", "non_cubic_priors"])
+def test_a_priors_entry_of_another_type_exits_3_and_names_the_file(
+        tiny_run, capsys, command, convert, says):
+    priors = tiny_run.paths.priors_path
+    meta, arrays = runs.read_archive(priors, "priors", lambda meta: ("priors",))
+    runs.save_archive(priors, meta, {"priors": convert(arrays["priors"])})
+    capsys.readouterr()
+    assert tiny_run.voxmix(*command) == cli.EXIT_MISSING
+    assert (f"missing artifact: {priors}: {says}; run build-priors again"
+            in capsys.readouterr().err)
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
 @pytest.mark.parametrize("override,relpath,made_by", [
     ("seed=5", "dataset.npz", "gen-data"),
     ("data.vox_dim=16", "dataset.npz", "gen-data"),
@@ -247,7 +267,7 @@ def test_mix_preview_writes_the_stage_two_mix(tiny_run):
                                                 trainer.STAGE_INPUT_MIX))
     volumes = mixup.apply_pairs(pool.samples.volumes[:3], pairs)
     images = mixup.apply_pairs(pool.samples.images[:3], pairs)
-    priors = mixup.apply_pairs(pool.priors[:3], pairs)
+    priors = mixup.apply_pairs(pool.priors.grids[pool.priors.rows[:3]], pairs)
     _, got = runs.read_archive(tiny_run.paths.reports_dir / "mix_preview"
                                / "pairs.npz", "mix preview",
                                lambda meta: ("images", "priors", "volumes"))

@@ -45,13 +45,29 @@ def test_overall_is_the_mean_of_class_means_and_rows_rederive(net_store):
     assert table.overall == float(np.mean([row[1] for row in table.rows]))
 
 
+def per_sample(batch):
+    """Each sample's prior grid."""
+    return batch.grids[batch.rows]
+
+
 def test_the_corrupted_prior_walks_cyclically_from_the_last_class_to_the_first():
     batch = evaluate.prior_batch(list(CLASSES), PRIORS, "corrupted", CLASSES)
-    assert np.array_equal(batch, np.stack([PRIORS[c] for c in "bca"]))
+    assert np.array_equal(per_sample(batch), np.stack([PRIORS[c] for c in "bca"]))
     batch = evaluate.prior_batch(["c", "a"], PRIORS, "correct", CLASSES)
-    assert np.array_equal(batch, np.stack([PRIORS["c"], PRIORS["a"]]))
+    assert np.array_equal(per_sample(batch), np.stack([PRIORS["c"], PRIORS["a"]]))
     with pytest.raises(ValueError, match="unknown prior mode 'wrong'"):
         evaluate.prior_batch(["a"], PRIORS, "wrong", CLASSES)
+
+
+def test_a_prior_batch_holds_each_class_it_gives_once():
+    batch = evaluate.prior_batch(["c", "a", "c", "c"], PRIORS, "correct",
+                                 CLASSES)
+    assert np.array_equal(batch.grids, np.stack([PRIORS["a"], PRIORS["c"]]))
+    assert batch.rows.tolist() == [1, 0, 1, 1]
+    # The corrupted mode gives "b" to the samples of "a", and "a" to "c".
+    batch = evaluate.prior_batch(["c", "a", "c"], PRIORS, "corrupted", CLASSES)
+    assert np.array_equal(batch.grids, np.stack([PRIORS["a"], PRIORS["b"]]))
+    assert batch.rows.tolist() == [0, 1, 0]
 
 
 def test_prior_batch_is_none_in_mode_none():

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from voxmix import losses, trainer
-from voxmix.model import Network, NetworkConfig
+from voxmix import evaluate, losses, trainer
+from voxmix.model import Network, NetworkConfig, PriorBatch
 from voxmix.nn import Conv2d, Conv3d, ParamStore
 
 CFG = NetworkConfig(vox_dim=16, image_size=32, image_channels=(4, 4, 8, 8),
@@ -20,11 +20,13 @@ def make(cfg=CFG, seed=0):
 
 
 def batch(n=3, seed=1, cfg=CFG):
+    """Images, priors in the per-sample layout (one grid per sample) and
+    volumes."""
     rng = np.random.default_rng(seed)
     images = rng.random((n, 2, cfg.image_size, cfg.image_size)).astype(np.float32)
-    priors = (rng.random((n, 1) + (cfg.vox_dim,) * 3) < 0.4).astype(np.float32)
+    grids = (rng.random((n, 1) + (cfg.vox_dim,) * 3) < 0.4).astype(np.float32)
     volumes = (rng.random((n, 1) + (cfg.vox_dim,) * 3) < 0.4).astype(np.float32)
-    return images, priors, volumes
+    return images, PriorBatch(grids, np.arange(n)), volumes
 
 
 def test_forward_shapes_and_open_interval():
@@ -56,10 +58,10 @@ def test_prior_sensitivity_of_fused_latent():
     best = 0.0
     for _ in range(10):
         x, y, z = rng.integers(2, 14, size=3)
-        hi = priors.copy()
-        hi[0, 0, x, y, z] += step
-        lo = priors.copy()
-        lo[0, 0, x, y, z] -= step
+        hi = PriorBatch(priors.grids.copy(), priors.rows)
+        hi.grids[0, 0, x, y, z] += step
+        lo = PriorBatch(priors.grids.copy(), priors.rows)
+        lo.grids[0, 0, x, y, z] -= step
         delta = net.encode(images, hi, store) - net.encode(images, lo, store)
         best = max(best, float(np.abs(delta).max() / (2 * step)))
     assert best > 0.0
@@ -71,7 +73,8 @@ def test_resolution_mismatch_rejected():
     with pytest.raises(ValueError):
         net.forward(images[:, :, :16, :16], priors, store)
     with pytest.raises(ValueError):
-        net.forward(images, priors[:, :, :8, :8, :8], store)
+        net.forward(images, PriorBatch(priors.grids[:, :, :8, :8, :8],
+                                       priors.rows), store)
 
 
 def test_encode_gt_deterministic_and_distinct():
@@ -183,11 +186,77 @@ def test_a_default_conv_returns_its_input_gradient(layer, shape):
 def test_corrupted_prior_is_pure_input_substitution():
     net, store = make()
     images, priors, _ = batch()
-    wrong = np.roll(priors, 1, axis=0)
+    wrong = PriorBatch(priors.grids, np.roll(priors.rows, 1))
     assert net.forward(images, wrong, store).shape \
         == net.forward(images, priors, store).shape
     assert not np.array_equal(net.encode(images, wrong, store),
                               net.encode(images, priors, store))
+
+
+def shared_and_per_sample(n, seed):
+    """One prior input with repeated rows, and the same priors in the
+    per-sample layout."""
+    rng = np.random.default_rng(seed)
+    grids = (rng.random((3, 1) + (CFG.vox_dim,) * 3) < 0.4).astype(np.float32)
+    rows = rng.integers(0, 3, n)
+    return PriorBatch(grids, rows), PriorBatch(grids[rows], np.arange(n))
+
+
+@pytest.mark.parametrize("n", [1, 7, 32])
+def test_a_shared_prior_matches_the_per_sample_layout(n):
+    net, store = make(seed=6)
+    images, _, _ = batch(n=n, seed=n)
+    shared, per_sample = shared_and_per_sample(n, seed=n + 1)
+    # The conv stack's GEMMs may block a batch of 3 grids and one of n
+    # grids differently, so the two agree to float32 rounding, not bitwise.
+    for run in (net.encode, net.forward):
+        want = run(images, per_sample, store)
+        np.testing.assert_allclose(run(images, shared, store), want, rtol=1e-5,
+                                   atol=1e-6 * np.abs(want).max())
+
+
+def test_prior_encoder_gradients_of_a_shared_prior_match_the_per_sample_layout():
+    net, store = make(seed=7)
+    n = 7
+    images, _, _ = batch(n=n, seed=8)
+    d_pred = np.random.default_rng(9).standard_normal(
+        (n,) + (CFG.vox_dim,) * 3).astype(np.float32)
+    grads = []
+    for priors in shared_and_per_sample(n, seed=10):
+        store.zero_grads()
+        net.forward(images, priors, store)
+        net.encode_backward(net.decode_backward(d_pred, store), store)
+        grads.append({name: grad.copy() for name, grad in store.grads.items()
+                      if name.startswith("prior_encoder.")})
+    shared, per_sample = grads
+    assert len(per_sample) == 8   # three convs and the head, w and b each
+    for name, want in per_sample.items():
+        assert np.linalg.norm(shared[name] - want) \
+            <= 1e-5 * np.linalg.norm(want), name
+
+
+def test_a_batch_of_one_class_encodes_one_prior_grid(monkeypatch):
+    net, store = make()
+    images, _, _ = batch(n=5)
+    conv = net.prior_conv.layers[0]
+    sizes = []
+    forward = conv.forward
+
+    def counted(x, store):
+        sizes.append(len(x))
+        return forward(x, store)
+
+    monkeypatch.setattr(conv, "forward", counted)
+    grid = np.full((1,) + (CFG.vox_dim,) * 3, 0.5, np.float32)
+    priors_by_class = {"box": grid, "lamp": grid * 0.5}
+    one_class = evaluate.prior_batch(["lamp"] * 5, priors_by_class, "correct",
+                                     ("box", "lamp"))
+    net.forward(images, one_class, store)
+    # A batch taken from a pool of several classes encodes only its own.
+    pool = evaluate.prior_batch(["box", "lamp", "lamp", "box", "lamp", "lamp"],
+                                priors_by_class, "correct", ("box", "lamp"))
+    net.forward(images, pool.take([1, 2, 4, 5, 1]), store)
+    assert sizes == [1, 1]
 
 
 def test_network_config_validation():

@@ -57,19 +57,20 @@ def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
     interrupted save of it leaves the old one whole."""
     config = ExperimentConfig()
     paths = runs.RunPaths(tmp_path)
-    old = np.ones((2, 2, 2), dtype=bool)
+    shape = (config.data.vox_dim,) * 3   # the only shape load_priors accepts
+    old = np.ones(shape, dtype=bool)
     runs.save_priors(paths, {"lamp": old}, config)
     written = paths.priors_path.read_bytes()
     exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
     monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
-    new = np.zeros((2, 2, 2), dtype=bool)
+    new = np.zeros(shape, dtype=bool)
     with pytest.raises(type(exc)):
         runs.save_priors(paths, {"lamp": new}, config)
     monkeypatch.undo()
     assert paths.priors_path.read_bytes() == written
     assert [p.name for p in tmp_path.iterdir()] == ["priors.npz"]
     assert np.array_equal(runs.load_priors(paths, config)["lamp"],
-                          np.ones((1, 2, 2, 2), dtype=np.float32))
+                          np.ones((1, *shape), dtype=np.float32))
 
 
 @pytest.mark.parametrize("fault", ["replace", "interrupt"])

@@ -10,7 +10,7 @@ from conftest import TINY_OVERRIDES
 
 from voxmix import losses, mixup, nn, runs, trainer, verification
 from voxmix.config import ExperimentConfig, MixupSection, config_hash, dump_config
-from voxmix.model import Network
+from voxmix.model import Network, PriorBatch
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
 
@@ -120,7 +120,8 @@ def test_stage_step_rejects_an_unknown_stage(stage):
     net = Network(cfg)
     store = net.init_params(np.random.default_rng(0))
     batch = trainer.Batch(np.zeros((2, 2, cfg.image_size, cfg.image_size)),
-                          np.zeros((2, 1) + (cfg.vox_dim,) * 3),
+                          PriorBatch(np.zeros((1, 1) + (cfg.vox_dim,) * 3),
+                                     np.zeros(2, dtype=np.intp)),
                           np.zeros((2, 1) + (cfg.vox_dim,) * 3), ["a", "b"])
     with pytest.raises(ValueError, match=f"unknown stage {stage}"):
         trainer.stage_step(net, store, batch, stage, losses.LossConfig(), 0.2,
@@ -151,7 +152,9 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         images = mixup.apply_pairs(images, plan)
         volumes = mixup.apply_pairs(volumes, plan)
         if priors is not None:
-            priors = mixup.apply_pairs(priors, plan)
+            grids, rows = priors
+            priors = PriorBatch(mixup.apply_pairs(grids[rows], plan),
+                                np.arange(n))
         object_ids = None
     e_fused = net.encode(images, priors, store)
     if stage == trainer.STAGE_LATENT_MIX:
@@ -261,13 +264,17 @@ def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
     store = net.init_params(np.random.default_rng(1))
     rng = np.random.default_rng(2)
     images = rng.uniform(0.0, 1.0, (n, 2, cfg.image_size, cfg.image_size))
-    priors = rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) \
+    grids = rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) \
         if variant == "prior" else None
     volumes = (rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) > 0.5)
-    # Two views of one object, so the triplet must look past a partner.
-    batch = trainer.Batch(images.astype(np.float32),
-                          None if priors is None else priors.astype(np.float32),
-                          volumes.astype(np.float32), ["a", "a", "b", "c"][:n])
+    # Two views of one object, so the triplet must look past a partner; they
+    # share one prior grid, and beyond one sample the last grid is one no
+    # sample reads.
+    object_ids = ["a", "a", "b", "c"][:n]
+    priors = None if grids is None else PriorBatch(
+        grids.astype(np.float32), np.unique(object_ids, return_inverse=True)[1])
+    batch = trainer.Batch(images.astype(np.float32), priors,
+                          volumes.astype(np.float32), object_ids)
 
     runs = []
     for step in (_two_branch_stage_step, _stage_step_with_backward):
