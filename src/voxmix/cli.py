@@ -210,14 +210,14 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config, paths, pipeline, ctx, store = _trained(args)
-    table = ctx.eval_table(store)
+    query = ctx.query_samples
+    predictions = evaluate.binarized_predictions(
+        ctx.net, store, query, ctx.priors_by_class, config.prior.mode,
+        config.data.classes, config.eval.iou_threshold, config.eval.batch_size)
+    table = evaluate.iou_table(predictions, query, config.eval.iou_threshold,
+                               config.prior.mode)
     trainer.write_iou_reports(paths, pipeline, table)
     if args.dump_predictions:
-        query = ctx.query_samples
-        predictions = evaluate.binarized_predictions(
-            ctx.net, store, query, ctx.priors_by_class, config.prior.mode,
-            config.data.classes, config.eval.iou_threshold,
-            config.eval.batch_size)
         runs.save_archive(paths.reports_dir / f"{pipeline}_predictions.npz",
                           {"object_ids": query.object_ids,
                            "pose_ids": query.pose_ids,

@@ -1,6 +1,12 @@
 """Measurement surfaces: per-class IoU tables, same/different-object
 cosine-similarity reports, and the proximity-vs-IoU join.
 
+Scoring is separate from the forward pass: `binarized_predictions` is the
+one loop that runs the network and thresholds its output, and `iou_table`
+scores any bool prediction stack, the network's or one it did not produce
+(the binarized prior, say), with one `voxel.iou` call.  `eval_iou` is the
+two in sequence.
+
 Every forward pass here gets the prior batch that `prior_mode` assigns,
 or none in mode "none", the mode of the no-prior network.  `prior_batch`
 builds every prior batch of a run, here and in training: one grid per
@@ -20,7 +26,7 @@ import numpy as np
 from .corpus import SampleArrays
 from .model import Network, PriorBatch
 from .nn import ParamStore
-from .voxel import ProximityReport
+from .voxel import ProximityReport, iou
 
 PRIOR_MODES = ("correct", "corrupted", "none")
 
@@ -73,37 +79,6 @@ def _batched(net: Network, run, store: ParamStore, samples: SampleArrays,
         yield sl, run(samples.images[sl], priors, store)
 
 
-def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
-             priors_by_class: dict[str, np.ndarray], prior_mode: str,
-             all_classes: tuple[str, ...], threshold: float = 0.3,
-             batch_size: int = 64) -> IouTable:
-    """Per-query-sample IoU of the binarized prediction against ground
-    truth, aggregated per class; the overall score is the mean of class
-    means."""
-    per_sample: list[tuple[str, int, str, float]] = []
-    by_class: dict[str, list[float]] = {}
-    for sl, prediction in _batched(net, net.forward, store, samples,
-                                   priors_by_class, prior_mode, all_classes,
-                                   batch_size):
-        pred_occ = prediction > threshold
-        gt_occ = samples.volumes[sl][:, 0] > 0.5
-        inter = np.logical_and(pred_occ, gt_occ).sum(axis=(1, 2, 3))
-        union = np.logical_or(pred_occ, gt_occ).sum(axis=(1, 2, 3))
-        for k in range(pred_occ.shape[0]):
-            i = sl.start + k
-            if union[k] == 0:
-                raise ValueError(
-                    f"IoU undefined for {samples.object_ids[i]}: empty union")
-            value = float(inter[k] / union[k])
-            per_sample.append((samples.object_ids[i], samples.pose_ids[i],
-                               samples.class_ids[i], value))
-            by_class.setdefault(samples.class_ids[i], []).append(value)
-    rows = tuple((c, float(np.mean(v)), len(v))
-                 for c, v in sorted(by_class.items()))
-    overall = float(np.mean([r[1] for r in rows]))
-    return IouTable(threshold, prior_mode, rows, overall, tuple(per_sample))
-
-
 def binarized_predictions(net: Network, store: ParamStore,
                           samples: SampleArrays, priors_by_class,
                           prior_mode: str, all_classes: tuple[str, ...],
@@ -112,6 +87,33 @@ def binarized_predictions(net: Network, store: ParamStore,
     return np.concatenate([prediction > threshold for _, prediction in _batched(
         net, net.forward, store, samples, priors_by_class, prior_mode,
         all_classes, batch_size)])
+
+
+def iou_table(occupied: np.ndarray, samples: SampleArrays, threshold: float,
+              prior_mode: str) -> IouTable:
+    """Per-sample IoU of the (n, D, D, D) bool stack `occupied` against the
+    samples' ground truth, aggregated per class; the overall score is the
+    mean of class means.  The table records `threshold` and `prior_mode`."""
+    values = iou(occupied, samples.volumes[:, 0] > 0.5).tolist()
+    per_sample = tuple(zip(samples.object_ids, samples.pose_ids,
+                           samples.class_ids, values))
+    by_class: dict[str, list[float]] = {}
+    for class_id, value in zip(samples.class_ids, values):
+        by_class.setdefault(class_id, []).append(value)
+    rows = tuple((c, float(np.mean(v)), len(v))
+                 for c, v in sorted(by_class.items()))
+    overall = float(np.mean([r[1] for r in rows]))
+    return IouTable(threshold, prior_mode, rows, overall, per_sample)
+
+
+def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
+             priors_by_class: dict[str, np.ndarray], prior_mode: str,
+             all_classes: tuple[str, ...], threshold: float = 0.3,
+             batch_size: int = 64) -> IouTable:
+    """The IoU table of the network's binarized predictions."""
+    return iou_table(binarized_predictions(
+        net, store, samples, priors_by_class, prior_mode, all_classes,
+        threshold, batch_size), samples, threshold, prior_mode)
 
 
 def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,

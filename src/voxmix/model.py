@@ -171,9 +171,6 @@ class Network:
         whole = Sequential(self.parts)
         return dict(zip(whole.param_names, whole.param_shapes))
 
-    def param_names(self) -> tuple[str, ...]:
-        return tuple(self._param_shapes())
-
     def check_store(self, store: ParamStore) -> None:
         """Raise ValueError unless the store holds exactly this network's
         parameters, each in the shape its layer gives it."""

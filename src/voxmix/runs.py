@@ -36,7 +36,8 @@ uncompressed under the name it is given and read by `read_archive`.  Its
     dataset      meta: dataset_hash, records (the manifest rows, see
                  corpus.Record); views (N, 2, H, W) uint8, row i the
                  silhouette and depth of record i; volumes (objects, D, D, D)
-                 bool, one per object in order of first record
+                 bool, one per object in order of first record, none
+                 empty (H = W = data.image_size, D = data.vox_dim)
     priors       meta: priors_hash, classes; priors (classes, D, D, D) bool
     checkpoint   meta: the metadata, "step" and "layout" (the parameter
                  names, their shapes and the slot kinds); params, every
@@ -264,9 +265,30 @@ def save_dataset(paths: RunPaths, manifest: corpus.DatasetManifest,
 
 def load_manifest(paths: RunPaths,
                   config: ExperimentConfig) -> corpus.DatasetManifest:
+    """The dataset; one whose views are not uint8 (records, 2, S, S) or
+    whose volumes are not bool (objects, D, D, D), S and D the config's
+    `data.image_size` and `data.vox_dim`, or that holds an empty volume,
+    is refused."""
     def load(path):
         manifest, meta = corpus.DatasetManifest.load(path)
         _check_inputs(meta, "dataset_hash", dataset_hash(config), "gen-data")
+        side, cube = config.data.image_size, (config.data.vox_dim,) * 3
+        views, volumes = manifest.views, manifest.volumes
+        # DatasetManifest.load checked their dtype and count.
+        if views.shape[1:] != (2, side, side):
+            raise ValueError(f"views are uint8 {views.shape}, not uint8 "
+                             f"{(len(views), 2, side, side)}; run gen-data again")
+        # One stacked array in the file: every volume has the same shape.
+        wrong = [grid.shape for grid in volumes.values() if grid.shape != cube]
+        if wrong:
+            raise ValueError(f"volumes are bool {(len(volumes), *wrong[0])}, "
+                             f"not bool {(len(volumes), *cube)}; "
+                             "run gen-data again")
+        empty = [obj for obj, grid in volumes.items() if not grid.any()]
+        if empty:
+            raise ValueError(f"no occupied voxel in {len(empty)} of "
+                             f"{len(volumes)} volumes (first: {empty[0]}); "
+                             "run gen-data again")
         return manifest
     return read_artifact(paths.dataset_path, load, "gen-data")
 

@@ -346,11 +346,6 @@ class ExperimentContext:
     @classmethod
     def load(cls, config: ExperimentConfig,
              paths: runs.RunPaths) -> "ExperimentContext":
-        # Built before the sample arrays: after them, it once raised
-        # infer_b64's peak RSS by 7 MB (heap layout), while the pool held a
-        # prior grid per sample.  With one grid per class the two orders
-        # read within 3 MB of each other, with no consistent sign (3 runs
-        # each, 2-core host).
         net = Network(network_config(config))
         manifest = runs.load_manifest(paths, config)
         split = runs.load_split(paths, config)

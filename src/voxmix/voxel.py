@@ -1,7 +1,9 @@
 """Voxel occupancy grids: class priors and shape-similarity metrics.
 
 A grid is a cubic (D, D, D) bool array, indexed ``grid[x, y, z]``: the
-ground-truth volumes and the class priors.
+ground-truth volumes, the class priors and the binarized predictions.
+`iou` is the package's one IoU, of two grids or of two stacks that
+broadcast, so scoring a whole stack is one call.
 """
 
 from __future__ import annotations
@@ -25,19 +27,20 @@ class ProximityReport:
     per_shape: list[tuple[str, str, float]] = field(default_factory=list)
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection-over-union of two grids' occupied voxel sets.
+def iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Intersection-over-union of occupied voxel sets: a float for two
+    grids, an array of floats for two stacks (..., D, D, D) that broadcast.
 
-    Raises if the union is empty (both grids empty), so degenerate shapes
-    are never silently scored.
+    Raises on a grid-shape mismatch and if a union is empty (both grids
+    empty), so degenerate shapes are never silently scored.
     """
-    if a.shape != b.shape:
+    if a.shape[-3:] != b.shape[-3:]:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    union = int(np.logical_or(a, b).sum())
-    if union == 0:
+    union = np.logical_or(a, b).sum(axis=(-3, -2, -1))
+    if not union.all():
         raise ValueError("IoU undefined: both grids are empty")
-    inter = int(np.logical_and(a, b).sum())
-    return inter / union
+    values = np.logical_and(a, b).sum(axis=(-3, -2, -1)) / union
+    return float(values) if values.ndim == 0 else values
 
 
 def build_prior(volumes: Sequence[np.ndarray], threshold: float) -> np.ndarray:
@@ -59,17 +62,14 @@ def proximity(novel: Sequence[tuple[str, str, np.ndarray]],
         raise ValueError("novel volume set is empty")
     if not base:
         raise ValueError("base volume set is empty")
+    base_ids = [base_id for base_id, _ in base]
+    base_stack = np.stack([grid for _, grid in base])
     per_shape: list[tuple[str, str, float]] = []
     by_class: dict[str, list[float]] = {}
     for obj_id, class_id, grid in novel:
-        best_val = -1.0
-        best_base = ""
-        for base_id, base_grid in base:
-            val = iou(grid, base_grid)
-            if val > best_val:
-                best_val = val
-                best_base = base_id
-        per_shape.append((obj_id, best_base, best_val))
-        by_class.setdefault(class_id, []).append(best_val)
+        values = iou(grid, base_stack)
+        best = int(np.argmax(values))   # the first of equal maxima
+        per_shape.append((obj_id, base_ids[best], float(values[best])))
+        by_class.setdefault(class_id, []).append(float(values[best]))
     per_class = {c: float(np.mean(vals)) for c, vals in by_class.items()}
     return ProximityReport(per_class, per_shape)

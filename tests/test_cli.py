@@ -7,6 +7,7 @@ import pytest
 from conftest import TinyRun, flip_last_byte, rewrite_without
 from voxmix import cli, mixup, runs, trainer, verification
 from voxmix.config import ExperimentConfig, apply_assignments, dump_config
+from voxmix.model import Network
 
 
 def test_no_prior_variant_trains_and_evaluates(tiny_run):
@@ -180,13 +181,32 @@ def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
     assert also in err
 
 
+def _empty_second_volume(volumes):
+    volumes = volumes.copy()
+    volumes[1] = False
+    return volumes
+
+
+# The archive keeps the metadata of the tiny config (vox_dim 8, image_size
+# 16), so only its arrays tell it from the one gen-data writes.
 @pytest.mark.parametrize("entry,convert,says", [
     ("volumes", lambda a: a.astype(np.float32),
      "volumes are float32 (18, 8, 8, 8), not bool (objects, D, D, D)"),
     ("volumes", lambda a: a[..., :4],
      "volumes are bool (18, 8, 8, 4), not bool (objects, D, D, D)"),
-    ("views", lambda a: a.astype(np.float32), "views are float32, not uint8")],
-    ids=["float_volumes", "non_cubic_volumes", "float_views"])
+    ("views", lambda a: a.astype(np.float32), "views are float32, not uint8"),
+    ("volumes", lambda a: a.repeat(2, 1).repeat(2, 2).repeat(2, 3),
+     "volumes are bool (18, 16, 16, 16), not bool (18, 8, 8, 8); "
+     "run gen-data again"),
+    ("views", lambda a: a[:, :, ::2, ::2],
+     "views are uint8 (72, 2, 8, 8), not uint8 (72, 2, 16, 16); "
+     "run gen-data again"),
+    ("volumes", _empty_second_volume,
+     "no occupied voxel in 1 of 18 volumes (first: box_001); "
+     "run gen-data again")],
+    ids=["float_volumes", "non_cubic_volumes", "float_views",
+         "volumes_of_another_vox_dim", "views_of_another_image_size",
+         "empty_volume"])
 def test_a_dataset_entry_of_another_type_exits_3_and_names_the_file(
         tiny_run, capsys, entry, convert, says):
     dataset = tiny_run.paths.dataset_path
@@ -404,6 +424,24 @@ def test_dumped_predictions_reproduce_the_per_sample_ious(tiny_run):
         key = row["object_id"], int(row["pose_id"])
         pred, gt = dumped[key], truth[key]
         assert float(row["iou"]) == (pred & gt).sum() / (pred | gt).sum()
+
+
+def test_eval_runs_the_network_once_per_query_batch(tiny_run, monkeypatch):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    query = trainer.ExperimentContext.load(tiny_run.config,
+                                           tiny_run.paths).query_samples
+    batches = -(-len(query) // tiny_run.config.eval.batch_size)
+    calls = []
+    forward = Network.forward
+
+    def counted(self, *args, **kwargs):
+        calls.append(len(args[0]))
+        return forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", counted)
+    assert tiny_run.voxmix("eval", "--pipeline", "base",
+                           "--dump-predictions") == cli.EXIT_OK
+    assert len(calls) == batches and sum(calls) == len(query)
 
 
 def test_eval_refuses_a_checkpoint_of_other_parameter_shapes(tiny_run,

@@ -44,12 +44,19 @@ def test_iou_partial_overlap():
 def test_iou_dim_mismatch():
     with pytest.raises(ValueError):
         iou(grid_from_coords(2, [(0, 0, 0)]), grid_from_coords(4, [(0, 0, 0)]))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        iou(np.ones((3, 2, 2, 2), bool), np.ones((3, 2, 2, 3), bool))
 
 
 def test_iou_both_empty_is_an_error():
     empty = np.zeros((3, 3, 3), dtype=bool)
     with pytest.raises(ValueError, match="empty"):
         iou(empty, empty)
+    # One empty union in a stack fails the whole stack.
+    stack = np.ones((3, 3, 3, 3), dtype=bool)
+    stack[2] = False
+    with pytest.raises(ValueError, match="empty"):
+        iou(stack, stack)
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -65,6 +72,36 @@ def test_iou_symmetric_and_bounded(seed):
     assert 0.0 <= ab <= 1.0
     same_sets = np.array_equal(a, b) and a.any()
     assert (ab == 1.0) == same_sets
+
+
+def occupied_stack(rng, shape, dim):
+    """Random grids of `shape` (..., dim, dim, dim), none of them empty."""
+    grids = rng.random(shape + (dim,) * 3) < rng.uniform(0.0, 0.6)
+    flat = grids.reshape(-1, dim ** 3)
+    flat[np.arange(len(flat)), rng.integers(0, dim ** 3, len(flat))] = True
+    return grids
+
+
+def pair_iou(x, y):
+    """One pair's IoU, its two counts taken as Python integers."""
+    return int((x & y).sum()) / int((x | y).sum())
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 4),
+       st.integers(1, 5))
+@settings(max_examples=40, deadline=None)
+def test_batched_iou_matches_the_scalar_iou_of_every_pair(seed, n, m, dim):
+    rng = np.random.default_rng(seed)
+    a = occupied_stack(rng, (n,), dim)
+    b = occupied_stack(rng, (n,), dim)
+    assert iou(a, b).tolist() == [pair_iou(x, y) for x, y in zip(a, b)]
+    others = occupied_stack(rng, (m,), dim)
+    table = iou(a[:, None], others[None, :])
+    assert table.shape == (n, m)
+    assert table.tolist() == [[pair_iou(x, y) for y in others] for x in a]
+    assert [[iou(x, y) for y in others] for x in a] == table.tolist()
+    assert iou(a[0], others).tolist() == table[0].tolist()
+    assert isinstance(iou(a[0], others[0]), float)
 
 
 # ---------------------------------------------------------------------------
@@ -148,3 +185,11 @@ def test_proximity_matches_brute_force():
         assert report.per_novel_class[cls] == pytest.approx(np.mean(values))
     for (obj, base_id, value), (_, cls, grid) in zip(report.per_shape, novel):
         assert value == pytest.approx(max(iou(grid, bg) for _, bg in base))
+
+
+def test_proximity_ties_pick_the_first_base_shape_listed():
+    rng = np.random.default_rng(4)
+    grid, other = random_binary_grid(rng), random_binary_grid(rng)
+    base = [("b0", other), ("b1", grid.copy()), ("b2", grid.copy())]
+    report = proximity([("n0", "c", grid)], base)
+    assert report.per_shape == [("n0", "b1", 1.0)]
