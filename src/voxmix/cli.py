@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -102,8 +101,6 @@ def _build_parser() -> _Parser:
                    help="also write the binarized predictions to "
                         "reports/<pipeline>_predictions.npz")
     add("analyze-latent", "same/different-object cosine report",
-        pipeline=trained)
-    add("proximity", "join class proximity with the evaluated IoU table",
         pipeline=trained)
     p = add("alpha-sweep", "IoU of both mixing stages across mixing ratios; "
             "the base stage trains once for all of them")
@@ -192,10 +189,10 @@ def cmd_pretrain_gt(args) -> int:
     config, paths = _load(args)
     ctx = trainer.ExperimentContext.load(config, paths)
     _, history = trainer.pretrain_gt_encoder(ctx)
-    last = history[-1] if history else float("nan")
-    print(f"pretrained volume encoder for {len(history)} epochs "
-          f"(final loss {last:.4f}) -> "
-          f"{paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT}")
+    done = (f"pretrained volume encoder for {len(history)} epochs "
+            f"(final loss {history[-1]:.4f})" if history else
+            "no pretraining ran (train.pretrain_epochs = 0)")
+    print(f"{done} -> {paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT}")
     return EXIT_OK
 
 
@@ -216,7 +213,8 @@ def cmd_eval(args) -> int:
         config.data.classes, config.eval.iou_threshold, config.eval.batch_size)
     table = evaluate.iou_table(predictions, query, config.eval.iou_threshold,
                                config.prior.mode)
-    trainer.write_iou_reports(paths, pipeline, table)
+    proximity = ctx.proximity()
+    trainer.write_iou_reports(paths, pipeline, table, proximity)
     if args.dump_predictions:
         runs.save_archive(paths.reports_dir / f"{pipeline}_predictions.npz",
                           {"object_ids": query.object_ids,
@@ -224,7 +222,8 @@ def cmd_eval(args) -> int:
                            "threshold": config.eval.iou_threshold},
                           {"predictions": predictions})
     for class_id, mean_iou, count in table.rows:
-        print(f"{class_id:10s} {mean_iou:.4f}  (n={count})")
+        print(f"{class_id:10s} {mean_iou:.4f}  (n={count})  "
+              f"proximity {proximity[class_id]:.4f}")
     print(f"{'average':10s} {table.overall:.4f}  [prior mode: {table.prior_mode}]")
     return EXIT_OK
 
@@ -242,41 +241,6 @@ def cmd_analyze_latent(args) -> int:
         print(f"{class_id:10s} same-object {same:.4f} ({n_same} pairs)  "
               f"different-object {diff:.4f} ({n_diff} pairs)")
     return EXIT_OK
-
-
-def cmd_proximity(args) -> int:
-    config, paths = _load(args)
-    pipeline = args.pipeline or config.train.pipeline
-    iou = runs.read_artifact(paths.iou_path(pipeline), _read_iou_csv, "eval")
-    manifest = runs.load_manifest(paths, config)
-    split = runs.load_split(paths, config)
-    novel, base = [], []
-    for class_id in split.novel_classes:
-        objs = split.train_objects[class_id] + split.query_objects[class_id]
-        for obj, grid in corpus.load_object_volumes(manifest, objs).items():
-            novel.append((obj, class_id, grid))
-    for class_id in split.base_classes:
-        vols = corpus.load_object_volumes(manifest, split.train_objects[class_id])
-        base.extend(vols.items())
-    rows = evaluate.proximity_join(voxel.proximity(novel, base), iou)
-    runs.write_csv(paths.reports_dir / f"{pipeline}_proximity.csv",
-                   ("class", "proximity", "iou"), rows)
-    for class_id, prox_value, iou_value in rows:
-        print(f"{class_id:10s} proximity {prox_value:.4f}  iou {iou_value:.4f}")
-    return EXIT_OK
-
-
-def _read_iou_csv(path: Path) -> dict[str, float]:
-    import csv
-    values: dict[str, float] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            try:
-                if row["class"] != "__average__":
-                    values[row["class"]] = float(row["mean_iou"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValueError(f"unreadable IoU table ({exc!r})") from exc
-    return values
 
 
 def cmd_alpha_sweep(args) -> int:
@@ -348,7 +312,6 @@ _COMMANDS = {
     "train": cmd_train,
     "eval": cmd_eval,
     "analyze-latent": cmd_analyze_latent,
-    "proximity": cmd_proximity,
     "alpha-sweep": cmd_alpha_sweep,
     "mix-preview": cmd_mix_preview,
     "grad-check": cmd_grad_check,

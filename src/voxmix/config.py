@@ -106,6 +106,9 @@ class TrainSection:
                              f"3 in all, got {self.stage_epochs}")
         if self.batch_size < 1 or self.pretrain_batch < 1:
             raise ValueError("batch sizes must be at least 1")
+        if self.pretrain_epochs < 0:
+            raise ValueError(
+                f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Measurement surfaces: per-class IoU tables, same/different-object
-cosine-similarity reports, and the proximity-vs-IoU join.
+"""Measurement surfaces: per-class IoU tables and same/different-object
+cosine-similarity reports.
 
 Scoring is separate from the forward pass: `binarized_predictions` is the
 one loop that runs the network and thresholds its output, and `iou_table`
 scores any bool prediction stack, the network's or one it did not produce
 (the binarized prior, say), with one `voxel.iou` call.  `eval_iou` is the
-two in sequence.
+two in sequence.  The reports put each class's `voxel.proximity` beside its
+score (`trainer.write_iou_reports`).
 
 Every forward pass here gets the prior batch that `prior_mode` assigns,
 or none in mode "none", the mode of the no-prior network.  `prior_batch`
@@ -26,7 +27,7 @@ import numpy as np
 from .corpus import SampleArrays
 from .model import Network, PriorBatch
 from .nn import ParamStore
-from .voxel import ProximityReport, iou
+from .voxel import iou
 
 PRIOR_MODES = ("correct", "corrupted", "none")
 
@@ -153,13 +154,3 @@ def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
                      float(gram[diff_pairs].mean()),
                      int(same_pairs.sum()), int(diff_pairs.sum())))
     return CosineReport(tuple(rows))
-
-
-def proximity_join(prox: ProximityReport, iou_by_class: dict[str, float]
-                   ) -> list[tuple[str, float, float]]:
-    """Rows of (class, proximity, iou) for the novel classes."""
-    missing = set(prox.per_novel_class) - set(iou_by_class)
-    if missing:
-        raise ValueError(f"classes missing from the IoU table: {sorted(missing)}")
-    return [(c, prox.per_novel_class[c], iou_by_class[c])
-            for c in sorted(prox.per_novel_class)]

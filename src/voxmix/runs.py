@@ -7,8 +7,10 @@ Every experiment lives under one run directory:
     priors.npz             one binary prior per class (build-priors)
     checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
     logs/                  <arm>_train.csv
-    reports/               <arm>_iou.csv, <arm>_iou_samples.csv, and cosine,
-                           proximity and alpha_sweep CSVs;
+    reports/               <arm>_iou.csv (each class's IoU and its
+                           proximity to the base shapes),
+                           <arm>_iou_samples.csv, and cosine and
+                           alpha_sweep CSVs;
                            <pipeline>_predictions.npz (eval --dump-predictions);
                            mix_preview/pairs.csv and pairs.npz (mix-preview)
 where an arm is a pipeline or, in an alpha sweep, <pipeline>_alpha<alpha>.
@@ -21,7 +23,7 @@ earlier file as it was.  (There is no fsync: this guards against a
 process dying mid-write, not against losing power.)
 
 Every input artifact is read through `read_artifact`: the dataset, the
-split, the priors, checkpoints and the IoU table.  Each failure raises
+split, the priors and checkpoints.  Each failure raises
 `MissingArtifactError` naming the file: a missing file's message also
 names the command that writes it, and any other error its loader raises is
 passed on in the message.  The command line exits 3 on either.  The

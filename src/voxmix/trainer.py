@@ -27,10 +27,11 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from . import evaluate, losses, mixup, runs
+from . import evaluate, losses, mixup, runs, voxel
 from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
-from .corpus import DatasetManifest, FewShotSplit, SampleArrays, load_samples
+from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
+                     load_object_volumes, load_samples)
 from .model import Network, NetworkConfig, PriorBatch
 from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
@@ -298,10 +299,15 @@ def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
 
 
 def load_stage_checkpoint(path, config: ExperimentConfig):
-    """(parameters, metadata); ValueError unless the parameters fit the
-    configured network and were trained under the same `trained_hash`."""
+    """(parameters, metadata); ValueError, naming `path`, unless the
+    parameters fit the configured network and were trained under the same
+    `trained_hash`."""
     store, metadata = runs.load_checkpoint(path)
-    Network(network_config(config)).check_store(store)
+    try:
+        Network(network_config(config)).check_store(store)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; train again under this config") \
+            from None
     if metadata.get("config_hash") != trained_hash(config):
         raise ValueError(f"{path} was trained under another config; "
                          "train again under this one")
@@ -368,6 +374,20 @@ class ExperimentContext:
                                  self.config.eval.iou_threshold,
                                  self.config.eval.batch_size)
 
+    def proximity(self) -> dict[str, float]:
+        """`voxel.proximity` of every novel class's volumes, its shots and
+        its query objects, against the base classes' training volumes."""
+        split = self.split
+
+        def volumes(objects):
+            return load_object_volumes(self.manifest, objects).values()
+
+        return voxel.proximity(
+            [(c, grid) for c in split.novel_classes for grid in volumes(
+                split.train_objects[c] + split.query_objects[c])],
+            [grid for c in split.base_classes
+             for grid in volumes(split.train_objects[c])])
+
 
 GT_ENCODER_CHECKPOINT = "gt_encoder.ckpt"
 
@@ -433,12 +453,19 @@ def init_main_store(ctx: ExperimentContext) -> ParamStore:
 
 
 def write_iou_reports(paths: runs.RunPaths, pipeline: str,
-                      table: evaluate.IouTable) -> None:
+                      table: evaluate.IouTable,
+                      proximity: dict[str, float]) -> None:
+    """`<pipeline>_iou.csv`, one row per class with its `proximity` value
+    (`ExperimentContext.proximity`) last, then the `__average__` row of
+    the class values; and the per-sample `<pipeline>_iou_samples.csv`."""
+    values = [proximity[class_id] for class_id, _, _ in table.rows]
     average = ("__average__", table.overall, sum(r[2] for r in table.rows))
     runs.write_csv(paths.iou_path(pipeline),
-                   ("class", "mean_iou", "n_samples", "threshold", "prior_mode"),
-                   [(*row, table.threshold, table.prior_mode)
-                    for row in (*table.rows, average)])
+                   ("class", "mean_iou", "n_samples", "threshold", "prior_mode",
+                    "proximity"),
+                   [(*row, table.threshold, table.prior_mode, value)
+                    for row, value in zip((*table.rows, average),
+                                          (*values, float(np.mean(values))))])
     runs.write_csv(paths.reports_dir / f"{pipeline}_iou_samples.csv",
                    ("object_id", "pose_id", "class", "iou"), table.per_sample)
 
@@ -465,6 +492,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     paths.ensure_dirs()
     paths.write_resolved_config(config)
     ctx = ExperimentContext.load(config, paths)
+    proximity = ctx.proximity()
 
     # An arm is the path of (stage, alpha) nodes its pipeline runs; a node
     # trains under the config of any arm through it.
@@ -494,7 +522,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
             pipeline, arm_config = arms[name]
             ckpt = paths.checkpoint_path(name, stage)
             save_stage_checkpoint(ckpt, store, arm_config, stage)
-            write_iou_reports(paths, name, table)
+            write_iou_reports(paths, name, table, proximity)
             _write_train_log(paths.logs_dir / f"{name}_train.csv", log)
             results[name] = PipelineResult(pipeline, arm_config, table, ckpt)
         stack.extend((child, store, log, k == 0) for k, child in

@@ -3,28 +3,16 @@
 A grid is a cubic (D, D, D) bool array, indexed ``grid[x, y, z]``: the
 ground-truth volumes, the class priors and the binarized predictions.
 `iou` is the package's one IoU, of two grids or of two stacks that
-broadcast, so scoring a whole stack is one call.
+broadcast, so scoring a whole stack is one call.  `proximity` is the
+per-class best IoU of novel shapes against a stack of base shapes, the
+value every IoU report carries beside its class's score.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class ProximityReport:
-    """Best-IoU-against-base statistics for a set of novel-class shapes.
-
-    per_novel_class maps class id -> mean over the class's shapes of the
-    best IoU any base shape achieves against that shape.  per_shape keeps
-    the underlying (novel object, best base object, iou) triples.
-    """
-
-    per_novel_class: dict[str, float]
-    per_shape: list[tuple[str, str, float]] = field(default_factory=list)
 
 
 def iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
@@ -53,23 +41,17 @@ def build_prior(volumes: Sequence[np.ndarray], threshold: float) -> np.ndarray:
     return np.mean(np.stack(volumes), axis=0, dtype=np.float64) > threshold
 
 
-def proximity(novel: Sequence[tuple[str, str, np.ndarray]],
-              base: Sequence[tuple[str, np.ndarray]]) -> ProximityReport:
-    """For each (object_id, class_id, grid) in `novel`, find the best IoU
-    against every (object_id, grid) in `base`; average the maxima per class.
-    """
+def proximity(novel: Sequence[tuple[str, np.ndarray]],
+              base: Sequence[np.ndarray]) -> dict[str, float]:
+    """Per class of the (class_id, grid) pairs in `novel`, the mean over
+    its grids of the best IoU any grid of `base` achieves against each."""
     if not novel:
         raise ValueError("novel volume set is empty")
     if not base:
         raise ValueError("base volume set is empty")
-    base_ids = [base_id for base_id, _ in base]
-    base_stack = np.stack([grid for _, grid in base])
-    per_shape: list[tuple[str, str, float]] = []
+    base_stack = np.stack(base)
     by_class: dict[str, list[float]] = {}
-    for obj_id, class_id, grid in novel:
-        values = iou(grid, base_stack)
-        best = int(np.argmax(values))   # the first of equal maxima
-        per_shape.append((obj_id, base_ids[best], float(values[best])))
-        by_class.setdefault(class_id, []).append(float(values[best]))
-    per_class = {c: float(np.mean(vals)) for c, vals in by_class.items()}
-    return ProximityReport(per_class, per_shape)
+    for class_id, grid in novel:
+        best = float(iou(grid, base_stack).max())
+        by_class.setdefault(class_id, []).append(best)
+    return {c: float(np.mean(values)) for c, values in by_class.items()}

@@ -35,6 +35,9 @@ def test_eval_of_a_no_prior_checkpoint_under_a_prior_mode_exits_1(tiny_run,
     err = capsys.readouterr().err
     assert "do not fit the 'prior' variant network" in err
     assert "prior_encoder.conv0.w is missing" in err
+    ckpt = tiny_run.paths.checkpoints_dir / "base_stage1.ckpt"
+    assert f"error: {ckpt}: " in err
+    assert err.rstrip().endswith("; train again under this config")
     assert report.read_bytes() == written
 
 
@@ -105,37 +108,6 @@ def test_a_flag_value_no_run_can_honour_exits_1_naming_the_flag(
     assert f"error: argument {flag}: " in capsys.readouterr().err
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
     assert not (tiny_run.paths.reports_dir / "mix_preview").exists()
-
-
-def test_proximity_names_a_class_missing_from_the_iou_table(tiny_run, capsys):
-    novel = tiny_run.config.data.novel_classes
-    tiny_run.paths.reports_dir.mkdir(parents=True, exist_ok=True)
-    with open(tiny_run.paths.reports_dir / "dual_mix_iou.csv", "w",
-              newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "mean_iou", "n_samples", "threshold",
-                         "prior_mode"])
-        for class_id in novel[1:]:
-            writer.writerow([class_id, "0.5", "4", "0.3", "correct"])
-    assert tiny_run.voxmix("proximity", "--pipeline", "dual_mix") == cli.EXIT_USAGE
-    assert novel[0] in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("content,says", [
-    (b"class,iou\r\nlamp,0.5\r\n", "{table}: unreadable IoU table"),
-    (b"class,mean_iou\r\nlamp,high\r\n", "{table}: unreadable IoU table"),
-    (b"\xff\xfeclass,mean_iou\r\n", "{table}: 'utf-8' codec can't decode"),
-    (None, "no {table}; run eval first")],
-    ids=["missing_column", "unparsable_value", "undecodable", "absent"])
-def test_proximity_on_a_damaged_iou_table_exits_3_and_names_it(tiny_run,
-                                                                capsys, content,
-                                                                says):
-    table = tiny_run.paths.iou_path("dual_mix")
-    table.parent.mkdir(parents=True, exist_ok=True)
-    if content is not None:
-        table.write_bytes(content)
-    assert tiny_run.voxmix("proximity", "--pipeline", "dual_mix") == cli.EXIT_MISSING
-    assert says.format(table=table) in capsys.readouterr().err
 
 
 # damage None deletes the file, whose message then names the command that
@@ -278,6 +250,15 @@ def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,
     assert ckpt.read_bytes() != b"stale"
 
 
+def test_pretrain_gt_with_no_epochs_says_no_pretraining_ran(tiny_run, capsys):
+    ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
+    capsys.readouterr()
+    assert tiny_run.voxmix("pretrain-gt", "-o", "train.pretrain_epochs=0") \
+        == cli.EXIT_OK
+    assert capsys.readouterr().out == \
+        f"no pretraining ran (train.pretrain_epochs = 0) -> {ckpt}\n"
+
+
 def test_mix_preview_writes_the_stage_two_mix(tiny_run):
     assert tiny_run.voxmix("mix-preview", "--pairs", "3") == cli.EXIT_OK
     config = tiny_run.config
@@ -338,6 +319,7 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
 @pytest.mark.parametrize("key,value", [
     ("loss.margin", "5"), ("train.stage_epochs", "1,1"),
     ("train.batch_size", "0"), ("train.pretrain_batch", "0"),
+    ("train.pretrain_epochs", "-1"),
     ("eval.batch_size", "0"), ("mixup.alpha", "-1"),
     ("eval.iou_threshold", "1.5"), ("data.vox_dim", "12"),
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
@@ -404,6 +386,37 @@ def _read_average(path):
                     if row["class"] == "__average__")
 
 
+def test_the_iou_report_carries_each_class_proximity_to_the_base_shapes(
+        tiny_run, capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
+    out = capsys.readouterr().out
+    # Brute force over dataset.npz and split.json: per novel class, the mean
+    # over its shot and query objects of the best IoU of any base object.
+    manifest = runs.load_manifest(tiny_run.paths, tiny_run.config)
+    split = runs.load_split(tiny_run.paths, tiny_run.config)
+    base = [manifest.volumes[obj] for c in split.base_classes
+            for obj in split.train_objects[c]]
+    expected = {c: np.mean([max((manifest.volumes[obj] & b).sum()
+                                / (manifest.volumes[obj] | b).sum()
+                                for b in base)
+                            for obj in split.train_objects[c]
+                            + split.query_objects[c]])
+                for c in split.novel_classes}
+    with open(tiny_run.paths.iou_path("base"), newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["class", "mean_iou", "n_samples", "threshold",
+                             "prior_mode", "proximity"]
+    got = {row["class"]: float(row["proximity"]) for row in rows}
+    assert got.pop("__average__") == pytest.approx(
+        np.mean(list(expected.values())), rel=1e-12)
+    assert got == pytest.approx(expected, rel=1e-12)
+    for class_id, value in expected.items():
+        assert re.search(rf"^{class_id} .*  proximity {value:.4f}$", out,
+                         re.MULTILINE)
+
+
 def test_dumped_predictions_reproduce_the_per_sample_ious(tiny_run):
     assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
     assert tiny_run.voxmix("eval", "--pipeline", "base",
@@ -453,8 +466,11 @@ def test_eval_refuses_a_checkpoint_of_other_parameter_shapes(tiny_run,
     # The same parameter names as at latent_width 16, in other shapes.
     assert tiny_run.voxmix("eval", "-o", "model.latent_width=8",
                            "--pipeline", "base") == cli.EXIT_USAGE
-    assert "image_encoder.fc.w is (4, 16), not (4, 8)" \
-        in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "image_encoder.fc.w is (4, 16), not (4, 8)" in err
+    ckpt = tiny_run.paths.checkpoints_dir / "base_stage1.ckpt"
+    assert f"error: {ckpt}: " in err
+    assert err.rstrip().endswith("; train again under this config")
     assert report.read_bytes() == written
 
 
@@ -512,7 +528,6 @@ def test_every_subcommand_runs_and_eval_reproduces_the_iou_reports(tiny_run):
     assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_OK
     assert {name: (reports / name).read_bytes() for name in names} == written
     assert tiny_run.voxmix("analyze-latent") == cli.EXIT_OK
-    assert tiny_run.voxmix("proximity") == cli.EXIT_OK
     assert tiny_run.voxmix("alpha-sweep", "--alphas", "1.0") == cli.EXIT_OK
     assert tiny_run.voxmix("mix-preview", "--pairs", "2") == cli.EXIT_OK
     assert cli.main(["grad-check", "--probes", "1"]) == cli.EXIT_OK

@@ -24,6 +24,7 @@ IN_RANGE = {
     "loss.margin": st.floats(0.0, 1.0), "mixup.alpha": _POSITIVE,
     "train.batch_size": st.integers(min_value=1),
     "train.pretrain_batch": st.integers(min_value=1),
+    "train.pretrain_epochs": st.integers(min_value=0),
     "train.stage_epochs": st.tuples(*[st.integers(min_value=0)] * 3),
     "eval.iou_threshold": _OPEN_UNIT, "eval.batch_size": st.integers(min_value=1),
     "data.objects_per_class": st.integers(min_value=1),

@@ -7,7 +7,6 @@ from voxmix import evaluate
 from voxmix.corpus import SampleArrays
 from voxmix.model import Network
 from voxmix.verification import TINY_NET
-from voxmix.voxel import ProximityReport
 
 CLASSES = ("a", "b", "c")
 PRIORS = {c: np.full((1,) + (TINY_NET.vox_dim,) * 3, (k + 1) / 4, np.float32)
@@ -89,12 +88,3 @@ def test_cosine_report_counts_the_pairs_of_each_kind(net_store):
     report = evaluate.cosine_report(*net_store, samples, PRIORS, "correct",
                                     CLASSES)
     assert [(row[0], *row[3:]) for row in report.rows] == [("a", 1, 2)]
-
-
-def test_proximity_join_names_the_missing_classes():
-    prox = ProximityReport({"lamp": 0.5, "lbeam": 0.4, "mug": 0.1})
-    with pytest.raises(ValueError, match=r"\['lbeam', 'mug'\]"):
-        evaluate.proximity_join(prox, {"lamp": 0.3, "box": 0.9})
-    assert evaluate.proximity_join(
-        prox, {"mug": 0.1, "lamp": 0.3, "lbeam": 0.2, "box": 0.9}) \
-        == [("lamp", 0.5, 0.3), ("lbeam", 0.4, 0.2), ("mug", 0.1, 0.1)]

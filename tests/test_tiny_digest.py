@@ -32,6 +32,7 @@ def test_the_command_chain_writes_the_same_bytes_in_two_fresh_roots(tmp_path):
                 if name.endswith((".ckpt", ".npz"))]
     assert {"tiny/dataset.npz", "tiny/priors.npz",
             "tiny/reports/mix_preview/pairs.npz",
+            "tiny/reports/dual_mix_predictions.npz",
             "tiny/checkpoints/gt_encoder.ckpt"} <= {names[k] for k in archives}
     for k in archives:
         assert names[k + 1] == f"{names[k]} [arrays]"

@@ -159,37 +159,22 @@ def test_prior_matches_count_oracle(seed, t):
 def test_proximity_self_match_is_one():
     rng = np.random.default_rng(1)
     grids = [random_binary_grid(rng) for _ in range(3)]
-    novel = [(f"n{i}", "c", g) for i, g in enumerate(grids)]
-    base = [(f"b{i}", g) for i, g in enumerate(grids)]
-    report = proximity(novel, base)
-    assert report.per_novel_class == {"c": 1.0}
+    assert proximity([("c", g) for g in grids], grids) == {"c": 1.0}
 
 
 def test_proximity_empty_base_errors():
     rng = np.random.default_rng(2)
     with pytest.raises(ValueError):
-        proximity([("n0", "c", random_binary_grid(rng))], [])
+        proximity([("c", random_binary_grid(rng))], [])
 
 
 def test_proximity_matches_brute_force():
     rng = np.random.default_rng(3)
-    novel = [(f"n{i}", f"cls{i % 2}", random_binary_grid(rng))
-             for i in range(3)]
-    base = [(f"b{j}", random_binary_grid(rng)) for j in range(5)]
-    report = proximity(novel, base)
+    novel = [(f"cls{i % 2}", random_binary_grid(rng)) for i in range(3)]
+    base = [random_binary_grid(rng) for _ in range(5)]
+    values = proximity(novel, base)
     best = {}
-    for obj, cls, grid in novel:
-        values = [iou(grid, bg) for _, bg in base]
-        best.setdefault(cls, []).append(max(values))
-    for cls, values in best.items():
-        assert report.per_novel_class[cls] == pytest.approx(np.mean(values))
-    for (obj, base_id, value), (_, cls, grid) in zip(report.per_shape, novel):
-        assert value == pytest.approx(max(iou(grid, bg) for _, bg in base))
-
-
-def test_proximity_ties_pick_the_first_base_shape_listed():
-    rng = np.random.default_rng(4)
-    grid, other = random_binary_grid(rng), random_binary_grid(rng)
-    base = [("b0", other), ("b1", grid.copy()), ("b2", grid.copy())]
-    report = proximity([("n0", "c", grid)], base)
-    assert report.per_shape == [("n0", "b1", 1.0)]
+    for cls, grid in novel:
+        best.setdefault(cls, []).append(max(iou(grid, bg) for bg in base))
+    for cls, maxima in best.items():
+        assert values[cls] == pytest.approx(np.mean(maxima))

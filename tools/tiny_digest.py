@@ -5,15 +5,16 @@
 
 SRC is the ``src`` directory of the voxmix tree to run (so one copy of this
 script can digest two checkouts), ROOT an empty directory for the run.  The
-chain is gen-data, build-priors, pretrain-gt, train --all, eval,
-analyze-latent, proximity, alpha-sweep --alphas 0.4,1.0 and mix-preview, on
-``tests/conftest.py``'s ``TINY_OVERRIDES``; each KEY=VALUE is passed to every
-command as one more ``-o`` override (``prior.mode=none`` runs the no-prior
-chain).  Each archive the chain writes (``*.ckpt`` and ``*.npz``) also gets
-a ``sha256 path [arrays]`` line over its arrays alone (every entry but
-``meta``), so a change that alters only an archive's metadata shows as
-exactly that.  Diffing the output
-of two trees shows whether a change keeps every artifact byte-identical.
+chain is gen-data, build-priors, pretrain-gt, train --all, eval
+--dump-predictions, analyze-latent, alpha-sweep --alphas 0.4,1.0 and
+mix-preview, on ``tests/conftest.py``'s ``TINY_OVERRIDES``; each KEY=VALUE
+is passed to every command as one more ``-o`` override (``prior.mode=none``
+runs the no-prior chain).  Each archive the chain writes (``*.ckpt`` and
+``*.npz``, the ``eval`` predictions among them) also gets a ``sha256 path
+[arrays]`` line over its arrays alone (every entry but ``meta``), so a
+change that alters only an archive's metadata shows as exactly that.
+Diffing the output of two trees shows whether a change keeps every artifact
+byte-identical.
 """
 
 import contextlib
@@ -24,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 CHAIN = (("gen-data",), ("build-priors",), ("pretrain-gt",), ("train", "--all"),
-         ("eval",), ("analyze-latent",), ("proximity",),
+         ("eval", "--dump-predictions"), ("analyze-latent",),
          ("alpha-sweep", "--alphas", "0.4,1.0"), ("mix-preview",))
 
 
