@@ -144,14 +144,14 @@ def _load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
 
 
 def _trained(args):
-    """(config, paths, pipeline, context, parameters) of the trained
-    pipeline that `args` names."""
+    """(config, paths, pipeline, context, parameters, checkpoint metadata)
+    of the trained pipeline that `args` names."""
     config, paths = _load(args)
     pipeline = args.pipeline or config.train.pipeline
-    store, _ = trainer.load_stage_checkpoint(
+    store, metadata = trainer.load_stage_checkpoint(
         paths.checkpoint_path(pipeline, trainer.PIPELINES[pipeline][-1]), config)
     ctx = trainer.ExperimentContext.load(config, paths)
-    return config, paths, pipeline, ctx, store
+    return config, paths, pipeline, ctx, store, metadata
 
 
 def cmd_gen_data(args) -> int:
@@ -206,7 +206,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, paths, pipeline, ctx, store = _trained(args)
+    config, paths, pipeline, ctx, store, metadata = _trained(args)
     query = ctx.query_samples
     predictions = evaluate.binarized_predictions(
         ctx.net, store, query, ctx.priors_by_class, config.prior.mode,
@@ -224,12 +224,15 @@ def cmd_eval(args) -> int:
     for class_id, mean_iou, count in table.rows:
         print(f"{class_id:10s} {mean_iou:.4f}  (n={count})  "
               f"proximity {proximity[class_id]:.4f}")
-    print(f"{'average':10s} {table.overall:.4f}  [prior mode: {table.prior_mode}]")
+    # Checkpoints written before the training prior mode was recorded lack it.
+    trained_under = metadata.get("prior_mode", "not recorded")
+    print(f"{'average':10s} {table.overall:.4f}  [prior mode: "
+          f"{table.prior_mode}; trained under: {trained_under}]")
     return EXIT_OK
 
 
 def cmd_analyze_latent(args) -> int:
-    config, paths, pipeline, ctx, store = _trained(args)
+    config, paths, pipeline, ctx, store, _ = _trained(args)
     samples = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     report = evaluate.cosine_report(ctx.net, store, samples, ctx.priors_by_class,
                                     config.prior.mode, config.data.classes,

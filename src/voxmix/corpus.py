@@ -1,16 +1,16 @@
-"""Synthetic labelled corpus: generation, the dataset archive, and the
-base/novel few-shot split.
+"""Synthetic labelled corpus: generation, the base/novel few-shot split,
+and sample loading.
 
-The dataset is one npz archive (layout in `runs`): the manifest rows (see
-Record) in its metadata, every view's silhouette and depth as uint8, and
-one boolean volume per object.  `load_samples` scales the views back to
-[0, 1] float32.
+`build_dataset` renders every view's silhouette and depth, quantized to
+uint8, and voxelizes one boolean volume per object; `make_split` picks the
+novel classes' shots; `load_samples` scales the views back to [0, 1]
+float32.  Reading, writing and checking the dataset and split files is
+`runs`'s work.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,33 +51,6 @@ class DatasetManifest:
         wanted = set(object_ids)
         return [r for r in self.records if r.object_id in wanted]
 
-    def save(self, path, meta: dict) -> None:
-        from .runs import save_archive
-        save_archive(path, dict(meta, records=[asdict(r) for r in self.records]),
-                     {"views": self.views,
-                      "volumes": np.stack(list(self.volumes.values()))})
-
-    @classmethod
-    def load(cls, path) -> tuple["DatasetManifest", dict]:
-        """The dataset archive at `path`, and the rest of its metadata."""
-        from .runs import read_archive
-        meta, arrays = read_archive(path, "dataset",
-                                    lambda meta: ("views", "volumes"))
-        records = tuple(Record(**row) for row in meta.pop("records"))
-        objects = list(dict.fromkeys(rec.object_id for rec in records))
-        views, volumes = arrays["views"], arrays["volumes"]
-        if views.dtype != np.uint8:
-            raise ValueError(f"views are {views.dtype}, not uint8")
-        if volumes.dtype != bool or volumes.ndim != 4 \
-                or len(set(volumes.shape[1:])) != 1:
-            raise ValueError(f"volumes are {volumes.dtype} {volumes.shape}, "
-                             "not bool (objects, D, D, D)")
-        if len(views) != len(records) or len(volumes) != len(objects):
-            raise ValueError(f"{len(views)} views and {len(volumes)} volumes "
-                             f"for {len(records)} records of {len(objects)} "
-                             "objects")
-        return cls(records, views, dict(zip(objects, volumes))), meta
-
 
 @dataclass(frozen=True)
 class FewShotSplit:
@@ -101,31 +74,6 @@ class FewShotSplit:
         for cls in self.novel_classes:
             out.extend(self.query_objects[cls])
         return out
-
-    def save(self, path, meta: dict) -> None:
-        payload = {
-            "meta": meta,
-            "base_classes": list(self.base_classes),
-            "novel_classes": list(self.novel_classes),
-            "shots": self.shots,
-            "train_objects": {c: list(v) for c, v in self.train_objects.items()},
-            "query_objects": {c: list(v) for c, v in self.query_objects.items()},
-        }
-        from .runs import write_atomic
-        write_atomic(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path) -> tuple["FewShotSplit", dict]:
-        """The split at `path`, and its metadata."""
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-        return cls(
-            base_classes=tuple(payload["base_classes"]),
-            novel_classes=tuple(payload["novel_classes"]),
-            shots=int(payload["shots"]),
-            train_objects={c: tuple(v) for c, v in payload["train_objects"].items()},
-            query_objects={c: tuple(v) for c, v in payload["query_objects"].items()},
-        ), payload.get("meta", {})
 
 
 def _object_params(seed: int, class_id: str, index: int, arity: int) -> tuple[float, ...]:

@@ -26,21 +26,15 @@ Every input artifact is read through `read_artifact`: the dataset, the
 split, the priors and checkpoints.  Each failure raises
 `MissingArtifactError` naming the file: a missing file's message also
 names the command that writes it, and any other error its loader raises is
-passed on in the message.  The command line exits 3 on either.  The
-dataset stores `dataset_hash` and the split and priors `priors_hash`, each
-a hash of the config fields its command reads; one that does not match
-the config of the reading command is refused the same way, and the
-message names the command to run again.
+passed on in the message.  The command line exits 3 on either.
 
 Every array artifact is one npz archive, written by `save_archive`
 uncompressed under the name it is given and read by `read_archive`.  Its
 `meta` entry holds a JSON object; the other entries are arrays:
     dataset      meta: dataset_hash, records (the manifest rows, see
-                 corpus.Record); views (N, 2, H, W) uint8, row i the
-                 silhouette and depth of record i; volumes (objects, D, D, D)
-                 bool, one per object in order of first record, none
-                 empty (H = W = data.image_size, D = data.vox_dim)
-    priors       meta: priors_hash, classes; priors (classes, D, D, D) bool
+                 corpus.Record); views, row i the silhouette and depth of
+                 record i; volumes, one per object in order of first record
+    priors       meta: priors_hash, classes; priors, one per class
     checkpoint   meta: the metadata, "step" and "layout" (the parameter
                  names, their shapes and the slot kinds); params, every
                  parameter, flat float32, in the layout's name order;
@@ -52,8 +46,22 @@ uncompressed under the name it is given and read by `read_archive`.  Its
 It is read with `allow_pickle=False`.  A file that is not such an archive,
 whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose
-arrays do not fit its metadata (or, in the dataset and the priors, the
-dtype and shape above) raises `MissingArtifactError` naming the path.
+arrays do not fit its metadata raises `MissingArtifactError` naming the
+path.  The split is a JSON object: its `meta` holds priors_hash, and the
+other keys are the fields of corpus.FewShotSplit.
+
+The inputs of a run are checked where they are read, against the config of
+the reading command (S = data.image_size, D = data.vox_dim):
+    dataset  (`load_manifest`) dataset_hash, a hash of the config fields
+             gen-data reads; views uint8 (records, 2, S, S); volumes bool
+             (objects, D, D, D); no volume empty
+    split    (`load_split`) priors_hash, a hash of the config fields
+             build-priors reads; every object it names must be in the
+             dataset (`trainer.ExperimentContext.load`, where the two meet)
+    priors   (`load_priors`) priors_hash; classes exactly data.classes, in
+             order; priors bool (classes, D, D, D)
+A file that fails one of these checks is refused like a damaged one, and
+the message names the command to run again.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ import csv
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -260,57 +268,75 @@ def _check_inputs(meta: dict, key: str, expected: str, made_by: str) -> None:
                          f"run {made_by} again")
 
 
+def _checked(name: str, array: np.ndarray, dtype, shape: tuple,
+             made_by: str) -> np.ndarray:
+    """`array`, unless it is not `dtype` `shape`."""
+    if array.dtype != dtype or array.shape != shape:
+        raise ValueError(f"{name} are {array.dtype} {array.shape}, not "
+                         f"{np.dtype(dtype)} {shape}; run {made_by} again")
+    return array
+
+
 def save_dataset(paths: RunPaths, manifest: corpus.DatasetManifest,
                  config: ExperimentConfig) -> None:
-    manifest.save(paths.dataset_path, {"dataset_hash": dataset_hash(config)})
+    save_archive(paths.dataset_path,
+                 {"dataset_hash": dataset_hash(config),
+                  "records": [asdict(rec) for rec in manifest.records]},
+                 {"views": manifest.views,
+                  "volumes": np.stack(list(manifest.volumes.values()))})
 
 
 def load_manifest(paths: RunPaths,
                   config: ExperimentConfig) -> corpus.DatasetManifest:
-    """The dataset; one whose views are not uint8 (records, 2, S, S) or
-    whose volumes are not bool (objects, D, D, D), S and D the config's
-    `data.image_size` and `data.vox_dim`, or that holds an empty volume,
-    is refused."""
+    """The dataset, checked as the module docstring lists."""
     def load(path):
-        manifest, meta = corpus.DatasetManifest.load(path)
+        meta, arrays = read_archive(path, "dataset",
+                                    lambda meta: ("views", "volumes"))
         _check_inputs(meta, "dataset_hash", dataset_hash(config), "gen-data")
-        side, cube = config.data.image_size, (config.data.vox_dim,) * 3
-        views, volumes = manifest.views, manifest.volumes
-        # DatasetManifest.load checked their dtype and count.
-        if views.shape[1:] != (2, side, side):
-            raise ValueError(f"views are uint8 {views.shape}, not uint8 "
-                             f"{(len(views), 2, side, side)}; run gen-data again")
-        # One stacked array in the file: every volume has the same shape.
-        wrong = [grid.shape for grid in volumes.values() if grid.shape != cube]
-        if wrong:
-            raise ValueError(f"volumes are bool {(len(volumes), *wrong[0])}, "
-                             f"not bool {(len(volumes), *cube)}; "
-                             "run gen-data again")
-        empty = [obj for obj, grid in volumes.items() if not grid.any()]
-        if empty:
+        records = tuple(corpus.Record(**row) for row in meta["records"])
+        objects = list(dict.fromkeys(rec.object_id for rec in records))
+        side, dim = config.data.image_size, config.data.vox_dim
+        views = _checked("views", arrays["views"], np.uint8,
+                         (len(records), 2, side, side), "gen-data")
+        volumes = _checked("volumes", arrays["volumes"], bool,
+                           (len(objects), dim, dim, dim), "gen-data")
+        empty = np.flatnonzero(~volumes.any(axis=(1, 2, 3)))
+        if len(empty):
             raise ValueError(f"no occupied voxel in {len(empty)} of "
-                             f"{len(volumes)} volumes (first: {empty[0]}); "
-                             "run gen-data again")
-        return manifest
+                             f"{len(objects)} volumes (first: "
+                             f"{objects[empty[0]]}); run gen-data again")
+        return corpus.DatasetManifest(records, views,
+                                      dict(zip(objects, volumes)))
     return read_artifact(paths.dataset_path, load, "gen-data")
 
 
 def save_split(paths: RunPaths, split: corpus.FewShotSplit,
                config: ExperimentConfig) -> None:
-    split.save(paths.split_path, {"priors_hash": priors_hash(config)})
+    payload = dict(asdict(split), meta={"priors_hash": priors_hash(config)})
+    write_atomic(paths.split_path,
+                 json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
 
 def load_split(paths: RunPaths, config: ExperimentConfig) -> corpus.FewShotSplit:
     def load(path):
-        split, meta = corpus.FewShotSplit.load(path)
-        _check_inputs(meta, "priors_hash", priors_hash(config), "build-priors")
-        return split
+        payload = json.loads(Path(path).read_text(encoding="ascii"))
+        _check_inputs(payload.get("meta", {}), "priors_hash",
+                      priors_hash(config), "build-priors")
+        return corpus.FewShotSplit(
+            base_classes=tuple(payload["base_classes"]),
+            novel_classes=tuple(payload["novel_classes"]),
+            shots=int(payload["shots"]),
+            train_objects={c: tuple(v) for c, v
+                           in payload["train_objects"].items()},
+            query_objects={c: tuple(v) for c, v
+                           in payload["query_objects"].items()})
     return read_artifact(paths.split_path, load, "build-priors")
 
 
 def save_priors(paths: RunPaths, priors: dict[str, np.ndarray],
                 config: ExperimentConfig) -> None:
-    """Save one (D, D, D) bool prior per class."""
+    """Save one (D, D, D) bool prior per class; `load_priors` accepts them
+    only in `data.classes` order."""
     save_archive(paths.priors_path, {"priors_hash": priors_hash(config),
                                      "classes": list(priors)},
                  {"priors": np.stack(list(priors.values()))})
@@ -318,16 +344,17 @@ def save_priors(paths: RunPaths, priors: dict[str, np.ndarray],
 
 def load_priors(paths: RunPaths,
                 config: ExperimentConfig) -> dict[str, np.ndarray]:
-    """Per-class prior grids as (1, D, D, D) float32 arrays; a `priors`
-    entry that is not bool (classes, D, D, D), D the config's `data.vox_dim`,
-    is refused."""
+    """Per-class prior grids as (1, D, D, D) float32 arrays, checked as the
+    module docstring lists."""
     def load(path):
         meta, arrays = read_archive(path, "priors", lambda meta: ("priors",))
         _check_inputs(meta, "priors_hash", priors_hash(config), "build-priors")
-        grids = arrays["priors"]
-        shape = (len(meta["classes"]),) + (config.data.vox_dim,) * 3
-        if grids.dtype != bool or grids.shape != shape:
-            raise ValueError(f"priors are {grids.dtype} {grids.shape}, not bool "
-                             f"{shape}; run build-priors again")
-        return dict(zip(meta["classes"], grids.astype(np.float32)[:, None]))
+        classes = list(config.data.classes)
+        if meta["classes"] != classes:
+            raise ValueError(f"priors of classes {meta['classes']}, not "
+                             f"{classes}; run build-priors again")
+        grids = _checked("priors", arrays["priors"], bool,
+                         (len(classes),) + (config.data.vox_dim,) * 3,
+                         "build-priors")
+        return dict(zip(classes, grids.astype(np.float32)[:, None]))
     return read_artifact(paths.priors_path, load, "build-priors")

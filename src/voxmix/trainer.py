@@ -292,6 +292,7 @@ def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
         "stage": stage,
         "epoch": config.train.stage_epochs[stage - 1],
         "config_hash": trained_hash(config),
+        "prior_mode": config.prior.mode,
         "latent_width": net_cfg.latent_width,
         "vox_dim": net_cfg.vox_dim,
     }
@@ -356,16 +357,24 @@ class ExperimentContext:
         manifest = runs.load_manifest(paths, config)
         split = runs.load_split(paths, config)
         priors = runs.load_priors(paths, config)
-        records = manifest.records_for_objects(split.all_train_objects())
+        train, query = split.all_train_objects(), split.all_query_objects()
+        unknown = [obj for obj in train + query if obj not in manifest.volumes]
+        if unknown:
+            raise runs.MissingArtifactError(
+                f"{paths.split_path}: {len(unknown)} of {len(train + query)} "
+                f"objects not in the dataset (first: {', '.join(unknown[:3])})"
+                "; run build-priors again")
+        records = manifest.records_for_objects(train)
         if not records:
             raise ValueError("training pool is empty")
         samples = load_samples(manifest, records)
         pool = TrainingPool(samples, evaluate.prior_batch(
             samples.class_ids, priors, config.prior.mode,
             config.data.classes))
-        query_records = manifest.records_for_objects(split.all_query_objects())
-        query = load_samples(manifest, query_records)
-        return cls(config, paths, manifest, split, priors, pool, query, net)
+        query_samples = load_samples(manifest,
+                                     manifest.records_for_objects(query))
+        return cls(config, paths, manifest, split, priors, pool, query_samples,
+                   net)
 
     def eval_table(self, store: ParamStore) -> evaluate.IouTable:
         return evaluate.eval_iou(self.net, store, self.query_samples,

@@ -1,4 +1,5 @@
 import csv
+import json
 import re
 
 import numpy as np
@@ -163,10 +164,17 @@ def _empty_second_volume(volumes):
 # 16), so only its arrays tell it from the one gen-data writes.
 @pytest.mark.parametrize("entry,convert,says", [
     ("volumes", lambda a: a.astype(np.float32),
-     "volumes are float32 (18, 8, 8, 8), not bool (objects, D, D, D)"),
+     "volumes are float32 (18, 8, 8, 8), not bool (18, 8, 8, 8); "
+     "run gen-data again"),
     ("volumes", lambda a: a[..., :4],
-     "volumes are bool (18, 8, 8, 4), not bool (objects, D, D, D)"),
-    ("views", lambda a: a.astype(np.float32), "views are float32, not uint8"),
+     "volumes are bool (18, 8, 8, 4), not bool (18, 8, 8, 8); "
+     "run gen-data again"),
+    ("views", lambda a: a.astype(np.float32),
+     "views are float32 (72, 2, 16, 16), not uint8 (72, 2, 16, 16); "
+     "run gen-data again"),
+    ("volumes", lambda a: a[1:],
+     "volumes are bool (17, 8, 8, 8), not bool (18, 8, 8, 8); "
+     "run gen-data again"),
     ("volumes", lambda a: a.repeat(2, 1).repeat(2, 2).repeat(2, 3),
      "volumes are bool (18, 16, 16, 16), not bool (18, 8, 8, 8); "
      "run gen-data again"),
@@ -177,7 +185,7 @@ def _empty_second_volume(volumes):
      "no occupied voxel in 1 of 18 volumes (first: box_001); "
      "run gen-data again")],
     ids=["float_volumes", "non_cubic_volumes", "float_views",
-         "volumes_of_another_vox_dim", "views_of_another_image_size",
+         "one_object_dropped", "volumes_of_another_vox_dim", "views_of_another_image_size",
          "empty_volume"])
 def test_a_dataset_entry_of_another_type_exits_3_and_names_the_file(
         tiny_run, capsys, entry, convert, says):
@@ -208,6 +216,39 @@ def test_a_priors_entry_of_another_type_exits_3_and_names_the_file(
     capsys.readouterr()
     assert tiny_run.voxmix(*command) == cli.EXIT_MISSING
     assert (f"missing artifact: {priors}: {says}; run build-priors again"
+            in capsys.readouterr().err)
+    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+@pytest.mark.parametrize("command", ["pretrain-gt", "mix-preview"])
+def test_priors_of_other_classes_exit_3_and_name_the_file(tiny_run, capsys,
+                                                          command):
+    priors = tiny_run.paths.priors_path
+    meta, arrays = runs.read_archive(priors, "priors", lambda meta: ("priors",))
+    classes = meta["classes"]
+    # Five of the six classes, under the priors_hash of the config.
+    runs.save_archive(priors, dict(meta, classes=classes[:5]),
+                      {"priors": arrays["priors"][:5]})
+    capsys.readouterr()
+    assert tiny_run.voxmix(command) == cli.EXIT_MISSING
+    assert (f"missing artifact: {priors}: priors of classes {classes[:5]}, "
+            f"not {classes}; run build-priors again"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", [("pretrain-gt",),
+                                     ("train", "--pipeline", "base")],
+                         ids=["pretrain_gt", "train"])
+def test_a_split_naming_an_object_not_in_the_dataset_exits_3(tiny_run, capsys,
+                                                             command):
+    split = tiny_run.paths.split_path
+    payload = json.loads(split.read_text(encoding="ascii"))
+    payload["query_objects"]["lamp"][0] = "lamp_999"
+    split.write_text(json.dumps(payload), encoding="ascii")
+    capsys.readouterr()
+    assert tiny_run.voxmix(*command) == cli.EXIT_MISSING
+    assert (f"missing artifact: {split}: 1 of 18 objects not in the dataset "
+            "(first: lamp_999); run build-priors again"
             in capsys.readouterr().err)
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
@@ -492,6 +533,24 @@ def test_eval_refuses_a_checkpoint_trained_under_another_config(tiny_run,
                  ("--pipeline", "input_mix", "-o", "eval.iou_threshold=0.5"),
                  ("-o", "train.pipeline=input_mix")):
         assert tiny_run.voxmix("eval", *args) == cli.EXIT_OK
+
+
+def test_eval_says_which_prior_mode_the_checkpoint_was_trained_under(
+        tiny_run, capsys):
+    assert tiny_run.voxmix("train", "-o", "prior.mode=corrupted",
+                           "--pipeline", "base") == cli.EXIT_OK
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
+    assert ("[prior mode: correct; trained under: corrupted]"
+            in capsys.readouterr().out)
+    # A checkpoint written before the training prior mode was recorded.
+    ckpt = tiny_run.paths.checkpoint_path("base", 1)
+    store, metadata = runs.load_checkpoint(ckpt)
+    del metadata["prior_mode"]
+    runs.save_checkpoint(ckpt, store, metadata)
+    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
+    assert ("[prior mode: correct; trained under: not recorded]"
+            in capsys.readouterr().out)
 
 
 def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from voxmix import corpus, render, shapes
+from voxmix import corpus, render, runs, shapes
+from voxmix.config import DataConfig, ExperimentConfig
 
 CLASSES = ("box", "table", "lamp")
 BUILD = dict(objects_per_class=3, poses_per_object=4, vox_dim=16,
              image_size=32, seed=7)
+# The config whose gen-data would build `BUILD`; its split fields match
+# the split tests below.
+CONFIG = ExperimentConfig(seed=BUILD["seed"], data=DataConfig(
+    classes=CLASSES, base_classes=("box", "table"), novel_classes=("lamp",),
+    **{k: v for k, v in BUILD.items() if k != "seed"}))
 
 
 @pytest.fixture(scope="module")
@@ -16,9 +22,9 @@ def small_dataset():
 @pytest.fixture(scope="module")
 def reloaded(small_dataset, tmp_path_factory):
     """`small_dataset` saved as its archive and loaded again."""
-    path = tmp_path_factory.mktemp("data") / "dataset.npz"
-    small_dataset.save(path, {"dataset_hash": "h"})
-    return corpus.DatasetManifest.load(path)[0]
+    paths = runs.RunPaths(tmp_path_factory.mktemp("data"))
+    runs.save_dataset(paths, small_dataset, CONFIG)
+    return runs.load_manifest(paths, CONFIG)
 
 
 def test_manifest_row_count(small_dataset):
@@ -26,10 +32,14 @@ def test_manifest_row_count(small_dataset):
 
 
 def test_regeneration_is_byte_identical(small_dataset, tmp_path):
-    small_dataset.save(tmp_path / "first.npz", {})
-    corpus.build_dataset(CLASSES, **BUILD).save(tmp_path / "second.npz", {})
-    assert (tmp_path / "first.npz").read_bytes() == \
-        (tmp_path / "second.npz").read_bytes()
+    written = []
+    for name, dataset in (("first", small_dataset),
+                          ("second", corpus.build_dataset(CLASSES, **BUILD))):
+        paths = runs.RunPaths(tmp_path / name)
+        paths.root.mkdir()
+        runs.save_dataset(paths, dataset, CONFIG)
+        written.append(paths.dataset_path.read_bytes())
+    assert written[0] == written[1]
 
 
 def test_different_seed_changes_volumes(small_dataset):
@@ -56,10 +66,13 @@ def test_views_of_one_object_share_volume_ref(reloaded):
 
 
 def test_manifest_round_trip(small_dataset, tmp_path):
-    path = tmp_path / "dataset.npz"
-    small_dataset.save(path, {"dataset_hash": "h"})
-    again, meta = corpus.DatasetManifest.load(path)
-    assert meta == {"dataset_hash": "h"}
+    paths = runs.RunPaths(tmp_path)
+    runs.save_dataset(paths, small_dataset, CONFIG)
+    meta, _ = runs.read_archive(paths.dataset_path, "dataset",
+                                lambda meta: ("views", "volumes"))
+    assert meta.keys() == {"dataset_hash", "records"}
+    assert meta["dataset_hash"] == runs.dataset_hash(CONFIG)
+    again = runs.load_manifest(paths, CONFIG)
     assert again.records == small_dataset.records
     assert again.views.dtype == np.uint8
     assert np.array_equal(again.views, small_dataset.views)
@@ -143,6 +156,6 @@ def test_split_deterministic(small_dataset):
 
 def test_split_round_trip(small_dataset, tmp_path):
     split = corpus.make_split(small_dataset, ("box", "table"), ("lamp",), 1, 0)
-    path = tmp_path / "split.json"
-    split.save(path, {"priors_hash": "h"})
-    assert corpus.FewShotSplit.load(path) == (split, {"priors_hash": "h"})
+    paths = runs.RunPaths(tmp_path)
+    runs.save_split(paths, split, CONFIG)
+    assert runs.load_split(paths, CONFIG) == split

@@ -59,13 +59,14 @@ def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
     paths = runs.RunPaths(tmp_path)
     shape = (config.data.vox_dim,) * 3   # the only shape load_priors accepts
     old = np.ones(shape, dtype=bool)
-    runs.save_priors(paths, {"lamp": old}, config)
+    runs.save_priors(paths, dict.fromkeys(config.data.classes, old), config)
     written = paths.priors_path.read_bytes()
     exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
     monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
     new = np.zeros(shape, dtype=bool)
     with pytest.raises(type(exc)):
-        runs.save_priors(paths, {"lamp": new}, config)
+        runs.save_priors(paths, dict.fromkeys(config.data.classes, new),
+                         config)
     monkeypatch.undo()
     assert paths.priors_path.read_bytes() == written
     assert [p.name for p in tmp_path.iterdir()] == ["priors.npz"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from voxmix import corpus, render
+from voxmix import corpus, render, runs
 from voxmix.shapes import ARCHETYPE_NAMES, ShapeSpec, param_count, voxelize
 
 
@@ -143,14 +143,16 @@ def test_silhouette_is_binary_and_depth_bounded():
 # ---------------------------------------------------------------------------
 
 def _stored_and_loaded(image, tmp_path):
-    """`image` as silhouette and depth of one view, saved in a dataset
-    archive and loaded back as training sees it."""
+    """`image` as silhouette and depth of one view, saved in an archive and
+    loaded back as training sees it.  (`runs.load_manifest` refuses views
+    that are not square, so this goes through the archive layer.)"""
     views = corpus.quantize_views(np.stack([image, image]))[None]
     record = corpus.Record("box_000", "box", 0, 0.0, 0.0)
-    manifest = corpus.DatasetManifest(
-        (record,), views, {"box_000": np.ones((2, 2, 2), dtype=bool)})
-    manifest.save(tmp_path / "dataset.npz", {})
-    again, _ = corpus.DatasetManifest.load(tmp_path / "dataset.npz")
+    runs.save_archive(tmp_path / "dataset.npz", {}, {"views": views})
+    _, arrays = runs.read_archive(tmp_path / "dataset.npz", "dataset",
+                                  lambda meta: ("views",))
+    again = corpus.DatasetManifest(
+        (record,), arrays["views"], {"box_000": np.ones((2, 2, 2), dtype=bool)})
     return corpus.load_samples(again, again.records).images[0]
 
 
