@@ -4,17 +4,19 @@ Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
 ``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing,
 unreadable or stale input artifact, 4 numeric failure.  A stale input is a
-dataset, split or priors file written under other values of the config
-fields its command reads (`gen-data` for the dataset, `build-priors` for the
-split and priors).  On exit 3 the message names the file and, for a
-missing or stale one, the command that writes it.  Every
-bad config value exits 2 when the config is loaded, before any work, and
-the message names its key: an unknown key, a value its section rejects, a
-size the network's strides do not divide, an unknown pipeline, or a split
-that breaks the rules across `data` fields (class lists, shots per class).
-A bad `--alphas` exits 2 as well.  A flag value no run can honour (a count
-below one, a tolerance that is not a finite positive number, `train --all`
-with `--pipeline`) exits 1 before any work, and the message names the flag.
+dataset or priors file written under other values of the config fields its
+command reads (`gen-data` for the dataset, `build-priors` for the priors),
+or priors built from other objects than the split's training objects.  On
+exit 3 the message names the file and, for a missing or stale one, the
+command that writes it.  Every bad config value exits 2 when the config is
+loaded, before any work, and the message names its key: an unknown key, a
+value its section rejects, a size the network's strides do not divide, an
+unknown pipeline, or a split that breaks the rules across `data` fields
+(an empty class list, a class in both lists or in neither, shots per
+class).  A bad `--alphas` exits 2 as well.  A flag value no run can honour
+(a count below one, a tolerance that is not a finite positive number,
+`train --all` with `--pipeline`) exits 1 before any work, and the message
+names the flag.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ def _build_parser() -> _Parser:
         return p
 
     add("gen-data", "generate the synthetic dataset")
-    add("build-priors", "write the few-shot split and per-class priors")
+    add("build-priors", "write the per-class priors of the few-shot split")
     add("pretrain-gt", "pretrain the volume encoder, replacing its checkpoint")
     which = add("train", "run the configured training pipeline") \
         .add_mutually_exclusive_group()
@@ -128,12 +130,18 @@ def _load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
                           f"{config.train.pipeline!r}, not one of "
                           f"{tuple(trainer.PIPELINES)}")
     data = config.data
+    for key, names in (("data.base_classes", data.base_classes),
+                       ("data.novel_classes", data.novel_classes)):
+        if not names:
+            raise ConfigError(f"{key}: names no class")
     known, base, novel = (set(c) for c in (data.classes, data.base_classes,
                                            data.novel_classes))
     for key, bad, why in (
             ("data.base_classes", base - known, "not in data.classes"),
             ("data.novel_classes", novel - known, "not in data.classes"),
-            ("data.novel_classes", novel & base, "also in data.base_classes")):
+            ("data.novel_classes", novel & base, "also in data.base_classes"),
+            ("data.classes", known - base - novel,
+             "in neither data.base_classes nor data.novel_classes")):
         if bad:
             raise ConfigError(f"{key}: {sorted(bad)} {why}")
     if data.shots >= data.objects_per_class:
@@ -173,15 +181,14 @@ def cmd_build_priors(args) -> int:
     split = corpus.make_split(manifest, config.data.base_classes,
                               config.data.novel_classes, config.data.shots,
                               config.seed)
-    runs.save_split(paths, split, config)
     priors = {}
     for class_id in config.data.classes:
         object_ids = split.train_objects[class_id]
         volumes = corpus.load_object_volumes(manifest, object_ids)
         priors[class_id] = voxel.build_prior([volumes[o] for o in object_ids],
                                              config.prior.threshold)
-    runs.save_priors(paths, priors, config)
-    print(f"wrote split and {len(priors)} priors under {paths.root}")
+    runs.save_priors(paths, priors, split.train_objects, config)
+    print(f"wrote {len(priors)} priors under {paths.root}")
     return EXIT_OK
 
 

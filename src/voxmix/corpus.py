@@ -4,8 +4,9 @@ and sample loading.
 `build_dataset` renders every view's silhouette and depth, quantized to
 uint8, and voxelizes one boolean volume per object; `make_split` picks the
 novel classes' shots; `load_samples` scales the views back to [0, 1]
-float32.  Reading, writing and checking the dataset and split files is
-`runs`'s work.
+float32.  The split is a pure function of the dataset and the config and
+is never stored: every command that needs it calls `make_split`.  Reading,
+writing and checking the dataset file is `runs`'s work.
 """
 
 from __future__ import annotations
@@ -54,12 +55,11 @@ class DatasetManifest:
 
 @dataclass(frozen=True)
 class FewShotSplit:
-    """Base classes train on everything; novel classes contribute exactly
-    `shots` training objects, the rest form the query set."""
+    """Base classes train on everything; each novel class contributes its
+    shots as training objects, and the rest form the query set."""
 
     base_classes: tuple[str, ...]
     novel_classes: tuple[str, ...]
-    shots: int
     train_objects: dict[str, tuple[str, ...]]
     query_objects: dict[str, tuple[str, ...]]
 
@@ -161,7 +161,7 @@ def make_split(manifest: DatasetManifest, base_classes: Sequence[str],
         picked = tuple(objs[i] for i in sorted(chosen))
         train[cls] = picked
         query[cls] = tuple(o for o in objs if o not in picked)
-    return FewShotSplit(base, nov, shots, train, query)
+    return FewShotSplit(base, nov, train, query)
 
 
 # ---------------------------------------------------------------------------

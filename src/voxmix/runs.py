@@ -3,7 +3,6 @@
 Every experiment lives under one run directory:
     config.resolved.txt    full config after file + overrides
     dataset.npz            the views, volumes and manifest (gen-data)
-    split.json             the base/novel few-shot split (build-priors)
     priors.npz             one binary prior per class (build-priors)
     checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
     logs/                  <arm>_train.csv
@@ -14,19 +13,21 @@ Every experiment lives under one run directory:
                            <pipeline>_predictions.npz (eval --dump-predictions);
                            mix_preview/pairs.csv and pairs.npz (mix-preview)
 where an arm is a pipeline or, in an alpha sweep, <pipeline>_alpha<alpha>.
+No file holds the base/novel few-shot split: `corpus.make_split` derives it
+from the dataset and the config wherever it is needed.
 
-Every artifact file is written through `write_atomic`: archives, CSVs, the
-split and the resolved config.  The bytes go to a `.<name>.<pid>.tmp`
-sibling, which no glob for an artifact's suffix matches, and `os.replace`
-then puts it in place.  A write interrupted before the rename leaves the
-earlier file as it was.  (There is no fsync: this guards against a
-process dying mid-write, not against losing power.)
+Every artifact file is written through `write_atomic`: archives, CSVs and
+the resolved config.  The bytes go to a `.<name>.<pid>.tmp` sibling, which
+no glob for an artifact's suffix matches, and `os.replace` then puts it in
+place.  A write interrupted before the rename leaves the earlier file as
+it was.  (There is no fsync: this guards against a process dying
+mid-write, not against losing power.)
 
 Every input artifact is read through `read_artifact`: the dataset, the
-split, the priors and checkpoints.  Each failure raises
-`MissingArtifactError` naming the file: a missing file's message also
-names the command that writes it, and any other error its loader raises is
-passed on in the message.  The command line exits 3 on either.
+priors and checkpoints.  Each failure raises `MissingArtifactError` naming
+the file: a missing file's message also names the command that writes it,
+and any other error its loader raises is passed on in the message.  The
+command line exits 3 on either.
 
 Every array artifact is one npz archive, written by `save_archive`
 uncompressed under the name it is given and read by `read_archive`.  Its
@@ -34,7 +35,9 @@ uncompressed under the name it is given and read by `read_archive`.  Its
     dataset      meta: dataset_hash, records (the manifest rows, see
                  corpus.Record); views, row i the silhouette and depth of
                  record i; volumes, one per object in order of first record
-    priors       meta: priors_hash, classes; priors, one per class
+    priors       meta: priors_hash, classes, objects (per class, the
+                 training objects its prior averages); priors, one per
+                 class
     checkpoint   meta: the metadata, "step" and "layout" (the parameter
                  names, their shapes and the slot kinds); params, every
                  parameter, flat float32, in the layout's name order;
@@ -47,19 +50,17 @@ It is read with `allow_pickle=False`.  A file that is not such an archive,
 whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose
 arrays do not fit its metadata raises `MissingArtifactError` naming the
-path.  The split is a JSON object: its `meta` holds priors_hash, and the
-other keys are the fields of corpus.FewShotSplit.
+path.
 
 The inputs of a run are checked where they are read, against the config of
 the reading command (S = data.image_size, D = data.vox_dim):
     dataset  (`load_manifest`) dataset_hash, a hash of the config fields
              gen-data reads; views uint8 (records, 2, S, S); volumes bool
              (objects, D, D, D); no volume empty
-    split    (`load_split`) priors_hash, a hash of the config fields
-             build-priors reads; every object it names must be in the
-             dataset (`trainer.ExperimentContext.load`, where the two meet)
-    priors   (`load_priors`) priors_hash; classes exactly data.classes, in
-             order; priors bool (classes, D, D, D)
+    priors   (`load_priors`) priors_hash, a hash of the config fields
+             build-priors reads; classes exactly data.classes, in order;
+             objects exactly the split's training objects of each class;
+             priors bool (classes, D, D, D)
 A file that fails one of these checks is refused like a damaged one, and
 the message names the command to run again.
 """
@@ -206,10 +207,6 @@ class RunPaths:
         return self.root / "dataset.npz"
 
     @property
-    def split_path(self) -> Path:
-        return self.root / "split.json"
-
-    @property
     def priors_path(self) -> Path:
         return self.root / "priors.npz"
 
@@ -310,40 +307,20 @@ def load_manifest(paths: RunPaths,
     return read_artifact(paths.dataset_path, load, "gen-data")
 
 
-def save_split(paths: RunPaths, split: corpus.FewShotSplit,
-               config: ExperimentConfig) -> None:
-    payload = dict(asdict(split), meta={"priors_hash": priors_hash(config)})
-    write_atomic(paths.split_path,
-                 json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-
-def load_split(paths: RunPaths, config: ExperimentConfig) -> corpus.FewShotSplit:
-    def load(path):
-        payload = json.loads(Path(path).read_text(encoding="ascii"))
-        _check_inputs(payload.get("meta", {}), "priors_hash",
-                      priors_hash(config), "build-priors")
-        return corpus.FewShotSplit(
-            base_classes=tuple(payload["base_classes"]),
-            novel_classes=tuple(payload["novel_classes"]),
-            shots=int(payload["shots"]),
-            train_objects={c: tuple(v) for c, v
-                           in payload["train_objects"].items()},
-            query_objects={c: tuple(v) for c, v
-                           in payload["query_objects"].items()})
-    return read_artifact(paths.split_path, load, "build-priors")
-
-
 def save_priors(paths: RunPaths, priors: dict[str, np.ndarray],
+                objects: dict[str, tuple[str, ...]],
                 config: ExperimentConfig) -> None:
-    """Save one (D, D, D) bool prior per class; `load_priors` accepts them
-    only in `data.classes` order."""
-    save_archive(paths.priors_path, {"priors_hash": priors_hash(config),
-                                     "classes": list(priors)},
-                 {"priors": np.stack(list(priors.values()))})
+    """Save one (D, D, D) bool prior per class and `objects[class]`, the
+    training objects it averages; `load_priors` accepts them only in
+    `data.classes` order."""
+    save_archive(paths.priors_path, {
+        "priors_hash": priors_hash(config), "classes": list(priors),
+        "objects": [list(objects[c]) for c in priors]},
+        {"priors": np.stack(list(priors.values()))})
 
 
-def load_priors(paths: RunPaths,
-                config: ExperimentConfig) -> dict[str, np.ndarray]:
+def load_priors(paths: RunPaths, config: ExperimentConfig,
+                split: corpus.FewShotSplit) -> dict[str, np.ndarray]:
     """Per-class prior grids as (1, D, D, D) float32 arrays, checked as the
     module docstring lists."""
     def load(path):
@@ -353,6 +330,11 @@ def load_priors(paths: RunPaths,
         if meta["classes"] != classes:
             raise ValueError(f"priors of classes {meta['classes']}, not "
                              f"{classes}; run build-priors again")
+        if meta.get("objects") != [list(split.train_objects[c])
+                                   for c in classes]:
+            raise ValueError("priors built from other objects than the "
+                             "split's training objects; run build-priors "
+                             "again")
         grids = _checked("priors", arrays["priors"], bool,
                          (len(classes),) + (config.data.vox_dim,) * 3,
                          "build-priors")

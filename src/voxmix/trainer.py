@@ -31,7 +31,7 @@ from . import evaluate, losses, mixup, runs, voxel
 from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
-                     load_object_volumes, load_samples)
+                     load_object_volumes, load_samples, make_split)
 from .model import Network, NetworkConfig, PriorBatch
 from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
@@ -355,22 +355,14 @@ class ExperimentContext:
              paths: runs.RunPaths) -> "ExperimentContext":
         net = Network(network_config(config))
         manifest = runs.load_manifest(paths, config)
-        split = runs.load_split(paths, config)
-        priors = runs.load_priors(paths, config)
+        data = config.data
+        split = make_split(manifest, data.base_classes, data.novel_classes,
+                           data.shots, config.seed)
+        priors = runs.load_priors(paths, config, split)
         train, query = split.all_train_objects(), split.all_query_objects()
-        unknown = [obj for obj in train + query if obj not in manifest.volumes]
-        if unknown:
-            raise runs.MissingArtifactError(
-                f"{paths.split_path}: {len(unknown)} of {len(train + query)} "
-                f"objects not in the dataset (first: {', '.join(unknown[:3])})"
-                "; run build-priors again")
-        records = manifest.records_for_objects(train)
-        if not records:
-            raise ValueError("training pool is empty")
-        samples = load_samples(manifest, records)
+        samples = load_samples(manifest, manifest.records_for_objects(train))
         pool = TrainingPool(samples, evaluate.prior_batch(
-            samples.class_ids, priors, config.prior.mode,
-            config.data.classes))
+            samples.class_ids, priors, config.prior.mode, data.classes))
         query_samples = load_samples(manifest,
                                      manifest.records_for_objects(query))
         return cls(config, paths, manifest, split, priors, pool, query_samples,

@@ -21,7 +21,8 @@ TINY_OVERRIDES = {
 
 
 class TinyRun:
-    """A run root holding the tiny config, its dataset, split and priors."""
+    """A run root holding the tiny config, its dataset and its priors; the
+    split is derived from the two, not stored."""
 
     def __init__(self, root):
         self.root = root

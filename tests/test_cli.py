@@ -1,5 +1,4 @@
 import csv
-import json
 import re
 
 import numpy as np
@@ -117,18 +116,16 @@ def test_a_flag_value_no_run_can_honour_exits_1_naming_the_flag(
 # last byte of its data, which fails the zip CRC.
 @pytest.mark.parametrize("relpath,damage,command", [
     ("dataset.npz", 500, "pretrain-gt"),
-    ("split.json", 30, "pretrain-gt"),
     ("priors.npz", 30, "pretrain-gt"),
     ("dataset.npz", ("flip", "views.npy"), "pretrain-gt"),
     ("dataset.npz", ("flip", "volumes.npy"), "build-priors"),
     ("dataset.npz", None, "pretrain-gt"),
-    ("split.json", None, "pretrain-gt"),
     ("priors.npz", None, "pretrain-gt"),
     ("dataset.npz", ("drop", "views.npy"), "pretrain-gt"),
     ("dataset.npz", ("drop", "volumes.npy"), "build-priors"),
     ("priors.npz", ("drop", "priors.npy"), "pretrain-gt")],
-    ids=["manifest", "split", "prior", "view", "volume", "manifest_deleted",
-         "split_deleted", "prior_deleted", "view_deleted", "volume_deleted",
+    ids=["manifest", "prior", "view", "volume", "manifest_deleted",
+         "prior_deleted", "view_deleted", "volume_deleted",
          "prior_entry_deleted"])
 def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
                                                              relpath, damage,
@@ -236,27 +233,32 @@ def test_priors_of_other_classes_exit_3_and_name_the_file(tiny_run, capsys,
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("command", [("pretrain-gt",),
-                                     ("train", "--pipeline", "base")],
-                         ids=["pretrain_gt", "train"])
-def test_a_split_naming_an_object_not_in_the_dataset_exits_3(tiny_run, capsys,
-                                                             command):
-    split = tiny_run.paths.split_path
-    payload = json.loads(split.read_text(encoding="ascii"))
-    payload["query_objects"]["lamp"][0] = "lamp_999"
-    split.write_text(json.dumps(payload), encoding="ascii")
+def test_priors_built_from_other_objects_exit_3_and_name_the_file(tiny_run,
+                                                                  capsys):
+    priors = tiny_run.paths.priors_path
+    meta, arrays = runs.read_archive(priors, "priors", lambda meta: ("priors",))
+    lamp = meta["classes"].index("lamp")
+    shot, = meta["objects"][lamp]
+    other = next(f"lamp_{k:03d}" for k in range(3) if f"lamp_{k:03d}" != shot)
+    meta["objects"][lamp] = [other]   # under the priors_hash of the config
+    runs.save_archive(priors, meta, arrays)
     capsys.readouterr()
-    assert tiny_run.voxmix(*command) == cli.EXIT_MISSING
-    assert (f"missing artifact: {split}: 1 of 18 objects not in the dataset "
-            "(first: lamp_999); run build-priors again"
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_MISSING
+    assert (f"missing artifact: {priors}: priors built from other objects "
+            "than the split's training objects; run build-priors again"
             in capsys.readouterr().err)
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
+
+
+def test_a_split_json_left_in_the_run_directory_is_ignored(tiny_run):
+    (tiny_run.paths.root / "split.json").write_bytes(b"\x00 not a split")
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("override,relpath,made_by", [
     ("seed=5", "dataset.npz", "gen-data"),
     ("data.vox_dim=16", "dataset.npz", "gen-data"),
-    ("data.shots=2", "split.json", "build-priors")],
+    ("data.shots=2", "priors.npz", "build-priors")],
     ids=["seed", "vox_dim", "shots"])
 def test_an_input_written_under_other_settings_exits_3_and_names_it(
         tiny_run, capsys, override, relpath, made_by):
@@ -277,8 +279,7 @@ def test_set_up_writes_one_archive_for_the_dataset_and_one_for_the_priors(
     assert sorted(str(path.relative_to(tmp_path))
                   for path in tmp_path.rglob("*")) == [
         "tiny", "tiny.cfg", "tiny/checkpoints", "tiny/config.resolved.txt",
-        "tiny/dataset.npz", "tiny/logs", "tiny/priors.npz", "tiny/reports",
-        "tiny/split.json"]
+        "tiny/dataset.npz", "tiny/logs", "tiny/priors.npz", "tiny/reports"]
 
 
 def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,
@@ -370,6 +371,7 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     # The split's rules across `data` fields; the tiny config has 3 objects
     # per class.
     ("data.base_classes", "box,foo"), ("data.novel_classes", "foo"),
+    ("data.base_classes", ""), ("data.novel_classes", ""),
     ("data.novel_classes", "lamp,box"), ("data.shots", "3"),
     # An option, not a config key: `alpha-sweep --alphas=<value>`.
     ("--alphas", "x"), ("--alphas", "-1"), ("--alphas", "0"),
@@ -393,10 +395,24 @@ def test_the_split_rules_hold_once_every_override_is_applied(tiny_run):
         ("data.objects_per_class", "4")) for item in ("-o", "=".join(pair))]
     assert tiny_run.voxmix("gen-data", *overrides) == cli.EXIT_OK
     assert tiny_run.voxmix("build-priors", *overrides) == cli.EXIT_OK
-    split = runs.load_split(tiny_run.paths, apply_assignments(
-        tiny_run.config, dict(pair.split("=") for pair in overrides[1::2])))
+    split = trainer.ExperimentContext.load(apply_assignments(
+        tiny_run.config, dict(pair.split("=") for pair in overrides[1::2])),
+        tiny_run.paths).split
     assert (len(split.train_objects["lamp"]), len(split.query_objects["lamp"])) \
         == (3, 1)
+
+
+def test_a_class_in_neither_class_list_exits_2_before_build_priors_works(
+        tiny_run, capsys):
+    written = tiny_run.paths.priors_path.read_bytes()
+    capsys.readouterr()
+    assert tiny_run.voxmix("build-priors", "-o",
+                           "data.base_classes=box,table,cylstack") \
+        == cli.EXIT_CONFIG
+    assert ("config error: data.classes: ['chair'] in neither "
+            "data.base_classes nor data.novel_classes"
+            in capsys.readouterr().err)
+    assert tiny_run.paths.priors_path.read_bytes() == written
 
 
 def test_alpha_sweep_leaves_the_configured_pipelines_files_alone(tiny_run):
@@ -433,10 +449,10 @@ def test_the_iou_report_carries_each_class_proximity_to_the_base_shapes(
     capsys.readouterr()
     assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
     out = capsys.readouterr().out
-    # Brute force over dataset.npz and split.json: per novel class, the mean
+    # Brute force over the dataset and the split: per novel class, the mean
     # over its shot and query objects of the best IoU of any base object.
     manifest = runs.load_manifest(tiny_run.paths, tiny_run.config)
-    split = runs.load_split(tiny_run.paths, tiny_run.config)
+    split = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths).split
     base = [manifest.volumes[obj] for c in split.base_classes
             for obj in split.train_objects[c]]
     expected = {c: np.mean([max((manifest.volumes[obj] & b).sum()

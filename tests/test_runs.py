@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_without
-from voxmix import cli, nn, runs
+from voxmix import cli, corpus, nn, runs, trainer
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -56,21 +56,25 @@ def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
     """The priors, once one binvox file per class, are now one archive; an
     interrupted save of it leaves the old one whole."""
     config = ExperimentConfig()
+    classes = config.data.classes
+    split = corpus.FewShotSplit(classes, (), {c: (f"{c}_000",) for c in classes},
+                                {})
     paths = runs.RunPaths(tmp_path)
     shape = (config.data.vox_dim,) * 3   # the only shape load_priors accepts
     old = np.ones(shape, dtype=bool)
-    runs.save_priors(paths, dict.fromkeys(config.data.classes, old), config)
+    runs.save_priors(paths, dict.fromkeys(classes, old), split.train_objects,
+                     config)
     written = paths.priors_path.read_bytes()
     exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
     monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
     new = np.zeros(shape, dtype=bool)
     with pytest.raises(type(exc)):
-        runs.save_priors(paths, dict.fromkeys(config.data.classes, new),
-                         config)
+        runs.save_priors(paths, dict.fromkeys(classes, new),
+                         split.train_objects, config)
     monkeypatch.undo()
     assert paths.priors_path.read_bytes() == written
     assert [p.name for p in tmp_path.iterdir()] == ["priors.npz"]
-    assert np.array_equal(runs.load_priors(paths, config)["lamp"],
+    assert np.array_equal(runs.load_priors(paths, config, split)["lamp"],
                           np.ones((1, *shape), dtype=np.float32))
 
 
@@ -203,9 +207,8 @@ def test_the_input_hashes_cover_what_their_commands_read_and_no_more():
 
 def test_a_split_or_priors_of_another_prior_threshold_are_refused(tiny_run):
     config = apply_assignments(tiny_run.config, {"prior.threshold": "0.2"})
-    for load, name in ((runs.load_split, "split.json"),
-                       (runs.load_priors, "priors.npz")):
-        with pytest.raises(runs.MissingArtifactError,
-                           match=rf"{name}: written under other config "
-                                 "settings; run build-priors again"):
-            load(tiny_run.paths, config)
+    split = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths).split
+    with pytest.raises(runs.MissingArtifactError,
+                       match=r"priors.npz: written under other config "
+                             "settings; run build-priors again"):
+        runs.load_priors(tiny_run.paths, config, split)
