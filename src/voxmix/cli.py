@@ -3,17 +3,18 @@
 Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
 ``./runs``).  Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing,
-unreadable or stale input artifact, 4 numeric failure.  A stale input is a
-dataset or priors file written under other values of the config fields its
-command reads (`gen-data` for the dataset, `build-priors` for the priors),
-or priors built from other objects than the split's training objects.  On
-exit 3 the message names the file and, for a missing or stale one, the
-command that writes it.  Every bad config value exits 2 when the config is
-loaded, before any work, and the message names its key: an unknown key, a
-value its section rejects, a size the network's strides do not divide, an
-unknown pipeline, or a split that breaks the rules across `data` fields
-(an empty class list, a class in both lists or in neither, shots per
-class).  A bad `--alphas` exits 2 as well.  A flag value no run can honour
+unreadable or stale input artifact, 4 numeric failure.  The dataset is the
+one input file that can be stale: written under other values of the config
+fields `gen-data` reads.  The split and the priors are derived from it and
+the config on every run, so no file of theirs is read.  On exit 3 the
+message names the file and, for a missing or stale one, the command that
+writes it.  Every bad config value exits 2 when the config is loaded,
+before any work, and the message names its key: an unknown key, a value
+its section rejects, a `run_name` that is not one directory name, a size
+the network's strides do not divide, an unknown pipeline, or a split that
+breaks the rules across `data` fields (an empty class list, a class in
+both lists or in neither, shots per class).  A bad `--alphas` exits 2 as
+well, and so do two alphas that name one arm.  A flag value no run can honour
 (a count below one, a tolerance that is not a finite positive number,
 `train --all` with `--pipeline`) exits 1 before any work, and the message
 names the flag.
@@ -27,7 +28,7 @@ import time
 
 import numpy as np
 
-from . import corpus, evaluate, mixup, runs, trainer, verification, voxel
+from . import corpus, evaluate, mixup, runs, trainer, verification
 from .config import ConfigError, ExperimentConfig, MixupSection, load_config
 from .nn import NumericError
 
@@ -89,7 +90,8 @@ def _build_parser() -> _Parser:
         return p
 
     add("gen-data", "generate the synthetic dataset")
-    add("build-priors", "write the per-class priors of the few-shot split")
+    add("build-priors", "write the per-class priors of the few-shot split "
+        "to priors.npz for inspection; every command derives them itself")
     add("pretrain-gt", "pretrain the volume encoder, replacing its checkpoint")
     which = add("train", "run the configured training pipeline") \
         .add_mutually_exclusive_group()
@@ -119,6 +121,10 @@ def _build_parser() -> _Parser:
 
 def _load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
     config = load_config(args.config, args.override)
+    if config.run_name in ("", ".", "..") or any(c in config.run_name
+                                                  for c in "/\0"):
+        raise ConfigError(f"run_name: {config.run_name!r} is not one "
+                          "directory name under the run root")
     # Each section checked its own values; these rules span sections or
     # fields (network strides, pipelines, the split), so they run last.
     try:
@@ -181,13 +187,8 @@ def cmd_build_priors(args) -> int:
     split = corpus.make_split(manifest, config.data.base_classes,
                               config.data.novel_classes, config.data.shots,
                               config.seed)
-    priors = {}
-    for class_id in config.data.classes:
-        object_ids = split.train_objects[class_id]
-        volumes = corpus.load_object_volumes(manifest, object_ids)
-        priors[class_id] = voxel.build_prior([volumes[o] for o in object_ids],
-                                             config.prior.threshold)
-    runs.save_priors(paths, priors, split.train_objects, config)
+    priors = corpus.class_priors(manifest, split, config.prior.threshold)
+    runs.save_priors(paths, priors, split.train_objects)
     print(f"wrote {len(priors)} priors under {paths.root}")
     return EXIT_OK
 
@@ -260,13 +261,14 @@ def cmd_alpha_sweep(args) -> int:
                        for a in args.alphas.split(","))
     except ValueError as exc:
         raise ConfigError(f"--alphas: {exc}") from None
-    if len(set(alphas)) < len(alphas):
-        raise ConfigError(f"--alphas: {args.alphas!r} names an alpha twice")
-    results = trainer.run_ablation(config, paths, ("input_mix", "latent_mix"),
-                                   alphas)
-    iou = {(r.pipeline, r.config.mixup.alpha): r.final_table.overall
-           for r in results.values()}
-    rows = [(a, iou["input_mix", a], iou["latent_mix", a]) for a in alphas]
+    pipelines = ("input_mix", "latent_mix")
+    arms = [trainer.arm_name(pipelines[0], alpha) for alpha in alphas]
+    if len(set(arms)) < len(arms):
+        raise ConfigError(f"--alphas: {args.alphas!r} names two alphas of "
+                          "one arm name")
+    results = trainer.run_ablation(config, paths, pipelines, alphas)
+    rows = [(alpha, *(results[trainer.arm_name(p, alpha)].final_table.overall
+                      for p in pipelines)) for alpha in alphas]
     runs.write_csv(paths.reports_dir / "alpha_sweep.csv",
                    ("alpha", "input_mix_iou", "latent_mix_iou"), rows)
     for alpha, in_iou, lat_iou in rows:

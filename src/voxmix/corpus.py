@@ -1,12 +1,14 @@
 """Synthetic labelled corpus: generation, the base/novel few-shot split,
-and sample loading.
+the class priors, and sample loading.
 
 `build_dataset` renders every view's silhouette and depth, quantized to
 uint8, and voxelizes one boolean volume per object; `make_split` picks the
-novel classes' shots; `load_samples` scales the views back to [0, 1]
-float32.  The split is a pure function of the dataset and the config and
-is never stored: every command that needs it calls `make_split`.  Reading,
-writing and checking the dataset file is `runs`'s work.
+novel classes' shots; `class_priors` builds each class's prior from its
+training volumes; `load_samples` scales the views back to [0, 1] float32.
+The split and the priors are pure functions of the dataset and the config
+and are never read from a file: every command that needs them calls
+`make_split` and `class_priors`.  Reading, writing and checking the
+dataset file is `runs`'s work.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import render, shapes
+from . import render, shapes, voxel
 
 
 @dataclass(frozen=True)
@@ -162,6 +164,16 @@ def make_split(manifest: DatasetManifest, base_classes: Sequence[str],
         train[cls] = picked
         query[cls] = tuple(o for o in objs if o not in picked)
     return FewShotSplit(base, nov, train, query)
+
+
+def class_priors(manifest: DatasetManifest, split: FewShotSplit,
+                 threshold: float) -> dict[str, np.ndarray]:
+    """Each class's (D, D, D) bool prior, in the dataset's class order: the
+    `voxel.build_prior` of the volumes of its training objects."""
+    return {class_id: voxel.build_prior(
+                [manifest.volumes[obj] for obj in split.train_objects[class_id]],
+                threshold)
+            for class_id in manifest.objects_by_class()}
 
 
 # ---------------------------------------------------------------------------

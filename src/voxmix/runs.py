@@ -3,7 +3,8 @@
 Every experiment lives under one run directory:
     config.resolved.txt    full config after file + overrides
     dataset.npz            the views, volumes and manifest (gen-data)
-    priors.npz             one binary prior per class (build-priors)
+    priors.npz             one binary prior per class (build-priors), an
+                           inspection output that no command reads
     checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
     logs/                  <arm>_train.csv
     reports/               <arm>_iou.csv (each class's IoU and its
@@ -12,9 +13,10 @@ Every experiment lives under one run directory:
                            alpha_sweep CSVs;
                            <pipeline>_predictions.npz (eval --dump-predictions);
                            mix_preview/pairs.csv and pairs.npz (mix-preview)
-where an arm is a pipeline or, in an alpha sweep, <pipeline>_alpha<alpha>.
-No file holds the base/novel few-shot split: `corpus.make_split` derives it
-from the dataset and the config wherever it is needed.
+where an arm is a pipeline or, in an alpha sweep, `trainer.arm_name`.
+No file that a command reads holds the base/novel few-shot split or the
+class priors: `corpus.make_split` and `corpus.class_priors` derive them
+from the dataset and the config wherever they are needed.
 
 Every artifact file is written through `write_atomic`: archives, CSVs and
 the resolved config.  The bytes go to a `.<name>.<pid>.tmp` sibling, which
@@ -23,8 +25,8 @@ place.  A write interrupted before the rename leaves the earlier file as
 it was.  (There is no fsync: this guards against a process dying
 mid-write, not against losing power.)
 
-Every input artifact is read through `read_artifact`: the dataset, the
-priors and checkpoints.  Each failure raises `MissingArtifactError` naming
+Every input artifact is read through `read_artifact`: the dataset and
+checkpoints.  Each failure raises `MissingArtifactError` naming
 the file: a missing file's message also names the command that writes it,
 and any other error its loader raises is passed on in the message.  The
 command line exits 3 on either.
@@ -35,9 +37,8 @@ uncompressed under the name it is given and read by `read_archive`.  Its
     dataset      meta: dataset_hash, records (the manifest rows, see
                  corpus.Record); views, row i the silhouette and depth of
                  record i; volumes, one per object in order of first record
-    priors       meta: priors_hash, classes, objects (per class, the
-                 training objects its prior averages); priors, one per
-                 class
+    priors       meta: classes, objects (per class, the training objects
+                 its prior averages); priors, one per class
     checkpoint   meta: the metadata, "step" and "layout" (the parameter
                  names, their shapes and the slot kinds); params, every
                  parameter, flat float32, in the layout's name order;
@@ -52,17 +53,12 @@ declares (a damaged zip directory can drop entries silently), or whose
 arrays do not fit its metadata raises `MissingArtifactError` naming the
 path.
 
-The inputs of a run are checked where they are read, against the config of
-the reading command (S = data.image_size, D = data.vox_dim):
-    dataset  (`load_manifest`) dataset_hash, a hash of the config fields
-             gen-data reads; views uint8 (records, 2, S, S); volumes bool
-             (objects, D, D, D); no volume empty
-    priors   (`load_priors`) priors_hash, a hash of the config fields
-             build-priors reads; classes exactly data.classes, in order;
-             objects exactly the split's training objects of each class;
-             priors bool (classes, D, D, D)
-A file that fails one of these checks is refused like a damaged one, and
-the message names the command to run again.
+The dataset is checked where it is read (`load_manifest`), against the
+config of the reading command (S = data.image_size, D = data.vox_dim):
+dataset_hash, a hash of the config fields gen-data reads; views uint8
+(records, 2, S, S); volumes bool (objects, D, D, D); no volume empty.  A
+file that fails one of these checks is refused like a damaged one, and the
+message names gen-data as the command to run again.
 """
 
 from __future__ import annotations
@@ -78,8 +74,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import corpus
-from .config import (DataConfig, ExperimentConfig, PriorConfig, config_hash,
-                     dump_config)
+from .config import DataConfig, ExperimentConfig, config_hash, dump_config
 from .nn import ParamStore
 
 RUN_ROOT_ENV = "VOXMIX_RUN_ROOT"
@@ -251,26 +246,11 @@ def dataset_hash(config: ExperimentConfig) -> str:
         vox_dim=data.vox_dim, image_size=data.image_size)))
 
 
-def priors_hash(config: ExperimentConfig) -> str:
-    """Hash of the config fields `build-priors` reads, and no others: the
-    dataset's, the class split, the shots and the prior threshold."""
-    return config_hash(ExperimentConfig(
-        seed=config.seed, data=config.data,
-        prior=PriorConfig(threshold=config.prior.threshold)))
-
-
-def _check_inputs(meta: dict, key: str, expected: str, made_by: str) -> None:
-    if meta.get(key) != expected:
-        raise ValueError(f"written under other config settings; "
-                         f"run {made_by} again")
-
-
-def _checked(name: str, array: np.ndarray, dtype, shape: tuple,
-             made_by: str) -> np.ndarray:
+def _checked(name: str, array: np.ndarray, dtype, shape: tuple) -> np.ndarray:
     """`array`, unless it is not `dtype` `shape`."""
     if array.dtype != dtype or array.shape != shape:
         raise ValueError(f"{name} are {array.dtype} {array.shape}, not "
-                         f"{np.dtype(dtype)} {shape}; run {made_by} again")
+                         f"{np.dtype(dtype)} {shape}; run gen-data again")
     return array
 
 
@@ -289,14 +269,16 @@ def load_manifest(paths: RunPaths,
     def load(path):
         meta, arrays = read_archive(path, "dataset",
                                     lambda meta: ("views", "volumes"))
-        _check_inputs(meta, "dataset_hash", dataset_hash(config), "gen-data")
+        if meta.get("dataset_hash") != dataset_hash(config):
+            raise ValueError("written under other config settings; "
+                             "run gen-data again")
         records = tuple(corpus.Record(**row) for row in meta["records"])
         objects = list(dict.fromkeys(rec.object_id for rec in records))
         side, dim = config.data.image_size, config.data.vox_dim
         views = _checked("views", arrays["views"], np.uint8,
-                         (len(records), 2, side, side), "gen-data")
+                         (len(records), 2, side, side))
         volumes = _checked("volumes", arrays["volumes"], bool,
-                           (len(objects), dim, dim, dim), "gen-data")
+                           (len(objects), dim, dim, dim))
         empty = np.flatnonzero(~volumes.any(axis=(1, 2, 3)))
         if len(empty):
             raise ValueError(f"no occupied voxel in {len(empty)} of "
@@ -308,35 +290,9 @@ def load_manifest(paths: RunPaths,
 
 
 def save_priors(paths: RunPaths, priors: dict[str, np.ndarray],
-                objects: dict[str, tuple[str, ...]],
-                config: ExperimentConfig) -> None:
+                objects: dict[str, tuple[str, ...]]) -> None:
     """Save one (D, D, D) bool prior per class and `objects[class]`, the
-    training objects it averages; `load_priors` accepts them only in
-    `data.classes` order."""
+    training objects it averages, for inspection: no command reads them."""
     save_archive(paths.priors_path, {
-        "priors_hash": priors_hash(config), "classes": list(priors),
-        "objects": [list(objects[c]) for c in priors]},
+        "classes": list(priors), "objects": [list(objects[c]) for c in priors]},
         {"priors": np.stack(list(priors.values()))})
-
-
-def load_priors(paths: RunPaths, config: ExperimentConfig,
-                split: corpus.FewShotSplit) -> dict[str, np.ndarray]:
-    """Per-class prior grids as (1, D, D, D) float32 arrays, checked as the
-    module docstring lists."""
-    def load(path):
-        meta, arrays = read_archive(path, "priors", lambda meta: ("priors",))
-        _check_inputs(meta, "priors_hash", priors_hash(config), "build-priors")
-        classes = list(config.data.classes)
-        if meta["classes"] != classes:
-            raise ValueError(f"priors of classes {meta['classes']}, not "
-                             f"{classes}; run build-priors again")
-        if meta.get("objects") != [list(split.train_objects[c])
-                                   for c in classes]:
-            raise ValueError("priors built from other objects than the "
-                             "split's training objects; run build-priors "
-                             "again")
-        grids = _checked("priors", arrays["priors"], bool,
-                         (len(classes),) + (config.data.vox_dim,) * 3,
-                         "build-priors")
-        return dict(zip(classes, grids.astype(np.float32)[:, None]))
-    return read_artifact(paths.priors_path, load, "build-priors")

@@ -31,7 +31,8 @@ from . import evaluate, losses, mixup, runs, voxel
 from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
-                     load_object_volumes, load_samples, make_split)
+                     class_priors, load_object_volumes, load_samples,
+                     make_split)
 from .model import Network, NetworkConfig, PriorBatch
 from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
@@ -358,7 +359,8 @@ class ExperimentContext:
         data = config.data
         split = make_split(manifest, data.base_classes, data.novel_classes,
                            data.shots, config.seed)
-        priors = runs.load_priors(paths, config, split)
+        priors = {class_id: grid.astype(np.float32)[None] for class_id, grid
+                  in class_priors(manifest, split, config.prior.threshold).items()}
         train, query = split.all_train_objects(), split.all_query_objects()
         samples = load_samples(manifest, manifest.records_for_objects(train))
         pool = TrainingPool(samples, evaluate.prior_batch(
@@ -471,6 +473,12 @@ def write_iou_reports(paths: runs.RunPaths, pipeline: str,
                    ("object_id", "pose_id", "class", "iou"), table.per_sample)
 
 
+def arm_name(pipeline: str, alpha: float) -> str:
+    """The arm of `pipeline` at `alpha` in an alpha sweep: two alphas that
+    print alike under `%g` name one arm."""
+    return f"{pipeline}_alpha{alpha:g}"
+
+
 def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
                  pipelines: tuple[str, ...] = tuple(PIPELINES),
                  alphas: tuple[float, ...] = ()) -> dict[str, PipelineResult]:
@@ -478,8 +486,8 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     volume encoder or loading it, and leave each arm's train log, IoU
     reports and final checkpoint, under the arm's name, in the run
     directory.  Without `alphas` the arms are `pipelines` under `config`;
-    with them there is one arm `<pipeline>_alpha<alpha>` per pipeline and
-    alpha, under `config` with that `mixup.alpha`.  Sharing a prefix of
+    with them there is one arm `arm_name(pipeline, alpha)` per pipeline
+    and alpha, under `config` with that `mixup.alpha`.  Sharing a prefix of
     nodes is bit-identical to training each arm from scratch, because
     every stage draws from its own seeded stream."""
     unknown = [p for p in pipelines if p not in PIPELINES]
@@ -487,7 +495,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
         raise ValueError(f"unknown pipeline {unknown[0]!r}")
     arms = {name: (name, config) for name in pipelines}
     if alphas:
-        arms = {f"{name}_alpha{alpha:g}":
+        arms = {arm_name(name, alpha):
                 (name, replace(config, mixup=replace(config.mixup, alpha=alpha)))
                 for name in pipelines for alpha in alphas}
     paths.ensure_dirs()

@@ -21,8 +21,9 @@ TINY_OVERRIDES = {
 
 
 class TinyRun:
-    """A run root holding the tiny config, its dataset and its priors; the
-    split is derived from the two, not stored."""
+    """A run root holding the tiny config, its dataset and the priors.npz
+    that build-priors writes for inspection; every command derives the
+    split and the priors from the dataset and the config instead."""
 
     def __init__(self, root):
         self.root = root

@@ -110,32 +110,26 @@ def test_a_flag_value_no_run_can_honour_exits_1_naming_the_flag(
     assert not (tiny_run.paths.reports_dir / "mix_preview").exists()
 
 
-# damage None deletes the file, whose message then names the command that
-# writes it; an int truncates it to that many bytes; ("drop", entry) drops
-# an entry from the archive's zip directory, and ("flip", entry) flips the
-# last byte of its data, which fails the zip CRC.
-@pytest.mark.parametrize("relpath,damage,command", [
-    ("dataset.npz", 500, "pretrain-gt"),
-    ("priors.npz", 30, "pretrain-gt"),
-    ("dataset.npz", ("flip", "views.npy"), "pretrain-gt"),
-    ("dataset.npz", ("flip", "volumes.npy"), "build-priors"),
-    ("dataset.npz", None, "pretrain-gt"),
-    ("priors.npz", None, "pretrain-gt"),
-    ("dataset.npz", ("drop", "views.npy"), "pretrain-gt"),
-    ("dataset.npz", ("drop", "volumes.npy"), "build-priors"),
-    ("priors.npz", ("drop", "priors.npy"), "pretrain-gt")],
-    ids=["manifest", "prior", "view", "volume", "manifest_deleted",
-         "prior_deleted", "view_deleted", "volume_deleted",
-         "prior_entry_deleted"])
+# damage None deletes the dataset, whose message then names the command
+# that writes it; an int truncates it to that many bytes; ("drop", entry)
+# drops an entry from the archive's zip directory, and ("flip", entry) flips
+# the last byte of its data, which fails the zip CRC.
+@pytest.mark.parametrize("damage,command", [
+    (500, "pretrain-gt"),
+    (("flip", "views.npy"), "pretrain-gt"),
+    (("flip", "volumes.npy"), "build-priors"),
+    (None, "pretrain-gt"),
+    (("drop", "views.npy"), "pretrain-gt"),
+    (("drop", "volumes.npy"), "build-priors")],
+    ids=["manifest", "view", "volume", "manifest_deleted", "view_deleted",
+         "volume_deleted"])
 def test_a_damaged_input_artifact_exits_3_and_names_the_file(tiny_run, capsys,
-                                                             relpath, damage,
-                                                             command):
-    damaged = tiny_run.paths.root / relpath
+                                                             damage, command):
+    damaged = tiny_run.paths.dataset_path
     says, also = f"{damaged}: ", ""
     if damage is None:
         damaged.unlink()
-        made_by = "gen-data" if relpath == "dataset.npz" else "build-priors"
-        says = f"no {damaged}; run {made_by} first"
+        says = f"no {damaged}; run gen-data first"
     elif isinstance(damage, int):
         damaged.write_bytes(damaged.read_bytes()[:damage])
     elif damage[0] == "flip":
@@ -197,75 +191,21 @@ def test_a_dataset_entry_of_another_type_exits_3_and_names_the_file(
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
 
-@pytest.mark.parametrize("command", [("pretrain-gt",),
-                                     ("train", "--pipeline", "base")],
-                         ids=["pretrain_gt", "train"])
-@pytest.mark.parametrize("convert,says", [
-    (lambda a: np.full(a.shape, 7.5, np.float32),
-     "priors are float32 (6, 8, 8, 8), not bool (6, 8, 8, 8)"),
-    (lambda a: a[..., :4], "priors are bool (6, 8, 8, 4), not bool (6, 8, 8, 8)")],
-    ids=["float_priors", "non_cubic_priors"])
-def test_a_priors_entry_of_another_type_exits_3_and_names_the_file(
-        tiny_run, capsys, command, convert, says):
-    priors = tiny_run.paths.priors_path
-    meta, arrays = runs.read_archive(priors, "priors", lambda meta: ("priors",))
-    runs.save_archive(priors, meta, {"priors": convert(arrays["priors"])})
-    capsys.readouterr()
-    assert tiny_run.voxmix(*command) == cli.EXIT_MISSING
-    assert (f"missing artifact: {priors}: {says}; run build-priors again"
-            in capsys.readouterr().err)
-    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
-
-
-@pytest.mark.parametrize("command", ["pretrain-gt", "mix-preview"])
-def test_priors_of_other_classes_exit_3_and_name_the_file(tiny_run, capsys,
-                                                          command):
-    priors = tiny_run.paths.priors_path
-    meta, arrays = runs.read_archive(priors, "priors", lambda meta: ("priors",))
-    classes = meta["classes"]
-    # Five of the six classes, under the priors_hash of the config.
-    runs.save_archive(priors, dict(meta, classes=classes[:5]),
-                      {"priors": arrays["priors"][:5]})
-    capsys.readouterr()
-    assert tiny_run.voxmix(command) == cli.EXIT_MISSING
-    assert (f"missing artifact: {priors}: priors of classes {classes[:5]}, "
-            f"not {classes}; run build-priors again"
-            in capsys.readouterr().err)
-
-
-def test_priors_built_from_other_objects_exit_3_and_name_the_file(tiny_run,
-                                                                  capsys):
-    priors = tiny_run.paths.priors_path
-    meta, arrays = runs.read_archive(priors, "priors", lambda meta: ("priors",))
-    lamp = meta["classes"].index("lamp")
-    shot, = meta["objects"][lamp]
-    other = next(f"lamp_{k:03d}" for k in range(3) if f"lamp_{k:03d}" != shot)
-    meta["objects"][lamp] = [other]   # under the priors_hash of the config
-    runs.save_archive(priors, meta, arrays)
-    capsys.readouterr()
-    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_MISSING
-    assert (f"missing artifact: {priors}: priors built from other objects "
-            "than the split's training objects; run build-priors again"
-            in capsys.readouterr().err)
-    assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
-
-
 def test_a_split_json_left_in_the_run_directory_is_ignored(tiny_run):
+    # Nor is the priors.npz that build-priors writes ever read back.
     (tiny_run.paths.root / "split.json").write_bytes(b"\x00 not a split")
+    tiny_run.paths.priors_path.write_bytes(b"\x00 not priors")
     assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("override,relpath,made_by", [
-    ("seed=5", "dataset.npz", "gen-data"),
-    ("data.vox_dim=16", "dataset.npz", "gen-data"),
-    ("data.shots=2", "priors.npz", "build-priors")],
-    ids=["seed", "vox_dim", "shots"])
+@pytest.mark.parametrize("override", ["seed=5", "data.vox_dim=16"],
+                         ids=["seed", "vox_dim"])
 def test_an_input_written_under_other_settings_exits_3_and_names_it(
-        tiny_run, capsys, override, relpath, made_by):
+        tiny_run, capsys, override):
     capsys.readouterr()
     assert tiny_run.voxmix("pretrain-gt", "-o", override) == cli.EXIT_MISSING
-    assert (f"missing artifact: {tiny_run.paths.root / relpath}: written under "
-            f"other config settings; run {made_by} again"
+    assert (f"missing artifact: {tiny_run.paths.dataset_path}: written under "
+            "other config settings; run gen-data again"
             in capsys.readouterr().err)
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
@@ -280,6 +220,30 @@ def test_set_up_writes_one_archive_for_the_dataset_and_one_for_the_priors(
                   for path in tmp_path.rglob("*")) == [
         "tiny", "tiny.cfg", "tiny/checkpoints", "tiny/config.resolved.txt",
         "tiny/dataset.npz", "tiny/logs", "tiny/priors.npz", "tiny/reports"]
+
+
+def test_training_needs_only_the_dataset_and_writes_no_priors(tmp_path):
+    run = TinyRun(tmp_path)
+    (tmp_path / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    assert run.voxmix("gen-data") == cli.EXIT_OK
+    assert run.voxmix("pretrain-gt") == cli.EXIT_OK
+    assert run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    assert not run.paths.priors_path.exists()
+
+
+def test_build_priors_writes_the_priors_every_command_derives(tiny_run):
+    config = tiny_run.config
+    ctx = trainer.ExperimentContext.load(config, tiny_run.paths)
+    meta, arrays = runs.read_archive(tiny_run.paths.priors_path, "priors",
+                                     lambda meta: ("priors",))
+    classes = list(config.data.classes)
+    assert meta == {"classes": classes, "objects": [
+        list(ctx.split.train_objects[c]) for c in classes]}
+    assert arrays["priors"].dtype == bool
+    assert list(ctx.priors_by_class) == classes
+    derived = np.stack(list(ctx.priors_by_class.values()))
+    assert derived.dtype == np.float32
+    assert np.array_equal(derived, arrays["priors"][:, None])
 
 
 def test_pretrain_gt_reports_its_history_and_replaces_the_checkpoint(tiny_run,
@@ -373,9 +337,14 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     ("data.base_classes", "box,foo"), ("data.novel_classes", "foo"),
     ("data.base_classes", ""), ("data.novel_classes", ""),
     ("data.novel_classes", "lamp,box"), ("data.shots", "3"),
-    # An option, not a config key: `alpha-sweep --alphas=<value>`.
+    # A run directory other than one directory under the run root.
+    ("run_name", ""), ("run_name", "."), ("run_name", ".."),
+    ("run_name", "a/b"), ("run_name", "a\0b"),
+    # An option, not a config key: `alpha-sweep --alphas=<value>`.  The
+    # last two alphas differ but name one arm.
     ("--alphas", "x"), ("--alphas", "-1"), ("--alphas", "0"),
-    ("--alphas", "inf"), ("--alphas", "0.2,0.2"), ("--alphas", "1,1.0")])
+    ("--alphas", "inf"), ("--alphas", "0.2,0.2"), ("--alphas", "1,1.0"),
+    ("--alphas", "0.4,0.4000001")])
 def test_an_out_of_range_value_exits_2_before_any_work(tiny_run, capsys,
                                                        key, value):
     capsys.readouterr()
@@ -394,7 +363,6 @@ def test_the_split_rules_hold_once_every_override_is_applied(tiny_run):
         ("data.base_classes", "box"), ("data.novel_classes", "lamp"),
         ("data.objects_per_class", "4")) for item in ("-o", "=".join(pair))]
     assert tiny_run.voxmix("gen-data", *overrides) == cli.EXIT_OK
-    assert tiny_run.voxmix("build-priors", *overrides) == cli.EXIT_OK
     split = trainer.ExperimentContext.load(apply_assignments(
         tiny_run.config, dict(pair.split("=") for pair in overrides[1::2])),
         tiny_run.paths).split
@@ -536,12 +504,15 @@ def test_eval_refuses_a_checkpoint_trained_under_another_config(tiny_run,
     assert tiny_run.voxmix("train", "--pipeline", "input_mix") == cli.EXIT_OK
     report = tiny_run.paths.reports_dir / "input_mix_iou.csv"
     written = report.read_bytes()
-    capsys.readouterr()
-    assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
-                           "-o", "mixup.alpha=0.4",
-                           "-o", "train.stage_epochs=1,1,1") == cli.EXIT_USAGE
     ckpt = tiny_run.paths.checkpoints_dir / "input_mix_stage2.ckpt"
-    assert f"{ckpt} was trained under another config" in capsys.readouterr().err
+    for overrides in (("mixup.alpha=0.4", "train.stage_epochs=1,1,1"),
+                      ("prior.threshold=0.2",), ("data.shots=2",)):
+        capsys.readouterr()
+        assert tiny_run.voxmix("eval", "--pipeline", "input_mix", *(
+            item for value in overrides for item in ("-o", value))) \
+            == cli.EXIT_USAGE
+        assert (f"{ckpt} was trained under another config"
+                in capsys.readouterr().err), overrides
     assert report.read_bytes() == written
     # Evaluation may change the prior mode, its own settings and which
     # pipeline it reads.

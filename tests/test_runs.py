@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_without
-from voxmix import cli, corpus, nn, runs, trainer
+from voxmix import cli, nn, runs
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -57,24 +57,23 @@ def test_an_interrupted_binvox_save_leaves_the_old_file(tmp_path, monkeypatch,
     interrupted save of it leaves the old one whole."""
     config = ExperimentConfig()
     classes = config.data.classes
-    split = corpus.FewShotSplit(classes, (), {c: (f"{c}_000",) for c in classes},
-                                {})
+    objects = {c: (f"{c}_000",) for c in classes}
     paths = runs.RunPaths(tmp_path)
-    shape = (config.data.vox_dim,) * 3   # the only shape load_priors accepts
+    shape = (config.data.vox_dim,) * 3
     old = np.ones(shape, dtype=bool)
-    runs.save_priors(paths, dict.fromkeys(classes, old), split.train_objects,
-                     config)
+    runs.save_priors(paths, dict.fromkeys(classes, old), objects)
     written = paths.priors_path.read_bytes()
     exc = OSError("disk") if fault == "replace" else KeyboardInterrupt()
     monkeypatch.setattr(runs.os, "replace", _fail_replace(exc))
     new = np.zeros(shape, dtype=bool)
     with pytest.raises(type(exc)):
-        runs.save_priors(paths, dict.fromkeys(classes, new),
-                         split.train_objects, config)
+        runs.save_priors(paths, dict.fromkeys(classes, new), objects)
     monkeypatch.undo()
     assert paths.priors_path.read_bytes() == written
     assert [p.name for p in tmp_path.iterdir()] == ["priors.npz"]
-    assert np.array_equal(runs.load_priors(paths, config, split)["lamp"],
+    _, arrays = runs.read_archive(paths.priors_path, "priors",
+                                  lambda meta: ("priors",))
+    assert np.array_equal(arrays["priors"][classes.index("lamp")][None],
                           np.ones((1, *shape), dtype=np.float32))
 
 
@@ -183,32 +182,17 @@ def test_a_per_tensor_checkpoint_is_rejected(tmp_path):
 
 def test_the_input_hashes_cover_what_their_commands_read_and_no_more():
     config = ExperimentConfig()
-    for make, ignored, read in (
-            (runs.dataset_hash, {"data.shots": "2", "data.novel_classes": "lamp",
-                                 "prior.threshold": "0.2"},
-             ("seed", "data.classes", "data.objects_per_class",
-              "data.poses_per_object", "data.elevations", "data.vox_dim",
-              "data.image_size")),
-            (runs.priors_hash, {"prior.mode": "corrupted"},
-             ("seed", "data.vox_dim", "data.shots", "data.novel_classes",
-              "prior.threshold"))):
-        ignored.update({"model.latent_width": "8", "train.stage_epochs": "1,1,1",
-                        "eval.iou_threshold": "0.5", "run_name": "other"})
-        assert make(apply_assignments(config, ignored)) == make(config)
-        values = {"seed": "5", "data.classes": "box,lamp",
-                  "data.objects_per_class": "4", "data.poses_per_object": "2",
-                  "data.elevations": "10", "data.vox_dim": "8",
-                  "data.image_size": "16", "data.shots": "2",
-                  "data.novel_classes": "lamp", "prior.threshold": "0.2"}
-        for key in read:
-            assert make(apply_assignments(config, {key: values[key]})) \
-                != make(config), key
+    ignored = {"data.shots": "2", "data.novel_classes": "lamp",
+               "prior.threshold": "0.2", "model.latent_width": "8",
+               "train.stage_epochs": "1,1,1", "eval.iou_threshold": "0.5",
+               "run_name": "other"}
+    assert runs.dataset_hash(apply_assignments(config, ignored)) \
+        == runs.dataset_hash(config)
+    read = {"seed": "5", "data.classes": "box,lamp",
+            "data.objects_per_class": "4", "data.poses_per_object": "2",
+            "data.elevations": "10", "data.vox_dim": "8",
+            "data.image_size": "16"}
+    for key, value in read.items():
+        assert runs.dataset_hash(apply_assignments(config, {key: value})) \
+            != runs.dataset_hash(config), key
 
-
-def test_a_split_or_priors_of_another_prior_threshold_are_refused(tiny_run):
-    config = apply_assignments(tiny_run.config, {"prior.threshold": "0.2"})
-    split = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths).split
-    with pytest.raises(runs.MissingArtifactError,
-                       match=r"priors.npz: written under other config "
-                             "settings; run build-priors again"):
-        runs.load_priors(tiny_run.paths, config, split)
