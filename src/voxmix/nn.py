@@ -7,16 +7,17 @@ verification in float64.
 
 The four convolution kernels are two adjoint pairs on one `_gather`
 (strided windows, one tensordot: `conv_forward`, dx of
-`conv_transpose_backward`) and one `_scatter` (one tensordot, one strided
-add per kernel offset: `conv_transpose_forward`, dx of `conv_backward`).
+`conv_transpose_backward`) and one `_scatter` (one tensordot, one add
+per block shift of a phase-major grid, 8 for a 4^3 stride-2 kernel where
+a per-offset loop makes 64: `conv_transpose_forward`, dx of `conv_backward`).
 The first conv of each encoder skips its dx (`input_grad=False`): its
 input is data, so nothing reads that gradient.
 
 Layers take and return (N, C, *S), but inside the kernels the batch axis
 is last, (C, *S, N) (the CHWN layout of cuDNN, arXiv:1410.0759).  The
 spatial extents here are 2-16, so with N first every strided window copy
-and every per-offset add moves runs of 2-4 floats; with N last each run
-is N contiguous floats.  Outputs are `moveaxis` views of batch-last
+and every scatter add moves runs of 2-4 floats; with N last each run
+is N contiguous floats or more.  Outputs are `moveaxis` views of batch-last
 arrays, so the next kernel's batch-last copy reads them in order.
 """
 
@@ -149,20 +150,32 @@ def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     """Adjoint of `_gather`: x (N, C, *S), w (C, Cout, *K).  Each input
     voxel adds w times itself into the K-window at stride * its position
     in a (N, Cout, *full) grid, which is returned with `pad` cropped from
-    every side.  `full` defaults to (S - 1) * stride + K."""
-    kernel = w.shape[2:]
-    in_shape = x.shape[2:]
+    every side.  `full` defaults to (S - 1) * stride + K.
+
+    Offset k = stride * a + p sends input j to phase p of block j + a
+    (arXiv:1609.05158), so on a phase-major grid, (Cout, *(stride,) * rank,
+    *blocks, N), one add per block shift a (8, not 64, for K 4, stride 2 in
+    3-D) sums each voxel in a per-offset loop's order, bit for bit."""
+    kernel, in_shape, rank = w.shape[2:], x.shape[2:], x.ndim - 2
     if full is None:
         full = tuple((s - 1) * stride + k for s, k in zip(in_shape, kernel))
     cols = np.tensordot(w, np.moveaxis(x, 0, -1), axes=([0], [0]))
-    # cols: (Cout, *K, *S, N); the grid is batch-last too.
-    grid = np.zeros((w.shape[1],) + full + (x.shape[0],), dtype=cols.dtype)
-    for idx in np.ndindex(*kernel):
-        sl = tuple(slice(i, i + s * stride, stride)
-                   for i, s in zip(idx, in_shape))
-        grid[(slice(None),) + sl] += cols[(slice(None),) + idx]
+    # cols: (Cout, *K, *S, N)
+    blocks = tuple(-(-f // stride) for f in full)
+    grid = np.zeros((w.shape[1],) + (stride,) * rank + blocks + (x.shape[0],),
+                    dtype=cols.dtype)
+    for shift in np.ndindex(*(-(-k // stride) for k in kernel)):
+        part = cols[(slice(None),) + tuple(slice(stride * a, stride * (a + 1))
+                                            for a in shift)]
+        grid[(slice(None), *map(slice, part.shape[1:1 + rank]),
+              *(slice(a, a + s) for a, s in zip(shift, in_shape)))] += part
+    del cols, part      # freed before the interleave copy allocates
+    # (Cout, *phases, *blocks, N) -> (Cout, block_0, phase_0, ..., N)
+    order = [0, *(i for d in range(1, rank + 1) for i in (rank + d, d)), -1]
+    y = grid.transpose(order).reshape(
+        (w.shape[1],) + tuple(stride * b for b in blocks) + (x.shape[0],))
     inner = tuple(slice(pad, f - pad) for f in full)
-    return np.moveaxis(grid[(slice(None),) + inner], -1, 0)
+    return np.moveaxis(np.ascontiguousarray(y[(slice(None),) + inner]), -1, 0)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -191,7 +204,8 @@ def conv_transpose_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                            stride: int, pad: int):
     """x: (N, Cin, *S); w: (Cin, Cout, *K). Output spatial extent is
     (S - 1) * stride + K - 2 * pad."""
-    y = _scatter(x, w, stride, pad) + b.reshape((1, -1) + (1,) * (x.ndim - 2))
+    y = _scatter(x, w, stride, pad)
+    y += b.reshape((1, -1) + (1,) * (x.ndim - 2))
     return y, (x,)
 
 

@@ -6,7 +6,7 @@ Every experiment lives under one run directory:
     priors.npz             one binary prior per class (build-priors), an
                            inspection output that no command reads
     checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
-    logs/                  <arm>_train.csv
+    logs/                  <arm>_train.csv, pretrain_gt.csv
     reports/               <arm>_iou.csv (each class's IoU and its
                            proximity to the base shapes),
                            <arm>_iou_samples.csv, and cosine and

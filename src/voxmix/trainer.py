@@ -411,18 +411,20 @@ def pretrain_hash(config: ExperimentConfig) -> str:
 def pretrain_gt_encoder(ctx: ExperimentContext
                         ) -> tuple[ParamStore, list[float]]:
     """Pretrain the volume encoder on the training volumes and save it,
-    replacing any earlier checkpoint; returns (parameters, per-epoch mean
-    losses)."""
+    replacing any earlier checkpoint, with its per-epoch mean losses in
+    `logs/pretrain_gt.csv`; returns (parameters, those losses)."""
     config = ctx.config
     volumes = unique_volumes(ctx.train_pool.samples)
     store, history = pretrain_gt(ctx.net, volumes, config.train.pretrain_epochs,
                                  lr=config.train.gt_lr,
                                  batch_size=config.train.pretrain_batch,
                                  seed=config.seed)
-    ctx.paths.checkpoints_dir.mkdir(parents=True, exist_ok=True)
+    ctx.paths.ensure_dirs()
     runs.save_checkpoint(ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT,
                          store, {"role": "gt_autoencoder",
                                  "pretrain_hash": pretrain_hash(config)})
+    runs.write_csv(ctx.paths.logs_dir / "pretrain_gt.csv", ("epoch", "loss"),
+                   enumerate(history))
     return store, history
 
 

@@ -265,6 +265,20 @@ def test_pretrain_gt_with_no_epochs_says_no_pretraining_ran(tiny_run, capsys):
         f"no pretraining ran (train.pretrain_epochs = 0) -> {ckpt}\n"
 
 
+@pytest.mark.parametrize("epochs", [3, 0])
+def test_pretrain_gt_keeps_its_loss_history(tiny_run, capsys, epochs):
+    capsys.readouterr()
+    assert tiny_run.voxmix("pretrain-gt", "-o",
+                           f"train.pretrain_epochs={epochs}") == cli.EXIT_OK
+    with open(tiny_run.paths.logs_dir / "pretrain_gt.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["epoch", "loss"]
+    assert [int(epoch) for epoch, _ in rows] == list(range(epochs))
+    if epochs:
+        assert f"(final loss {float(rows[-1][1]):.4f})" \
+            in capsys.readouterr().out
+
+
 def test_mix_preview_writes_the_stage_two_mix(tiny_run):
     assert tiny_run.voxmix("mix-preview", "--pairs", "3") == cli.EXIT_OK
     config = tiny_run.config

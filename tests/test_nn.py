@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from voxmix import nn, runs
 
@@ -116,7 +117,7 @@ def _reference_gather(x, w, stride, pad):
 
 
 def _reference_scatter(x, w, stride, pad, full):
-    """The per-offset scatter loop nn ran before: x (N, C, *S),
+    """The scatter with one tensordot per kernel offset: x (N, C, *S),
     w (C, Cout, *K), into a (N, Cout, *full) grid cropped by `pad`."""
     grid = np.zeros((x.shape[0], w.shape[1]) + tuple(full), dtype=x.dtype)
     for idx in np.ndindex(*w.shape[2:]):
@@ -201,6 +202,68 @@ def test_conv_kernels_match_the_per_offset_loops(rank, stride, kernel, pad,
                 _assert_close(dw, _reference_kernel_grad(x, dyp, stride,
                                                          wt.shape[2:]), dtype)
                 _assert_close(db, dy.sum(axis=(0,) + spatial), dtype)
+
+
+def _per_offset_scatter(x, w, stride, pad, full=None):
+    """The scatter nn ran before the phase-major grid: the same single
+    tensordot, then one strided add per kernel offset into a batch-last
+    (Cout, *full, N) grid cropped by `pad`."""
+    kernel, in_shape = w.shape[2:], x.shape[2:]
+    if full is None:
+        full = tuple((s - 1) * stride + k for s, k in zip(in_shape, kernel))
+    cols = np.tensordot(w, np.moveaxis(x, 0, -1), axes=([0], [0]))
+    grid = np.zeros((w.shape[1],) + full + (x.shape[0],), dtype=cols.dtype)
+    for idx in np.ndindex(*kernel):
+        sl = tuple(slice(i, i + s * stride, stride)
+                   for i, s in zip(idx, in_shape))
+        grid[(slice(None),) + sl] += cols[(slice(None),) + idx]
+    inner = tuple(slice(pad, f - pad) for f in full)
+    return np.moveaxis(grid[(slice(None),) + inner], -1, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(2, 3), stride=st.integers(1, 3),
+       kernel=st.integers(1, 4), pad=st.integers(0, 1),
+       sizes=st.lists(st.integers(1, 7), min_size=3, max_size=3),
+       n=st.integers(1, 4), dtype=st.sampled_from([np.float32, np.float64]),
+       conv_dx=st.booleans(), seed=st.integers(0, 2 ** 16))
+# conv dx at pad 0 on an input the stride does not divide: the grid must
+# reach full - pad = 6, beyond (S - 1) * stride + K = 5.
+@example(rank=2, stride=2, kernel=3, pad=0, sizes=[6, 6, 1], n=2,
+         dtype=np.float32, conv_dx=True, seed=0)
+def test_the_scatter_equals_the_per_offset_loop_bit_for_bit(
+        rank, stride, kernel, pad, sizes, n, dtype, conv_dx, seed):
+    sizes = tuple(sizes[:rank])
+    if conv_dx:
+        # dx of a conv over inputs of extent `sizes`: `full` is explicit.
+        full = tuple(s + 2 * pad for s in sizes)
+        assume(min(full) >= kernel)
+        in_shape = tuple((f - kernel) // stride + 1 for f in full)
+    else:
+        # a transposed conv: `full` is the default.
+        full, in_shape = None, sizes
+        assume(min((s - 1) * stride + kernel for s in sizes) > 2 * pad)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, 3) + in_shape).astype(dtype)
+    w = rng.standard_normal((3, 2) + (kernel,) * rank).astype(dtype)
+    got = nn._scatter(x, w, stride, pad, full)
+    want = _per_offset_scatter(x, w, stride, pad, full)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rank,stride,kernel,pad", KERNEL_CASES)
+def test_conv_outputs_are_views_of_contiguous_batch_last_arrays(rank, stride,
+                                                                kernel, pad):
+    # What the module docstring promises the next kernel's batch-last copy.
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((3, 2) + (5,) * rank).astype(np.float32)
+    w = rng.standard_normal((4, 2) + (kernel,) * rank).astype(np.float32)
+    b = np.zeros(4, np.float32)
+    y, cache = nn.conv_forward(x, w, b, stride, pad)
+    dx, _, _ = nn.conv_backward(np.ones_like(y), cache, w, stride, pad)
+    yt, _ = nn.conv_transpose_forward(x, np.moveaxis(w, 0, 1), b, stride, pad)
+    for out in (y, dx, yt):
+        assert np.moveaxis(out, 0, -1).flags.c_contiguous
 
 
 def _owner(a):
