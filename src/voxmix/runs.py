@@ -7,13 +7,13 @@ Every experiment lives under one run directory:
                            inspection output that no command reads
     checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
     logs/                  <arm>_train.csv, pretrain_gt.csv
-    reports/               <arm>_iou.csv (each class's IoU and its
-                           proximity to the base shapes),
-                           <arm>_iou_samples.csv, and cosine and
-                           alpha_sweep CSVs;
-                           <pipeline>_predictions.npz (eval --dump-predictions);
-                           mix_preview/pairs.csv and pairs.npz (mix-preview)
-where an arm is a pipeline or, in an alpha sweep, `trainer.arm_name`.
+    reports/               from train and eval: <arm>_iou.csv (each
+                           class's IoU and its proximity to the base
+                           shapes) and <arm>_iou_samples.csv; from eval:
+                           <arm>_cosine.csv and, with --dump-predictions,
+                           <arm>_predictions.npz; mix_preview/pairs.csv
+                           and pairs.npz (tools/mix_preview.py)
+where an arm is a pipeline or, with `--alphas`, `trainer.arm_name`.
 No file that a command reads holds the base/novel few-shot split or the
 class priors: `corpus.make_split` and `corpus.class_priors` derive them
 from the dataset and the config wherever they are needed.
@@ -42,11 +42,10 @@ uncompressed under the name it is given and read by `read_archive`.  Its
     checkpoint   meta: the metadata, "step" and "layout" (the parameter
                  names, their shapes and the slot kinds); params, every
                  parameter, flat float32, in the layout's name order;
-                 slot/<kind>, one optimizer slot kind, in the same layout
+                 slot/<kind>, one optimizer slot kind, in the same layout;
+                 every value finite, or the error names a parameter
     predictions  meta: object_ids, pose_ids, threshold; predictions
                  (N, D, D, D) bool, the binarized query predictions
-    mix preview  meta: {}; images (pairs, 2, H, W), priors and volumes
-                 (pairs, D, D, D), the mixed float32 stacks
 It is read with `allow_pickle=False`.  A file that is not such an archive,
 whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose
@@ -178,6 +177,12 @@ def _read_checkpoint(path) -> tuple[ParamStore, dict]:
     store = ParamStore(layout["names"], layout["shapes"], arrays["params"],
                        slots={kind: arrays[f"slot/{kind}"]
                               for kind in layout["slots"]})
+    for where, views in (("", store.params), *((f"slot {kind!r} of ", views)
+                         for kind, views in store.slots.items())):
+        bad = [name for name, value in views.items()
+               if not np.isfinite(value).all()]
+        if bad:
+            raise ValueError(f"{where}{bad[0]} holds a non-finite value")
     store.step = int(metadata["step"])
     return store, metadata
 

@@ -481,25 +481,30 @@ def arm_name(pipeline: str, alpha: float) -> str:
     return f"{pipeline}_alpha{alpha:g}"
 
 
+def arm_configs(config: ExperimentConfig, pipelines: tuple[str, ...],
+                alphas: tuple[float, ...] = ()) -> dict[str, tuple]:
+    """(pipeline, config) by arm name: `pipelines` under `config`, or with
+    `alphas` each pipeline at each, under that `mixup.alpha`."""
+    if not alphas:
+        return {name: (name, config) for name in pipelines}
+    return {arm_name(name, alpha):
+            (name, replace(config, mixup=replace(config.mixup, alpha=alpha)))
+            for name in pipelines for alpha in alphas}
+
+
 def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
                  pipelines: tuple[str, ...] = tuple(PIPELINES),
                  alphas: tuple[float, ...] = ()) -> dict[str, PipelineResult]:
     """Train every node of the experiment tree once, after pretraining the
-    volume encoder or loading it, and leave each arm's train log, IoU
-    reports and final checkpoint, under the arm's name, in the run
-    directory.  Without `alphas` the arms are `pipelines` under `config`;
-    with them there is one arm `arm_name(pipeline, alpha)` per pipeline
-    and alpha, under `config` with that `mixup.alpha`.  Sharing a prefix of
+    volume encoder or loading it, and leave the train log, IoU reports and
+    final checkpoint of each arm of `arm_configs(config, pipelines,
+    alphas)`, under its name, in the run directory.  Sharing a prefix of
     nodes is bit-identical to training each arm from scratch, because
     every stage draws from its own seeded stream."""
     unknown = [p for p in pipelines if p not in PIPELINES]
     if unknown:
         raise ValueError(f"unknown pipeline {unknown[0]!r}")
-    arms = {name: (name, config) for name in pipelines}
-    if alphas:
-        arms = {arm_name(name, alpha):
-                (name, replace(config, mixup=replace(config.mixup, alpha=alpha)))
-                for name in pipelines for alpha in alphas}
+    arms = arm_configs(config, pipelines, alphas)
     paths.ensure_dirs()
     paths.write_resolved_config(config)
     ctx = ExperimentContext.load(config, paths)

@@ -1,9 +1,11 @@
 """A tiny experiment shared by the trainer and CLI tests: the whole
 pipeline runs in seconds on it."""
 
+import importlib.util
 import shutil
 import struct
 import zipfile
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,7 @@ TINY_OVERRIDES = {
     "model.image_channels": "4,4,4,4", "model.prior_channels": "4,4,4",
     "model.decoder_channels": "4,4,4", "model.latent_width": "16",
     "train.stage_epochs": "2,2,2", "train.pretrain_epochs": "3"}
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 class TinyRun:
@@ -30,19 +33,33 @@ class TinyRun:
         self.config = apply_assignments(ExperimentConfig(run_name="tiny"),
                                         TINY_OVERRIDES)
         self.paths = runs.RunPaths.for_config(self.config, str(root))
+        self.config_file = root / "tiny.cfg"
+
+    def write_config(self):
+        """Write the tiny config to `config_file`, making the root."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        self.config_file.write_text(dump_config(self.config), encoding="utf-8")
 
     def args(self, *extra):
-        return ["--config", str(self.root / "tiny.cfg"),
+        return ["--config", str(self.config_file),
                 "--run-root", str(self.root), *extra]
 
     def voxmix(self, command, *extra):
         return cli.main([command, *self.args(*extra)])
 
+    def mix_preview(self, *extra):
+        """`tools/mix_preview.py`, run in-process."""
+        spec = importlib.util.spec_from_file_location(
+            "mix_preview", TOOLS / "mix_preview.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        return tool.main(self.args(*extra))
+
 
 @pytest.fixture(scope="session")
 def tiny_prepared(tmp_path_factory):
     run = TinyRun(tmp_path_factory.mktemp("tiny"))
-    (run.root / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    run.write_config()
     assert run.voxmix("gen-data") == cli.EXIT_OK
     assert run.voxmix("build-priors") == cli.EXIT_OK
     return run

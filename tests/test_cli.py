@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import TinyRun, flip_last_byte, rewrite_without
-from voxmix import cli, mixup, runs, trainer, verification
-from voxmix.config import ExperimentConfig, apply_assignments, dump_config
+from voxmix import cli, corpus, evaluate, mixup, runs, trainer, verification
+from voxmix.config import ExperimentConfig, apply_assignments
 from voxmix.model import Network
 
 
@@ -80,7 +80,7 @@ def test_a_config_that_sets_a_removed_key_exits_2_naming_the_key(
 def test_a_data_value_gen_data_cannot_honour_exits_2_naming_the_key(
         tmp_path, capsys, overrides):
     run = TinyRun(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    run.write_config()
     capsys.readouterr()
     assert run.voxmix("gen-data", *(item for override in overrides
                                     for item in ("-o", override))) \
@@ -94,7 +94,7 @@ def test_a_data_value_gen_data_cannot_honour_exits_2_naming_the_key(
     (("grad-check", "--probes", "0"), "--probes"),
     (("grad-check", "--tolerance", "inf"), "--tolerance"),
     (("grad-check", "--tolerance", "0"), "--tolerance"),
-    (("mix-preview", "--pairs", "0"), "--pairs"),
+    (("mix_preview", "--pairs", "0"), "--pairs"),
     (("train", "--all", "--pipeline", "base"), "--pipeline")],
     ids=["probes_0", "tolerance_inf", "tolerance_0", "pairs_0",
          "all_and_pipeline"])
@@ -102,8 +102,12 @@ def test_a_flag_value_no_run_can_honour_exits_1_naming_the_flag(
         tiny_run, capsys, argv, flag):
     command, *extra = argv
     capsys.readouterr()
-    code = cli.main([command, *extra]) if command == "grad-check" \
-        else tiny_run.voxmix(command, *extra)
+    if command == "grad-check":
+        code = cli.main([command, *extra])
+    elif command == "mix_preview":
+        code = tiny_run.mix_preview(*extra)
+    else:
+        code = tiny_run.voxmix(command, *extra)
     assert code == cli.EXIT_USAGE
     assert f"error: argument {flag}: " in capsys.readouterr().err
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
@@ -213,7 +217,7 @@ def test_an_input_written_under_other_settings_exits_3_and_names_it(
 def test_set_up_writes_one_archive_for_the_dataset_and_one_for_the_priors(
         tmp_path):
     run = TinyRun(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    run.write_config()
     assert run.voxmix("gen-data") == cli.EXIT_OK
     assert run.voxmix("build-priors") == cli.EXIT_OK
     assert sorted(str(path.relative_to(tmp_path))
@@ -224,7 +228,7 @@ def test_set_up_writes_one_archive_for_the_dataset_and_one_for_the_priors(
 
 def test_training_needs_only_the_dataset_and_writes_no_priors(tmp_path):
     run = TinyRun(tmp_path)
-    (tmp_path / "tiny.cfg").write_text(dump_config(run.config), encoding="utf-8")
+    run.write_config()
     assert run.voxmix("gen-data") == cli.EXIT_OK
     assert run.voxmix("pretrain-gt") == cli.EXIT_OK
     assert run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
@@ -280,7 +284,7 @@ def test_pretrain_gt_keeps_its_loss_history(tiny_run, capsys, epochs):
 
 
 def test_mix_preview_writes_the_stage_two_mix(tiny_run):
-    assert tiny_run.voxmix("mix-preview", "--pairs", "3") == cli.EXIT_OK
+    assert tiny_run.mix_preview("--pairs", "3") == cli.EXIT_OK
     config = tiny_run.config
     pool = trainer.ExperimentContext.load(config, tiny_run.paths).train_pool
     pairs = mixup.pair_batch(3, config.mixup.alpha,
@@ -336,6 +340,37 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     assert metadata["pretrain_hash"] == trainer.pretrain_hash(tiny_run.config)
 
 
+def _set_nan(ckpt, name):
+    """Rewrite the checkpoint at `ckpt` with parameter `name` all NaN."""
+    store, metadata = runs.load_checkpoint(ckpt)
+    store.params[name][...] = np.nan
+    runs.save_checkpoint(ckpt, store, metadata)
+
+
+def test_an_encoder_checkpoint_holding_nan_is_pretrained_again(tiny_run):
+    ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
+    pretrained = ckpt.read_bytes()
+    _set_nan(ckpt, "gt_encoder.conv0.w")
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    assert ckpt.read_bytes() == pretrained
+
+
+def test_eval_of_a_checkpoint_holding_nan_exits_3_and_names_the_parameter(
+        tiny_run, capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "dual_mix") == cli.EXIT_OK
+    reports = sorted(tiny_run.paths.reports_dir.iterdir())
+    written = [path.read_bytes() for path in reports]
+    ckpt = tiny_run.paths.checkpoint_path("dual_mix", 3)
+    _set_nan(ckpt, "image_encoder.conv1.w")
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_MISSING
+    assert (f"missing artifact: {ckpt}: image_encoder.conv1.w holds a "
+            "non-finite value" in capsys.readouterr().err)
+    assert sorted(tiny_run.paths.reports_dir.iterdir()) == reports
+    assert [path.read_bytes() for path in reports] == written
+
+
 @pytest.mark.parametrize("key,value", [
     ("loss.margin", "5"), ("train.stage_epochs", "1,1"),
     ("train.batch_size", "0"), ("train.pretrain_batch", "0"),
@@ -354,17 +389,18 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     # A run directory other than one directory under the run root.
     ("run_name", ""), ("run_name", "."), ("run_name", ".."),
     ("run_name", "a/b"), ("run_name", "a\0b"),
-    # An option, not a config key: `alpha-sweep --alphas=<value>`.  The
-    # last two alphas differ but name one arm.
+    # An option, not a config key: `train --alphas=<value>`.  The last two
+    # alphas differ but name one arm.
     ("--alphas", "x"), ("--alphas", "-1"), ("--alphas", "0"),
     ("--alphas", "inf"), ("--alphas", "0.2,0.2"), ("--alphas", "1,1.0"),
     ("--alphas", "0.4,0.4000001")])
 def test_an_out_of_range_value_exits_2_before_any_work(tiny_run, capsys,
                                                        key, value):
     capsys.readouterr()
-    argv = ("alpha-sweep", f"{key}={value}") if key.startswith("--") \
-        else ("train", "-o", f"{key}={value}", "--pipeline", "dual_mix")
-    assert tiny_run.voxmix(*argv) == cli.EXIT_CONFIG
+    setting = (f"{key}={value}",) if key.startswith("--") \
+        else ("-o", f"{key}={value}")
+    assert tiny_run.voxmix("train", *setting, "--pipeline", "dual_mix") \
+        == cli.EXIT_CONFIG
     assert f"config error: {key}: " in capsys.readouterr().err
     assert not list(tiny_run.paths.checkpoints_dir.glob("*.ckpt"))
 
@@ -397,26 +433,73 @@ def test_a_class_in_neither_class_list_exits_2_before_build_priors_works(
     assert tiny_run.paths.priors_path.read_bytes() == written
 
 
-def test_alpha_sweep_leaves_the_configured_pipelines_files_alone(tiny_run):
+def test_alpha_sweep_leaves_the_configured_pipelines_files_alone(tiny_run,
+                                                                 capsys):
     assert tiny_run.voxmix("train", "--all") == cli.EXIT_OK
     assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_OK
     before = {path: path.read_bytes() for path in tiny_run.root.rglob("*")
               if path.is_file()}
-    assert tiny_run.voxmix("alpha-sweep", "--alphas", "0.4,1.0") == cli.EXIT_OK
+    capsys.readouterr()
+    for pipeline in ("input_mix", "latent_mix"):
+        assert tiny_run.voxmix("train", "--pipeline", pipeline,
+                               "--alphas", "0.4,1.0") == cli.EXIT_OK
     assert {path: path.read_bytes() for path in before} == before
 
-    paths = tiny_run.paths
-    with open(paths.reports_dir / "alpha_sweep.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["alpha"] for row in rows] == ["0.4", "1.0"]
-    for row, alpha in zip(rows, ("0.4", "1")):
-        for pipeline, stage in (("input_mix", 2), ("latent_mix", 3)):
-            arm = f"{pipeline}_alpha{alpha}"
-            assert (paths.checkpoints_dir / f"{arm}_stage{stage}.ckpt").exists()
-            assert (paths.logs_dir / f"{arm}_train.csv").exists()
-            assert (paths.reports_dir / f"{arm}_iou_samples.csv").exists()
-            average = _read_average(paths.reports_dir / f"{arm}_iou.csv")
-            assert row[f"{pipeline}_iou"] == average
+    paths, out = tiny_run.paths, capsys.readouterr().out.splitlines()
+    arms = [f"{pipeline}_alpha{alpha}" for pipeline in ("input_mix", "latent_mix")
+            for alpha in ("0.4", "1")]
+    assert [line.split(":")[0] for line in out] == arms
+    for arm, line in zip(arms, out):
+        stage = 2 if arm.startswith("input_mix") else 3
+        assert (paths.checkpoints_dir / f"{arm}_stage{stage}.ckpt").exists()
+        assert (paths.logs_dir / f"{arm}_train.csv").exists()
+        assert (paths.reports_dir / f"{arm}_iou_samples.csv").exists()
+        average = _read_average(paths.reports_dir / f"{arm}_iou.csv")
+        assert line == f"{arm}: novel average IoU {float(average):.4f}"
+
+
+def test_eval_reads_a_sweep_arm_and_rewrites_its_report(tiny_run, capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "input_mix",
+                           "--alphas", "0.4,1.0") == cli.EXIT_OK
+    report = tiny_run.paths.iou_path("input_mix_alpha0.4")
+    written = report.read_bytes()
+    report.unlink()
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
+                           "--alphas", "0.4") == cli.EXIT_OK
+    assert capsys.readouterr().out.startswith("input_mix_alpha0.4:\n")
+    assert report.read_bytes() == written
+    assert not tiny_run.paths.iou_path("input_mix_alpha1").with_name(
+        "input_mix_alpha1_cosine.csv").exists()
+    # The same parse, and its exit 2, as train's.
+    assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
+                           "--alphas", "1,1.0") == cli.EXIT_CONFIG
+    assert ("config error: --alphas: '1,1.0' names two alphas of one arm name"
+            in capsys.readouterr().err)
+
+
+def test_eval_writes_and_prints_the_cosine_report(tiny_run, capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
+    out = capsys.readouterr().out
+    config = tiny_run.config
+    ctx = trainer.ExperimentContext.load(config, tiny_run.paths)
+    store, _ = runs.load_checkpoint(tiny_run.paths.checkpoint_path("base", 1))
+    expected = evaluate.cosine_report(
+        ctx.net, store, corpus.load_samples(ctx.manifest,
+                                            list(ctx.manifest.records)),
+        ctx.priors_by_class, config.prior.mode, config.data.classes,
+        config.eval.batch_size).rows
+    with open(tiny_run.paths.reports_dir / "base_cosine.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["class", "same_obj_mean", "diff_obj_mean", "same_pairs",
+                      "diff_pairs"]
+    assert rows == [[str(value) for value in row] for row in expected]
+    assert [row[0] for row in expected] == sorted(config.data.classes)
+    for class_id, same, diff, n_same, n_diff in expected:
+        assert (f"{class_id:10s} same-object {same:.4f} ({n_same} pairs)  "
+                f"different-object {diff:.4f} ({n_diff} pairs)") in out
 
 
 def _read_average(path):
@@ -587,11 +670,18 @@ def test_every_subcommand_runs_and_eval_reproduces_the_iou_reports(tiny_run):
     written = {name: (reports / name).read_bytes() for name in names}
     assert tiny_run.voxmix("eval", "--pipeline", "dual_mix") == cli.EXIT_OK
     assert {name: (reports / name).read_bytes() for name in names} == written
-    assert tiny_run.voxmix("analyze-latent") == cli.EXIT_OK
-    assert tiny_run.voxmix("alpha-sweep", "--alphas", "1.0") == cli.EXIT_OK
-    assert tiny_run.voxmix("mix-preview", "--pairs", "2") == cli.EXIT_OK
     assert cli.main(["grad-check", "--probes", "1"]) == cli.EXIT_OK
     assert not list(tiny_run.root.rglob("*.tmp"))
+
+
+def test_voxmix_has_six_commands(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    listed = re.search(r"^  COMMAND\n(.*?)\n\n", capsys.readouterr().out,
+                       re.MULTILINE | re.DOTALL).group(1)
+    assert re.findall(r"^    (\S+)", listed, re.MULTILINE) == [
+        "gen-data", "build-priors", "pretrain-gt", "train", "eval",
+        "grad-check"]
 
 
 def test_grad_check_reports_its_loss_calls_and_seconds(capsys):

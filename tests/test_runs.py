@@ -170,6 +170,20 @@ def test_a_slot_of_another_size_is_rejected(tmp_path):
         runs.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("where,says", [
+    (lambda store: store.params["a.b"], "a.b holds a non-finite value"),
+    (lambda store: store.slots["m"]["a.w"],
+     "slot 'm' of a.w holds a non-finite value")], ids=["params", "slot"])
+def test_a_checkpoint_holding_a_non_finite_value_is_rejected(tmp_path, where,
+                                                             says):
+    path = tmp_path / "model.ckpt"
+    store = _store()
+    where(store)[1] = np.inf
+    runs.save_checkpoint(path, store, {})
+    with pytest.raises(runs.MissingArtifactError, match=f"model.ckpt: {says}"):
+        runs.load_checkpoint(path)
+
+
 def test_a_per_tensor_checkpoint_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     with path.open("wb") as fh:

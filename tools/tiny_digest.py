@@ -3,18 +3,16 @@
 
     python tools/tiny_digest.py SRC ROOT [KEY=VALUE ...]
 
-SRC is the ``src`` directory of the voxmix tree to run (so one copy of this
-script can digest two checkouts), ROOT an empty directory for the run.  The
-chain is gen-data, build-priors, pretrain-gt, train --all, eval
---dump-predictions, analyze-latent, alpha-sweep --alphas 0.4,1.0 and
-mix-preview, on ``tests/conftest.py``'s ``TINY_OVERRIDES``; each KEY=VALUE
-is passed to every command as one more ``-o`` override (``prior.mode=none``
-runs the no-prior chain).  Each archive the chain writes (``*.ckpt`` and
-``*.npz``, the ``eval`` predictions among them) also gets a ``sha256 path
-[arrays]`` line over its arrays alone (every entry but ``meta``), so a
-change that alters only an archive's metadata shows as exactly that.
-Diffing the output of two trees shows whether a change keeps every artifact
-byte-identical.
+SRC is the ``src`` directory of the voxmix tree to run, ROOT an empty
+directory for the run.  The chain is gen-data, build-priors, pretrain-gt,
+train --all, eval --dump-predictions, train --pipeline P --alphas 0.4,1.0
+for P input_mix and latent_mix, and tools/mix_preview.py, on the tiny
+config of ``tests/conftest.py``; each KEY=VALUE is one more ``-o``
+override to every command (``prior.mode=none`` runs the no-prior chain).
+Each archive (``*.ckpt``, ``*.npz``) also gets a ``sha256 path [arrays]``
+line over its arrays alone, every entry but ``meta``, so a change to an
+archive's metadata alone shows as exactly that.  Diffing the output of
+two trees shows whether a change keeps every artifact byte-identical.
 """
 
 import contextlib
@@ -25,8 +23,9 @@ from pathlib import Path
 import numpy as np
 
 CHAIN = (("gen-data",), ("build-priors",), ("pretrain-gt",), ("train", "--all"),
-         ("eval", "--dump-predictions"), ("analyze-latent",),
-         ("alpha-sweep", "--alphas", "0.4,1.0"), ("mix-preview",))
+         ("eval", "--dump-predictions"),
+         *(("train", "--pipeline", pipeline, "--alphas", "0.4,1.0")
+           for pipeline in ("input_mix", "latent_mix")), ("mix_preview",))
 
 
 def array_digest(path: Path) -> str:
@@ -44,21 +43,19 @@ def array_digest(path: Path) -> str:
 def main(src: str, root: str, *overrides: str) -> int:
     sys.path[:0] = [src, str(Path(__file__).resolve().parents[1] / "tests")]
     from conftest import TinyRun
-    from voxmix.config import dump_config
 
     run = TinyRun(Path(root).resolve())
-    run.root.mkdir(parents=True, exist_ok=True)
-    config_file = run.root / "tiny.cfg"
-    config_file.write_text(dump_config(run.config), encoding="utf-8")
+    run.write_config()
     options = [item for override in overrides for item in ("-o", override)]
     for command, *extra in CHAIN:
         with contextlib.redirect_stdout(sys.stderr):
-            code = run.voxmix(command, *extra, *options)
+            code = run.mix_preview(*extra, *options) if command == "mix_preview" \
+                else run.voxmix(command, *extra, *options)
         if code != 0:
             print(f"{command} exited {code}", file=sys.stderr)
             return code
     for path in sorted(p for p in run.root.rglob("*")
-                       if p.is_file() and p != config_file):
+                       if p.is_file() and p != run.config_file):
         name = path.relative_to(run.root)
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
         if path.suffix in (".ckpt", ".npz"):
