@@ -1,16 +1,16 @@
 """Reconstruction and embedding-alignment losses.
 
-Reconstruction compares a real-valued predicted occupancy grid against a
-(possibly soft) target grid with voxel-mean binary cross-entropy, on
-predictions clamped into [CLAMP_EPS, 1 - CLAMP_EPS].  The alignment loss
+Reconstruction compares the decoder's logits against a (possibly soft)
+target occupancy grid with voxel-mean binary cross-entropy, computed from
+the logits themselves, so no prediction is clamped.  The alignment loss
 pulls a fused image+prior latent toward the embedding of its own
 ground-truth volume (cosine term) while keeping it further from a
 different object's embedding than a margin (triplet term).
 
 Each loss is one function that returns its value together with its
-analytic gradient, computed from the same clamped predictions and
-cosines; the test suite and `voxmix grad-check` check the gradients
-against finite differences.  Inputs are numpy arrays.
+analytic gradient, computed from the same logits and cosines; the test
+suite and `voxmix grad-check` check the gradients against finite
+differences.  Inputs are numpy arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-CLAMP_EPS = 1e-7
+from .nn import sigmoid
 
 # How close the hinge of an unmasked row came to its kink at zero in the
 # last align_loss call; the verification harness reads it.
@@ -51,20 +51,20 @@ class LossBreakdown:
 
 
 # ---------------------------------------------------------------------------
-# Reconstruction loss: (voxel-mean value, d value / d pred)
+# Reconstruction loss: (voxel-mean value, d value / d logits)
 # ---------------------------------------------------------------------------
 
-def bce_loss(pred, target) -> tuple[float, np.ndarray]:
-    """Voxel-mean binary cross-entropy; accepts soft targets in [0, 1].  The
-    gradient is zero where the clamp is active, matching the computed
-    function exactly."""
-    p, t = np.asarray(pred), np.asarray(target)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    pc = np.clip(p, CLAMP_EPS, 1.0 - CLAMP_EPS)
-    value = float(-np.mean(t * np.log(pc) + (1.0 - t) * np.log1p(-pc)))
-    grad = (pc - t) / (pc * (1.0 - pc)) / p.size
-    return value, np.where((p > CLAMP_EPS) & (p < 1.0 - CLAMP_EPS), grad, 0.0)
+def bce_loss(logits, target) -> tuple[float, np.ndarray]:
+    """Voxel-mean binary cross-entropy of sigmoid(z) against soft or hard
+    targets t, from logits z: mean(softplus(z) - t * z), with gradient
+    (sigmoid(z) - t) / n in z's dtype.  softplus(z) is max(z, 0) +
+    log1p(exp(-|z|)): it never overflows, and is faster than np.logaddexp."""
+    z, t = np.asarray(logits), np.asarray(target)
+    if z.shape != t.shape:
+        raise ValueError(f"shape mismatch: {z.shape} vs {t.shape}")
+    softplus = np.maximum(z, 0) + np.log1p(np.exp(-np.abs(z)))
+    return float(np.mean(softplus - t * z)), \
+        ((sigmoid(z) - t) / z.size).astype(z.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------

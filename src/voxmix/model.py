@@ -2,7 +2,7 @@
 the auxiliary ground-truth volume encoder used by the alignment loss.
 
 Every encoder is a (conv stack, head) pair from `_encoder`; every decoder
-ends in a Reshape to (D, D, D).  The variants differ only in the aux head,
+outputs (D, D, D) logits.  The variants differ only in the aux head,
 whose latent the merger fuses with the image latent: the "prior" variant
 encodes a class shape prior with a 3-D encoder, the "no_prior" variant
 global-average-pools the image features and projects them (`pool_proj.fc`)
@@ -25,7 +25,7 @@ import numpy as np
 
 from .nn import (Conv2d, Conv3d, ConvTranspose3d, Dense, Flatten,
                  GlobalAvgPool2d, ParamStore, ReLU, Reshape, Sequential,
-                 Sigmoid, TRAIN_DTYPE)
+                 TRAIN_DTYPE, sigmoid)
 
 VARIANTS = ("prior", "no_prior")
 
@@ -94,17 +94,16 @@ def _encoder(prefix: str, rank: int, c_in: int, side: int,
 def _decoder(prefix: str, channels: tuple[int, ...], vox_dim: int,
              width: int) -> Sequential:
     """A Dense `{prefix}.fc` from `width` to a (channels[0], base^3) grid, one
-    stride-2 transposed conv per channel count (the last to one channel,
-    then a sigmoid), and a Reshape to (D, D, D)."""
+    stride-2 transposed conv per channel count, each but the last followed by
+    a ReLU, the last to one channel of logits, and a Reshape to (D, D, D)."""
     base = vox_dim // 2 ** len(channels)
     layers: list = [Dense(f"{prefix}.fc", width, channels[0] * base ** 3),
                     ReLU(), Reshape((channels[0], base, base, base))]
     for k, (c_in, c_out) in enumerate(zip(channels, channels[1:] + (1,)),
                                       start=1):
         layers += [ConvTranspose3d(f"{prefix}.up{k}", c_in, c_out, 4, stride=2,
-                                   pad=1),
-                   ReLU() if k < len(channels) else Sigmoid()]
-    return Sequential(layers + [Reshape((vox_dim,) * 3)])
+                                   pad=1), ReLU()]
+    return Sequential(layers[:-1] + [Reshape((vox_dim,) * 3)])
 
 
 def _input(batch: np.ndarray, sample_shape: tuple[int, ...], what: str,
@@ -267,9 +266,9 @@ class Network:
 
     def forward(self, images: np.ndarray, priors: PriorBatch | None,
                 store: ParamStore) -> np.ndarray:
-        """(n, D, D, D): the predicted occupancy of each sample, strictly
-        inside (0, 1); `images` and `priors` as in `encode`."""
-        return self.decode(self.encode(images, priors, store), store)
+        """(n, D, D, D): each sample's predicted occupancy in [0, 1], the
+        sigmoid of the decoder's logits; `images`, `priors` as in `encode`."""
+        return sigmoid(self.decode(self.encode(images, priors, store), store))
 
     def decode_backward(self, d_pred: np.ndarray, store: ParamStore) -> np.ndarray:
         return self.decoder.backward(d_pred, store)

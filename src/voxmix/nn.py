@@ -1,9 +1,9 @@
 """Minimal differentiable-kernel stack on dense numpy arrays.
 
 Every layer implements an explicit analytic backward pass; there is no
-tape.  The network here is small and fixed, and explicit backwards keep
-the gradient-check surface enumerable.  Training runs in float32,
-verification in float64.
+tape: the network is small and fixed, and explicit backwards keep the
+gradient-check surface enumerable.  Training runs in float32, verification
+in float64.  The decoder outputs logits; `sigmoid` maps them to [0, 1].
 
 The four convolution kernels are two adjoint pairs on one `_gather`
 (strided windows, one tensordot: `conv_forward`, dx of
@@ -33,11 +33,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 TRAIN_DTYPE = np.float32
-
-# Sigmoid outputs are clipped into (0, 1) by this margin; the backward pass
-# reports zero gradient for clipped units so analytic and finite-difference
-# derivatives agree.
-SIGMOID_CLIP = 1e-7
 
 
 class NumericError(RuntimeError):
@@ -365,18 +360,10 @@ class ReLU(Layer):
         return np.where(self._mask, dy, 0)
 
 
-class Sigmoid(Layer):
-    def forward(self, x, store):
-        with np.errstate(over="ignore"):
-            s = 1.0 / (1.0 + np.exp(-x))
-        lo = x.dtype.type(SIGMOID_CLIP)
-        hi = x.dtype.type(1.0 - SIGMOID_CLIP)
-        self._inside = (s > lo) & (s < hi)
-        self._out = np.clip(s, lo, hi)
-        return self._out
-
-    def backward(self, dy, store):
-        return np.where(self._inside, dy * self._out * (1.0 - self._out), 0)
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) in z's dtype; exactly 0 where exp(-z) overflows."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 class Flatten(Layer):

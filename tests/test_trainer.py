@@ -128,13 +128,20 @@ def test_stage_step_rejects_an_unknown_stage(stage):
                            trainer.stream_rng(0, 1))
 
 
-def test_pipeline_fragments_check_the_training_step():
-    fragments = verification.pipeline_fragments(0)
-    assert [name for name, *_ in fragments] == [
-        "pipeline_prior_bce", "pipeline_no_prior_bce", "pipeline_input_mix",
-        "pipeline_latent_mix"]
-    for name, fn, arrays in fragments:
-        report = nn.grad_check(fn, arrays, 1e-4, probes=1)
+@pytest.mark.parametrize("seed", range(11))
+def test_pipeline_fragments_check_the_training_step(seed):
+    # The benchmark's grad_check pairs run seeds 0-10, each at the workload's
+    # probe count and tolerance; any fragment failing there fails the pair.
+    bench = {name: ast.literal_eval(value)
+             for name, value in _assignments(VOXBENCH / "workloads.py").items()
+             if name in ("GRAD_CHECK_PROBES", "GRAD_CHECK_TOLERANCE")}
+    fragments = verification.standard_fragments(seed)
+    assert [name for name, *_ in fragments if name.startswith("pipeline_")] \
+        == ["pipeline_prior_bce", "pipeline_no_prior_bce", "pipeline_input_mix",
+            "pipeline_latent_mix"]
+    for name, fn, arrays, step in fragments:
+        report = nn.grad_check(fn, arrays, bench["GRAD_CHECK_TOLERANCE"],
+                               bench["GRAD_CHECK_PROBES"], step=step)
         assert report.passed, \
             f"{name}: {report.max_rel_error:.3e} at {report.worst_name}"
 
