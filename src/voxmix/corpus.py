@@ -119,7 +119,7 @@ def build_dataset(classes: Sequence[str], objects_per_class: int,
         for index in range(objects_per_class):
             object_id = f"{class_id}_{index:03d}"
             params = _object_params(seed, class_id, index, arity)
-            spec = shapes.ShapeSpec(class_id, class_id, params)
+            spec = shapes.ShapeSpec(class_id, params)
             grid = volumes[object_id] = shapes.voxelize(spec, vox_dim)
             for pose_id, azimuth in enumerate(azimuths):
                 elevation = elevations[pose_id % len(elevations)]
@@ -203,14 +203,3 @@ def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> Sample
                         [rec.class_id for rec in records],
                         [rec.pose_id for rec in records], images,
                         volumes[:, None].astype(np.float32))
-
-
-def load_object_volumes(manifest: DatasetManifest,
-                        object_ids: Sequence[str]) -> dict[str, np.ndarray]:
-    """The (D, D, D) bool volumes of `object_ids`, in manifest order."""
-    wanted = set(object_ids)
-    missing = wanted - set(manifest.volumes)
-    if missing:
-        raise ValueError(f"volumes missing for objects: {sorted(missing)}")
-    return {obj: volume for obj, volume in manifest.volumes.items()
-            if obj in wanted}

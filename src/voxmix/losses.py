@@ -5,7 +5,9 @@ target occupancy grid with voxel-mean binary cross-entropy, computed from
 the logits themselves, so no prediction is clamped.  The alignment loss
 pulls a fused image+prior latent toward the embedding of its own
 ground-truth volume (cosine term) while keeping it further from a
-different object's embedding than a margin (triplet term).
+different object's embedding than a margin (triplet term).  A row whose
+triplet is masked off keeps only the cosine term: rows with no valid
+negative, and every row of a latent-mixed batch.
 
 Each loss is one function that returns its value together with its
 analytic gradient, computed from the same logits and cosines; the test
@@ -68,7 +70,7 @@ def bce_loss(logits, target) -> tuple[float, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Latent alignment losses
+# Latent alignment loss
 # ---------------------------------------------------------------------------
 
 def _as_batch(v) -> np.ndarray:
@@ -102,8 +104,10 @@ def align_loss(fused, pos, neg, margin: float = 0.1, triplet_mask=None):
     mean sim to negative, (d loss/d fused, d loss/d pos, d loss/d neg)).
 
     Per row: max(sim_neg - sim_pos + margin, 0) + 1 - sim_pos, averaged
-    over the batch.  `triplet_mask` (bool per row) disables the triplet
-    term where no valid negative exists.
+    over the batch.  `triplet_mask` (one value per row, default all on)
+    switches the triplet term off where it is zero: such a row adds only
+    1 - sim_pos, and zero gradient to `neg`.  The reported sim to negative
+    is the mean over the rows whose triplet is on, 0.0 if there are none.
     """
     global last_hinge_margin
     f = _as_batch(fused)
@@ -112,9 +116,9 @@ def align_loss(fused, pos, neg, margin: float = 0.1, triplet_mask=None):
     rows = f.shape[0]
     mask = np.ones(rows) if triplet_mask is None else \
         np.asarray(triplet_mask, dtype=np.float64)
+    on = mask != 0
     hinge = sim_neg - sim_pos + margin
-    last_hinge_margin = float(np.min(np.abs(hinge[mask != 0]),
-                                     initial=np.inf))
+    last_hinge_margin = float(np.min(np.abs(hinge[on]), initial=np.inf))
     triplet = np.maximum(hinge, 0.0) * mask.astype(f.dtype)
     loss = float(np.mean(triplet + 1.0 - sim_pos))
     active = ((hinge > 0.0) * mask)[:, None]
@@ -124,17 +128,8 @@ def align_loss(fused, pos, neg, margin: float = 0.1, triplet_mask=None):
     d_fused = coeff_pos * dp_f + coeff_neg * dn_f
     grads = (d_fused.astype(f.dtype), (coeff_pos * dp_p).astype(f.dtype),
              (coeff_neg * dn_n).astype(f.dtype))
-    return loss, float(np.mean(sim_pos)), float(np.mean(sim_neg)), grads
-
-
-def align_loss_no_triplet(fused, pos):
-    """Cosine-only alignment used once pairing identities get ambiguous:
-    mean of 1 - cos(fused, pos); returns (loss, (d loss/d fused,
-    d loss/d pos))."""
-    sim, d_f, d_p = _cosine_grads(fused, pos)
-    rows, dtype = d_f.shape[0], d_f.dtype
-    return float(np.mean(1.0 - sim)), ((-d_f / rows).astype(dtype),
-                                       (-d_p / rows).astype(dtype))
+    mean_neg = float(np.mean(sim_neg[on])) if on.any() else 0.0
+    return loss, float(np.mean(sim_pos)), mean_neg, grads
 
 
 def combined_loss(recon: float, align: float, sim_pos: float, sim_neg: float,

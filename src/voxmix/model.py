@@ -23,9 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .nn import (Conv2d, Conv3d, ConvTranspose3d, Dense, Flatten,
-                 GlobalAvgPool2d, ParamStore, ReLU, Reshape, Sequential,
-                 TRAIN_DTYPE, sigmoid)
+from .nn import (Conv2d, Conv3d, ConvTranspose3d, Dense, GlobalAvgPool2d,
+                 ParamStore, ReLU, Reshape, Sequential, TRAIN_DTYPE, sigmoid)
 
 VARIANTS = ("prior", "no_prior")
 
@@ -86,8 +85,8 @@ def _encoder(prefix: str, rank: int, c_in: int, side: int,
                         input_grad=k > 0), ReLU()]
         c_in = c_out
     side //= 2 ** len(channels)
-    head = Sequential([Flatten(), Dense(f"{prefix}.fc", c_in * side ** rank,
-                                        width)])
+    head = Sequential([Reshape((-1,)), Dense(f"{prefix}.fc",
+                                             c_in * side ** rank, width)])
     return Sequential(layers), head
 
 
@@ -270,8 +269,8 @@ class Network:
         sigmoid of the decoder's logits; `images`, `priors` as in `encode`."""
         return sigmoid(self.decode(self.encode(images, priors, store), store))
 
-    def decode_backward(self, d_pred: np.ndarray, store: ParamStore) -> np.ndarray:
-        return self.decoder.backward(d_pred, store)
+    def decode_backward(self, d_logits: np.ndarray, store: ParamStore) -> np.ndarray:
+        return self.decoder.backward(d_logits, store)
 
     def encode_backward(self, d_fused: np.ndarray, store: ParamStore) -> None:
         width = self.config.latent_width
@@ -309,5 +308,5 @@ class Network:
     def gt_autoencode(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
         return self.gt_decoder.forward(self.encode_gt(volumes, store), store)
 
-    def gt_autoencode_backward(self, d_pred: np.ndarray, store: ParamStore) -> None:
-        self.encode_gt_backward(self.gt_decoder.backward(d_pred, store), store)
+    def gt_autoencode_backward(self, d_logits: np.ndarray, store: ParamStore) -> None:
+        self.encode_gt_backward(self.gt_decoder.backward(d_logits, store), store)

@@ -366,15 +366,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-class Flatten(Layer):
-    def forward(self, x, store):
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy, store):
-        return dy.reshape(self._shape)
-
-
 class Reshape(Layer):
     """Reshape each sample to a fixed per-sample shape."""
 

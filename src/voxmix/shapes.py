@@ -147,7 +147,6 @@ def param_count(archetype: str) -> int:
 class ShapeSpec:
     """One shape instance: an archetype plus its ratio parameters."""
 
-    class_id: str
     archetype: str
     params: tuple[float, ...]
 

@@ -31,8 +31,7 @@ from . import evaluate, losses, mixup, runs, voxel
 from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
-                     class_priors, load_object_volumes, load_samples,
-                     make_split)
+                     class_priors, load_samples, make_split)
 from .model import Network, NetworkConfig, PriorBatch
 from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
@@ -122,9 +121,9 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
         epoch_losses = []
         for start in range(0, n, batch_size):
             batch = volumes[order[start:start + batch_size]]
-            recon = net.gt_autoencode(batch, store)
-            value, d_recon = losses.bce_loss(recon, batch[:, 0])
-            net.gt_autoencode_backward(d_recon, store)
+            logits = net.gt_autoencode(batch, store)
+            value, d_logits = losses.bce_loss(logits, batch[:, 0])
+            net.gt_autoencode_backward(d_logits, store)
             opt.step()
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
@@ -179,9 +178,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     The stages differ only in where the batch is mixed: nowhere (stage 1),
     in the inputs (stage 2: images, volumes and each sample's prior grid,
     so the mixed batch has one prior grid per sample), or in the fused and
-    volume latents (stage 3),
-    where the alignment is cosine-only (mixed rows have no one identity to
-    contrast) and `mixup.apply_pairs_backward` unmixes the latent gradients.
+    volume latents (stage 3), where the triplet is masked off (mixed rows
+    have no one identity to contrast) and `mixup.apply_pairs_backward`
+    unmixes the latent gradients.
     Returns the loss breakdown and `backward`, which replaces `store.grads`
     with the gradient of that loss and returns them; run it before the
     network's next forward pass, which overwrites the layer caches it reads,
@@ -213,26 +212,25 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
         latent_plan = mixup.pair_batch(n, alpha, rng)
         e_fused, vol_latent, volumes = (mixup.apply_pairs(x, latent_plan)
                                         for x in (e_fused, vol_latent, volumes))
-    pred = net.decode(e_fused, store)
+    logits = net.decode(e_fused, store)
 
-    recon, d_pred = losses.bce_loss(pred, volumes[:, 0])
-    w_align = lcfg.w_align
-    if latent_plan is not None:
-        align, (d_fused, d_vol_latent) = losses.align_loss_no_triplet(
-            e_fused, vol_latent)
-        sim_pos, sim_neg = 1.0 - align, 0.0
-        d_vol_latent = mixup.apply_pairs_backward(w_align * d_vol_latent, latent_plan)
-    else:
+    recon, d_logits = losses.bce_loss(logits, volumes[:, 0])
+    if latent_plan is None:
         neg_idx, mask = _negative_indices(object_ids, n, rng)
-        align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
-            e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
-        d_vol_latent = w_align * d_pos
-        np.add.at(d_vol_latent, neg_idx, w_align * d_neg)
+    else:
+        neg_idx, mask = np.arange(n), np.zeros(n)
+    align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
+        e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
+    w_align = lcfg.w_align
+    d_vol_latent = w_align * d_pos
+    np.add.at(d_vol_latent, neg_idx, w_align * d_neg)
+    if latent_plan is not None:
+        d_vol_latent = mixup.apply_pairs_backward(d_vol_latent, latent_plan)
 
     def backward() -> Mapping:
         store.zero_grads()
-        d_mixed = w_align * d_fused + net.decode_backward(lcfg.w_recon * d_pred,
-                                                          store)
+        d_mixed = w_align * d_fused + net.decode_backward(
+            lcfg.w_recon * d_logits, store)
         if latent_plan is not None:
             d_mixed = mixup.apply_pairs_backward(d_mixed, latent_plan)
         net.encode_backward(d_mixed, store)
@@ -380,16 +378,13 @@ class ExperimentContext:
     def proximity(self) -> dict[str, float]:
         """`voxel.proximity` of every novel class's volumes, its shots and
         its query objects, against the base classes' training volumes."""
-        split = self.split
-
-        def volumes(objects):
-            return load_object_volumes(self.manifest, objects).values()
-
+        split, volumes = self.split, self.manifest.volumes
+        by_class = self.manifest.objects_by_class()
         return voxel.proximity(
-            [(c, grid) for c in split.novel_classes for grid in volumes(
-                split.train_objects[c] + split.query_objects[c])],
-            [grid for c in split.base_classes
-             for grid in volumes(split.train_objects[c])])
+            [(c, volumes[obj]) for c in split.novel_classes
+             for obj in by_class[c]],
+            [volumes[obj] for c in split.base_classes
+             for obj in split.train_objects[c]])
 
 
 GT_ENCODER_CHECKPOINT = "gt_encoder.ckpt"

@@ -85,7 +85,6 @@ def layer_fragments(seed: int = 0):
     add("conv_transpose3d", nn.ConvTranspose3d("f", 3, 2, 4, stride=2, pad=1),
         _signed_uniform(rng, (2, 3, 3, 3, 3)))
     add("relu", nn.ReLU(), _signed_uniform(rng, (4, 7)))
-    add("flatten", nn.Flatten(), _signed_uniform(rng, (3, 2, 4)))
     add("reshape", nn.Reshape((2, 2)), _signed_uniform(rng, (3, 4)))
     add("global_avg_pool2d", nn.GlobalAvgPool2d(),
         _signed_uniform(rng, (3, 2, 4, 4)))
@@ -115,16 +114,7 @@ def loss_fragments(seed: int = 0):
         return value, lambda: {"fused": d_f, "pos": d_p, "neg": d_n}
 
     fragments.append(("align_loss", align_fn,
-                      {"fused": fused.copy(), "pos": pos.copy(),
-                       "neg": neg.copy()}))
-
-    def align_nt_fn(arrs):
-        value, (d_f, d_p) = losses.align_loss_no_triplet(arrs["fused"],
-                                                         arrs["pos"])
-        return value, lambda: {"fused": d_f, "pos": d_p}
-
-    fragments.append(("align_loss_no_triplet", align_nt_fn,
-                      {"fused": fused.copy(), "pos": pos.copy()}))
+                      {"fused": fused, "pos": pos, "neg": neg}))
     return fragments
 
 

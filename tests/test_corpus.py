@@ -85,7 +85,7 @@ def _grid(rec):
     params = corpus._object_params(BUILD["seed"], rec.class_id,
                                    int(rec.object_id.rsplit("_", 1)[1]),
                                    shapes.param_count(rec.class_id))
-    return shapes.voxelize(shapes.ShapeSpec(rec.class_id, rec.class_id, params),
+    return shapes.voxelize(shapes.ShapeSpec(rec.class_id, params),
                            BUILD["vox_dim"])
 
 

@@ -122,14 +122,41 @@ def test_align_zero_norm_rejected():
         losses.align_loss(np.zeros(4), np.ones(4), np.ones(4))
 
 
+def _no_triplet(fused, pos, neg):
+    """align_loss with every row's triplet masked off."""
+    return losses.align_loss(fused, pos, neg, 0.1,
+                             triplet_mask=np.zeros(np.atleast_2d(fused).shape[0]))
+
+
 def test_align_no_triplet_cases():
     v = np.array([0.3, -0.7, 2.0])
-    assert losses.align_loss_no_triplet(v, 2.5 * v)[0] \
-        == pytest.approx(0.0, abs=1e-12)
+    assert _no_triplet(v, 2.5 * v, -v)[0] == pytest.approx(0.0, abs=1e-12)
     a = np.array([1.0, 0.0])
     b = np.array([0.0, 1.0])
-    assert losses.align_loss_no_triplet(a, b)[0] == pytest.approx(1.0)
-    assert losses.align_loss_no_triplet(a, -a)[0] == pytest.approx(2.0)
+    assert _no_triplet(a, b, a)[0] == pytest.approx(1.0)
+    assert _no_triplet(a, -a, a)[0] == pytest.approx(2.0)
+    rng = np.random.default_rng(4)
+    fused, pos, neg = (rng.standard_normal((5, 6)) for _ in range(3))
+    value, _, sim_neg, (_, _, d_neg) = _no_triplet(fused, pos, neg)
+    # Exactly the cosine term: mean(1 - cos), no triplet, no negative.
+    assert value == float(np.mean(1.0 - losses._cosine_grads(fused, pos)[0]))
+    assert sim_neg == 0.0
+    assert not d_neg.any()
+
+
+def test_align_sim_neg_averages_the_unmasked_rows_only():
+    fused = np.eye(3)
+    pos = np.ones((3, 3))
+    neg = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    # Row cosines to the negative: 1/sqrt(2), 1 and 1.
+    sims = [1.0 / math.sqrt(2.0), 1.0, 1.0]
+    full = losses.align_loss(fused, pos, neg, 0.1)[2]
+    assert full == pytest.approx(np.mean(sims))
+    partial = losses.align_loss(fused, pos, neg, 0.1, [1.0, 0.0, 0.0])[2]
+    assert partial == pytest.approx(sims[0])
+    assert losses.align_loss(fused, pos, neg, 0.1, [0.0, 1.0, 1.0])[2] \
+        == pytest.approx(1.0)
+    assert losses.align_loss(fused, pos, neg, 0.1, np.zeros(3))[2] == 0.0
 
 
 def test_align_batch_reduction_is_mean():
@@ -239,8 +266,9 @@ def test_align_no_triplet_grads_match_fd():
     rng = np.random.default_rng(6)
     fused = rng.standard_normal((2, 5))
     pos = rng.standard_normal((2, 5))
-    d_f, d_p = losses.align_loss_no_triplet(fused, pos)[1]
-    for arr, grad in ((fused, d_f), (pos, d_p)):
-        fd = _central_diff(
-            lambda: losses.align_loss_no_triplet(fused, pos)[0], arr)
+    neg = rng.standard_normal((2, 5))
+    d_f, d_p, d_n = _no_triplet(fused, pos, neg)[3]
+    for arr, grad in ((fused, d_f), (pos, d_p), (neg, d_n)):
+        fd = _central_diff(lambda: _no_triplet(fused, pos, neg)[0], arr)
         assert np.allclose(grad, fd, atol=1e-7)
+    assert not d_n.any()

@@ -29,7 +29,7 @@ def batch(n=3, seed=1, cfg=CFG):
     return images, PriorBatch(grids, np.arange(n)), volumes
 
 
-def test_forward_shapes_and_open_interval():
+def test_forward_shapes_and_closed_interval():
     net, store = make()
     images, priors, _ = batch()
     prediction = net.forward(images, priors, store)
@@ -156,7 +156,7 @@ def test_skipping_the_first_convs_input_gradient_keeps_every_gradient():
                    net.gt_conv.layers[0]]
     assert [conv.input_grad for conv in first_convs] == [False] * 3
     rng = np.random.default_rng(4)
-    d_pred = rng.standard_normal((3, 16, 16, 16)).astype(np.float32)
+    d_logits = rng.standard_normal((3, 16, 16, 16)).astype(np.float32)
     d_fused = rng.standard_normal((3, 32)).astype(np.float32)
     d_latent = rng.standard_normal((3, 32)).astype(np.float32)
     grads = []
@@ -165,7 +165,7 @@ def test_skipping_the_first_convs_input_gradient_keeps_every_gradient():
             conv.input_grad = input_grad
         store.zero_grads()
         net.forward(images, priors, store)
-        net.encode_backward(net.decode_backward(d_pred, store) + d_fused,
+        net.encode_backward(net.decode_backward(d_logits, store) + d_fused,
                             store)
         net.encode_gt(volumes, store)
         net.encode_gt_backward(d_latent, store)
@@ -219,13 +219,13 @@ def test_prior_encoder_gradients_of_a_shared_prior_match_the_per_sample_layout()
     net, store = make(seed=7)
     n = 7
     images, _, _ = batch(n=n, seed=8)
-    d_pred = np.random.default_rng(9).standard_normal(
+    d_logits = np.random.default_rng(9).standard_normal(
         (n,) + (CFG.vox_dim,) * 3).astype(np.float32)
     grads = []
     for priors in shared_and_per_sample(n, seed=10):
         store.zero_grads()
         net.forward(images, priors, store)
-        net.encode_backward(net.decode_backward(d_pred, store), store)
+        net.encode_backward(net.decode_backward(d_logits, store), store)
         grads.append({name: grad.copy() for name, grad in store.grads.items()
                       if name.startswith("prior_encoder.")})
     shared, per_sample = grads

@@ -10,7 +10,7 @@ from voxmix.shapes import ARCHETYPE_NAMES, ShapeSpec, param_count, voxelize
 # ---------------------------------------------------------------------------
 
 def test_full_box_is_solid_block_with_margin():
-    grid = voxelize(ShapeSpec("box", "box", (1.0, 1.0, 1.0)), 16)
+    grid = voxelize(ShapeSpec("box", (1.0, 1.0, 1.0)), 16)
     assert grid.dtype == bool and grid.shape == (16, 16, 16)
     inner = grid[1:15, 1:15, 1:15]
     assert inner.all()
@@ -19,7 +19,7 @@ def test_full_box_is_solid_block_with_margin():
 
 
 def test_voxelize_is_deterministic():
-    spec = ShapeSpec("chair", "chair", (0.3, 0.7, 0.2, 0.9))
+    spec = ShapeSpec("chair", (0.3, 0.7, 0.2, 0.9))
     a = voxelize(spec, 16)
     b = voxelize(spec, 16)
     assert np.array_equal(a, b)
@@ -29,7 +29,7 @@ def test_table_matches_constructive_oracle():
     # Loop-based re-derivation of the table archetype at dim 16.
     p = (0.4, 0.8, 0.6)
     dim = 16
-    grid = voxelize(ShapeSpec("table", "table", p), dim)
+    grid = voxelize(ShapeSpec("table", p), dim)
 
     full = dim - 2
     quarter = full // 4
@@ -56,19 +56,19 @@ def test_occupancy_bounds_across_parameter_space(archetype, dim):
     rng = np.random.default_rng(hash(archetype) % 2 ** 32)
     arity = param_count(archetype)
     for corner in ([0.0] * arity, [1.0] * arity):
-        grid = voxelize(ShapeSpec(archetype, archetype, tuple(corner)), dim)
+        grid = voxelize(ShapeSpec(archetype, tuple(corner)), dim)
         assert 0.0 < grid.mean() < 0.9
     for _ in range(10):
         params = tuple(rng.uniform(0, 1, arity))
-        grid = voxelize(ShapeSpec(archetype, archetype, params), dim)
+        grid = voxelize(ShapeSpec(archetype, params), dim)
         assert 0.0 < grid.mean() < 0.9
 
 
 def test_bad_params_rejected():
     with pytest.raises(ValueError):
-        ShapeSpec("box", "box", (0.5, 0.5))
+        ShapeSpec("box", (0.5, 0.5))
     with pytest.raises(ValueError):
-        ShapeSpec("box", "box", (0.5, 0.5, 1.5))
+        ShapeSpec("box", (0.5, 0.5, 1.5))
     with pytest.raises(ValueError):
         param_count("pyramid")
 
@@ -85,7 +85,7 @@ def test_empty_volume_renders_black():
 
 
 def test_asymmetric_shape_depends_on_azimuth():
-    grid = voxelize(ShapeSpec("chair", "chair", (0.5, 0.5, 0.5, 0.8)), 16)
+    grid = voxelize(ShapeSpec("chair", (0.5, 0.5, 0.5, 0.8)), 16)
     front = render.render(grid, 0.0, 15.0)
     back = render.render(grid, 180.0, 15.0)
     assert not np.array_equal(front, back)
@@ -112,7 +112,7 @@ def test_single_voxel_rotates_as_computed_by_hand():
 
 
 def test_cylinder_nearly_azimuth_invariant_at_zero_elevation():
-    grid = voxelize(ShapeSpec("cylstack", "cylstack", (0.6, 0.6, 0.6)), 16)
+    grid = voxelize(ShapeSpec("cylstack", (0.6, 0.6, 0.6)), 16)
     reference = render.render(grid, 0.0, 0.0)
     for azimuth in (45.0, 90.0, 135.0, 215.0):
         other = render.render(grid, azimuth, 0.0)
@@ -123,7 +123,7 @@ def test_cylinder_nearly_azimuth_invariant_at_zero_elevation():
 
 
 def test_render_validates_angles():
-    grid = voxelize(ShapeSpec("box", "box", (0.5, 0.5, 0.5)), 16)
+    grid = voxelize(ShapeSpec("box", (0.5, 0.5, 0.5)), 16)
     with pytest.raises(ValueError):
         render.render(grid, 360.0, 0.0)
     with pytest.raises(ValueError):
@@ -131,7 +131,7 @@ def test_render_validates_angles():
 
 
 def test_silhouette_is_binary_and_depth_bounded():
-    grid = voxelize(ShapeSpec("lamp", "lamp", (0.5, 0.5, 0.5, 0.5)), 16)
+    grid = voxelize(ShapeSpec("lamp", (0.5, 0.5, 0.5, 0.5)), 16)
     image = render.render(grid, 135.0, -30.0, (48, 48))
     assert set(np.unique(image[0])) <= {0.0, 1.0}
     assert image[1].min() >= 0.0 and image[1].max() <= 1.0

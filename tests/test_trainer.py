@@ -170,12 +170,12 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         e_mix = mixup.apply_pairs(e_fused, plan)
         lat_mix = mixup.apply_pairs(vol_latent, plan)
         targets = mixup.apply_pairs(volumes, plan)[:, 0]
-        pred = net.decode(e_mix, store)
-        recon, d_pred = losses.bce_loss(pred, targets)
-        align, (d_mix, d_latmix) = losses.align_loss_no_triplet(e_mix, lat_mix)
-        sim_pos, sim_neg = 1.0 - align, 0.0
+        logits = net.decode(e_mix, store)
+        recon, d_logits = losses.bce_loss(logits, targets)
+        align, sim_pos, sim_neg, (d_mix, d_latmix, _) = losses.align_loss(
+            e_mix, lat_mix, lat_mix, lcfg.margin, np.zeros(n))
         d_mix = lcfg.w_align * d_mix + net.decode_backward(
-            lcfg.w_recon * d_pred, store)
+            lcfg.w_recon * d_logits, store)
         d_latmix = lcfg.w_align * d_latmix
         d_fused = np.zeros_like(e_fused)
         d_vol_latent = np.zeros_like(vol_latent)
@@ -188,15 +188,15 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         net.encode_backward(d_fused, store)
         net.encode_gt_backward(d_vol_latent, store)
     else:
-        pred = net.decode(e_fused, store)
-        recon, d_pred = losses.bce_loss(pred, volumes[:, 0])
+        logits = net.decode(e_fused, store)
+        recon, d_logits = losses.bce_loss(logits, volumes[:, 0])
         vol_latent = net.encode_gt(volumes, store)
         neg_idx, mask = trainer._negative_indices(object_ids, n, rng)
         align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
             e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
         d_vol_latent = lcfg.w_align * d_pos
         np.add.at(d_vol_latent, neg_idx, lcfg.w_align * d_neg)
-        net.encode_backward(net.decode_backward(lcfg.w_recon * d_pred, store)
+        net.encode_backward(net.decode_backward(lcfg.w_recon * d_logits, store)
                             + lcfg.w_align * d_fused, store)
         net.encode_gt_backward(d_vol_latent, store)
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
@@ -285,7 +285,9 @@ def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
 
     runs = []
     for step in (_two_branch_stage_step, _stage_step_with_backward):
-        breakdown = step(net, store, batch, stage, lcfg, 0.2,
-                         trainer.stream_rng(3, stage))
-        runs.append((breakdown, store.flat_grads.tobytes()))
+        # Both must draw the same numbers from the stream, no more.
+        rng = trainer.stream_rng(3, stage)
+        breakdown = step(net, store, batch, stage, lcfg, 0.2, rng)
+        runs.append((breakdown, store.flat_grads.tobytes(),
+                     rng.bit_generator.state))
     assert runs[0] == runs[1]
