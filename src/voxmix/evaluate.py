@@ -83,7 +83,7 @@ def _batched(net: Network, run, store: ParamStore, samples: SampleArrays,
 def binarized_predictions(net: Network, store: ParamStore,
                           samples: SampleArrays, priors_by_class,
                           prior_mode: str, all_classes: tuple[str, ...],
-                          threshold: float, batch_size: int = 64) -> np.ndarray:
+                          threshold: float, batch_size: int) -> np.ndarray:
     """(n, D, D, D) bool: each sample's prediction above `threshold`."""
     return np.concatenate([prediction > threshold for _, prediction in _batched(
         net, net.forward, store, samples, priors_by_class, prior_mode,
@@ -109,8 +109,8 @@ def iou_table(occupied: np.ndarray, samples: SampleArrays, threshold: float,
 
 def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
              priors_by_class: dict[str, np.ndarray], prior_mode: str,
-             all_classes: tuple[str, ...], threshold: float = 0.3,
-             batch_size: int = 64) -> IouTable:
+             all_classes: tuple[str, ...], threshold: float,
+             batch_size: int) -> IouTable:
     """The IoU table of the network's binarized predictions."""
     return iou_table(binarized_predictions(
         net, store, samples, priors_by_class, prior_mode, all_classes,
@@ -120,7 +120,7 @@ def eval_iou(net: Network, store: ParamStore, samples: SampleArrays,
 def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
                   priors_by_class: dict[str, np.ndarray], prior_mode: str,
                   all_classes: tuple[str, ...],
-                  batch_size: int = 64) -> CosineReport:
+                  batch_size: int) -> CosineReport:
     """Exhaustive intra-class cosine similarities of fused latents:
     same-object pairs are views of one object, different-object pairs
     cross objects within a class."""

@@ -12,7 +12,9 @@ negative, and every row of a latent-mixed batch.
 Each loss is one function that returns its value together with its
 analytic gradient, computed from the same logits and cosines; the test
 suite and `voxmix grad-check` check the gradients against finite
-differences.  Inputs are numpy arrays.
+differences.  Inputs are numpy arrays.  `_cosine_grads` is the one
+validation of a latent batch: 1-D or 2-D, of one shape with its partner,
+and no zero-norm row.
 """
 
 from __future__ import annotations
@@ -73,33 +75,23 @@ def bce_loss(logits, target) -> tuple[float, np.ndarray]:
 # Latent alignment loss
 # ---------------------------------------------------------------------------
 
-def _as_batch(v) -> np.ndarray:
-    arr = np.asarray(v)
-    if arr.ndim == 1:
-        arr = arr[None, :]
-    if arr.ndim != 2:
-        raise ValueError(f"latent batch must be 1-D or 2-D, got {arr.shape}")
-    norms = np.linalg.norm(arr, axis=1)
-    if np.any(norms == 0.0):
-        raise ValueError("zero-norm latent vector")
-    return arr
-
-
 def _cosine_grads(a, b):
     """Returns (sim, d sim/d a, d sim/d b), all row-wise, for two equally
-    shaped latent batches."""
-    a, b = _as_batch(a), _as_batch(b)
-    if a.shape != b.shape:
-        raise ValueError(f"width mismatch: {a.shape} vs {b.shape}")
+    shaped latent batches (a 1-D latent is a batch of one)."""
+    a, b = np.atleast_2d(a), np.atleast_2d(b)
+    if a.shape != b.shape or a.ndim != 2:
+        raise ValueError(f"unequal or non-2-D latents: {a.shape}, {b.shape}")
     na = np.linalg.norm(a, axis=1, keepdims=True)
     nb = np.linalg.norm(b, axis=1, keepdims=True)
+    if not (na.all() and nb.all()):
+        raise ValueError("zero-norm latent vector")
     sim = np.sum(a * b, axis=1, keepdims=True) / (na * nb)
     da = b / (na * nb) - sim * a / na ** 2
     db = a / (na * nb) - sim * b / nb ** 2
     return sim[:, 0], da, db
 
 
-def align_loss(fused, pos, neg, margin: float = 0.1, triplet_mask=None):
+def align_loss(fused, pos, neg, margin: float, triplet_mask=None):
     """Triplet-plus-cosine alignment; returns (loss, mean sim to positive,
     mean sim to negative, (d loss/d fused, d loss/d pos, d loss/d neg)).
 
@@ -110,7 +102,7 @@ def align_loss(fused, pos, neg, margin: float = 0.1, triplet_mask=None):
     is the mean over the rows whose triplet is on, 0.0 if there are none.
     """
     global last_hinge_margin
-    f = _as_batch(fused)
+    f = np.atleast_2d(fused)
     sim_pos, dp_f, dp_p = _cosine_grads(f, pos)
     sim_neg, dn_f, dn_n = _cosine_grads(f, neg)
     rows = f.shape[0]

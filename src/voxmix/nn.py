@@ -13,6 +13,11 @@ a per-offset loop makes 64: `conv_transpose_forward`, dx of `conv_backward`).
 The first conv of each encoder skips its dx (`input_grad=False`): its
 input is data, so nothing reads that gradient.
 
+`Dense`, `Conv2d` (so `Conv3d`) and `ConvTranspose3d` share one `_Affine`
+base: their weight and bias, init draws and gradient adds.  Each keeps its
+own `forward` and `backward`, the only methods of those three classes that
+the benchmark's tracer (voxbench/tracing.py) names after the instance.
+
 Layers take and return (N, C, *S), but inside the kernels the batch axis
 is last, (C, *S, N) (the CHWN layout of cuDNN, arXiv:1410.0759).  The
 spatial extents here are 2-16, so with N first every strided window copy
@@ -238,82 +243,65 @@ class Layer:
         raise NotImplementedError
 
 
-def _he_init(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / fan_in)).astype(dtype)
+class _Affine(Layer):
+    """A layer with a weight `<name>.w` of `w_shape`, He-initialised for
+    `fan_in`, and a bias `<name>.b` of `n_out`, drawn in that order."""
 
-
-def _bias_init(n: int, dtype) -> np.ndarray:
-    # Small positive offset keeps narrow ReLU chains from dying at init.
-    return np.full(n, 0.01, dtype=dtype)
-
-
-class Dense(Layer):
-    def __init__(self, name: str, n_in: int, n_out: int):
+    def __init__(self, name: str, w_shape: tuple[int, ...], n_out: int,
+                 fan_in: int):
         self.name = name
-        self.n_in = n_in
-        self.n_out = n_out
         self.param_names = (f"{name}.w", f"{name}.b")
-        self.param_shapes = ((n_in, n_out), (n_out,))
+        self.param_shapes = (w_shape, (n_out,))
+        self.fan_in = fan_in
 
     def init_params(self, rng, dtype=TRAIN_DTYPE):
+        w = rng.standard_normal(self.param_shapes[0]) * np.sqrt(2.0 / self.fan_in)
+        # Small positive bias keeps narrow ReLU chains from dying at init.
         return list(zip(self.param_names, (
-            _he_init(rng, self.param_shapes[0], self.n_in, dtype),
-            _bias_init(self.n_out, dtype))))
+            w.astype(dtype), np.full(self.param_shapes[1], 0.01, dtype=dtype))))
+
+    def _params(self, store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+        return store.params[self.param_names[0]], store.params[self.param_names[1]]
+
+    def _add_grads(self, store: ParamStore, dw: np.ndarray, db: np.ndarray):
+        store.grads[self.param_names[0]][...] += dw
+        store.grads[self.param_names[1]][...] += db
+
+
+class Dense(_Affine):
+    def __init__(self, name: str, n_in: int, n_out: int):
+        super().__init__(name, (n_in, n_out), n_out, n_in)
 
     def forward(self, x, store):
+        w, b = self._params(store)
         self._x = x
-        return x @ store.params[self.param_names[0]] + store.params[self.param_names[1]]
+        return x @ w + b
 
     def backward(self, dy, store):
-        store.grads[self.param_names[0]][...] += self._x.T @ dy
-        store.grads[self.param_names[1]][...] += dy.sum(axis=0)
-        return dy @ store.params[self.param_names[0]].T
+        self._add_grads(store, self._x.T @ dy, dy.sum(axis=0))
+        return dy @ self._params(store)[0].T
 
 
-class _ConvBase(Layer):
-    def __init__(self, name: str, c_in: int, c_out: int, kernel: int,
-                 stride: int = 1, pad: int = 0):
-        self.name = name
-        self.c_in = c_in
-        self.c_out = c_out
-        self.kernel = kernel
-        self.stride = stride
-        self.pad = pad
-        self.param_names = (f"{name}.w", f"{name}.b")
-        self.param_shapes = (self._w_shape(), (c_out,))
-
-    def init_params(self, rng, dtype=TRAIN_DTYPE):
-        return list(zip(self.param_names, (
-            _he_init(rng, self.param_shapes[0], self._fan_in(), dtype),
-            _bias_init(self.c_out, dtype))))
-
-
-class Conv2d(_ConvBase):
+class Conv2d(_Affine):
     rank = 2
 
-    def __init__(self, *args, input_grad: bool = True, **kwargs):
+    def __init__(self, name: str, c_in: int, c_out: int, kernel: int,
+                 stride: int = 1, pad: int = 0, *, input_grad: bool = True):
+        super().__init__(name, (c_out, c_in) + (kernel,) * self.rank, c_out,
+                         c_in * kernel ** self.rank)
+        self.stride, self.pad = stride, pad
         # False for a first layer whose input is data: backward skips dx.
-        super().__init__(*args, **kwargs)
         self.input_grad = input_grad
 
-    def _w_shape(self):
-        return (self.c_out, self.c_in) + (self.kernel,) * self.rank
-
-    def _fan_in(self):
-        return self.c_in * self.kernel ** self.rank
-
     def forward(self, x, store):
-        y, self._cache = conv_forward(x, store.params[self.param_names[0]],
-                                      store.params[self.param_names[1]],
-                                      self.stride, self.pad)
+        y, self._cache = conv_forward(x, *self._params(store), self.stride,
+                                      self.pad)
         return y
 
     def backward(self, dy, store):
-        dx, dw, db = conv_backward(dy, self._cache,
-                                   store.params[self.param_names[0]],
+        dx, dw, db = conv_backward(dy, self._cache, self._params(store)[0],
                                    self.stride, self.pad, self.input_grad)
-        store.grads[self.param_names[0]][...] += dw
-        store.grads[self.param_names[1]][...] += db
+        self._add_grads(store, dw, db)
         return dx
 
 
@@ -321,27 +309,25 @@ class Conv3d(Conv2d):
     rank = 3
 
 
-class ConvTranspose3d(_ConvBase):
-    def _w_shape(self):
-        return (self.c_in, self.c_out) + (self.kernel,) * 3
-
-    def _fan_in(self):
+class ConvTranspose3d(_Affine):
+    def __init__(self, name: str, c_in: int, c_out: int, kernel: int,
+                 stride: int = 1, pad: int = 0):
         # Fan-in of the equivalent gather: every output voxel reads
         # c_in * k^3 / stride^3 inputs.
-        return max(1, self.c_in * self.kernel ** 3 // self.stride ** 3)
+        super().__init__(name, (c_in, c_out) + (kernel,) * 3, c_out,
+                         max(1, c_in * kernel ** 3 // stride ** 3))
+        self.stride, self.pad = stride, pad
 
     def forward(self, x, store):
-        y, self._cache = conv_transpose_forward(
-            x, store.params[self.param_names[0]],
-            store.params[self.param_names[1]], self.stride, self.pad)
+        y, self._cache = conv_transpose_forward(x, *self._params(store),
+                                                self.stride, self.pad)
         return y
 
     def backward(self, dy, store):
-        dx, dw, db = conv_transpose_backward(
-            dy, self._cache, store.params[self.param_names[0]],
-            self.stride, self.pad)
-        store.grads[self.param_names[0]][...] += dw
-        store.grads[self.param_names[1]][...] += db
+        dx, dw, db = conv_transpose_backward(dy, self._cache,
+                                             self._params(store)[0],
+                                             self.stride, self.pad)
+        self._add_grads(store, dw, db)
         return dx
 
 

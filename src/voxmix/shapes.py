@@ -4,6 +4,9 @@ Each archetype maps a small vector of ratios in [0, 1] to a deterministic
 binary occupancy grid with a one-voxel empty margin on every side.  The z
 axis is "up"; cylindrical archetypes are centred on the grid centre so
 they are rotationally symmetric about z.
+
+`voxelize` allocates every grid and clears its margin; a builder fills
+`grid` in place from `dim` and the interior side `full = dim - 2`.
 """
 
 from __future__ import annotations
@@ -30,9 +33,7 @@ def _disc_mask(dim: int, radius: float) -> np.ndarray:
     return xs[:, None] ** 2 + xs[None, :] ** 2 <= radius ** 2
 
 
-def _box(p: np.ndarray, dim: int) -> np.ndarray:
-    grid = np.zeros((dim, dim, dim), dtype=bool)
-    full = dim - 2
+def _box(p: np.ndarray, grid: np.ndarray, dim: int, full: int) -> None:
     spans = []
     for axis in range(3):
         size = _lerp_int(p[axis], max(1, full // 4), full)
@@ -40,12 +41,9 @@ def _box(p: np.ndarray, dim: int) -> np.ndarray:
     grid[spans[0][0]:spans[0][1],
          spans[1][0]:spans[1][1],
          spans[2][0]:spans[2][1]] = True
-    return grid
 
 
-def _table(p: np.ndarray, dim: int) -> np.ndarray:
-    grid = np.zeros((dim, dim, dim), dtype=bool)
-    full = dim - 2
+def _table(p: np.ndarray, grid: np.ndarray, dim: int, full: int) -> None:
     quarter = max(1, full // 4)
     top_thick = _lerp_int(p[0], 1, quarter)
     leg_w = _lerp_int(p[1], 1, quarter)
@@ -57,12 +55,9 @@ def _table(p: np.ndarray, dim: int) -> np.ndarray:
     for x0 in (1, dim - 1 - leg_w):
         for y0 in (1, dim - 1 - leg_w):
             grid[x0:x0 + leg_w, y0:y0 + leg_w, 1:top_lo] = True
-    return grid
 
 
-def _chair(p: np.ndarray, dim: int) -> np.ndarray:
-    grid = np.zeros((dim, dim, dim), dtype=bool)
-    full = dim - 2
+def _chair(p: np.ndarray, grid: np.ndarray, dim: int, full: int) -> None:
     quarter = max(1, full // 4)
     seat_h = _lerp_int(p[0], full // 3, full // 2)
     seat_thick = _lerp_int(p[1], 1, max(1, full // 6))
@@ -74,12 +69,9 @@ def _chair(p: np.ndarray, dim: int) -> np.ndarray:
             grid[x0:x0 + leg_w, y0:y0 + leg_w, 1:1 + seat_h - seat_thick] = True
     # Back rest on the high-y side makes the shape azimuth-asymmetric.
     grid[1:dim - 1, dim - 1 - leg_w:dim - 1, 1 + seat_h:1 + seat_h + back_h] = True
-    return grid
 
 
-def _lamp(p: np.ndarray, dim: int) -> np.ndarray:
-    grid = np.zeros((dim, dim, dim), dtype=bool)
-    full = dim - 2
+def _lamp(p: np.ndarray, grid: np.ndarray, dim: int, full: int) -> None:
     base_r = p[0] * (0.20 * full) + 0.15 * full
     base_th = _lerp_int(p[1], 1, max(1, full // 6))
     shade_r = p[2] * (0.20 * full) + 0.12 * full
@@ -90,14 +82,9 @@ def _lamp(p: np.ndarray, dim: int) -> np.ndarray:
     grid[:, :, 1:1 + base_th] = base[:, :, None]
     grid[:, :, 1 + base_th:dim - 1 - shade_th] = pole[:, :, None]
     grid[:, :, dim - 1 - shade_th:dim - 1] = shade[:, :, None]
-    grid[0, :, :] = grid[-1, :, :] = False
-    grid[:, 0, :] = grid[:, -1, :] = False
-    return grid
 
 
-def _lbeam(p: np.ndarray, dim: int) -> np.ndarray:
-    grid = np.zeros((dim, dim, dim), dtype=bool)
-    full = dim - 2
+def _lbeam(p: np.ndarray, grid: np.ndarray, dim: int, full: int) -> None:
     quarter = max(1, full // 4)
     vert_t = _lerp_int(p[0], 1, quarter)
     horiz_t = _lerp_int(p[1], 1, quarter)
@@ -106,12 +93,9 @@ def _lbeam(p: np.ndarray, dim: int) -> np.ndarray:
     # L cross-section in (x, z), extruded along the full y interior.
     grid[1:1 + vert_t, 1:dim - 1, 1:1 + vert_h] = True
     grid[1:1 + horiz_w, 1:dim - 1, 1:1 + horiz_t] = True
-    return grid
 
 
-def _cylstack(p: np.ndarray, dim: int) -> np.ndarray:
-    grid = np.zeros((dim, dim, dim), dtype=bool)
-    full = dim - 2
+def _cylstack(p: np.ndarray, grid: np.ndarray, dim: int, full: int) -> None:
     radii = [p[i] * (0.25 * full) + 0.12 * full for i in range(3)]
     # Three stacked coaxial cylinders of equal height.
     seg = full // 3
@@ -120,9 +104,6 @@ def _cylstack(p: np.ndarray, dim: int) -> np.ndarray:
         disc = _disc_mask(dim, r)
         grid[:, :, z0:z1] = np.logical_or(grid[:, :, z0:z1],
                                           disc[:, :, None])
-    grid[0, :, :] = grid[-1, :, :] = False
-    grid[:, 0, :] = grid[:, -1, :] = False
-    return grid
 
 
 _ARCHETYPES = {
@@ -165,7 +146,10 @@ def voxelize(spec: ShapeSpec, dim: int) -> np.ndarray:
     if dim < 8:
         raise ValueError(f"dim must be at least 8, got {dim}")
     _, builder = _ARCHETYPES[spec.archetype]
-    grid = builder(np.asarray(spec.params, dtype=np.float64), dim)
+    grid = np.zeros((dim,) * 3, bool)
+    builder(np.asarray(spec.params, dtype=np.float64), grid, dim, dim - 2)
+    for face in (0, -1):
+        grid[face] = grid[:, face] = grid[:, :, face] = False
     frac = grid.mean()
     if not 0.0 < frac < 0.9:
         raise ValueError(

@@ -4,6 +4,9 @@ input-mixing stage, and the latent-mixing stage, with strict determinism.
 `stage_step` runs a stage's forward pass and loss and returns its backward
 pass as a closure; `train_stage` runs both for every batch, and the
 finite-difference verifier checks that same function, backward only once.
+Pretraining and every stage walk one epoch schedule, `_steps`: a fresh
+permutation of the pool per epoch, cut into batches.  `train_stage`
+returns the rows of the train log (`TRAIN_LOG`) that `run_ablation` writes.
 
 `PIPELINES` is the one statement of stage order: the base stage always
 runs first, and the latent stage follows either the base stage or the
@@ -21,7 +24,7 @@ nodes are bit-identical up to the branch point; each node trains once.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -98,13 +101,23 @@ def unique_volumes(samples: SampleArrays) -> np.ndarray:
     return samples.volumes[sorted(seen.values())]
 
 
+def _steps(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
+    """(epoch, step, rows) of every optimizer step of `epochs` passes over
+    `n` samples.  Each epoch draws one `rng.permutation(n)`, after the last
+    step of the one before, and cuts it into batches of min(batch_size, n)."""
+    batch_size = min(batch_size, n)
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for step, start in enumerate(range(0, n, batch_size)):
+            yield epoch, step, order[start:start + batch_size]
+
+
 # ---------------------------------------------------------------------------
 # Volume-encoder pretraining
 # ---------------------------------------------------------------------------
 
-def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
-                lr: float = 1e-4, batch_size: int = 4,
-                seed: int = 0) -> tuple[ParamStore, list[float]]:
+def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int, lr: float,
+                batch_size: int, seed: int) -> tuple[ParamStore, list[float]]:
     """Train the volume encoder plus a throwaway decoder as a plain
     autoencoder; returns (parameters, per-epoch mean losses).  The caller
     keeps only the encoder half."""
@@ -112,22 +125,16 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int,
         raise ValueError("no volumes to pretrain on")
     store = net.init_pretrain_params(stream_rng(seed, "pretrain_init"))
     opt = Adam(store, OptimizerConfig(lr=lr))
-    rng = stream_rng(seed, "pretrain")
-    history: list[float] = []
-    n = len(volumes)
-    batch_size = min(batch_size, n)
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        epoch_losses = []
-        for start in range(0, n, batch_size):
-            batch = volumes[order[start:start + batch_size]]
-            logits = net.gt_autoencode(batch, store)
-            value, d_logits = losses.bce_loss(logits, batch[:, 0])
-            net.gt_autoencode_backward(d_logits, store)
-            opt.step()
-            epoch_losses.append(value)
-        history.append(float(np.mean(epoch_losses)))
-    return store, history
+    epoch_losses: list[list[float]] = [[] for _ in range(epochs)]
+    for epoch, _, rows in _steps(len(volumes), batch_size, epochs,
+                                 stream_rng(seed, "pretrain")):
+        batch = volumes[rows]
+        logits = net.gt_autoencode(batch, store)
+        value, d_logits = losses.bce_loss(logits, batch[:, 0])
+        net.gt_autoencode_backward(d_logits, store)
+        opt.step()
+        epoch_losses[epoch].append(value)
+    return store, [float(np.mean(values)) for values in epoch_losses]
 
 
 # ---------------------------------------------------------------------------
@@ -160,14 +167,6 @@ class Batch:
     priors: PriorBatch | None
     volumes: np.ndarray
     object_ids: list[str] | None
-
-
-@dataclass
-class StepStats:
-    stage: int
-    epoch: int
-    step: int
-    breakdown: losses.LossBreakdown
 
 
 def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
@@ -240,33 +239,33 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg), backward
 
 
+TRAIN_LOG = ("stage", "epoch", "step", "total", "recon", "align", "sim_pos",
+             "sim_neg")
+
+
 def train_stage(net: Network, store: ParamStore, stage: int,
                 pool: TrainingPool, config: ExperimentConfig,
-                rng: np.random.Generator) -> list[StepStats]:
-    """Run one stage in place and return per-step loss statistics."""
+                rng: np.random.Generator) -> list[tuple]:
+    """Run one stage in place; returns one `TRAIN_LOG` row per step."""
     net.check_store(store)
     opt = Adam(store, optimizer_config(config))
     samples = pool.samples
-    batch_size = min(config.train.batch_size, len(pool))
-    stats: list[StepStats] = []
-    n = len(pool)
-    for epoch in range(config.train.stage_epochs[stage - 1]):
-        order = rng.permutation(n)
-        for step, start in enumerate(range(0, n, batch_size)):
-            idx = order[start:start + batch_size]
-            batch = Batch(samples.images[idx],
-                          None if pool.priors is None else pool.priors.take(idx),
-                          samples.volumes[idx],
-                          [samples.object_ids[i] for i in idx])
-            breakdown, backward = stage_step(net, store, batch, stage,
-                                             config.loss, config.mixup.alpha, rng)
-            if not np.isfinite(breakdown.total):
-                raise NumericError(
-                    f"non-finite loss at stage {stage} epoch {epoch} step {step}")
-            backward()
-            opt.step()
-            stats.append(StepStats(stage, epoch, step, breakdown))
-    return stats
+    log = []
+    for epoch, step, idx in _steps(len(pool), config.train.batch_size,
+                                   config.train.stage_epochs[stage - 1], rng):
+        batch = Batch(samples.images[idx],
+                      None if pool.priors is None else pool.priors.take(idx),
+                      samples.volumes[idx],
+                      [samples.object_ids[i] for i in idx])
+        breakdown, backward = stage_step(net, store, batch, stage,
+                                         config.loss, config.mixup.alpha, rng)
+        if not np.isfinite(breakdown.total):
+            raise NumericError(
+                f"non-finite loss at stage {stage} epoch {epoch} step {step}")
+        backward()
+        opt.step()
+        log.append((stage, epoch, step, *astuple(breakdown)))
+    return log
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +325,6 @@ class PipelineResult:
     config: ExperimentConfig
     final_table: evaluate.IouTable
     checkpoint_path: Path
-
-
-def _write_train_log(path: Path, stats: list[StepStats]) -> None:
-    runs.write_csv(path, ("stage", "epoch", "step", "total", "recon", "align",
-                          "sim_pos", "sim_neg"),
-                   [(s.stage, s.epoch, s.step, s.breakdown.total,
-                     s.breakdown.recon, s.breakdown.align, s.breakdown.sim_pos,
-                     s.breakdown.sim_neg) for s in stats])
 
 
 @dataclass
@@ -518,8 +509,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     results: dict[str, PipelineResult] = {}
     # Depth first.  A node's first child trains the node's store in place,
     # so it is stacked first: its siblings copy the store before it changes.
-    stack = [(prefix, init_main_store(ctx), [], True)
-             for prefix in node_config if len(prefix) == 1]
+    stack = [(((STAGE_BASE, None),), init_main_store(ctx), [], True)]
     while stack:
         prefix, store, log, in_place = stack.pop()
         store = store if in_place else store.copy()
@@ -534,7 +524,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
             ckpt = paths.checkpoint_path(name, stage)
             save_stage_checkpoint(ckpt, store, arm_config, stage)
             write_iou_reports(paths, name, table, proximity)
-            _write_train_log(paths.logs_dir / f"{name}_train.csv", log)
+            runs.write_csv(paths.logs_dir / f"{name}_train.csv", TRAIN_LOG, log)
             results[name] = PipelineResult(pipeline, arm_config, table, ckpt)
         stack.extend((child, store, log, k == 0) for k, child in
                      enumerate(c for c in node_config if c[:-1] == prefix))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from voxmix import evaluate
+from voxmix.config import EvalSection
 from voxmix.corpus import SampleArrays
 from voxmix.model import Network
 from voxmix.verification import TINY_NET
@@ -11,6 +12,7 @@ from voxmix.verification import TINY_NET
 CLASSES = ("a", "b", "c")
 PRIORS = {c: np.full((1,) + (TINY_NET.vox_dim,) * 3, (k + 1) / 4, np.float32)
           for k, c in enumerate(CLASSES)}
+EVAL = EvalSection()
 
 
 def _samples(object_ids, class_ids, seed=0):
@@ -33,7 +35,7 @@ def test_overall_is_the_mean_of_class_means_and_rows_rederive(net_store):
     # Uneven class sizes, so the mean of class means is not the sample mean.
     samples = _samples(["a0", "a0", "a1", "b0", "c0"], ["a", "a", "a", "b", "c"])
     table = evaluate.eval_iou(*net_store, samples, PRIORS, "correct", CLASSES,
-                              batch_size=2)
+                              EVAL.iou_threshold, batch_size=2)
     assert [row[:3] for row in table.per_sample] == list(zip(
         samples.object_ids, samples.pose_ids, samples.class_ids))
     by_class: dict[str, list[float]] = {}
@@ -80,11 +82,12 @@ def test_cosine_report_raises_on_a_class_lacking_a_kind_of_pair(net_store,
                                                                object_ids):
     samples = _samples(object_ids + ["b0", "b0", "b1"], ["a", "a", "b", "b", "b"])
     with pytest.raises(ValueError, match="'a' lacks same- or different-object"):
-        evaluate.cosine_report(*net_store, samples, PRIORS, "correct", CLASSES)
+        evaluate.cosine_report(*net_store, samples, PRIORS, "correct", CLASSES,
+                               EVAL.batch_size)
 
 
 def test_cosine_report_counts_the_pairs_of_each_kind(net_store):
     samples = _samples(["a0", "a0", "a1"], ["a", "a", "a"])
     report = evaluate.cosine_report(*net_store, samples, PRIORS, "correct",
-                                    CLASSES)
+                                    CLASSES, EVAL.batch_size)
     assert [(row[0], *row[3:]) for row in report.rows] == [("a", 1, 2)]

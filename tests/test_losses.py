@@ -119,7 +119,30 @@ def test_align_reference_point_nine_eighty_five():
 
 def test_align_zero_norm_rejected():
     with pytest.raises(ValueError, match="zero-norm"):
-        losses.align_loss(np.zeros(4), np.ones(4), np.ones(4))
+        losses.align_loss(np.zeros(4), np.ones(4), np.ones(4),
+                          losses.LossConfig().margin)
+
+
+def _latent_batches():
+    return {name: np.ones((2, 4)) for name in ("fused", "pos", "neg")}
+
+
+@pytest.mark.parametrize("which", ["pos", "neg"])
+def test_align_zero_norm_pos_or_neg_row_rejected(which):
+    latents = _latent_batches()
+    latents[which][1] = 0.0
+    with pytest.raises(ValueError, match="zero-norm"):
+        losses.align_loss(*latents.values(), 0.1)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 4), (2, 2, 4)],
+                         ids=["width", "rows", "3d"])
+@pytest.mark.parametrize("which", ["fused", "pos", "neg"])
+def test_align_rejects_latents_of_another_shape(which, shape):
+    latents = _latent_batches()
+    latents[which] = np.ones(shape)
+    with pytest.raises(ValueError):
+        losses.align_loss(*latents.values(), 0.1)
 
 
 def _no_triplet(fused, pos, neg):

@@ -1,9 +1,11 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from voxmix import evaluate, losses, trainer
+from voxmix.config import ExperimentConfig
 from voxmix.model import Network, NetworkConfig, PriorBatch
 from voxmix.nn import Conv2d, Conv3d, ParamStore
 
@@ -264,3 +266,49 @@ def test_network_config_validation():
         replace(CFG, vox_dim=12)  # not divisible by the conv strides
     with pytest.raises(ValueError):
         replace(CFG, variant="maybe_prior")
+
+
+def _wb(part, *layers):
+    return [f"{part}.{layer}.{kind}" for layer in layers for kind in "wb"]
+
+
+_GT_ENCODER = _wb("gt_encoder", "conv0", "conv1", "conv2", "fc")
+_HEAD = _wb("merger", "fc0", "fc1") + _wb("decoder", "fc", "up1", "up2", "up3")
+# (names, sha256 of the flat float32 bytes) of the default config's networks
+# from stream seed 0: `Network.parts` fixes both the order and the draws.
+_INIT = {
+    "correct": (_wb("image_encoder", "conv0", "conv1", "conv2", "conv3", "fc")
+                + _wb("prior_encoder", "conv0", "conv1", "conv2", "fc")
+                + _HEAD + _GT_ENCODER,
+                "a0918fd857968cf2f122bcd4fed1ac472d6ea45c1d1e840a9fbbbfa8f655b918"),
+    "none": (_wb("image_encoder", "conv0", "conv1", "conv2", "conv3", "fc")
+             + _wb("pool_proj", "fc") + _HEAD + _GT_ENCODER,
+             "428d613bf12c8c9abe83be72966a1fe1373fa7a44f63f9f9c10052a587a80e9e"),
+}
+_PRETRAIN_INIT = (_GT_ENCODER + _wb("gt_decoder", "fc", "up1", "up2", "up3"),
+                  "3b74d134179d35b1ca1d51ab4db9b28a7283e0901d2c38d7a587a4d4bcb62a18")
+
+
+def _default_network(mode):
+    config = ExperimentConfig()
+    return Network(trainer.network_config(
+        replace(config, prior=replace(config.prior, mode=mode))))
+
+
+def _names_and_digest(store):
+    return list(store.names), hashlib.sha256(store.flat.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("mode", ["correct", "none"])
+def test_init_params_keep_their_order_and_draws(mode):
+    store = _default_network(mode).init_params(trainer.stream_rng(0, "init"))
+    assert store.flat.dtype == np.float32
+    assert _names_and_digest(store) == _INIT[mode]
+
+
+@pytest.mark.parametrize("mode", ["correct", "none"])
+def test_init_pretrain_params_keep_their_order_and_draws(mode):
+    store = _default_network(mode).init_pretrain_params(
+        trainer.stream_rng(0, "pretrain_init"))
+    assert store.flat.dtype == np.float32
+    assert _names_and_digest(store) == _PRETRAIN_INIT

@@ -50,18 +50,25 @@ def test_table_matches_constructive_oracle():
     assert np.array_equal(grid, expected)
 
 
+def _faces_are_empty(grid):
+    return not any(grid[face].any() or grid[:, face].any() or grid[:, :, face].any()
+                   for face in (0, -1))
+
+
 @pytest.mark.parametrize("archetype", ARCHETYPE_NAMES)
-@pytest.mark.parametrize("dim", [16, 32])
+@pytest.mark.parametrize("dim", [8, 16, 32])
 def test_occupancy_bounds_across_parameter_space(archetype, dim):
     rng = np.random.default_rng(hash(archetype) % 2 ** 32)
     arity = param_count(archetype)
     for corner in ([0.0] * arity, [1.0] * arity):
         grid = voxelize(ShapeSpec(archetype, tuple(corner)), dim)
         assert 0.0 < grid.mean() < 0.9
+        assert _faces_are_empty(grid)
     for _ in range(10):
         params = tuple(rng.uniform(0, 1, arity))
         grid = voxelize(ShapeSpec(archetype, params), dim)
         assert 0.0 < grid.mean() < 0.9
+        assert _faces_are_empty(grid)
 
 
 def test_bad_params_rejected():

@@ -257,6 +257,22 @@ def test_negative_indices_of_a_single_sample():
     assert rng.bit_generator.state == trainer.stream_rng(0, 1).bit_generator.state
 
 
+@pytest.mark.parametrize("n,batch_size,epochs", [(10, 4, 3), (3, 8, 2), (5, 5, 0)])
+def test_steps_cut_one_permutation_per_epoch_into_batches(n, batch_size, epochs):
+    rng, reference = trainer.stream_rng(0, 1), trainer.stream_rng(0, 1)
+    steps = list(trainer._steps(n, batch_size, epochs, rng))
+    per_epoch = -(-n // min(batch_size, n))
+    assert len(steps) == epochs * per_epoch
+    for epoch in range(epochs):
+        mine = steps[epoch * per_epoch:(epoch + 1) * per_epoch]
+        assert [(e, step) for e, step, _ in mine] == \
+            [(epoch, step) for step in range(per_epoch)]
+        rows = np.concatenate([rows for _, _, rows in mine])
+        assert sorted(rows.tolist()) == list(range(n))
+        assert rows.tolist() == reference.permutation(n).tolist()
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 @pytest.mark.parametrize("n", [1, 3, 4])
 @pytest.mark.parametrize("kind", ["bce"])   # the one reconstruction loss
 @pytest.mark.parametrize("variant", ["prior", "no_prior"])
