@@ -109,6 +109,10 @@ class TrainSection:
         if self.pretrain_epochs < 0:
             raise ValueError(
                 f"pretrain_epochs must be >= 0, got {self.pretrain_epochs}")
+        for name in ("lr", "gt_lr"):
+            if not 0.0 < getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be in (0, inf), got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,14 @@ gradient-check surface enumerable.  Training runs in float32, verification
 in float64.  The decoder outputs logits; `sigmoid` maps them to [0, 1].
 
 The four convolution kernels are two adjoint pairs on one `_gather`
-(strided windows, one tensordot: `conv_forward`, dx of
-`conv_transpose_backward`) and one `_scatter` (one tensordot, one add
-per block shift of a phase-major grid, 8 for a 4^3 stride-2 kernel where
-a per-offset loop makes 64: `conv_transpose_forward`, dx of `conv_backward`).
-The first conv of each encoder skips its dx (`input_grad=False`): its
-input is data, so nothing reads that gradient.
+(one copy of a strided window view, one `np.dot`: `conv_forward`, dx of
+`conv_transpose_backward`) and one `_scatter` (one `np.dot`, one add per
+block shift of a phase-major grid, 8 for a 4^3 stride-2 kernel where a
+per-offset loop makes 64: `conv_transpose_forward`, dx of `conv_backward`).
+`_dot` is `np.tensordot` without its checks, bit for bit; `_scatter`'s
+slices come from a plan cached per layer shape, which holds no arrays.  The
+first conv of each encoder skips its dx (`input_grad=False`): its input is
+data, so nothing reads that gradient.
 
 `Dense`, `Conv2d` (so `Conv3d`) and `ConvTranspose3d` share one `_Affine`
 base: their weight and bias, init draws and gradient adds.  Each keeps its
@@ -22,12 +24,13 @@ Layers take and return (N, C, *S), but inside the kernels the batch axis
 is last, (C, *S, N) (the CHWN layout of cuDNN, arXiv:1410.0759).  The
 spatial extents here are 2-16, so with N first every strided window copy
 and every scatter add moves runs of 2-4 floats; with N last each run
-is N contiguous floats or more.  Outputs are `moveaxis` views of batch-last
+is N contiguous floats or more.  Outputs are transposed views of batch-last
 arrays, so the next kernel's batch-last copy reads them in order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,7 +38,6 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 TRAIN_DTYPE = np.float32
 
@@ -118,22 +120,39 @@ class ParamStore:
 
 def _batch_last(x: np.ndarray, pad: int) -> np.ndarray:
     """(N, C, *S) -> a contiguous (C, *(S + 2 * pad), N), zero-padded."""
-    spatial = tuple(s + 2 * pad for s in x.shape[2:])
-    xb = np.zeros((x.shape[1],) + spatial + (x.shape[0],), dtype=x.dtype)
-    xb[(slice(None),) + tuple(slice(pad, pad + s) for s in x.shape[2:])] = \
-        np.moveaxis(x, 0, -1)
+    n, c, *spatial = x.shape
+    xb = np.zeros((c, *(s + 2 * pad for s in spatial), n), x.dtype)
+    xb[(slice(None), *(slice(pad, pad + s) for s in spatial))] = _to_batch_last(x)
     return xb
 
 
+def _to_batch_last(x: np.ndarray) -> np.ndarray:
+    """(N, C, *S) -> its (C, *S, N) view; `_to_batch_first` is the inverse."""
+    return x.transpose((*range(1, x.ndim), 0))
+
+
+def _to_batch_first(y: np.ndarray) -> np.ndarray:
+    return y.transpose((y.ndim - 1, *range(y.ndim - 1)))
+
+
 def _im2col(xb: np.ndarray, kernel: tuple[int, ...], stride: int) -> np.ndarray:
-    """The columns (C, *K, *So, N) of a batch-last xb (C, *Sp, N): one
-    copy of the strided windows (C, *So, N, *K), transposed."""
-    rank = len(kernel)
-    win = sliding_window_view(xb, kernel, axis=tuple(range(1, 1 + rank)))
-    win = win[(slice(None),) + (slice(None, None, stride),) * rank]
-    return np.ascontiguousarray(win.transpose(
-        (0,) + tuple(range(rank + 2, 2 * rank + 2))
-        + tuple(range(1, rank + 2))))
+    """The columns (C, *K, *So, N) of a C-contiguous batch-last xb: one copy
+    of a window view, which np.ndarray, unlike as_strided, bounds-checks."""
+    (c, *sp, n), (sc, *ss, sn) = xb.shape, xb.strides
+    return np.ascontiguousarray(np.ndarray(
+        (c, *kernel, *((s - k) // stride + 1 for s, k in zip(sp, kernel)), n),
+        xb.dtype, xb, 0, (sc, *ss, *(stride * s for s in ss), sn)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray, axes_a, axes_b) -> np.ndarray:
+    """np.tensordot(a, b, (axes_a, axes_b)) without its checks: the same
+    transposes, reshapes and np.dot of the same 2-D operands, bit for bit."""
+    keep_a = [k for k in range(a.ndim) if k not in axes_a]
+    keep_b = [k for k in range(b.ndim) if k not in axes_b]
+    inner = math.prod(a.shape[k] for k in axes_a)
+    y = np.dot(a.transpose(keep_a + list(axes_a)).reshape(-1, inner),
+               b.transpose(list(axes_b) + keep_b).reshape(inner, -1))
+    return y.reshape([a.shape[k] for k in keep_a] + [b.shape[k] for k in keep_b])
 
 
 def _gather(xb: np.ndarray, w: np.ndarray, stride: int):
@@ -141,8 +160,33 @@ def _gather(xb: np.ndarray, w: np.ndarray, stride: int):
     (C, *Sp, N) with w (Cout, C, *K).  Returns (y, cols): y (N, Cout, *So)
     is a view of a batch-last array, cols the (C, *K, *So, N) columns."""
     cols = _im2col(xb, w.shape[2:], stride)
-    y = np.tensordot(w, cols, axes=w.ndim - 1)             # (Cout, *So, N)
-    return np.moveaxis(y, -1, 0), cols
+    y = _dot(w, cols, range(1, w.ndim), range(w.ndim - 1))  # (Cout, *So, N)
+    return _to_batch_first(y), cols
+
+
+@functools.lru_cache(maxsize=256)
+def _scatter_plan(kernel, in_shape, stride, pad, full):
+    """`_scatter`'s shape-only part, of ints, slices and tuples: the grid's
+    (*phases, *blocks), a (source, destination) index pair per block shift,
+    the cropped extent and an (output, grid) index pair per phase."""
+    if full is None:
+        full = tuple((s - 1) * stride + k for s, k in zip(in_shape, kernel))
+    out = tuple(f - 2 * pad for f in full)
+    adds = tuple((
+        (slice(None), *(slice(stride * a, stride * (a + 1)) for a in shift)),
+        (slice(None), *(slice(min(stride, k - stride * a))
+                        for a, k in zip(shift, kernel)),
+         *(slice(a, a + s) for a, s in zip(shift, in_shape))))
+        for shift in np.ndindex(*(-(-k // stride) for k in kernel)))
+    # Output voxel i is phase (i + pad) % stride of block (i + pad) // stride.
+    copies = tuple((
+        (slice(None), *(slice((p - pad) % stride, None, stride) for p in phase)),
+        (slice(None), *phase, *(slice(-(-(pad - p) // stride),
+                                      -(-(o + pad - p) // stride))
+                                for p, o in zip(phase, out))))
+        for phase in np.ndindex(*(stride,) * len(kernel)))
+    return ((stride,) * len(kernel) + tuple(-(-f // stride) for f in full),
+            adds, out, copies)
 
 
 def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
@@ -155,27 +199,19 @@ def _scatter(x: np.ndarray, w: np.ndarray, stride: int, pad: int,
     Offset k = stride * a + p sends input j to phase p of block j + a
     (arXiv:1609.05158), so on a phase-major grid, (Cout, *(stride,) * rank,
     *blocks, N), one add per block shift a (8, not 64, for K 4, stride 2 in
-    3-D) sums each voxel in a per-offset loop's order, bit for bit."""
-    kernel, in_shape, rank = w.shape[2:], x.shape[2:], x.ndim - 2
-    if full is None:
-        full = tuple((s - 1) * stride + k for s, k in zip(in_shape, kernel))
-    cols = np.tensordot(w, np.moveaxis(x, 0, -1), axes=([0], [0]))
-    # cols: (Cout, *K, *S, N)
-    blocks = tuple(-(-f // stride) for f in full)
-    grid = np.zeros((w.shape[1],) + (stride,) * rank + blocks + (x.shape[0],),
-                    dtype=cols.dtype)
-    for shift in np.ndindex(*(-(-k // stride) for k in kernel)):
-        part = cols[(slice(None),) + tuple(slice(stride * a, stride * (a + 1))
-                                            for a in shift)]
-        grid[(slice(None), *map(slice, part.shape[1:1 + rank]),
-              *(slice(a, a + s) for a, s in zip(shift, in_shape)))] += part
-    del cols, part      # freed before the interleave copy allocates
-    # (Cout, *phases, *blocks, N) -> (Cout, block_0, phase_0, ..., N)
-    order = [0, *(i for d in range(1, rank + 1) for i in (rank + d, d)), -1]
-    y = grid.transpose(order).reshape(
-        (w.shape[1],) + tuple(stride * b for b in blocks) + (x.shape[0],))
-    inner = tuple(slice(pad, f - pad) for f in full)
-    return np.moveaxis(np.ascontiguousarray(y[(slice(None),) + inner]), -1, 0)
+    3-D) sums each voxel in a per-offset loop's order, bit for bit.  One
+    copy per phase then interleaves and crops the grid into the output."""
+    grid_shape, adds, out, copies = _scatter_plan(
+        w.shape[2:], x.shape[2:], stride, pad, full)
+    cols = _dot(w, _to_batch_last(x), [0], [0])     # (Cout, *K, *S, N)
+    grid = np.zeros((w.shape[1], *grid_shape, x.shape[0]), cols.dtype)
+    for src, dst in adds:
+        grid[dst] += cols[src]
+    del cols            # freed before the output allocates
+    y = np.empty((w.shape[1], *out, x.shape[0]), grid.dtype)
+    for dst, src in copies:
+        y[dst] = grid[src]
+    return _to_batch_first(y)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
@@ -191,9 +227,8 @@ def conv_backward(dy: np.ndarray, cache, w: np.ndarray, stride: int, pad: int,
                   input_grad: bool = True):
     """Returns (dx, dw, db); dx is None unless `input_grad`."""
     in_shape, xb = cache
-    axes = list(range(1, dy.ndim))                  # *So and N, batch-last
-    dw = np.tensordot(np.moveaxis(dy, 0, -1), _im2col(xb, w.shape[2:], stride),
-                      axes=(axes, [a + dy.ndim - 2 for a in axes]))
+    dw = _dot(_to_batch_last(dy), _im2col(xb, w.shape[2:], stride),
+              range(1, dy.ndim), range(dy.ndim - 1, 2 * dy.ndim - 2))
     db = dy.sum(axis=(0,) + tuple(range(2, dy.ndim)))
     dx = _scatter(dy, w, stride, pad, tuple(s + 2 * pad for s in in_shape)) \
         if input_grad else None
@@ -213,9 +248,8 @@ def conv_transpose_backward(dy: np.ndarray, cache, w: np.ndarray,
                             stride: int, pad: int):
     (x,) = cache
     dx, cols = _gather(_batch_last(dy, pad), w, stride)   # (Cout, *K, *S, N)
-    axes = list(range(1, x.ndim))                   # *S and N, batch-last
-    dw = np.tensordot(np.moveaxis(x, 0, -1), cols,
-                      axes=(axes, [a + x.ndim - 2 for a in axes]))
+    dw = _dot(_to_batch_last(x), cols, range(1, x.ndim),  # *S and N
+              range(x.ndim - 1, cols.ndim))
     db = dy.sum(axis=(0,) + tuple(range(2, dy.ndim)))
     return dx, dw, db
 

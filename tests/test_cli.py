@@ -375,6 +375,10 @@ def test_eval_of_a_checkpoint_holding_nan_exits_3_and_names_the_parameter(
     ("loss.margin", "5"), ("train.stage_epochs", "1,1"),
     ("train.batch_size", "0"), ("train.pretrain_batch", "0"),
     ("train.pretrain_epochs", "-1"),
+    pytest.param("train.lr", "nan", id="lr-nan"),
+    pytest.param("train.lr", "0", id="lr-0"),
+    pytest.param("train.gt_lr", "inf", id="gt_lr-inf"),
+    pytest.param("train.gt_lr", "-1e-4", id="gt_lr-neg"),
     ("eval.batch_size", "0"), ("mixup.alpha", "-1"),
     ("eval.iou_threshold", "1.5"), ("data.vox_dim", "12"),
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),

@@ -22,6 +22,7 @@ _CHANNELS = st.lists(st.integers(min_value=1), min_size=1, max_size=4).map(tuple
 IN_RANGE = {
     "loss.w_recon": _NON_NEGATIVE, "loss.w_align": _NON_NEGATIVE,
     "loss.margin": st.floats(0.0, 1.0), "mixup.alpha": _POSITIVE,
+    "train.lr": _POSITIVE, "train.gt_lr": _POSITIVE,
     "train.batch_size": st.integers(min_value=1),
     "train.pretrain_batch": st.integers(min_value=1),
     "train.pretrain_epochs": st.integers(min_value=0),

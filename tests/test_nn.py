@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from voxmix import nn, runs
 
@@ -242,6 +243,88 @@ def test_the_scatter_equals_the_per_offset_loop_bit_for_bit(
     got = nn._scatter(x, w, stride, pad, full)
     want = _per_offset_scatter(x, w, stride, pad, full)
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _sliding_im2col(xb, kernel, stride):
+    """The columns nn built before its one window view: numpy's sliding
+    windows (C, *So, N, *K) of xb, strided, transposed and copied."""
+    rank = len(kernel)
+    win = sliding_window_view(xb, kernel, axis=tuple(range(1, 1 + rank)))
+    win = win[(slice(None),) + (slice(None, None, stride),) * rank]
+    return np.ascontiguousarray(win.transpose(
+        (0,) + tuple(range(rank + 2, 2 * rank + 2))
+        + tuple(range(1, rank + 2))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(rank=st.integers(2, 3), stride=st.integers(1, 3),
+       kernel=st.integers(1, 4), pad=st.integers(0, 1),
+       sizes=st.lists(st.integers(1, 7), min_size=3, max_size=3),
+       n=st.integers(1, 4), dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2 ** 16))
+def test_the_columns_and_the_dot_equal_numpys_forms_bit_for_bit(
+        rank, stride, kernel, pad, sizes, n, dtype, seed):
+    sizes, k = tuple(sizes[:rank]), (kernel,) * rank
+    assume(min(sizes) + 2 * pad >= kernel)
+    rng = np.random.default_rng(seed)
+    xb = nn._batch_last(rng.standard_normal((n, 3) + sizes).astype(dtype), pad)
+    cols = nn._im2col(xb, k, stride)                    # (C, *K, *So, N)
+    want = _sliding_im2col(xb, k, stride)
+    assert cols.dtype == want.dtype and cols.flags.c_contiguous
+    assert np.array_equal(cols, want)
+    w = rng.standard_normal((2, 3) + k).astype(dtype)   # (Cout, C, *K)
+    dy = rng.standard_normal((n, 2) + cols.shape[1 + rank:-1]).astype(dtype)
+    dy_last = np.moveaxis(dy, 0, -1)
+    # The kernels' four products: gather, scatter, and the weight gradients
+    # of conv_backward and conv_transpose_backward (dy's columns there).
+    dy_cols = nn._im2col(nn._batch_last(dy, 0), (1,) * rank, 1)
+    x_last = np.moveaxis(rng.standard_normal((n, 4) + cols.shape[1 + rank:-1])
+                         .astype(dtype), 0, -1)
+    for a, b, axes_a, axes_b in [
+            (w, cols, range(1, w.ndim), range(w.ndim - 1)),
+            (w, dy_last, [0], [0]),
+            (dy_last, cols, range(1, rank + 2), range(rank + 1, 2 * rank + 2)),
+            (x_last, dy_cols, range(1, rank + 2),
+             range(rank + 1, 2 * rank + 2))]:
+        got = nn._dot(a, b, axes_a, axes_b)
+        want = np.tensordot(a, b, axes=(list(axes_a), list(axes_b)))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_the_scatter_plan_is_cached_per_layer_shape_and_holds_no_arrays(
+        monkeypatch):
+    cached, plans = nn._scatter_plan, {}
+
+    def recording(*key):
+        plans[key] = cached(*key)
+        return plans[key]
+
+    monkeypatch.setattr(nn, "_scatter_plan", recording)
+    cached.cache_clear()
+    rng = np.random.default_rng(0)
+    up = nn.ConvTranspose3d("up", 3, 2, 4, stride=2, pad=1)
+    conv = nn.Conv3d("conv", 2, 3, 3, stride=2, pad=1)
+    store = fresh_store(*up.init_params(rng), *conv.init_params(rng))
+    sizes = []
+    for n in range(1, 6):
+        x = rng.standard_normal((n, 3, 4, 4, 4)).astype(np.float32)
+        z = conv.forward(up.forward(x, store), store)   # (n, 3, 4, 4, 4)
+        up.backward(conv.backward(np.ones_like(z), store), store)
+        sizes.append(cached.cache_info().currsize)
+    # One plan for the transposed conv's forward, one for the conv's dx.
+    assert sizes == [2] * 5 and len(plans) == 2
+
+    def leaves(value):
+        if isinstance(value, tuple):
+            for item in value:
+                yield from leaves(item)
+        elif isinstance(value, slice):
+            yield from (value.start, value.stop, value.step)
+        else:
+            yield value
+
+    for key, plan in plans.items():
+        assert all(type(v) is int for v in leaves((key, plan)) if v is not None)
 
 
 @pytest.mark.parametrize("rank,stride,kernel,pad", KERNEL_CASES)
