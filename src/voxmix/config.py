@@ -41,8 +41,9 @@ class DataConfig:
             twice = sorted({c for c in names if names.count(c) > 1})
             if twice:
                 raise ValueError(f"{twice} named more than once")
-        if min(self.objects_per_class, self.poses_per_object, self.shots) < 1:
-            raise ValueError("object, pose and shot counts must be >= 1")
+        # The cosine report compares views of one object with each other.
+        if min(self.objects_per_class, self.shots, self.poses_per_object - 1) < 1:
+            raise ValueError("object and shot counts must be >= 1, poses >= 2")
         if not self.elevations:
             raise ValueError("at least one elevation is needed")
         # The renderer's range, and the smallest grid `shapes.voxelize` fills.

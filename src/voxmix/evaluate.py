@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SampleArrays
-from .model import Network, PriorBatch
+from .model import GridBatch, Network
 from .nn import ParamStore
 from .voxel import iou
 
@@ -33,7 +33,7 @@ PRIOR_MODES = ("correct", "corrupted", "none")
 
 
 def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
-                mode: str, all_classes: tuple[str, ...]) -> PriorBatch | None:
+                mode: str, all_classes: tuple[str, ...]) -> GridBatch | None:
     """The prior input of the samples of `class_ids`: the (1, D, D, D) grid
     of each class they receive, once, in class-name order, and each
     sample's row.  A sample receives its own class's prior in mode
@@ -47,8 +47,8 @@ def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
     elif mode != "correct":
         raise ValueError(f"unknown prior mode {mode!r}")
     names, rows = np.unique(np.asarray(class_ids), return_inverse=True)
-    return PriorBatch(np.asarray([priors_by_class[c] for c in names],
-                                 dtype=np.float32), rows)
+    return GridBatch(np.asarray([priors_by_class[c] for c in names],
+                                dtype=np.float32), rows)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,12 @@ outputs (D, D, D) logits.  The variants differ only in the aux head,
 whose latent the merger fuses with the image latent: the "prior" variant
 encodes a class shape prior with a 3-D encoder, the "no_prior" variant
 global-average-pools the image features and projects them (`pool_proj.fc`)
-to the same width.  The prior variant's prior input is a `PriorBatch`: the
+to the same width.  The prior variant's prior input is a `GridBatch`: the
 distinct prior grids and each sample's row into them.  Its conv stack runs
 once per grid a sample reads, and the aux head reads each sample's row of
-the conv features, so samples of one class share one prior encoding.
+the conv features, so samples of one class share one prior encoding.  The
+volume encoder runs once per distinct grid of its `GridBatch`, and its
+latents are gathered by row; `_sum_rows` is the adjoint of both gathers.
 `trainer.network_config` builds the "no_prior" variant for prior mode
 "none" and the "prior" variant otherwise.  The order of
 `Network.parts` fixes the parameter names' order, the init draw order and
@@ -57,18 +59,18 @@ class NetworkConfig:
                                  f"{down}, the stride of model.{layers}")
 
 
-class PriorBatch(NamedTuple):
-    """The prior input of a batch of n samples: the prior grids
-    (k, 1, D, D, D) and each sample's row index into them, `rows` (n,).
-    `evaluate.prior_batch` builds one per class set; the per-sample layout
-    is the case rows = arange(n)."""
+class GridBatch(NamedTuple):
+    """The prior or volume input of n samples: the grids (k, 1, D, D, D) and
+    each sample's row index into them, `rows` (n,).  `evaluate.prior_batch`
+    builds one per class set, `trainer.object_volumes` one per object; the
+    per-sample layout is the case rows = arange(n)."""
 
     grids: np.ndarray
     rows: np.ndarray
 
-    def take(self, index) -> "PriorBatch":
-        """The prior input of the samples `index` selects."""
-        return PriorBatch(self.grids, self.rows[index])
+    def take(self, index) -> "GridBatch":
+        """The input of the samples `index` selects."""
+        return GridBatch(self.grids, self.rows[index])
 
 
 def _encoder(prefix: str, rank: int, c_in: int, side: int,
@@ -113,6 +115,14 @@ def _input(batch: np.ndarray, sample_shape: tuple[int, ...], what: str,
     if batch.shape[1:] != sample_shape:
         raise ValueError(f"bad {what} batch shape {batch.shape}")
     return batch * batch.dtype.type(2.0) - batch.dtype.type(1.0)
+
+
+def _sum_rows(d_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Adjoint of the gather `x[rows]`: row k sums the rows that read it, by
+    a one-hot matmul (np.add.at took 40x as long at batch 64)."""
+    onehot = (np.arange(rows.max() + 1)[:, None] == rows).astype(d_rows.dtype)
+    return (onehot @ d_rows.reshape(len(rows), -1)).reshape(
+        (len(onehot),) + d_rows.shape[1:])
 
 
 class Network:
@@ -183,7 +193,7 @@ class Network:
                              f"{'; '.join(diffs[:4])}")
 
     def center_latent_biases(self, store: ParamStore, images: np.ndarray,
-                             priors: PriorBatch | None, volumes: np.ndarray,
+                             priors: GridBatch | None, volumes: GridBatch,
                              batch_size: int = 64) -> None:
         """Mean-only data-dependent initialization of the latent layers.
 
@@ -193,19 +203,21 @@ class Network:
         each latent-producing dense layer into its bias, upstream layers
         first, removes that shared direction exactly.  The latent layers
         are every Dense of `parts` outside the decoder, in `parts` order.
-        `priors` is the prior input of the whole pool; the aux head reads one
-        row per sample, so every mean is a mean over samples, not over prior
+        `priors` and `volumes` are the pool's prior and volume inputs; the
+        heads read one row per sample, so every mean is over samples, not
         grids.  One-time, at initialization; deterministic given the pool.
         """
         if len(images) < 2:
             return  # a single sample would center its own embedding to zero
         # Only dense layers move below, so the conv stacks run once.
+        grids, rows = self._distinct(volumes, "volume", store)
+        gt_feat = self.gt_conv.forward(grids, store)
         feats = []
         for start in range(0, len(images), batch_size):
             sl = slice(start, min(start + batch_size, len(images)))
             feats.append((*self._features(
                 images[sl], None if priors is None else priors.take(sl), store),
-                self._gt_features(volumes[sl], store)))
+                gt_feat[rows[sl]]))
         for dense in [layer for part in self.parts if part is not self.decoder
                       for layer in part.layers if isinstance(layer, Dense)]:
             w, b = (store.params[name] for name in dense.param_names)
@@ -221,7 +233,14 @@ class Network:
 
     # -- forward / backward --------------------------------------------------
 
-    def _features(self, images: np.ndarray, priors: PriorBatch | None,
+    def _distinct(self, batch: GridBatch, what: str,
+                  store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+        """The grids `batch`'s rows name, once each, and each row's index."""
+        dim = self.config.vox_dim
+        used, rows = np.unique(batch.rows, return_inverse=True)
+        return _input(batch.grids[used], (1, dim, dim, dim), what, store), rows
+
+    def _features(self, images: np.ndarray, priors: GridBatch | None,
                   store: ParamStore) -> tuple[np.ndarray, np.ndarray]:
         """The conv stacks of `encode`: the image features, and what the aux
         head reads (each sample's row of the prior features, or the image
@@ -232,19 +251,16 @@ class Network:
             raise ValueError("the prior variant requires a prior batch")
         if priors is not None and self.prior_conv is None:
             raise ValueError("the no-prior variant takes no prior batch")
-        side, dim = self.config.image_size, self.config.vox_dim
+        side = self.config.image_size
         feat = self.image_conv.forward(
             _input(images, (2, side, side), "image", store), store)
         if priors is None:
             return feat, feat
-        grids, rows = priors
-        if np.shape(rows) != (len(feat),):
-            raise ValueError(f"bad prior rows shape {np.shape(rows)} for "
-                             f"{len(feat)} samples")
-        used, self._prior_rows = np.unique(rows, return_inverse=True)
-        prior_feat = self.prior_conv.forward(
-            _input(grids[used], (1, dim, dim, dim), "prior", store), store)
-        return feat, prior_feat[self._prior_rows]
+        if np.shape(priors.rows) != (len(feat),):
+            raise ValueError(f"bad prior rows shape {np.shape(priors.rows)} "
+                             f"for {len(feat)} samples")
+        grids, self._prior_rows = self._distinct(priors, "prior", store)
+        return feat, self.prior_conv.forward(grids, store)[self._prior_rows]
 
     def _heads(self, feat: np.ndarray, aux_in: np.ndarray,
                store: ParamStore) -> np.ndarray:
@@ -253,17 +269,17 @@ class Network:
             [self.image_head.forward(feat, store),
              self.aux_head.forward(aux_in, store)], axis=1), store)
 
-    def encode(self, images: np.ndarray, priors: PriorBatch | None,
+    def encode(self, images: np.ndarray, priors: GridBatch | None,
                store: ParamStore) -> np.ndarray:
         """(n, width): the fused latent of each sample of `images` (n, 2, H, W)
-        under its row of `priors`, a PriorBatch or a (grids, rows) pair, which
-        the no-prior variant does not take."""
+        under its row of `priors`, a GridBatch, which the no-prior variant
+        does not take."""
         return self._heads(*self._features(images, priors, store), store)
 
     def decode(self, e_fused: np.ndarray, store: ParamStore) -> np.ndarray:
         return self.decoder.forward(e_fused, store)
 
-    def forward(self, images: np.ndarray, priors: PriorBatch | None,
+    def forward(self, images: np.ndarray, priors: GridBatch | None,
                 store: ParamStore) -> np.ndarray:
         """(n, D, D, D): each sample's predicted occupancy in [0, 1], the
         sigmoid of the decoder's logits; `images`, `priors` as in `encode`."""
@@ -280,32 +296,25 @@ class Network:
         if self.prior_conv is None:
             d_feat = d_aux_in + d_feat   # the aux head reads the image features
         else:
-            # Each grid's gradient sums those of the samples that read it,
-            # as a one-hot matmul (np.add.at took 40x as long at batch 64).
-            rows = self._prior_rows
-            onehot = (np.arange(rows.max() + 1)[:, None] == rows).astype(
-                d_aux_in.dtype)
-            d_grids = onehot @ d_aux_in.reshape(len(rows), -1)
-            self.prior_conv.backward(
-                d_grids.reshape((len(onehot),) + d_aux_in.shape[1:]), store)
+            self.prior_conv.backward(_sum_rows(d_aux_in, self._prior_rows),
+                                     store)
         self.image_conv.backward(d_feat, store)
 
     # -- ground-truth volume encoder ------------------------------------------
 
-    def _gt_features(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
-        dim = self.config.vox_dim
-        return self.gt_conv.forward(
-            _input(volumes, (1, dim, dim, dim), "volume", store), store)
-
-    def encode_gt(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
-        return self.gt_head.forward(self._gt_features(volumes, store), store)
+    def encode_gt(self, volumes: GridBatch, store: ParamStore) -> np.ndarray:
+        """(len(volumes.rows), width): the latent of each row's volume."""
+        grids, self._gt_rows = self._distinct(volumes, "volume", store)
+        return self.gt_head.forward(self.gt_conv.forward(grids, store),
+                                    store)[self._gt_rows]
 
     def encode_gt_backward(self, d_latent: np.ndarray, store: ParamStore) -> None:
-        self.gt_conv.backward(self.gt_head.backward(d_latent, store), store)
+        self.gt_conv.backward(self.gt_head.backward(
+            _sum_rows(d_latent, self._gt_rows), store), store)
 
     # -- pretraining autoencoder ----------------------------------------------
 
-    def gt_autoencode(self, volumes: np.ndarray, store: ParamStore) -> np.ndarray:
+    def gt_autoencode(self, volumes: GridBatch, store: ParamStore) -> np.ndarray:
         return self.gt_decoder.forward(self.encode_gt(volumes, store), store)
 
     def gt_autoencode_backward(self, d_logits: np.ndarray, store: ParamStore) -> None:

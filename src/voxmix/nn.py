@@ -15,6 +15,9 @@ slices come from a plan cached per layer shape, which holds no arrays.  The
 first conv of each encoder skips its dx (`input_grad=False`): its input is
 data, so nothing reads that gradient.
 
+A layer may overwrite only an array that no caller reads again: `ReLU`
+masks in place the fresh output, or gradient, of the layer next to it.
+
 `Dense`, `Conv2d` (so `Conv3d`) and `ConvTranspose3d` share one `_Affine`
 base: their weight and bias, init draws and gradient adds.  Each keeps its
 own `forward` and `backward`, the only methods of those three classes that
@@ -374,10 +377,11 @@ class ReLU(Layer):
         self._mask = x > 0
         if ReLU.record_margins:
             self.last_min_abs = float(np.min(np.abs(x))) if x.size else np.inf
-        return np.where(self._mask, x, 0)
+        # In place; the product keeps NaN for the step's non-finite check.
+        return np.multiply(x, self._mask, out=x)
 
     def backward(self, dy, store):
-        return np.where(self._mask, dy, 0)
+        return np.multiply(dy, self._mask, out=dy)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -534,6 +538,10 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
     `fn` call (layers cache forward state for it).  Arrays should be
     float64 for the comparison to be meaningful at the default tolerance.
     Each tensor gets at least min(size, probes) randomly probed coordinates.
+    Each float64 loss value may carry four units of eps * |loss| of
+    rounding, so the central difference may be off by up to 4 * eps *
+    |loss| / step: the relative error's denominator is floored at that over
+    `tolerance` (and at 1e-6), below which no gradient is resolved.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     grads = fn(arrays)[1]()
@@ -557,7 +565,10 @@ def grad_check(fn: Callable[[dict[str, np.ndarray]],
             flat[k] = original
             numeric = (loss_plus - loss_minus) / (2.0 * step)
             a = float(analytic.reshape(-1)[k])
-            rel = abs(a - numeric) / max(1e-6, abs(a) + abs(numeric))
+            rounding = 4 * np.finfo(np.float64).eps * max(
+                abs(loss_plus), abs(loss_minus)) / step
+            rel = abs(a - numeric) / max(1e-6, rounding / tolerance,
+                                         abs(a) + abs(numeric))
             worst_here = max(worst_here, rel)
         if worst_here >= max_rel:
             max_rel = worst_here

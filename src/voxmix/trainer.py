@@ -24,6 +24,7 @@ nodes are bit-identical up to the branch point; each node trains once.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -35,7 +36,7 @@ from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
                      TrainSection, config_hash)
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
                      class_priors, load_samples, make_split)
-from .model import Network, NetworkConfig, PriorBatch
+from .model import GridBatch, Network, NetworkConfig
 from .nn import Adam, NumericError, OptimizerConfig, ParamStore
 
 STAGE_BASE = 1
@@ -83,22 +84,36 @@ def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
 class TrainingPool:
     """Preloaded training views and the prior input of the whole pool, as
     `evaluate.prior_batch` builds it: one grid per class and each sample's
-    row, or None for no-prior runs.  A training batch takes its samples'
-    rows of it."""
+    row, or None for no-prior runs; and, built when training first reads
+    it, the volume input, as `object_volumes` builds it.  A training batch
+    takes its samples' rows of both."""
 
     samples: SampleArrays
-    priors: PriorBatch | None
+    priors: GridBatch | None
 
     def __len__(self) -> int:
         return len(self.samples)
 
+    @functools.cached_property
+    def volumes(self) -> GridBatch:
+        return object_volumes(self.samples)
+
+
+def object_volumes(samples: SampleArrays) -> GridBatch:
+    """One (1, D, D, D) volume per distinct object, in first-seen order,
+    and each sample's row into them."""
+    index: dict[str, int] = {}
+    first, rows = [], np.empty(len(samples), dtype=np.intp)
+    for i, obj in enumerate(samples.object_ids):
+        rows[i] = index.setdefault(obj, len(first))
+        if rows[i] == len(first):
+            first.append(i)
+    return GridBatch(samples.volumes[first], rows)
+
 
 def unique_volumes(samples: SampleArrays) -> np.ndarray:
     """One (1, D, D, D) volume per distinct object, in first-seen order."""
-    seen: dict[str, int] = {}
-    for i, obj in enumerate(samples.object_ids):
-        seen.setdefault(obj, i)
-    return samples.volumes[sorted(seen.values())]
+    return object_volumes(samples).grids
 
 
 def _steps(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
@@ -128,9 +143,8 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int, lr: float,
     epoch_losses: list[list[float]] = [[] for _ in range(epochs)]
     for epoch, _, rows in _steps(len(volumes), batch_size, epochs,
                                  stream_rng(seed, "pretrain")):
-        batch = volumes[rows]
-        logits = net.gt_autoencode(batch, store)
-        value, d_logits = losses.bce_loss(logits, batch[:, 0])
+        logits = net.gt_autoencode(GridBatch(volumes, rows), store)
+        value, d_logits = losses.bce_loss(logits, volumes[rows, 0])
         net.gt_autoencode_backward(d_logits, store)
         opt.step()
         epoch_losses[epoch].append(value)
@@ -141,16 +155,14 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int, lr: float,
 # Stage training
 # ---------------------------------------------------------------------------
 
-def _negative_indices(object_ids, n: int, rng: np.random.Generator):
+def _negative_indices(objects: np.ndarray, n: int, rng: np.random.Generator):
     """Partner index per sample for the triplet negative, plus a mask that
     zeroes the triplet where the batch holds no different object.  The
     partner is the first sample of a different object met walking
-    cyclically from a random derangement's pick.  A None `object_ids`
-    means every sample counts as its own object."""
+    cyclically from a random derangement's pick; `objects` (n,) gives each
+    sample's object as an integer."""
     if n < 2:
         return np.zeros(n, dtype=np.int64), np.zeros(n)
-    objects = np.arange(n) if object_ids is None \
-        else np.unique(object_ids, return_inverse=True)[1]
     walk = (mixup.random_derangement(n, rng)[:, None] + np.arange(n)) % n
     other = objects[walk] != objects[:, None]
     return (walk[np.arange(n), other.argmax(axis=1)],
@@ -159,14 +171,13 @@ def _negative_indices(object_ids, n: int, rng: np.random.Generator):
 
 @dataclass
 class Batch:
-    """One step's samples.  `priors` is their prior input, a PriorBatch
-    (see `model.PriorBatch`), or None for a network that takes no prior
-    batch; `object_ids` None counts every sample as its own object."""
+    """One step's samples and their prior and volume inputs, `GridBatch`es
+    (`priors` None for a network that takes no prior batch).  The volume
+    rows name each sample's object."""
 
     images: np.ndarray
-    priors: PriorBatch | None
-    volumes: np.ndarray
-    object_ids: list[str] | None
+    priors: GridBatch | None
+    volumes: GridBatch
 
 
 def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
@@ -175,11 +186,12 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     """Forward pass and loss of one training step of `stage`, and backward.
 
     The stages differ only in where the batch is mixed: nowhere (stage 1),
-    in the inputs (stage 2: images, volumes and each sample's prior grid,
-    so the mixed batch has one prior grid per sample), or in the fused and
-    volume latents (stage 3), where the triplet is masked off (mixed rows
-    have no one identity to contrast) and `mixup.apply_pairs_backward`
-    unmixes the latent gradients.
+    in the inputs (stage 2: images, each sample's volume and prior grid,
+    so the mixed batch has one volume and one prior grid per sample, and
+    each sample is its own object), or in the fused and volume latents
+    (stage 3), where the triplet is masked off (mixed rows have no one
+    identity to contrast) and `mixup.apply_pairs_backward` unmixes the
+    latent gradients.  A triplet negative reads its partner's volume row.
     Returns the loss breakdown and `backward`, which replaces `store.grads`
     with the gradient of that loss and returns them; run it before the
     network's next forward pass, which overwrites the layer caches it reads,
@@ -191,40 +203,37 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     if stage not in (STAGE_BASE, STAGE_INPUT_MIX, STAGE_LATENT_MIX):
         raise ValueError(f"unknown stage {stage}")
     images, priors, volumes = batch.images, batch.priors, batch.volumes
-    object_ids = batch.object_ids
     n = len(images)
 
     if stage == STAGE_INPUT_MIX:
         plan = mixup.pair_batch(n, alpha, rng)
         images = mixup.apply_pairs(images, plan)
-        volumes = mixup.apply_pairs(volumes, plan)
-        if priors is not None:
-            grids, rows = priors
-            priors = PriorBatch(mixup.apply_pairs(grids[rows], plan),
-                                np.arange(n))
-        object_ids = None  # every mixed sample is its own object
+        priors, volumes = (None if grid is None else GridBatch(
+            mixup.apply_pairs(grid.grids[grid.rows], plan), np.arange(n))
+            for grid in (priors, volumes))
 
     e_fused = net.encode(images, priors, store)
-    vol_latent = net.encode_gt(volumes, store)
+    targets = volumes.grids[volumes.rows, 0]
     latent_plan = None
     if stage == STAGE_LATENT_MIX:
         latent_plan = mixup.pair_batch(n, alpha, rng)
-        e_fused, vol_latent, volumes = (mixup.apply_pairs(x, latent_plan)
-                                        for x in (e_fused, vol_latent, volumes))
+        vol_latent = net.encode_gt(volumes, store)
+        e_fused, vol_latent, targets = (mixup.apply_pairs(x, latent_plan)
+                                        for x in (e_fused, vol_latent, targets))
+        neg_latent, mask = vol_latent, np.zeros(n)
+    else:
+        neg_idx, mask = _negative_indices(volumes.rows, n, rng)
+        latents = net.encode_gt(volumes.take(np.concatenate(
+            [np.arange(n), neg_idx])), store)
+        vol_latent, neg_latent = latents[:n], latents[n:]
     logits = net.decode(e_fused, store)
 
-    recon, d_logits = losses.bce_loss(logits, volumes[:, 0])
-    if latent_plan is None:
-        neg_idx, mask = _negative_indices(object_ids, n, rng)
-    else:
-        neg_idx, mask = np.arange(n), np.zeros(n)
+    recon, d_logits = losses.bce_loss(logits, targets)
     align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
-        e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
+        e_fused, vol_latent, neg_latent, lcfg.margin, mask)
     w_align = lcfg.w_align
-    d_vol_latent = w_align * d_pos
-    np.add.at(d_vol_latent, neg_idx, w_align * d_neg)
-    if latent_plan is not None:
-        d_vol_latent = mixup.apply_pairs_backward(d_vol_latent, latent_plan)
+    d_vol_latent = w_align * np.concatenate([d_pos, d_neg]) if latent_plan \
+        is None else mixup.apply_pairs_backward(w_align * d_pos, latent_plan)
 
     def backward() -> Mapping:
         store.zero_grads()
@@ -255,8 +264,7 @@ def train_stage(net: Network, store: ParamStore, stage: int,
                                    config.train.stage_epochs[stage - 1], rng):
         batch = Batch(samples.images[idx],
                       None if pool.priors is None else pool.priors.take(idx),
-                      samples.volumes[idx],
-                      [samples.object_ids[i] for i in idx])
+                      pool.volumes.take(idx))
         breakdown, backward = stage_step(net, store, batch, stage,
                                          config.loss, config.mixup.alpha, rng)
         if not np.isfinite(breakdown.total):
@@ -400,8 +408,8 @@ def pretrain_gt_encoder(ctx: ExperimentContext
     replacing any earlier checkpoint, with its per-epoch mean losses in
     `logs/pretrain_gt.csv`; returns (parameters, those losses)."""
     config = ctx.config
-    volumes = unique_volumes(ctx.train_pool.samples)
-    store, history = pretrain_gt(ctx.net, volumes, config.train.pretrain_epochs,
+    store, history = pretrain_gt(ctx.net, ctx.train_pool.volumes.grids,
+                                 config.train.pretrain_epochs,
                                  lr=config.train.gt_lr,
                                  batch_size=config.train.pretrain_batch,
                                  seed=config.seed)
@@ -439,7 +447,7 @@ def init_main_store(ctx: ExperimentContext) -> ParamStore:
             store.params[name][...] = value
     pool = ctx.train_pool
     ctx.net.center_latent_biases(store, pool.samples.images, pool.priors,
-                                 pool.samples.volumes)
+                                 pool.volumes)
     return store
 
 

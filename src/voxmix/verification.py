@@ -18,7 +18,7 @@ import numpy as np
 
 from . import losses, nn, trainer
 from .config import MixupSection
-from .model import Network, NetworkConfig, PriorBatch
+from .model import GridBatch, Network, NetworkConfig
 
 TINY_NET = NetworkConfig(vox_dim=8, image_size=16,
                          image_channels=(2, 3, 3, 4),
@@ -45,25 +45,27 @@ def _signed_uniform(rng, shape, lo=0.1, hi=1.0):
 
 def _net_relu_margin(net: Network) -> float:
     margins = [layer.last_min_abs
-               for part in net.parts for layer in part.layers
+               for part in (*net.parts, net.gt_decoder) for layer in part.layers
                if isinstance(layer, nn.ReLU) and hasattr(layer, "last_min_abs")]
     return min(margins) if margins else np.inf
 
 
 def _layer_fragment(layer, x, seed):
-    """Scalar loss sum(forward(x) * probe); differentiates params and input."""
+    """Scalar loss sum(forward(x) * probe); differentiates params and input.
+    The layer gets fresh copies of x and probe, which `ReLU` overwrites."""
     rng = np.random.default_rng(seed)
     store = nn.ParamStore.pack(layer.init_params(rng, np.float64))
-    y = layer.forward(x, store)
+    y = layer.forward(x.copy(), store)
     probe = rng.standard_normal(y.shape)
     arrays = {"input": x, **store.params}
 
     def fn(arrs):
-        out = layer.forward(arrs["input"], store)
+        out = layer.forward(arrs["input"].copy(), store)
 
         def pullback():
             store.zero_grads()
-            return {"input": layer.backward(probe, store), **store.grads}
+            return {"input": layer.backward(probe.copy(), store),
+                    **store.grads}
 
         return float(np.sum(out * probe)), pullback
 
@@ -123,49 +125,80 @@ def _pipeline_data(cfg: NetworkConfig, seed: int):
     net = Network(cfg)
     store = net.init_params(
         np.random.Generator(np.random.PCG64(seed)), np.float64)
-    n = 3
-    images = rng.uniform(0.0, 1.0, (n, 2, cfg.image_size, cfg.image_size))
-    # The two views of object "a" share one prior row, so the prior
-    # encoder's backward sums two samples' gradients into one grid.
-    priors = PriorBatch(rng.uniform(0.0, 1.0, (2, 1) + (cfg.vox_dim,) * 3),
-                        np.array([0, 0, 1])) if cfg.variant == "prior" else None
-    volumes = (rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) > 0.5) \
+    images = rng.uniform(0.0, 1.0, (3, 2, cfg.image_size, cfg.image_size))
+    # The first two samples are views of one object: they share one prior
+    # row and one volume row, so each encoder's backward sums two samples'
+    # gradients into one grid, and the triplet must pick the other object.
+    rows = np.array([0, 0, 1])
+    priors = GridBatch(rng.uniform(0.0, 1.0, (2, 1) + (cfg.vox_dim,) * 3),
+                       rows) if cfg.variant == "prior" else None
+    volumes = (rng.uniform(0.0, 1.0, (2, 1) + (cfg.vox_dim,) * 3) > 0.5) \
         .astype(np.float64)
-    # Two views of one object: the triplet must pick the other object.
-    batch = trainer.Batch(images, priors, volumes, ["a", "a", "b"])
-    return net, store, batch
+    return net, store, trainer.Batch(images, priors, GridBatch(volumes, rows))
+
+
+def _kink_safe(build, seed: int):
+    """(fn, arrays) of `build(candidate) -> (net, fn, arrays)` for the
+    first candidate seed whose loss call keeps clear of every kink."""
+    for attempt in range(50):
+        net, fn, arrays = build(seed + 1000 * attempt)
+        nn.ReLU.record_margins = True
+        losses.last_hinge_margin = np.inf
+        try:
+            fn(arrays)
+        finally:
+            nn.ReLU.record_margins = False
+        if min(_net_relu_margin(net), losses.last_hinge_margin) > _KINK_MARGIN:
+            return fn, arrays
+    raise RuntimeError("no kink-safe seed found for a verification fragment")
 
 
 def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig,
                        stage: int, seed: int):
     """One training step of `stage`: the loss and backward pass of
-    `trainer.stage_step`, with its random stream reseeded on every call.
-    The seed is the first one whose step keeps clear of every kink."""
+    `trainer.stage_step`, with its random stream reseeded on every call."""
     alpha = MixupSection().alpha
 
-    def step(net, store, batch, candidate):
-        return trainer.stage_step(net, store, batch, stage, lcfg, alpha,
-                                  trainer.stream_rng(candidate, stage))
-
-    for attempt in range(50):
-        candidate = seed + 1000 * attempt
+    def build(candidate):
         net, store, batch = _pipeline_data(cfg, candidate)
-        nn.ReLU.record_margins = True
-        losses.last_hinge_margin = np.inf
-        try:
-            step(net, store, batch, candidate)
-        finally:
-            nn.ReLU.record_margins = False
-        if min(_net_relu_margin(net), losses.last_hinge_margin) > _KINK_MARGIN:
-            break
-    else:
-        raise RuntimeError("no kink-safe seed found for a verification fragment")
 
-    def fn(arrs):
-        breakdown, backward = step(net, store, batch, candidate)
-        return breakdown.total, backward
+        def fn(arrs):
+            breakdown, backward = trainer.stage_step(
+                net, store, batch, stage, lcfg, alpha,
+                trainer.stream_rng(candidate, stage))
+            return breakdown.total, backward
 
-    return fn, store.params
+        return net, fn, store.params
+
+    return _kink_safe(build, seed)
+
+
+def _pretrain_fragment(seed: int):
+    """One volume-autoencoder step as `trainer.pretrain_gt` takes it:
+    three volumes in permuted rows, `bce_loss`, `TINY_NET`.  Not yet one
+    of `standard_fragments`."""
+    def build(candidate):
+        net = Network(TINY_NET)
+        store = net.init_pretrain_params(
+            np.random.Generator(np.random.PCG64(candidate)), np.float64)
+        grids = np.random.default_rng(candidate).uniform(
+            0.0, 1.0, (3, 1) + (TINY_NET.vox_dim,) * 3) > 0.5
+        volumes = GridBatch(grids.astype(np.float64), np.array([2, 0, 1]))
+
+        def fn(arrs):
+            value, d_logits = losses.bce_loss(net.gt_autoencode(
+                volumes, store), volumes.grids[volumes.rows, 0])
+
+            def pullback():
+                store.zero_grads()
+                net.gt_autoencode_backward(d_logits, store)
+                return store.grads
+
+            return value, pullback
+
+        return net, fn, store.params
+
+    return _kink_safe(build, seed)
 
 
 def pipeline_fragments(seed: int = 0):

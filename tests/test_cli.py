@@ -90,6 +90,21 @@ def test_a_data_value_gen_data_cannot_honour_exits_2_naming_the_key(
     assert not run.paths.root.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ("gen-data",), ("pretrain-gt",), ("train", "--pipeline", "base"),
+    ("eval", "--pipeline", "base")], ids=lambda command: command[0])
+def test_one_pose_per_object_exits_2_naming_the_key(tmp_path, capsys, command):
+    # The cosine report needs two views of an object; eval used to find
+    # that out after every other command had exited 0.
+    run = TinyRun(tmp_path)
+    run.write_config()
+    capsys.readouterr()
+    assert run.voxmix(*command, "-o", "data.poses_per_object=1") \
+        == cli.EXIT_CONFIG
+    assert "config error: data.poses_per_object: " in capsys.readouterr().err
+    assert not run.paths.root.exists()
+
+
 @pytest.mark.parametrize("argv,flag", [
     (("grad-check", "--probes", "0"), "--probes"),
     (("grad-check", "--tolerance", "inf"), "--tolerance"),

@@ -29,7 +29,7 @@ IN_RANGE = {
     "train.stage_epochs": st.tuples(*[st.integers(min_value=0)] * 3),
     "eval.iou_threshold": _OPEN_UNIT, "eval.batch_size": st.integers(min_value=1),
     "data.objects_per_class": st.integers(min_value=1),
-    "data.poses_per_object": st.integers(min_value=1),
+    "data.poses_per_object": st.integers(min_value=2),
     "data.shots": st.integers(min_value=1),
     "data.vox_dim": st.integers(min_value=8),
     "data.elevations": st.lists(st.floats(-45.0, 45.0), min_size=1,

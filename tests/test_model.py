@@ -6,7 +6,7 @@ import pytest
 
 from voxmix import evaluate, losses, trainer
 from voxmix.config import ExperimentConfig
-from voxmix.model import Network, NetworkConfig, PriorBatch
+from voxmix.model import GridBatch, Network, NetworkConfig
 from voxmix.nn import Conv2d, Conv3d, ParamStore
 
 CFG = NetworkConfig(vox_dim=16, image_size=32, image_channels=(4, 4, 8, 8),
@@ -22,13 +22,13 @@ def make(cfg=CFG, seed=0):
 
 
 def batch(n=3, seed=1, cfg=CFG):
-    """Images, priors in the per-sample layout (one grid per sample) and
-    volumes."""
+    """Images, and priors and volumes in the per-sample layout (one grid per
+    sample)."""
     rng = np.random.default_rng(seed)
     images = rng.random((n, 2, cfg.image_size, cfg.image_size)).astype(np.float32)
     grids = (rng.random((n, 1) + (cfg.vox_dim,) * 3) < 0.4).astype(np.float32)
     volumes = (rng.random((n, 1) + (cfg.vox_dim,) * 3) < 0.4).astype(np.float32)
-    return images, PriorBatch(grids, np.arange(n)), volumes
+    return images, GridBatch(grids, np.arange(n)), GridBatch(volumes, np.arange(n))
 
 
 def test_forward_shapes_and_closed_interval():
@@ -60,9 +60,9 @@ def test_prior_sensitivity_of_fused_latent():
     best = 0.0
     for _ in range(10):
         x, y, z = rng.integers(2, 14, size=3)
-        hi = PriorBatch(priors.grids.copy(), priors.rows)
+        hi = GridBatch(priors.grids.copy(), priors.rows)
         hi.grids[0, 0, x, y, z] += step
-        lo = PriorBatch(priors.grids.copy(), priors.rows)
+        lo = GridBatch(priors.grids.copy(), priors.rows)
         lo.grids[0, 0, x, y, z] -= step
         delta = net.encode(images, hi, store) - net.encode(images, lo, store)
         best = max(best, float(np.abs(delta).max() / (2 * step)))
@@ -75,14 +75,15 @@ def test_resolution_mismatch_rejected():
     with pytest.raises(ValueError):
         net.forward(images[:, :, :16, :16], priors, store)
     with pytest.raises(ValueError):
-        net.forward(images, PriorBatch(priors.grids[:, :, :8, :8, :8],
-                                       priors.rows), store)
+        net.forward(images, GridBatch(priors.grids[:, :, :8, :8, :8],
+                                      priors.rows), store)
 
 
 def test_encode_gt_deterministic_and_distinct():
     net, store = make()
     rng = np.random.default_rng(3)
-    volumes = (rng.random((2, 1, 16, 16, 16)) < 0.4).astype(np.float32)
+    volumes = GridBatch((rng.random((2, 1, 16, 16, 16)) < 0.4).astype(np.float32),
+                        np.arange(2))
     a = net.encode_gt(volumes, store)
     b = net.encode_gt(volumes, store)
     assert a.tobytes() == b.tobytes()
@@ -123,6 +124,8 @@ def test_centring_zeroes_the_pool_mean_of_every_latent(cfg):
     images, priors, volumes = batch(n=70, seed=9, cfg=cfg)
     if cfg.variant == "no_prior":
         priors = None
+    # 9 volumes read by 7 or 8 samples each: the mean is over samples.
+    volumes = volumes.take(np.arange(70) % 9)
     # 70 samples in batches of 32: two full batches and a partial one.
     net.center_latent_biases(store, images, priors, volumes, batch_size=32)
     e_fused = net.encode(images, priors, store)
@@ -141,7 +144,7 @@ def test_centring_zeroes_the_pool_mean_of_every_latent(cfg):
 def test_gradient_reaches_every_parameter():
     net, store = make(seed=5)
     images, priors, volumes = batch(seed=6)
-    step = trainer.Batch(images, priors, volumes, ["a", "b", "c"])
+    step = trainer.Batch(images, priors, volumes)
     for stage in trainer.PIPELINES["dual_mix"]:
         _, backward = trainer.stage_step(net, store, step, stage,
                                          losses.LossConfig(), 0.2,
@@ -188,7 +191,7 @@ def test_a_default_conv_returns_its_input_gradient(layer, shape):
 def test_corrupted_prior_is_pure_input_substitution():
     net, store = make()
     images, priors, _ = batch()
-    wrong = PriorBatch(priors.grids, np.roll(priors.rows, 1))
+    wrong = GridBatch(priors.grids, np.roll(priors.rows, 1))
     assert net.forward(images, wrong, store).shape \
         == net.forward(images, priors, store).shape
     assert not np.array_equal(net.encode(images, wrong, store),
@@ -201,7 +204,7 @@ def shared_and_per_sample(n, seed):
     rng = np.random.default_rng(seed)
     grids = (rng.random((3, 1) + (CFG.vox_dim,) * 3) < 0.4).astype(np.float32)
     rows = rng.integers(0, 3, n)
-    return PriorBatch(grids, rows), PriorBatch(grids[rows], np.arange(n))
+    return GridBatch(grids, rows), GridBatch(grids[rows], np.arange(n))
 
 
 @pytest.mark.parametrize("n", [1, 7, 32])

@@ -372,15 +372,16 @@ def _layer_check(layer, x_shape, seed=0):
     store = fresh_store(*layer.init_params(rng, np.float64))
     x = rng.uniform(0.1, 1.0, x_shape) * np.where(
         rng.random(x_shape) < 0.5, -1.0, 1.0)
-    probe = rng.standard_normal(layer.forward(x, store).shape)
+    # The layer gets fresh copies of x and probe, which ReLU overwrites.
+    probe = rng.standard_normal(layer.forward(x.copy(), store).shape)
     arrays = {"input": x, **store.params}
 
     def fn(arrs):
-        y = layer.forward(arrs["input"], store)
+        y = layer.forward(arrs["input"].copy(), store)
 
         def pullback():
             store.zero_grads()
-            dx = layer.backward(probe, store)
+            dx = layer.backward(probe.copy(), store)
             grads = {"input": dx}
             grads.update({k: store.grads[k].copy() for k in store.params})
             return grads
@@ -403,6 +404,24 @@ def _layer_check(layer, x_shape, seed=0):
 def test_layer_gradients_match_finite_differences(layer, shape):
     report = _layer_check(layer, shape)
     assert report.passed, f"{report.max_rel_error:.3e} at {report.worst_name}"
+
+
+def test_relu_keeps_nan_forward_and_backward():
+    # np.where(mask, x, 0) turned a NaN input and a NaN gradient at a
+    # negative input into 0, hiding them from the step's non-finite check.
+    relu = nn.ReLU()
+    y = relu.forward(np.array([[np.nan, -1.0, 2.0, -3.0]]), None)
+    assert np.isnan(y[0, 0]) and y[0, 1:].tolist() == [0.0, 2.0, 0.0]
+    dy = relu.backward(np.array([[1.0, np.nan, np.nan, 4.0]]), None)
+    assert np.isnan(dy[0, 1:3]).all() and dy[0, [0, 3]].tolist() == [0.0, 0.0]
+
+
+def test_relu_masks_in_place():
+    relu = nn.ReLU()
+    x = np.array([[-1.0, 2.0]])
+    dy = np.array([[5.0, 6.0]])
+    assert relu.forward(x, None) is x and x.tolist() == [[0.0, 2.0]]
+    assert relu.backward(dy, None) is dy and dy.tolist() == [[0.0, 6.0]]
 
 
 # ---------------------------------------------------------------------------
@@ -598,6 +617,28 @@ def test_grad_check_locates_corrupted_backward():
     report = nn.grad_check(fn, arrays)
     assert not report.passed
     assert report.worst_name == "bad"
+
+
+def test_grad_check_floors_the_error_at_the_losss_rounding():
+    # At loss 1000 a central difference over 2e-5 moves in steps of one
+    # ulp of the loss over 2e-5, about 6e-9: a 1e-9 gradient reads 0 or
+    # 6e-9, a relative error near 1e-3 against a floor of 1e-6 alone.
+    arrays = {"x": np.linspace(0.1, 0.9, 5)}
+
+    def tiny(arrs):
+        return 1000.0 + 1e-9 * float(np.sum(arrs["x"])), \
+            lambda: {"x": np.full(5, 1e-9)}
+
+    report = nn.grad_check(tiny, arrays)
+    assert report.passed, f"{report.max_rel_error:.3e}"
+
+    # The floor there is 4 * eps * 1000 / 1e-5 / 1e-4, about 8.9e-4, so a
+    # gradient of 1e-3 is resolved: 0.1% off reads 5e-4 and fails.
+    def wrong(arrs):
+        return 1000.0 + 1e-3 * float(np.sum(arrs["x"])), \
+            lambda: {"x": np.full(5, 1.001e-3)}
+
+    assert nn.grad_check(wrong, arrays).max_rel_error > 4e-4
 
 
 # ---------------------------------------------------------------------------

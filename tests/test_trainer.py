@@ -10,7 +10,7 @@ from conftest import TINY_OVERRIDES
 
 from voxmix import losses, mixup, nn, runs, trainer, verification
 from voxmix.config import ExperimentConfig, MixupSection, config_hash, dump_config
-from voxmix.model import Network, PriorBatch
+from voxmix.model import GridBatch, Network
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
 
@@ -119,10 +119,10 @@ def test_stage_step_rejects_an_unknown_stage(stage):
     cfg = verification.TINY_NET
     net = Network(cfg)
     store = net.init_params(np.random.default_rng(0))
+    grids = GridBatch(np.zeros((1, 1) + (cfg.vox_dim,) * 3),
+                      np.zeros(2, dtype=np.intp))
     batch = trainer.Batch(np.zeros((2, 2, cfg.image_size, cfg.image_size)),
-                          PriorBatch(np.zeros((1, 1) + (cfg.vox_dim,) * 3),
-                                     np.zeros(2, dtype=np.intp)),
-                          np.zeros((2, 1) + (cfg.vox_dim,) * 3), ["a", "b"])
+                          grids, grids)
     with pytest.raises(ValueError, match=f"unknown stage {stage}"):
         trainer.stage_step(net, store, batch, stage, losses.LossConfig(), 0.2,
                            trainer.stream_rng(0, 1))
@@ -149,27 +149,28 @@ def test_pipeline_fragments_check_the_training_step(seed):
 def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
     """The training step as two branches, each with its own decode, loss and
     backward sequence, and the latent-mixing adjoint written inline: the
-    reference the one-path `trainer.stage_step` must match bit for bit."""
+    reference the one-path `trainer.stage_step` must match bit for bit.
+    Both encode each distinct volume once: a sample and its negative read
+    their object's latent."""
     store.zero_grads()
     images, priors, volumes = batch.images, batch.priors, batch.volumes
-    object_ids = batch.object_ids
     n = len(images)
     if stage == trainer.STAGE_INPUT_MIX:
         plan = mixup.pair_batch(n, alpha, rng)
         images = mixup.apply_pairs(images, plan)
-        volumes = mixup.apply_pairs(volumes, plan)
+        volumes = GridBatch(mixup.apply_pairs(
+            volumes.grids[volumes.rows], plan), np.arange(n))
         if priors is not None:
             grids, rows = priors
-            priors = PriorBatch(mixup.apply_pairs(grids[rows], plan),
-                                np.arange(n))
-        object_ids = None
+            priors = GridBatch(mixup.apply_pairs(grids[rows], plan),
+                               np.arange(n))
     e_fused = net.encode(images, priors, store)
     if stage == trainer.STAGE_LATENT_MIX:
         vol_latent = net.encode_gt(volumes, store)
         plan = partners, ratios = mixup.pair_batch(n, alpha, rng)
         e_mix = mixup.apply_pairs(e_fused, plan)
         lat_mix = mixup.apply_pairs(vol_latent, plan)
-        targets = mixup.apply_pairs(volumes, plan)[:, 0]
+        targets = mixup.apply_pairs(volumes.grids[volumes.rows], plan)[:, 0]
         logits = net.decode(e_mix, store)
         recon, d_logits = losses.bce_loss(logits, targets)
         align, sim_pos, sim_neg, (d_mix, d_latmix, _) = losses.align_loss(
@@ -189,16 +190,17 @@ def _two_branch_stage_step(net, store, batch, stage, lcfg, alpha, rng):
         net.encode_gt_backward(d_vol_latent, store)
     else:
         logits = net.decode(e_fused, store)
-        recon, d_logits = losses.bce_loss(logits, volumes[:, 0])
-        vol_latent = net.encode_gt(volumes, store)
-        neg_idx, mask = trainer._negative_indices(object_ids, n, rng)
+        recon, d_logits = losses.bce_loss(logits,
+                                          volumes.grids[volumes.rows][:, 0])
+        neg_idx, mask = trainer._negative_indices(volumes.rows, n, rng)
+        rows = np.concatenate([volumes.rows, volumes.rows[neg_idx]])
+        latents = net.encode_gt(GridBatch(volumes.grids, rows), store)
         align, sim_pos, sim_neg, (d_fused, d_pos, d_neg) = losses.align_loss(
-            e_fused, vol_latent, vol_latent[neg_idx], lcfg.margin, mask)
-        d_vol_latent = lcfg.w_align * d_pos
-        np.add.at(d_vol_latent, neg_idx, lcfg.w_align * d_neg)
+            e_fused, latents[:n], latents[n:], lcfg.margin, mask)
         net.encode_backward(net.decode_backward(lcfg.w_recon * d_logits, store)
                             + lcfg.w_align * d_fused, store)
-        net.encode_gt_backward(d_vol_latent, store)
+        net.encode_gt_backward(np.concatenate([lcfg.w_align * d_pos,
+                                               lcfg.w_align * d_neg]), store)
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg)
 
 
@@ -210,21 +212,19 @@ def _stage_step_with_backward(*args):
     return breakdown
 
 
-def _looped_negative_indices(object_ids, n, rng):
+def _looped_negative_indices(objects, n, rng):
     """The triplet negatives as a per-sample loop: the reference the array
     form in `trainer._negative_indices` must match, draws included."""
     if n < 2:
         return np.zeros(n, dtype=np.int64), np.zeros(n)
     neg = mixup.random_derangement(n, rng)
     mask = np.ones(n)
-    if object_ids is None:
-        return neg, mask
     for i in range(n):
-        if object_ids[neg[i]] != object_ids[i]:
+        if objects[neg[i]] != objects[i]:
             continue
         for off in range(1, n):
             j = (neg[i] + off) % n
-            if object_ids[j] != object_ids[i]:
+            if objects[j] != objects[i]:
                 neg[i] = j
                 break
         else:
@@ -237,12 +237,12 @@ def test_negative_indices_match_the_per_sample_loop(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 12))
     kinds = int(rng.integers(1, 4))
-    cases = [[f"obj{k}" for k in rng.integers(0, kinds, n)], None,
-             ["one"] * n]
-    for object_ids in cases:
+    # Objects drawn at random, every sample its own (stage 2), one object.
+    cases = [rng.integers(0, kinds, n), np.arange(n), np.zeros(n, dtype=int)]
+    for objects in cases:
         got_rng, want_rng = (trainer.stream_rng(seed, 1) for _ in range(2))
-        got = trainer._negative_indices(object_ids, n, got_rng)
-        want = _looped_negative_indices(object_ids, n, want_rng)
+        got = trainer._negative_indices(objects, n, got_rng)
+        want = _looped_negative_indices(objects, n, want_rng)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -252,7 +252,7 @@ def test_negative_indices_match_the_per_sample_loop(seed):
 
 def test_negative_indices_of_a_single_sample():
     rng = trainer.stream_rng(0, 1)
-    neg, mask = trainer._negative_indices(["a"], 1, rng)
+    neg, mask = trainer._negative_indices(np.zeros(1, dtype=int), 1, rng)
     assert neg.tolist() == [0] and mask.tolist() == [0.0]
     assert rng.bit_generator.state == trainer.stream_rng(0, 1).bit_generator.state
 
@@ -291,13 +291,12 @@ def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
         if variant == "prior" else None
     volumes = (rng.uniform(0.0, 1.0, (n, 1) + (cfg.vox_dim,) * 3) > 0.5)
     # Two views of one object, so the triplet must look past a partner; they
-    # share one prior grid, and beyond one sample the last grid is one no
-    # sample reads.
-    object_ids = ["a", "a", "b", "c"][:n]
-    priors = None if grids is None else PriorBatch(
-        grids.astype(np.float32), np.unique(object_ids, return_inverse=True)[1])
+    # share one prior grid and one volume, and beyond one sample the last
+    # grid is one no sample reads.
+    rows = np.array([0, 0, 1, 2][:n])
+    priors = None if grids is None else GridBatch(grids.astype(np.float32), rows)
     batch = trainer.Batch(images.astype(np.float32), priors,
-                          volumes.astype(np.float32), object_ids)
+                          GridBatch(volumes.astype(np.float32), rows))
 
     runs = []
     for step in (_two_branch_stage_step, _stage_step_with_backward):
@@ -307,3 +306,53 @@ def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
         runs.append((breakdown, store.flat_grads.tobytes(),
                      rng.bit_generator.state))
     assert runs[0] == runs[1]
+
+
+def _count_volume_encodes(net, monkeypatch):
+    """The number of grids of each call of the volume encoder's conv stack."""
+    sizes = []
+    forward = net.gt_conv.forward
+
+    def counted(x, store):
+        sizes.append(len(x))
+        return forward(x, store)
+
+    monkeypatch.setattr(net.gt_conv, "forward", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("stage,encoded", [(1, 3), (2, 6), (3, 3)])
+def test_a_step_encodes_each_distinct_volume_once(stage, encoded, monkeypatch):
+    cfg = verification.TINY_NET
+    net = Network(cfg)
+    store = net.init_params(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    # Six views of three objects; the pool's fourth volume is not in the batch.
+    rows = np.array([0, 2, 0, 3, 2, 2])
+    volumes = GridBatch((rng.uniform(0.0, 1.0, (4, 1) + (cfg.vox_dim,) * 3)
+                         > 0.5).astype(np.float32), rows)
+    images = rng.uniform(0.0, 1.0, (6, 2, cfg.image_size, cfg.image_size))
+    batch = trainer.Batch(images.astype(np.float32), volumes, volumes)
+    sizes = _count_volume_encodes(net, monkeypatch)
+    _, backward = trainer.stage_step(net, store, batch, stage,
+                                     losses.LossConfig(), 0.2,
+                                     trainer.stream_rng(0, stage))
+    backward()
+    # Stage 2 mixes volumes, so each sample has its own.
+    assert sizes == [encoded]
+    assert np.all(store.grads["gt_encoder.conv0.w"] != 0.0)
+
+
+def test_latent_centring_encodes_each_pool_object_once(tiny_run, monkeypatch):
+    ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
+    pool = ctx.train_pool
+    objects = len(set(pool.samples.object_ids))
+    assert pool.volumes.grids.tobytes() \
+        == trainer.unique_volumes(pool.samples).tobytes()
+    assert pool.volumes.grids[pool.volumes.rows].tobytes() \
+        == pool.samples.volumes.tobytes()
+    store = ctx.net.init_params(np.random.default_rng(0))
+    sizes = _count_volume_encodes(ctx.net, monkeypatch)
+    ctx.net.center_latent_biases(store, pool.samples.images, pool.priors,
+                                 pool.volumes)
+    assert sizes == [objects] and objects < len(pool)

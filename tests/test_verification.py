@@ -148,3 +148,9 @@ def test_grad_check_runs_one_pullback_before_any_probe():
     assert events[:2] == ["loss", "pullback"]
     assert events.count("pullback") == 1
     assert events.count("loss") == report.loss_calls == 1 + 2 * len(arrays)
+
+
+def test_the_pretraining_step_matches_central_differences():
+    report = nn.grad_check(*verification._pretrain_fragment(0), TOLERANCE,
+                           probes=20)
+    assert report.passed, f"{report.max_rel_error:.3e} at {report.worst_name}"
