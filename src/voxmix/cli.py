@@ -3,10 +3,12 @@ eval and grad-check.
 
 Every experiment is a config file plus a subcommand; outputs land only
 under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
-``./runs``).  `train --alphas A,B` trains each pipeline it selects at each
-of those values of `mixup.alpha`, as arm `trainer.arm_name(pipeline,
-alpha)`; `eval --alphas` reads those arms.  `eval` writes each arm's IoU
-and cosine reports.
+``./runs``).  Each arm `train` writes is named by `trainer.arm_name`: the
+pipeline, `_alpha<a>` per value of `mixup.alpha` with `--alphas A,B`, and
+`_noprior` on the no-prior network (`base`, `input_mix_alpha0.4`,
+`base_noprior`).  `eval` reads the arms of its own network and writes
+their IoU and cosine reports once it has computed them all.  `train`
+refuses `prior.mode=corrupted` (exit 2), which is an `eval` mode only.
 
 Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing, unreadable or
 stale input artifact, 4 numeric failure.  The dataset is the one input
@@ -216,20 +218,23 @@ def cmd_eval(args) -> int:
     config, paths = load(args)
     pipeline = args.pipeline or config.train.pipeline
     stage = trainer.PIPELINES[pipeline][-1]
-    # Every arm's checkpoint is read before any report is written.
-    trained = {arm: trainer.load_stage_checkpoint(
-        paths.checkpoint_path(arm, stage), arm_config) for arm, (_, arm_config)
-        in trainer.arm_configs(config, (pipeline,), _alphas(args)).items()}
+    arms = trainer.arm_configs(config, (pipeline,), _alphas(args))
     ctx = trainer.ExperimentContext.load(config, paths)
     query, proximity = ctx.query_samples, ctx.proximity()
     views = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     priors = (ctx.priors_by_class, config.prior.mode, config.data.classes)
-    for arm, (store, metadata) in trained.items():
+    reports = {}   # every arm's, before any is written
+    for arm, (_, arm_config) in arms.items():
+        store, _ = trainer.load_stage_checkpoint(
+            paths.checkpoint_path(arm, stage), arm_config)
         predictions = evaluate.binarized_predictions(
             ctx.net, store, query, *priors, config.eval.iou_threshold,
             config.eval.batch_size)
         table = evaluate.iou_table(predictions, query,
                                    config.eval.iou_threshold, config.prior.mode)
+        reports[arm] = predictions, table, evaluate.cosine_report(
+            ctx.net, store, views, *priors, config.eval.batch_size)
+    for arm, (predictions, table, cosine) in reports.items():
         trainer.write_iou_reports(paths, arm, table, proximity)
         if args.dump_predictions:
             runs.save_archive(paths.reports_dir / f"{arm}_predictions.npz",
@@ -237,8 +242,6 @@ def cmd_eval(args) -> int:
                                "pose_ids": query.pose_ids,
                                "threshold": config.eval.iou_threshold},
                               {"predictions": predictions})
-        cosine = evaluate.cosine_report(ctx.net, store, views, *priors,
-                                        config.eval.batch_size)
         runs.write_csv(paths.reports_dir / f"{arm}_cosine.csv",
                        ("class", "same_obj_mean", "diff_obj_mean",
                         "same_pairs", "diff_pairs"), cosine.rows)
@@ -246,10 +249,8 @@ def cmd_eval(args) -> int:
         for class_id, mean_iou, count in table.rows:
             print(f"{class_id:10s} {mean_iou:.4f}  (n={count})  "
                   f"proximity {proximity[class_id]:.4f}")
-        # Checkpoints written before it was recorded lack the prior mode.
-        trained_under = metadata.get("prior_mode", "not recorded")
-        print(f"{'average':10s} {table.overall:.4f}  [prior mode: "
-              f"{table.prior_mode}; trained under: {trained_under}]")
+        print(f"{'average':10s} {table.overall:.4f}  "
+              f"[prior mode: {table.prior_mode}]")
         for class_id, same, diff, n_same, n_diff in cosine.rows:
             print(f"{class_id:10s} same-object {same:.4f} ({n_same} pairs)  "
                   f"different-object {diff:.4f} ({n_diff} pairs)")

@@ -19,6 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import render, shapes, voxel
+from .model import GridBatch
 
 
 @dataclass(frozen=True)
@@ -43,12 +44,10 @@ class DatasetManifest:
     volumes: dict[str, np.ndarray]     # object id -> (D, D, D) bool
 
     def objects_by_class(self) -> dict[str, list[str]]:
-        seen: dict[str, list[str]] = {}
+        seen: dict[str, dict[str, None]] = {}
         for rec in self.records:
-            bucket = seen.setdefault(rec.class_id, [])
-            if rec.object_id not in bucket:
-                bucket.append(rec.object_id)
-        return seen
+            seen.setdefault(rec.class_id, {})[rec.object_id] = None
+        return {class_id: list(objects) for class_id, objects in seen.items()}
 
     def records_for_objects(self, object_ids: Iterable[str]) -> list[Record]:
         wanted = set(object_ids)
@@ -66,16 +65,12 @@ class FewShotSplit:
     query_objects: dict[str, tuple[str, ...]]
 
     def all_train_objects(self) -> list[str]:
-        out: list[str] = []
-        for cls in self.base_classes + self.novel_classes:
-            out.extend(self.train_objects[cls])
-        return out
+        return [obj for cls in self.base_classes + self.novel_classes
+                for obj in self.train_objects[cls]]
 
     def all_query_objects(self) -> list[str]:
-        out: list[str] = []
-        for cls in self.novel_classes:
-            out.extend(self.query_objects[cls])
-        return out
+        return [obj for cls in self.novel_classes
+                for obj in self.query_objects[cls]]
 
 
 def _object_params(seed: int, class_id: str, index: int, arity: int) -> tuple[float, ...]:
@@ -136,8 +131,7 @@ def make_split(manifest: DatasetManifest, base_classes: Sequence[str],
                seed: int = 0) -> FewShotSplit:
     """Pick `shots` training objects per novel class; the rest become the
     query set. Base classes train on all their objects."""
-    base = tuple(base_classes)
-    nov = tuple(novel_classes)
+    base, nov = tuple(base_classes), tuple(novel_classes)
     overlap = set(base) & set(nov)
     if overlap:
         raise ValueError(f"base and novel classes overlap: {sorted(overlap)}")
@@ -182,13 +176,15 @@ def class_priors(manifest: DatasetManifest, split: FewShotSplit,
 
 @dataclass
 class SampleArrays:
-    """A stack of views loaded into memory, one row per manifest record."""
+    """A stack of views loaded into memory, one row per manifest record,
+    and their volumes: one float32 (1, D, D, D) grid per distinct object,
+    in first-record order, and each view's row into them."""
 
     object_ids: list[str]
     class_ids: list[str]
     pose_ids: list[int]
     images: np.ndarray    # (n, 2, H, W) float32
-    volumes: np.ndarray   # (n, 1, D, D, D) float32
+    volumes: GridBatch
 
     def __len__(self) -> int:
         return len(self.object_ids)
@@ -198,8 +194,11 @@ def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> Sample
     row = {rec: i for i, rec in enumerate(manifest.records)}
     images = manifest.views[[row[rec] for rec in records]].astype(np.float32)
     images /= 255.0
-    volumes = np.stack([manifest.volumes[rec.object_id] for rec in records])
+    objects: dict[str, int] = {}
+    rows = np.array([objects.setdefault(rec.object_id, len(objects))
+                     for rec in records], dtype=np.intp)
+    grids = np.stack([manifest.volumes[obj] for obj in objects])
     return SampleArrays([rec.object_id for rec in records],
                         [rec.class_id for rec in records],
                         [rec.pose_id for rec in records], images,
-                        volumes[:, None].astype(np.float32))
+                        GridBatch(grids[:, None].astype(np.float32), rows))

@@ -95,7 +95,8 @@ def iou_table(occupied: np.ndarray, samples: SampleArrays, threshold: float,
     """Per-sample IoU of the (n, D, D, D) bool stack `occupied` against the
     samples' ground truth, aggregated per class; the overall score is the
     mean of class means.  The table records `threshold` and `prior_mode`."""
-    values = iou(occupied, samples.volumes[:, 0] > 0.5).tolist()
+    truth = samples.volumes.grids[:, 0] > 0.5
+    values = iou(occupied, truth[samples.volumes.rows]).tolist()
     per_sample = tuple(zip(samples.object_ids, samples.pose_ids,
                            samples.class_ids, values))
     by_class: dict[str, list[float]] = {}
@@ -133,11 +134,10 @@ def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
         raise ValueError("zero-norm latent; cosine report undefined")
     unit = fused / norms
 
-    classes = sorted(set(samples.class_ids))
     rows = []
     obj_arr = np.asarray(samples.object_ids)
     cls_arr = np.asarray(samples.class_ids)
-    for class_id in classes:
+    for class_id in sorted(set(samples.class_ids)):
         members = np.flatnonzero(cls_arr == class_id)
         if members.size < 2:
             raise ValueError(f"class {class_id!r} has fewer than 2 views")

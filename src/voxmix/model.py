@@ -62,7 +62,7 @@ class NetworkConfig:
 class GridBatch(NamedTuple):
     """The prior or volume input of n samples: the grids (k, 1, D, D, D) and
     each sample's row index into them, `rows` (n,).  `evaluate.prior_batch`
-    builds one per class set, `trainer.object_volumes` one per object; the
+    builds one per class set, `corpus.load_samples` one per object; the
     per-sample layout is the case rows = arange(n)."""
 
     grids: np.ndarray

@@ -13,7 +13,9 @@ Every experiment lives under one run directory:
                            <arm>_cosine.csv and, with --dump-predictions,
                            <arm>_predictions.npz; mix_preview/pairs.csv
                            and pairs.npz (tools/mix_preview.py)
-where an arm is a pipeline or, with `--alphas`, `trainer.arm_name`.
+where `trainer.arm_name` names an arm: its pipeline, then `_alpha<a>` with
+`--alphas`, then `_noprior` on the no-prior network (`base_stage1.ckpt`,
+`input_mix_alpha0.4_noprior_iou.csv`).
 No file that a command reads holds the base/novel few-shot split or the
 class priors: `corpus.make_split` and `corpus.class_priors` derive them
 from the dataset and the config wherever they are needed.

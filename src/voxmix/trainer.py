@@ -15,16 +15,17 @@ input-mixing stage.  The four selectable pipelines are
     input_mix   stages 1-2
     latent_mix  stages 1+3
     dual_mix    stages 1-2-3
-An experiment is a tree of (stage, alpha) nodes, and each arm, a pipeline
-at one alpha, is a path from the root.  Only the mixing stages read alpha,
-so the base stage node has alpha None and an alpha sweep shares it.  Each
-stage draws from its own seeded random stream, so arms sharing a prefix of
-nodes are bit-identical up to the branch point; each node trains once.
+An experiment is a tree of (stage, alpha) nodes, and each arm, keyed
+(pipeline, alpha, variant) by `arm_name`, is a path of one network variant
+from the root.  Only the mixing stages read alpha, so the base stage node
+has alpha None and an alpha sweep shares it.  Each stage draws from its own
+seeded random stream, so arms sharing a prefix of nodes are bit-identical
+up to the branch point; each node trains once.  Training runs under prior
+mode "correct" or "none"; "corrupted" is an evaluation mode only.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import asdict, astuple, dataclass, replace
 from pathlib import Path
 from typing import Callable, Mapping
@@ -32,8 +33,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import evaluate, losses, mixup, runs, voxel
-from .config import (EvalSection, ExperimentConfig, ModelSection, PriorConfig,
-                     TrainSection, config_hash)
+from .config import (ConfigError, EvalSection, ExperimentConfig, ModelSection,
+                     PriorConfig, TrainSection, config_hash)
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
                      class_priors, load_samples, make_split)
 from .model import GridBatch, Network, NetworkConfig
@@ -82,11 +83,10 @@ def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
 
 @dataclass
 class TrainingPool:
-    """Preloaded training views and the prior input of the whole pool, as
-    `evaluate.prior_batch` builds it: one grid per class and each sample's
-    row, or None for no-prior runs; and, built when training first reads
-    it, the volume input, as `object_volumes` builds it.  A training batch
-    takes its samples' rows of both."""
+    """Preloaded training views with their volume input, and the prior
+    input of the whole pool as `evaluate.prior_batch` builds it: one grid
+    per class and each sample's row, or None for no-prior runs.  A training
+    batch takes its samples' rows of both."""
 
     samples: SampleArrays
     priors: GridBatch | None
@@ -94,26 +94,10 @@ class TrainingPool:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @functools.cached_property
-    def volumes(self) -> GridBatch:
-        return object_volumes(self.samples)
-
-
-def object_volumes(samples: SampleArrays) -> GridBatch:
-    """One (1, D, D, D) volume per distinct object, in first-seen order,
-    and each sample's row into them."""
-    index: dict[str, int] = {}
-    first, rows = [], np.empty(len(samples), dtype=np.intp)
-    for i, obj in enumerate(samples.object_ids):
-        rows[i] = index.setdefault(obj, len(first))
-        if rows[i] == len(first):
-            first.append(i)
-    return GridBatch(samples.volumes[first], rows)
-
 
 def unique_volumes(samples: SampleArrays) -> np.ndarray:
     """One (1, D, D, D) volume per distinct object, in first-seen order."""
-    return object_volumes(samples).grids
+    return samples.volumes.grids
 
 
 def _steps(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
@@ -264,7 +248,7 @@ def train_stage(net: Network, store: ParamStore, stage: int,
                                    config.train.stage_epochs[stage - 1], rng):
         batch = Batch(samples.images[idx],
                       None if pool.priors is None else pool.priors.take(idx),
-                      pool.volumes.take(idx))
+                      samples.volumes.take(idx))
         breakdown, backward = stage_step(net, store, batch, stage,
                                          config.loss, config.mixup.alpha, rng)
         if not np.isfinite(breakdown.total):
@@ -308,7 +292,7 @@ def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
 def load_stage_checkpoint(path, config: ExperimentConfig):
     """(parameters, metadata); ValueError, naming `path`, unless the
     parameters fit the configured network and were trained under the same
-    `trained_hash`."""
+    `trained_hash` and the prior mode training uses for that network."""
     store, metadata = runs.load_checkpoint(path)
     try:
         Network(network_config(config)).check_store(store)
@@ -318,6 +302,11 @@ def load_stage_checkpoint(path, config: ExperimentConfig):
     if metadata.get("config_hash") != trained_hash(config):
         raise ValueError(f"{path} was trained under another config; "
                          "train again under this one")
+    recorded = metadata.get("prior_mode")
+    mode = "none" if config.prior.mode == "none" else "correct"
+    if recorded != mode:
+        raise ValueError(f"{path} was trained under prior mode {recorded!r}, "
+                         f"not {mode!r}; train again under this config")
     return store, metadata
 
 
@@ -408,7 +397,7 @@ def pretrain_gt_encoder(ctx: ExperimentContext
     replacing any earlier checkpoint, with its per-epoch mean losses in
     `logs/pretrain_gt.csv`; returns (parameters, those losses)."""
     config = ctx.config
-    store, history = pretrain_gt(ctx.net, ctx.train_pool.volumes.grids,
+    store, history = pretrain_gt(ctx.net, ctx.train_pool.samples.volumes.grids,
                                  config.train.pretrain_epochs,
                                  lr=config.train.gt_lr,
                                  batch_size=config.train.pretrain_batch,
@@ -447,7 +436,7 @@ def init_main_store(ctx: ExperimentContext) -> ParamStore:
             store.params[name][...] = value
     pool = ctx.train_pool
     ctx.net.center_latent_biases(store, pool.samples.images, pool.priors,
-                                 pool.volumes)
+                                 pool.samples.volumes)
     return store
 
 
@@ -469,21 +458,26 @@ def write_iou_reports(paths: runs.RunPaths, pipeline: str,
                    ("object_id", "pose_id", "class", "iou"), table.per_sample)
 
 
-def arm_name(pipeline: str, alpha: float) -> str:
-    """The arm of `pipeline` at `alpha` in an alpha sweep: two alphas that
-    print alike under `%g` name one arm."""
-    return f"{pipeline}_alpha{alpha:g}"
+def arm_name(pipeline: str, alpha: float | None = None,
+             variant: str = "prior") -> str:
+    """The name of the arm keyed (pipeline, alpha, variant): `pipeline`,
+    then `_alpha<alpha:g>` in an alpha sweep (alpha None outside one), then
+    `_noprior` on the no-prior network.  Two alphas that print alike under
+    `%g` name one arm."""
+    return (pipeline + ("" if alpha is None else f"_alpha{alpha:g}")
+            + ("_noprior" if variant == "no_prior" else ""))
 
 
 def arm_configs(config: ExperimentConfig, pipelines: tuple[str, ...],
                 alphas: tuple[float, ...] = ()) -> dict[str, tuple]:
-    """(pipeline, config) by arm name: `pipelines` under `config`, or with
-    `alphas` each pipeline at each, under that `mixup.alpha`."""
-    if not alphas:
-        return {name: (name, config) for name in pipelines}
-    return {arm_name(name, alpha):
-            (name, replace(config, mixup=replace(config.mixup, alpha=alpha)))
-            for name in pipelines for alpha in alphas}
+    """(pipeline, config) by arm name: `pipelines` on `config`'s network,
+    under `config`, or with `alphas` each pipeline at each, under that
+    `mixup.alpha`."""
+    variant = network_config(config).variant
+    return {arm_name(name, alpha, variant):
+            (name, config if alpha is None else
+             replace(config, mixup=replace(config.mixup, alpha=alpha)))
+            for name in pipelines for alpha in alphas or (None,)}
 
 
 def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
@@ -494,10 +488,14 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     final checkpoint of each arm of `arm_configs(config, pipelines,
     alphas)`, under its name, in the run directory.  Sharing a prefix of
     nodes is bit-identical to training each arm from scratch, because
-    every stage draws from its own seeded stream."""
+    every stage draws from its own seeded stream.  Prior mode "corrupted"
+    is a ConfigError, before any work."""
     unknown = [p for p in pipelines if p not in PIPELINES]
     if unknown:
         raise ValueError(f"unknown pipeline {unknown[0]!r}")
+    if config.prior.mode == "corrupted":
+        raise ConfigError(f"prior.mode: {config.prior.mode!r} is an evaluation "
+                          "mode; train under 'correct' or 'none'")
     arms = arm_configs(config, pipelines, alphas)
     paths.ensure_dirs()
     paths.write_resolved_config(config)

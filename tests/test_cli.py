@@ -14,20 +14,28 @@ def test_no_prior_variant_trains_and_evaluates(tiny_run):
     override = ("-o", "prior.mode=none")
     assert tiny_run.voxmix("train", *override, "--pipeline", "base") == cli.EXIT_OK
     assert tiny_run.voxmix("eval", *override, "--pipeline", "base") == cli.EXIT_OK
-    with open(tiny_run.paths.reports_dir / "base_iou.csv", newline="") as fh:
+    paths = tiny_run.paths
+    with open(paths.iou_path("base_noprior"), newline="") as fh:
         assert {row["prior_mode"] for row in csv.DictReader(fh)} == {"none"}
-    store, _ = runs.load_checkpoint(tiny_run.paths.checkpoints_dir
-                                    / "base_stage1.ckpt")
+    for name in ("base_noprior_iou_samples.csv", "base_noprior_cosine.csv"):
+        assert (paths.reports_dir / name).exists()
+    assert (paths.logs_dir / "base_noprior_train.csv").exists()
+    store, _ = runs.load_checkpoint(paths.checkpoint_path("base_noprior", 1))
     assert {"pool_proj.fc.w", "pool_proj.fc.b"} <= set(store.names)
     assert not [name for name in store.names
                 if name.startswith("prior_encoder.")]
+    assert not list(paths.root.rglob("base_[!n]*"))
 
 
 def test_eval_of_a_no_prior_checkpoint_under_a_prior_mode_exits_1(tiny_run,
                                                                    capsys):
     assert tiny_run.voxmix("train", "-o", "prior.mode=none",
                            "--pipeline", "base") == cli.EXIT_OK
-    report = tiny_run.paths.reports_dir / "base_iou.csv"
+    # The no-prior checkpoint under the prior network's name.
+    ckpt = tiny_run.paths.checkpoint_path("base", 1)
+    ckpt.write_bytes(tiny_run.paths.checkpoint_path("base_noprior", 1)
+                     .read_bytes())
+    report = tiny_run.paths.iou_path("base_noprior")
     written = report.read_bytes()
     capsys.readouterr()
     assert tiny_run.voxmix("eval", "-o", "prior.mode=correct",
@@ -35,10 +43,51 @@ def test_eval_of_a_no_prior_checkpoint_under_a_prior_mode_exits_1(tiny_run,
     err = capsys.readouterr().err
     assert "do not fit the 'prior' variant network" in err
     assert "prior_encoder.conv0.w is missing" in err
-    ckpt = tiny_run.paths.checkpoints_dir / "base_stage1.ckpt"
     assert f"error: {ckpt}: " in err
     assert err.rstrip().endswith("; train again under this config")
     assert report.read_bytes() == written
+    assert not tiny_run.paths.iou_path("base").exists()
+
+
+def _files(root):
+    return {path: path.read_bytes() for path in root.rglob("*")
+            if path.is_file()}
+
+
+def test_the_two_networks_train_and_evaluate_side_by_side(tiny_run, capsys):
+    paths, arms = tiny_run.paths, {"base": "correct", "base_noprior": "none"}
+    written = {}
+    for arm, mode in arms.items():
+        assert tiny_run.voxmix("train", "-o", f"prior.mode={mode}",
+                               "--pipeline", "base") == cli.EXIT_OK
+        written[arm] = {path: path.read_bytes() for path in (
+            paths.checkpoint_path(arm, 1), paths.iou_path(arm),
+            paths.logs_dir / f"{arm}_train.csv")}
+    # Training the no-prior network left the prior network's files alone.
+    for files in written.values():
+        assert {path: path.read_bytes() for path in files} == files
+    # Each eval reads its own network's checkpoint and rewrites its report.
+    for arm, mode in arms.items():
+        paths.iou_path(arm).unlink()
+        capsys.readouterr()
+        assert tiny_run.voxmix("eval", "-o", f"prior.mode={mode}",
+                               "--pipeline", "base") == cli.EXIT_OK
+        assert f"  [prior mode: {mode}]\n" in capsys.readouterr().out
+        assert paths.iou_path(arm).read_bytes() \
+            == written[arm][paths.iou_path(arm)]
+
+
+@pytest.mark.parametrize("extra", [("--pipeline", "base"), ("--all",),
+                                   ("--pipeline", "input_mix", "--alphas", "0.4")])
+def test_train_under_the_corrupted_prior_exits_2_before_any_work(
+        tiny_run, capsys, extra):
+    before = _files(tiny_run.root)
+    assert tiny_run.voxmix("train", "-o", "prior.mode=corrupted",
+                           *extra) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: prior.mode: 'corrupted' is an "
+                          "evaluation mode")
+    assert _files(tiny_run.root) == before
 
 
 def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,
@@ -301,11 +350,14 @@ def test_pretrain_gt_keeps_its_loss_history(tiny_run, capsys, epochs):
 def test_mix_preview_writes_the_stage_two_mix(tiny_run):
     assert tiny_run.mix_preview("--pairs", "3") == cli.EXIT_OK
     config = tiny_run.config
-    pool = trainer.ExperimentContext.load(config, tiny_run.paths).train_pool
+    ctx = trainer.ExperimentContext.load(config, tiny_run.paths)
+    pool = ctx.train_pool
     pairs = mixup.pair_batch(3, config.mixup.alpha,
                              trainer.stream_rng(config.seed,
                                                 trainer.STAGE_INPUT_MIX))
-    volumes = mixup.apply_pairs(pool.samples.volumes[:3], pairs)
+    volumes = mixup.apply_pairs(np.stack([
+        ctx.manifest.volumes[obj][None] for obj in pool.samples.object_ids[:3]
+    ]).astype(np.float32), pairs)
     images = mixup.apply_pairs(pool.samples.images[:3], pairs)
     priors = mixup.apply_pairs(pool.priors.grids[pool.priors.rows[:3]], pairs)
     _, got = runs.read_archive(tiny_run.paths.reports_dir / "mix_preview"
@@ -564,8 +616,9 @@ def test_dumped_predictions_reproduce_the_per_sample_ious(tiny_run):
                            "--dump-predictions") == cli.EXIT_OK
     query = trainer.ExperimentContext.load(tiny_run.config,
                                            tiny_run.paths).query_samples
+    volumes = query.volumes.grids[query.volumes.rows]
     truth = {(obj, pose): volume[0] > 0.5 for obj, pose, volume
-             in zip(query.object_ids, query.pose_ids, query.volumes)}
+             in zip(query.object_ids, query.pose_ids, volumes)}
     reports = tiny_run.paths.reports_dir
     with open(reports / "base_iou_samples.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
@@ -638,22 +691,50 @@ def test_eval_refuses_a_checkpoint_trained_under_another_config(tiny_run,
         assert tiny_run.voxmix("eval", *args) == cli.EXIT_OK
 
 
-def test_eval_says_which_prior_mode_the_checkpoint_was_trained_under(
-        tiny_run, capsys):
-    assert tiny_run.voxmix("train", "-o", "prior.mode=corrupted",
-                           "--pipeline", "base") == cli.EXIT_OK
-    capsys.readouterr()
-    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
-    assert ("[prior mode: correct; trained under: corrupted]"
-            in capsys.readouterr().out)
-    # A checkpoint written before the training prior mode was recorded.
+@pytest.mark.parametrize("recorded", ["corrupted", None],
+                         ids=["corrupted", "not_recorded"])
+def test_eval_refuses_a_checkpoint_not_trained_under_its_networks_mode(
+        tiny_run, capsys, recorded):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    # As a corrupted-prior run, or one that predates the record, left it.
     ckpt = tiny_run.paths.checkpoint_path("base", 1)
     store, metadata = runs.load_checkpoint(ckpt)
-    del metadata["prior_mode"]
+    metadata["prior_mode"] = recorded
+    if recorded is None:
+        del metadata["prior_mode"]
     runs.save_checkpoint(ckpt, store, metadata)
-    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
-    assert ("[prior mode: correct; trained under: not recorded]"
-            in capsys.readouterr().out)
+    before = _files(tiny_run.paths.reports_dir)
+    for mode in ("correct", "corrupted"):
+        assert tiny_run.voxmix("eval", "-o", f"prior.mode={mode}",
+                               "--pipeline", "base",
+                               "--dump-predictions") == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == (f"error: {ckpt} was trained under prior mode "
+                       f"{recorded!r}, not 'correct'; train again under this "
+                       "config\n")
+    assert _files(tiny_run.paths.reports_dir) == before
+
+
+def test_eval_writes_no_report_until_every_arm_has_all_of_its_reports(
+        tiny_run, monkeypatch):
+    assert tiny_run.voxmix("train", "--pipeline", "input_mix",
+                           "--alphas", "0.4,1.0") == cli.EXIT_OK
+    before = _files(tiny_run.paths.reports_dir)
+    cosine_report, calls = evaluate.cosine_report, []
+
+    def fails_on_the_second_arm(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ValueError("cosine report failed")
+        return cosine_report(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "cosine_report", fails_on_the_second_arm)
+    # Another threshold, so every report eval would write differs.
+    assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
+                           "--alphas", "0.4,1.0", "--dump-predictions",
+                           "-o", "eval.iou_threshold=0.5") == cli.EXIT_USAGE
+    assert len(calls) == 2
+    assert _files(tiny_run.paths.reports_dir) == before
 
 
 def test_a_garbage_stage_checkpoint_exits_3_and_says_what_it_is(tiny_run,

@@ -60,8 +60,13 @@ def test_views_of_one_object_share_volume_ref(reloaded):
     assert list(reloaded.volumes) == list(dict.fromkeys(
         rec.object_id for rec in reloaded.records))
     samples = corpus.load_samples(reloaded, reloaded.records)
+    # One grid per object, in first-record order, and each view's row.
+    grids, rows = samples.volumes
+    assert len(grids) == len(reloaded.volumes)
+    assert rows.tolist() == [list(reloaded.volumes).index(obj)
+                             for obj in samples.object_ids]
     for k, obj in enumerate(samples.object_ids):
-        assert np.array_equal(samples.volumes[k, 0], reloaded.volumes[obj])
+        assert np.array_equal(grids[rows[k], 0], reloaded.volumes[obj])
 
 
 def test_manifest_round_trip(small_dataset, tmp_path):
@@ -102,18 +107,21 @@ def test_a_loaded_view_is_its_rendering_quantized_to_eight_bits(reloaded):
 
 def test_a_loaded_volume_is_the_voxelized_object(reloaded):
     samples = corpus.load_samples(reloaded, reloaded.records)
-    assert samples.volumes.dtype == np.float32
-    for volume, rec in zip(samples.volumes, reloaded.records):
-        assert np.array_equal(volume[0], _grid(rec))
+    grids, rows = samples.volumes
+    assert grids.dtype == np.float32
+    for row, rec in zip(rows, reloaded.records):
+        assert np.array_equal(grids[row, 0], _grid(rec))
 
 
 def test_load_samples_shapes(small_dataset):
     records = small_dataset.records[:5]
     samples = corpus.load_samples(small_dataset, records)
     assert samples.images.shape == (5, 2, 32, 32)
-    assert samples.volumes.shape == (5, 1, 16, 16, 16)
+    # Five views of two objects, four poses each.
+    assert samples.volumes.grids.shape == (2, 1, 16, 16, 16)
+    assert samples.volumes.rows.tolist() == [0, 0, 0, 0, 1]
     assert samples.images.min() >= 0.0 and samples.images.max() <= 1.0
-    assert set(np.unique(samples.volumes)) <= {0.0, 1.0}
+    assert set(np.unique(samples.volumes.grids)) <= {0.0, 1.0}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 from voxmix import evaluate
 from voxmix.config import EvalSection
 from voxmix.corpus import SampleArrays
-from voxmix.model import Network
+from voxmix.model import GridBatch, Network
 from voxmix.verification import TINY_NET
 
 CLASSES = ("a", "b", "c")
@@ -16,13 +16,16 @@ EVAL = EvalSection()
 
 
 def _samples(object_ids, class_ids, seed=0):
+    """Random views, with one random volume per distinct object."""
     rng = np.random.default_rng(seed)
     n = len(object_ids)
     side, dim = TINY_NET.image_size, TINY_NET.vox_dim
     images = rng.uniform(0.0, 1.0, (n, 2, side, side)).astype(np.float32)
-    volumes = (rng.uniform(0.0, 1.0, (n, 1, dim, dim, dim)) < 0.4)
+    objects = list(dict.fromkeys(object_ids))
+    grids = rng.uniform(0.0, 1.0, (len(objects), 1, dim, dim, dim)) < 0.4
+    rows = np.array([objects.index(obj) for obj in object_ids])
     return SampleArrays(list(object_ids), list(class_ids), list(range(n)),
-                        images, volumes.astype(np.float32))
+                        images, GridBatch(grids.astype(np.float32), rows))
 
 
 @pytest.fixture(scope="module")

@@ -347,12 +347,14 @@ def test_latent_centring_encodes_each_pool_object_once(tiny_run, monkeypatch):
     ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
     pool = ctx.train_pool
     objects = len(set(pool.samples.object_ids))
-    assert pool.volumes.grids.tobytes() \
+    volumes = pool.samples.volumes
+    assert volumes.grids.tobytes() \
         == trainer.unique_volumes(pool.samples).tobytes()
-    assert pool.volumes.grids[pool.volumes.rows].tobytes() \
-        == pool.samples.volumes.tobytes()
+    assert volumes.grids[volumes.rows, 0].tobytes() == np.stack(
+        [ctx.manifest.volumes[obj] for obj in pool.samples.object_ids]
+    ).astype(np.float32).tobytes()
     store = ctx.net.init_params(np.random.default_rng(0))
     sizes = _count_volume_encodes(ctx.net, monkeypatch)
     ctx.net.center_latent_biases(store, pool.samples.images, pool.priors,
-                                 pool.volumes)
+                                 volumes)
     assert sizes == [objects] and objects < len(pool)

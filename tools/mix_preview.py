@@ -20,7 +20,8 @@ def preview(args) -> int:
     plan = partners, ratios = mixup.pair_batch(count, config.mixup.alpha, rng)
     out_dir = paths.reports_dir / "mix_preview"
     out_dir.mkdir(parents=True, exist_ok=True)
-    volumes = pool.samples.volumes[:count]
+    volumes = pool.samples.volumes
+    volumes = volumes.grids[volumes.rows[:count]]
     priors = np.zeros_like(volumes) if pool.priors is None \
         else pool.priors.grids[pool.priors.rows[:count]]
     runs.save_archive(out_dir / "pairs.npz", {}, {

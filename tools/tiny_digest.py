@@ -8,7 +8,10 @@ directory for the run.  The chain is gen-data, build-priors, pretrain-gt,
 train --all, eval --dump-predictions, train --pipeline P --alphas 0.4,1.0
 for P input_mix and latent_mix, and tools/mix_preview.py, on the tiny
 config of ``tests/conftest.py``; each KEY=VALUE is one more ``-o``
-override to every command (``prior.mode=none`` runs the no-prior chain).
+override to every command (``prior.mode=none`` runs the no-prior chain),
+except the evaluation-only ``prior.mode=corrupted``, which only eval gets:
+that chain trains under the correct priors and evaluates each sample
+under another class's prior.
 Each archive (``*.ckpt``, ``*.npz``) also gets a ``sha256 path [arrays]``
 line over its arrays alone, every entry but ``meta``, so a change to an
 archive's metadata alone shows as exactly that.  Diffing the output of
@@ -26,6 +29,8 @@ CHAIN = (("gen-data",), ("build-priors",), ("pretrain-gt",), ("train", "--all"),
          ("eval", "--dump-predictions"),
          *(("train", "--pipeline", pipeline, "--alphas", "0.4,1.0")
            for pipeline in ("input_mix", "latent_mix")), ("mix_preview",))
+# Overrides that `train` refuses, given to eval alone.
+EVAL_ONLY = ("prior.mode=corrupted",)
 
 
 def array_digest(path: Path) -> str:
@@ -46,8 +51,10 @@ def main(src: str, root: str, *overrides: str) -> int:
 
     run = TinyRun(Path(root).resolve())
     run.write_config()
-    options = [item for override in overrides for item in ("-o", override)]
     for command, *extra in CHAIN:
+        options = [item for override in overrides
+                   if command == "eval" or override not in EVAL_ONLY
+                   for item in ("-o", override)]
         with contextlib.redirect_stdout(sys.stderr):
             code = run.mix_preview(*extra, *options) if command == "mix_preview" \
                 else run.voxmix(command, *extra, *options)
