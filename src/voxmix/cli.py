@@ -8,7 +8,7 @@ pipeline, `_alpha<a>` per value of `mixup.alpha` with `--alphas A,B`, and
 `_noprior` on the no-prior network (`base`, `input_mix_alpha0.4`,
 `base_noprior`).  `eval` reads the arms of its own network and writes
 their IoU and cosine reports once it has computed them all.  `train`
-refuses `prior.mode=corrupted` (exit 2), which is an `eval` mode only.
+and `pretrain-gt` refuse `prior.mode=corrupted` (exit 2), an `eval` mode.
 
 Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing, unreadable or
 stale input artifact, 4 numeric failure.  The dataset is the one input

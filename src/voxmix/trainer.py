@@ -1,9 +1,9 @@
 """Staged training: volume-encoder pretraining, the base stage, the
 input-mixing stage, and the latent-mixing stage, with strict determinism.
 
-`stage_step` runs a stage's forward pass and loss and returns its backward
-pass as a closure; `train_stage` runs both for every batch, and the
-finite-difference verifier checks that same function, backward only once.
+`pretrain_step` and `stage_step` run a step's forward pass and loss and
+return its backward pass as a closure; `pretrain_gt` and `train_stage` run
+both per batch, and the finite-difference verifier checks those functions.
 Pretraining and every stage walk one epoch schedule, `_steps`: a fresh
 permutation of the pool per epoch, cut into batches.  `train_stage`
 returns the rows of the train log (`TRAIN_LOG`) that `run_ablation` writes.
@@ -27,6 +27,7 @@ mode "correct" or "none"; "corrupted" is an evaluation mode only.
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Mapping
 
@@ -82,17 +83,32 @@ def optimizer_config(config: ExperimentConfig) -> OptimizerConfig:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class Batch:
+    """One step's samples and their prior and volume inputs, `GridBatch`es
+    (`priors` None for a network that takes no prior batch).  The volume
+    rows name each sample's object."""
+
+    images: np.ndarray
+    priors: GridBatch | None
+    volumes: GridBatch
+
+
+@dataclass
 class TrainingPool:
     """Preloaded training views with their volume input, and the prior
     input of the whole pool as `evaluate.prior_batch` builds it: one grid
-    per class and each sample's row, or None for no-prior runs.  A training
-    batch takes its samples' rows of both."""
+    per class and each sample's row, or None for no-prior runs."""
 
     samples: SampleArrays
     priors: GridBatch | None
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    def take(self, rows) -> Batch:
+        return Batch(self.samples.images[rows],
+                     None if self.priors is None else self.priors.take(rows),
+                     self.samples.volumes.take(rows))
 
 
 def unique_volumes(samples: SampleArrays) -> np.ndarray:
@@ -127,12 +143,26 @@ def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int, lr: float,
     epoch_losses: list[list[float]] = [[] for _ in range(epochs)]
     for epoch, _, rows in _steps(len(volumes), batch_size, epochs,
                                  stream_rng(seed, "pretrain")):
-        logits = net.gt_autoencode(GridBatch(volumes, rows), store)
-        value, d_logits = losses.bce_loss(logits, volumes[rows, 0])
-        net.gt_autoencode_backward(d_logits, store)
+        value, backward = pretrain_step(net, store, GridBatch(volumes, rows))
+        backward()
         opt.step()
         epoch_losses[epoch].append(value)
     return store, [float(np.mean(values)) for values in epoch_losses]
+
+
+def pretrain_step(net: Network, store: ParamStore, volumes: GridBatch
+                  ) -> tuple[float, Callable[[], Mapping]]:
+    """Forward pass and `bce_loss` of one volume-autoencoder step on the
+    samples of `volumes`, and backward, with `stage_step`'s contract."""
+    value, d_logits = losses.bce_loss(net.gt_autoencode(volumes, store),
+                                      volumes.grids[volumes.rows, 0])
+
+    def backward() -> Mapping:
+        store.zero_grads()
+        net.gt_autoencode_backward(d_logits, store)
+        return store.grads
+
+    return value, backward
 
 
 # ---------------------------------------------------------------------------
@@ -153,15 +183,14 @@ def _negative_indices(objects: np.ndarray, n: int, rng: np.random.Generator):
             other.any(axis=1).astype(float))
 
 
-@dataclass
-class Batch:
-    """One step's samples and their prior and volume inputs, `GridBatch`es
-    (`priors` None for a network that takes no prior batch).  The volume
-    rows name each sample's object."""
-
-    images: np.ndarray
-    priors: GridBatch | None
-    volumes: GridBatch
+def mix_inputs(batch: Batch, plan) -> Batch:
+    """Stage 2's input mix of `batch` under `plan`: the images and each
+    sample's prior and volume grid, so the mixed batch has one prior and
+    one volume grid per sample, and each sample is its own object."""
+    priors, volumes = (None if grid is None else GridBatch(mixup.apply_pairs(
+        grid.grids[grid.rows], plan), np.arange(len(grid.rows)))
+        for grid in (batch.priors, batch.volumes))
+    return Batch(mixup.apply_pairs(batch.images, plan), priors, volumes)
 
 
 def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
@@ -170,11 +199,9 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     """Forward pass and loss of one training step of `stage`, and backward.
 
     The stages differ only in where the batch is mixed: nowhere (stage 1),
-    in the inputs (stage 2: images, each sample's volume and prior grid,
-    so the mixed batch has one volume and one prior grid per sample, and
-    each sample is its own object), or in the fused and volume latents
-    (stage 3), where the triplet is masked off (mixed rows have no one
-    identity to contrast) and `mixup.apply_pairs_backward` unmixes the
+    in the inputs (stage 2, `mix_inputs`), or in the fused and volume
+    latents (stage 3), where the triplet is masked off (mixed rows have no
+    one identity to contrast) and `mixup.apply_pairs_backward` unmixes the
     latent gradients.  A triplet negative reads its partner's volume row.
     Returns the loss breakdown and `backward`, which replaces `store.grads`
     with the gradient of that loss and returns them; run it before the
@@ -186,15 +213,10 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     """
     if stage not in (STAGE_BASE, STAGE_INPUT_MIX, STAGE_LATENT_MIX):
         raise ValueError(f"unknown stage {stage}")
-    images, priors, volumes = batch.images, batch.priors, batch.volumes
-    n = len(images)
-
+    n = len(batch.images)
     if stage == STAGE_INPUT_MIX:
-        plan = mixup.pair_batch(n, alpha, rng)
-        images = mixup.apply_pairs(images, plan)
-        priors, volumes = (None if grid is None else GridBatch(
-            mixup.apply_pairs(grid.grids[grid.rows], plan), np.arange(n))
-            for grid in (priors, volumes))
+        batch = mix_inputs(batch, mixup.pair_batch(n, alpha, rng))
+    images, priors, volumes = batch.images, batch.priors, batch.volumes
 
     e_fused = net.encode(images, priors, store)
     targets = volumes.grids[volumes.rows, 0]
@@ -242,14 +264,10 @@ def train_stage(net: Network, store: ParamStore, stage: int,
     """Run one stage in place; returns one `TRAIN_LOG` row per step."""
     net.check_store(store)
     opt = Adam(store, optimizer_config(config))
-    samples = pool.samples
     log = []
     for epoch, step, idx in _steps(len(pool), config.train.batch_size,
                                    config.train.stage_epochs[stage - 1], rng):
-        batch = Batch(samples.images[idx],
-                      None if pool.priors is None else pool.priors.take(idx),
-                      samples.volumes.take(idx))
-        breakdown, backward = stage_step(net, store, batch, stage,
+        breakdown, backward = stage_step(net, store, pool.take(idx), stage,
                                          config.loss, config.mixup.alpha, rng)
         if not np.isfinite(breakdown.total):
             raise NumericError(
@@ -326,35 +344,46 @@ class PipelineResult:
 
 @dataclass
 class ExperimentContext:
-    """The configured network and everything derived from artifacts."""
+    """The configured network and everything derived from artifacts; the
+    training pool and the query views load on first read."""
 
     config: ExperimentConfig
     paths: runs.RunPaths
     manifest: DatasetManifest
     split: FewShotSplit
     priors_by_class: dict[str, np.ndarray]
-    train_pool: TrainingPool
-    query_samples: SampleArrays
     net: Network
 
     @classmethod
     def load(cls, config: ExperimentConfig,
              paths: runs.RunPaths) -> "ExperimentContext":
-        net = Network(network_config(config))
         manifest = runs.load_manifest(paths, config)
         data = config.data
         split = make_split(manifest, data.base_classes, data.novel_classes,
                            data.shots, config.seed)
         priors = {class_id: grid.astype(np.float32)[None] for class_id, grid
                   in class_priors(manifest, split, config.prior.threshold).items()}
-        train, query = split.all_train_objects(), split.all_query_objects()
-        samples = load_samples(manifest, manifest.records_for_objects(train))
-        pool = TrainingPool(samples, evaluate.prior_batch(
-            samples.class_ids, priors, config.prior.mode, data.classes))
-        query_samples = load_samples(manifest,
-                                     manifest.records_for_objects(query))
-        return cls(config, paths, manifest, split, priors, pool, query_samples,
-                   net)
+        return cls(config, paths, manifest, split, priors,
+                   Network(network_config(config)))
+
+    @cached_property
+    def train_pool(self) -> TrainingPool:
+        """The training views and their inputs; ConfigError under prior
+        mode "corrupted", an evaluation mode that no training reads."""
+        mode = self.config.prior.mode
+        if mode == "corrupted":
+            raise ConfigError(f"prior.mode: {mode!r} is an evaluation mode; "
+                              "train under 'correct' or 'none'")
+        samples = load_samples(self.manifest, self.manifest.records_for_objects(
+            self.split.all_train_objects()))
+        return TrainingPool(samples, evaluate.prior_batch(
+            samples.class_ids, self.priors_by_class, mode,
+            self.config.data.classes))
+
+    @cached_property
+    def query_samples(self) -> SampleArrays:
+        return load_samples(self.manifest, self.manifest.records_for_objects(
+            self.split.all_query_objects()))
 
     def eval_table(self, store: ParamStore) -> evaluate.IouTable:
         return evaluate.eval_iou(self.net, store, self.query_samples,
@@ -489,17 +518,15 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     alphas)`, under its name, in the run directory.  Sharing a prefix of
     nodes is bit-identical to training each arm from scratch, because
     every stage draws from its own seeded stream.  Prior mode "corrupted"
-    is a ConfigError, before any work."""
+    is a ConfigError, before any file is written."""
     unknown = [p for p in pipelines if p not in PIPELINES]
     if unknown:
         raise ValueError(f"unknown pipeline {unknown[0]!r}")
-    if config.prior.mode == "corrupted":
-        raise ConfigError(f"prior.mode: {config.prior.mode!r} is an evaluation "
-                          "mode; train under 'correct' or 'none'")
     arms = arm_configs(config, pipelines, alphas)
+    ctx = ExperimentContext.load(config, paths)
+    pool = ctx.train_pool
     paths.ensure_dirs()
     paths.write_resolved_config(config)
-    ctx = ExperimentContext.load(config, paths)
     proximity = ctx.proximity()
 
     # An arm is the path of (stage, alpha) nodes its pipeline runs; a node
@@ -520,7 +547,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
         prefix, store, log, in_place = stack.pop()
         store = store if in_place else store.copy()
         stage = prefix[-1][0]
-        log = log + train_stage(ctx.net, store, stage, ctx.train_pool,
+        log = log + train_stage(ctx.net, store, stage, pool,
                                 node_config[prefix],
                                 stream_rng(config.seed, stage))
         names = leaves.get(prefix, [])

@@ -2,12 +2,12 @@
 
 Builds a named fragment for every layer type, every loss, and the training
 step of each stage through a whole tiny network (both network variants; the
-steps run `trainer.stage_step`, the code that trains), then checks analytic
-gradients against central differences at float64.  A fragment returns its
-loss and a pullback to its gradients, so the probes run no backward pass,
-nor does the pipelines' kink-safe seed search: ReLU margins are recorded in
-the forward pass, the hinge margin in the loss.  Inputs are sampled away
-from the ReLU and hinge kinks so the comparison is well defined.
+steps run the code that trains, `trainer.stage_step` and `pretrain_step`),
+then checks analytic gradients against central differences at float64.  A
+fragment returns its loss and a pullback to its gradients, so the probes
+run no backward pass, nor does the pipelines' kink-safe seed search (ReLU
+margins are recorded in the forward pass, the hinge margin in the loss).
+Inputs are sampled away from the kinks so the comparison is well defined.
 """
 
 from __future__ import annotations
@@ -174,9 +174,8 @@ def _pipeline_fragment(cfg: NetworkConfig, lcfg: losses.LossConfig,
 
 
 def _pretrain_fragment(seed: int):
-    """One volume-autoencoder step as `trainer.pretrain_gt` takes it:
-    three volumes in permuted rows, `bce_loss`, `TINY_NET`.  Not yet one
-    of `standard_fragments`."""
+    """`trainer.pretrain_step` on three volumes in permuted rows, `TINY_NET`.
+    Not yet one of `standard_fragments`."""
     def build(candidate):
         net = Network(TINY_NET)
         store = net.init_pretrain_params(
@@ -185,18 +184,8 @@ def _pretrain_fragment(seed: int):
             0.0, 1.0, (3, 1) + (TINY_NET.vox_dim,) * 3) > 0.5
         volumes = GridBatch(grids.astype(np.float64), np.array([2, 0, 1]))
 
-        def fn(arrs):
-            value, d_logits = losses.bce_loss(net.gt_autoencode(
-                volumes, store), volumes.grids[volumes.rows, 0])
-
-            def pullback():
-                store.zero_grads()
-                net.gt_autoencode_backward(d_logits, store)
-                return store.grads
-
-            return value, pullback
-
-        return net, fn, store.params
+        return (net, lambda arrs: trainer.pretrain_step(net, store, volumes),
+                store.params)
 
     return _kink_safe(build, seed)
 

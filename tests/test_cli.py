@@ -90,6 +90,36 @@ def test_train_under_the_corrupted_prior_exits_2_before_any_work(
     assert _files(tiny_run.root) == before
 
 
+@pytest.mark.parametrize("command", ["mix_preview", "pretrain-gt"])
+def test_every_reader_of_the_training_pool_refuses_the_corrupted_prior(
+        tiny_run, capsys, command):
+    before = _files(tiny_run.root)
+    override = ("-o", "prior.mode=corrupted")
+    assert (tiny_run.mix_preview(*override) if command == "mix_preview"
+            else tiny_run.voxmix(command, *override)) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "config error: prior.mode: 'corrupted' is an evaluation mode")
+    assert _files(tiny_run.root) == before
+
+
+def test_eval_loads_the_query_views_and_all_views_but_no_training_pool(
+        tiny_run, monkeypatch):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    loaded = []
+    load = corpus.load_samples
+
+    def counted(manifest, records):
+        loaded.append({record.object_id for record in records})
+        return load(manifest, records)
+
+    for module in (corpus, trainer):
+        monkeypatch.setattr(module, "load_samples", counted)
+    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
+    ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
+    assert loaded == [set(ctx.split.all_query_objects()),
+                      set(ctx.manifest.volumes)]
+
+
 def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,
                                                                 capsys):
     config = tiny_run.root / "tiny.cfg"
@@ -366,6 +396,15 @@ def test_mix_preview_writes_the_stage_two_mix(tiny_run):
     assert np.array_equal(got["images"], images)
     assert np.array_equal(got["priors"], priors[:, 0])
     assert np.array_equal(got["volumes"], volumes[:, 0])
+
+
+def test_mix_preview_mixes_through_mix_inputs_once(tiny_run, monkeypatch):
+    calls = []
+    mix = trainer.mix_inputs
+    monkeypatch.setattr(trainer, "mix_inputs",
+                        lambda *args: calls.append(args) or mix(*args))
+    assert tiny_run.mix_preview("--pairs", "3") == cli.EXIT_OK
+    assert len(calls) == 1 and len(calls[0][0].images) == 3
 
 
 def test_train_pretrains_again_when_the_encoder_checkpoint_is_stale(tiny_run):

@@ -308,6 +308,74 @@ def test_stage_step_matches_the_two_branch_reference(stage, variant, kind, n):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.parametrize("stage", [1, 2, 3])
+def test_only_the_input_mixing_step_mixes_through_mix_inputs(stage,
+                                                              monkeypatch):
+    cfg = verification.TINY_NET
+    net = Network(cfg)
+    store = net.init_params(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    volumes = GridBatch((rng.uniform(0.0, 1.0, (2, 1) + (cfg.vox_dim,) * 3)
+                         > 0.5).astype(np.float32), np.array([0, 1, 1]))
+    images = rng.uniform(0.0, 1.0, (3, 2, cfg.image_size, cfg.image_size))
+    batch = trainer.Batch(images.astype(np.float32), volumes, volumes)
+    mixed = []
+    mix = trainer.mix_inputs
+    monkeypatch.setattr(trainer, "mix_inputs",
+                        lambda *args: mixed.append(args) or mix(*args))
+    trainer.stage_step(net, store, batch, stage, losses.LossConfig(), 0.2,
+                       trainer.stream_rng(0, stage))
+    assert len(mixed) == (stage == trainer.STAGE_INPUT_MIX)
+    if mixed:
+        plan = mixup.pair_batch(3, 0.2, trainer.stream_rng(0, stage))
+        assert mixed[0][0] is batch
+        assert [x.tolist() for x in mixed[0][1]] == [x.tolist() for x in plan]
+
+
+def test_pretrain_gt_is_a_loop_of_pretrain_step_bit_for_bit(tiny_run):
+    ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
+    volumes = trainer.unique_volumes(ctx.train_pool.samples)
+    lr, batch_size, seed = 1e-3, 4, 5
+    store, history = trainer.pretrain_gt(ctx.net, volumes, 2, lr=lr,
+                                         batch_size=batch_size, seed=seed)
+    want = ctx.net.init_pretrain_params(trainer.stream_rng(seed, "pretrain_init"))
+    opt = nn.Adam(want, nn.OptimizerConfig(lr=lr))
+    values = [[], []]
+    for epoch, _, rows in trainer._steps(len(volumes), batch_size, 2,
+                                         trainer.stream_rng(seed, "pretrain")):
+        value, backward = trainer.pretrain_step(ctx.net, want,
+                                                GridBatch(volumes, rows))
+        want.flat_grads[...] = np.nan   # backward replaces the gradients
+        assert backward() is want.grads
+        opt.step()
+        values[epoch].append(value)
+    assert len(volumes) > batch_size and want.step == store.step
+    for kind in ("m", "v"):
+        assert want.slot(kind).tobytes() == store.slot(kind).tobytes()
+    assert want.flat.tobytes() == store.flat.tobytes()
+    assert history == [float(np.mean(epoch)) for epoch in values]
+
+
+def test_pretraining_and_its_check_both_run_pretrain_step(monkeypatch):
+    calls = []
+    step = trainer.pretrain_step
+
+    def counted(net, store, volumes):
+        calls.append(len(volumes.rows))
+        return step(net, store, volumes)
+
+    monkeypatch.setattr(trainer, "pretrain_step", counted)
+    verification._pretrain_fragment(0)
+    assert calls and set(calls) == {3}
+    grids = (np.random.default_rng(0).uniform(
+        0.0, 1.0, (3, 1) + (verification.TINY_NET.vox_dim,) * 3) > 0.5)
+    calls.clear()
+    trainer.pretrain_gt(Network(verification.TINY_NET),
+                        grids.astype(np.float32), 2, lr=1e-3, batch_size=2,
+                        seed=0)
+    assert calls == [2, 1, 2, 1]
+
+
 def _count_volume_encodes(net, monkeypatch):
     """The number of grids of each call of the volume encoder's conv stack."""
     sizes = []

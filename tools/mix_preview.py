@@ -1,6 +1,7 @@
-"""Write the first N training samples, mixed as the input-mixing stage
-mixes its first batch, to reports/mix_preview/: pairs.npz, the float32
+"""Write the first N training samples, mixed by `trainer.mix_inputs` under
+one fresh stage-2 plan, to reports/mix_preview/: pairs.npz, the float32
 images (N, 2, H, W), priors and volumes (N, D, D, D), and pairs.csv.
+Prior mode "corrupted" exits 2, as `train` does.
 
     PYTHONPATH=src python tools/mix_preview.py --config FILE [--pairs N]
 """
@@ -18,16 +19,14 @@ def preview(args) -> int:
     rng = trainer.stream_rng(config.seed, trainer.STAGE_INPUT_MIX)
     count = min(args.pairs, len(pool))
     plan = partners, ratios = mixup.pair_batch(count, config.mixup.alpha, rng)
+    mixed = trainer.mix_inputs(pool.take(np.arange(count)), plan)
+    volumes = mixed.volumes.grids[:, 0]
+    priors = np.zeros_like(volumes) if mixed.priors is None \
+        else mixed.priors.grids[:, 0]
     out_dir = paths.reports_dir / "mix_preview"
     out_dir.mkdir(parents=True, exist_ok=True)
-    volumes = pool.samples.volumes
-    volumes = volumes.grids[volumes.rows[:count]]
-    priors = np.zeros_like(volumes) if pool.priors is None \
-        else pool.priors.grids[pool.priors.rows[:count]]
     runs.save_archive(out_dir / "pairs.npz", {}, {
-        "images": mixup.apply_pairs(pool.samples.images[:count], plan),
-        "priors": mixup.apply_pairs(priors, plan)[:, 0],
-        "volumes": mixup.apply_pairs(volumes, plan)[:, 0]})
+        "images": mixed.images, "priors": priors, "volumes": volumes})
     ids = pool.samples.object_ids
     runs.write_csv(out_dir / "pairs.csv",
                    ("pair", "i", "j", "lam", "object_i", "object_j"),
