@@ -220,8 +220,11 @@ def cmd_eval(args) -> int:
     stage = trainer.PIPELINES[pipeline][-1]
     arms = trainer.arm_configs(config, (pipeline,), _alphas(args))
     ctx = trainer.ExperimentContext.load(config, paths)
-    query, proximity = ctx.query_samples, ctx.proximity()
+    proximity = ctx.proximity()
     views = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
+    queried = set(ctx.split.all_query_objects())
+    query = views.take([row for row, obj in enumerate(views.object_ids)
+                        if obj in queried])
     priors = (ctx.priors_by_class, config.prior.mode, config.data.classes)
     reports = {}   # every arm's, before any is written
     for arm, (_, arm_config) in arms.items():

@@ -189,6 +189,13 @@ class SampleArrays:
     def __len__(self) -> int:
         return len(self.object_ids)
 
+    def take(self, rows: Sequence[int]) -> "SampleArrays":
+        """The samples `rows` selects, in that order, with every volume grid."""
+        return SampleArrays([self.object_ids[i] for i in rows],
+                            [self.class_ids[i] for i in rows],
+                            [self.pose_ids[i] for i in rows], self.images[rows],
+                            self.volumes.take(rows))
+
 
 def load_samples(manifest: DatasetManifest, records: Sequence[Record]) -> SampleArrays:
     row = {rec: i for i, rec in enumerate(manifest.records)}

@@ -17,6 +17,9 @@ data, so nothing reads that gradient.
 
 A layer may overwrite only an array that no caller reads again: `ReLU`
 masks in place the fresh output, or gradient, of the layer next to it.
+Two branches of one backward pass may run at once only on disjoint layers
+that add into disjoint slices of the store's gradients, as the volume
+encoder's branch of `trainer.stage_step` does beside the rest.
 
 `Dense`, `Conv2d` (so `Conv3d`) and `ConvTranspose3d` share one `_Affine`
 base: their weight and bias, init draws and gradient adds.  Each keeps its

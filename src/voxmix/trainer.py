@@ -4,6 +4,17 @@ input-mixing stage, and the latent-mixing stage, with strict determinism.
 `pretrain_step` and `stage_step` run a step's forward pass and loss and
 return its backward pass as a closure; `pretrain_gt` and `train_stage` run
 both per batch, and the finite-difference verifier checks those functions.
+`stage_step`'s backward runs the volume encoder's branch
+(`Network.encode_gt_backward`) on one worker thread while the calling
+thread runs the decoder, the latent unmix and the image and prior
+encoders, and it joins the worker before it returns or raises.  The two
+branches meet only in the loss, touch disjoint layers and add into
+disjoint slices of `store.flat_grads`, and numpy releases the interpreter
+lock in its BLAS calls, copies and ufunc loops; so the branch runs on a
+second core and the step stays bit for bit the serial one.  Forward passes
+stay on the calling thread: every finite-difference probe of the verifier
+is a forward pass, and a thread hand-off per probe cost more than the
+overlap saved.
 Pretraining and every stage walk one epoch schedule, `_steps`: a fresh
 permutation of the pool per epoch, cut into batches.  `train_stage`
 returns the rows of the train log (`TRAIN_LOG`) that `run_ablation` writes.
@@ -26,6 +37,7 @@ mode "correct" or "none"; "corrupted" is an evaluation mode only.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -55,6 +67,11 @@ PIPELINES: dict[str, tuple[int, ...]] = {
 # Nonces separating the independent random streams of one experiment seed.
 _STREAM = {"init": 101, "pretrain_init": 102, "pretrain": 103,
            STAGE_BASE: 111, STAGE_INPUT_MIX: 112, STAGE_LATENT_MIX: 113}
+
+# The one worker thread of `stage_step`'s backward, which runs the volume
+# encoder's backward there; it starts on first use.
+_SIDE_BRANCH = ThreadPoolExecutor(max_workers=1,
+                                  thread_name_prefix="voxmix-side-branch")
 
 
 def stream_rng(seed: int, stream) -> np.random.Generator:
@@ -206,10 +223,13 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
     Returns the loss breakdown and `backward`, which replaces `store.grads`
     with the gradient of that loss and returns them; run it before the
     network's next forward pass, which overwrites the layer caches it reads,
-    and then apply the update.  Every draw from `rng` comes first, in a
-    fixed order: the input-mixing plan (stage 2: partners, then ratios),
-    then the latent-mixing plan (stage 3: partners, then ratios) or the
-    triplet negatives (stages 1-2: one derangement).
+    and then apply the update.  `backward` runs the volume encoder's branch
+    on the worker thread beside the rest, and waits for it before it
+    returns or raises; an error of that branch is raised in the caller.
+    The forward pass runs on the calling thread alone.  Every draw from
+    `rng` comes first, in a fixed order: the input-mixing plan (stage 2:
+    partners, then ratios), then the latent-mixing plan (stage 3: partners,
+    then ratios) or the triplet negatives (stages 1-2: one derangement).
     """
     if stage not in (STAGE_BASE, STAGE_INPUT_MIX, STAGE_LATENT_MIX):
         raise ValueError(f"unknown stage {stage}")
@@ -243,12 +263,17 @@ def stage_step(net: Network, store: ParamStore, batch: Batch, stage: int,
 
     def backward() -> Mapping:
         store.zero_grads()
-        d_mixed = w_align * d_fused + net.decode_backward(
-            lcfg.w_recon * d_logits, store)
-        if latent_plan is not None:
-            d_mixed = mixup.apply_pairs_backward(d_mixed, latent_plan)
-        net.encode_backward(d_mixed, store)
-        net.encode_gt_backward(d_vol_latent, store)
+        side = _SIDE_BRANCH.submit(net.encode_gt_backward, d_vol_latent, store)
+        try:
+            d_mixed = w_align * d_fused + net.decode_backward(
+                lcfg.w_recon * d_logits, store)
+            if latent_plan is not None:
+                d_mixed = mixup.apply_pairs_backward(d_mixed, latent_plan)
+            net.encode_backward(d_mixed, store)
+        finally:
+            side_error = side.exception()   # waits for the side branch
+        if side_error is not None:
+            raise side_error
         return store.grads
 
     return losses.combined_loss(recon, align, sim_pos, sim_neg, lcfg), backward

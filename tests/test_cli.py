@@ -102,8 +102,8 @@ def test_every_reader_of_the_training_pool_refuses_the_corrupted_prior(
     assert _files(tiny_run.root) == before
 
 
-def test_eval_loads_the_query_views_and_all_views_but_no_training_pool(
-        tiny_run, monkeypatch):
+def test_eval_loads_all_views_once_and_no_training_pool(tiny_run,
+                                                        monkeypatch):
     assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
     loaded = []
     load = corpus.load_samples
@@ -116,8 +116,7 @@ def test_eval_loads_the_query_views_and_all_views_but_no_training_pool(
         monkeypatch.setattr(module, "load_samples", counted)
     assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
     ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
-    assert loaded == [set(ctx.split.all_query_objects()),
-                      set(ctx.manifest.volumes)]
+    assert loaded == [set(ctx.manifest.volumes)]
 
 
 def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,

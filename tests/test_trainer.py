@@ -1,6 +1,9 @@
 import ast
 import importlib
 import inspect
+import sys
+import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,6 +14,7 @@ from conftest import TINY_OVERRIDES
 from voxmix import losses, mixup, nn, runs, trainer, verification
 from voxmix.config import ExperimentConfig, MixupSection, config_hash, dump_config
 from voxmix.model import GridBatch, Network
+from voxmix.nn import NumericError
 
 VOXBENCH = Path(__file__).resolve().parent.parent / "voxbench"
 
@@ -409,6 +413,122 @@ def test_a_step_encodes_each_distinct_volume_once(stage, encoded, monkeypatch):
     # Stage 2 mixes volumes, so each sample has its own.
     assert sizes == [encoded]
     assert np.all(store.grads["gt_encoder.conv0.w"] != 0.0)
+
+
+def _tiny_step(variant: str):
+    """A tiny network of `variant`, its parameters and a four-sample batch
+    whose first two samples are views of one object."""
+    cfg = verification.TINY_NET if variant == "prior" \
+        else verification.TINY_NET_NO_PRIOR
+    net = Network(cfg)
+    store = net.init_params(np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    volumes = GridBatch((rng.uniform(0.0, 1.0, (4, 1) + (cfg.vox_dim,) * 3)
+                         > 0.5).astype(np.float32), np.array([0, 0, 1, 2]))
+    images = rng.uniform(0.0, 1.0, (4, 2, cfg.image_size, cfg.image_size))
+    return net, store, trainer.Batch(images.astype(np.float32),
+                                     volumes if variant == "prior" else None,
+                                     volumes)
+
+
+def _base_step_backward(net, store, batch):
+    return trainer.stage_step(net, store, batch, trainer.STAGE_BASE,
+                              losses.LossConfig(), 0.2,
+                              trainer.stream_rng(0, trainer.STAGE_BASE))[1]
+
+
+def test_an_error_in_the_volume_encoder_backward_comes_out_of_backward(
+        monkeypatch):
+    net, store, batch = _tiny_step("prior")
+    backward = _base_step_backward(net, store, batch)
+    threads = []
+
+    def fail(d_latent, store):
+        threads.append(threading.current_thread())
+        raise NumericError("volume encoder backward")
+
+    monkeypatch.setattr(net, "encode_gt_backward", fail)
+    with pytest.raises(NumericError, match="volume encoder backward"):
+        backward()
+    assert len(threads) == 1 and threads[0] is not threading.current_thread()
+
+
+def test_backward_waits_for_the_volume_encoder_before_an_error_leaves_it(
+        monkeypatch):
+    net, store, batch = _tiny_step("prior")
+    backward = _base_step_backward(net, store, batch)
+    finished = threading.Event()
+
+    def slow(d_latent, store):
+        time.sleep(0.05)
+        finished.set()
+
+    def fail(d_logits, store):
+        raise NumericError("decoder backward")
+
+    monkeypatch.setattr(net, "encode_gt_backward", slow)
+    monkeypatch.setattr(net, "decode_backward", fail)
+    with pytest.raises(NumericError, match="decoder backward"):
+        backward()
+    assert finished.is_set()
+
+
+@pytest.mark.parametrize("variant", ["prior", "no_prior"])
+def test_the_volume_encoder_backward_writes_only_its_own_gradients(
+        variant, monkeypatch):
+    # `stage_step`'s backward runs the volume encoder's backward beside the
+    # rest, so the two must add into disjoint layers' gradient slices.
+    net, store, batch = _tiny_step(variant)
+    _base_step_backward(net, store, batch)   # the forward pass only
+    cfg, n = net.config, len(batch.images)
+    gt = {name for name in store.names if name.startswith("gt_encoder.")}
+    in_gt = np.zeros(store.flat.size, dtype=bool)
+    for name in gt:
+        in_gt[store.spans[name]] = True
+    added = []
+    add_grads = nn._Affine._add_grads
+    monkeypatch.setattr(nn._Affine, "_add_grads", lambda layer, *args: (
+        added.extend(layer.param_names), add_grads(layer, *args)))
+    rng = np.random.default_rng(2)
+    store.flat_grads[...] = rng.standard_normal(store.flat.size)
+
+    def written(run_branch):
+        added.clear()
+        before = store.flat_grads.copy()
+        run_branch()
+        return set(added), store.flat_grads != before
+
+    names, changed = written(lambda: net.encode_gt_backward(
+        rng.standard_normal((2 * n, cfg.latent_width)).astype(np.float32),
+        store))
+    assert names == gt
+    assert changed[in_gt].any() and not changed[~in_gt].any()
+    names, changed = written(lambda: net.encode_backward(net.decode_backward(
+        rng.standard_normal((n,) + (cfg.vox_dim,) * 3).astype(np.float32),
+        store), store))
+    assert names and not names & gt
+    assert changed[~in_gt].any() and not changed[in_gt].any()
+
+
+def test_train_stage_leaves_the_same_bytes_however_threads_interleave(
+        tiny_run):
+    ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
+    interval = sys.getswitchinterval()
+    results = []
+    try:
+        # Thread switches every microsecond, every 0.1 ms, and the default.
+        for switch in (1e-6, 1e-4, interval):
+            sys.setswitchinterval(switch)
+            store = ctx.net.init_params(trainer.stream_rng(0, "init"))
+            logs = [trainer.train_stage(ctx.net, store, stage, ctx.train_pool,
+                                        ctx.config, trainer.stream_rng(0, stage))
+                    for stage in trainer.PIPELINES["dual_mix"]]
+            results.append((logs, store.flat.tobytes(),
+                            {kind: buf.tobytes()
+                             for kind, buf in store.flat_slots.items()}))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results[0] == results[1] == results[2]
 
 
 def test_latent_centring_encodes_each_pool_object_once(tiny_run, monkeypatch):
