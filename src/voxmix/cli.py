@@ -34,7 +34,7 @@ import argparse
 import sys
 import time
 
-from . import corpus, evaluate, runs, trainer, verification
+from . import corpus, runs, trainer, verification
 from .config import ConfigError, ExperimentConfig, MixupSection, load_config
 from .nn import NumericError
 
@@ -220,38 +220,30 @@ def cmd_eval(args) -> int:
     stage = trainer.PIPELINES[pipeline][-1]
     arms = trainer.arm_configs(config, (pipeline,), _alphas(args))
     ctx = trainer.ExperimentContext.load(config, paths)
-    proximity = ctx.proximity()
     views = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     queried = set(ctx.split.all_query_objects())
     query = views.take([row for row, obj in enumerate(views.object_ids)
                         if obj in queried])
-    priors = (ctx.priors_by_class, config.prior.mode, config.data.classes)
     reports = {}   # every arm's, before any is written
     for arm, (_, arm_config) in arms.items():
         store, _ = trainer.load_stage_checkpoint(
             paths.checkpoint_path(arm, stage), arm_config)
-        predictions = evaluate.binarized_predictions(
-            ctx.net, store, query, *priors, config.eval.iou_threshold,
-            config.eval.batch_size)
-        table = evaluate.iou_table(predictions, query,
-                                   config.eval.iou_threshold, config.prior.mode)
-        reports[arm] = predictions, table, evaluate.cosine_report(
-            ctx.net, store, views, *priors, config.eval.batch_size)
+        reports[arm] = ctx.eval_table(store, query, views)
     for arm, (predictions, table, cosine) in reports.items():
-        trainer.write_iou_reports(paths, arm, table, proximity)
+        trainer.write_iou_reports(ctx, arm, table)
         if args.dump_predictions:
-            runs.save_archive(paths.reports_dir / f"{arm}_predictions.npz",
-                              {"object_ids": query.object_ids,
-                               "pose_ids": query.pose_ids,
-                               "threshold": config.eval.iou_threshold},
-                              {"predictions": predictions})
+            runs.save_archive(paths.reports_dir / f"{arm}_predictions.npz", {
+                "object_ids": query.object_ids, "pose_ids": query.pose_ids,
+                "threshold": table.threshold, "prior_mode": table.prior_mode},
+                {"predictions": predictions})
         runs.write_csv(paths.reports_dir / f"{arm}_cosine.csv",
                        ("class", "same_obj_mean", "diff_obj_mean",
-                        "same_pairs", "diff_pairs"), cosine.rows)
+                        "same_pairs", "diff_pairs", "prior_mode"),
+                       [(*row, table.prior_mode) for row in cosine.rows])
         print(f"{arm}:")
         for class_id, mean_iou, count in table.rows:
             print(f"{class_id:10s} {mean_iou:.4f}  (n={count})  "
-                  f"proximity {proximity[class_id]:.4f}")
+                  f"proximity {ctx.proximity[class_id]:.4f}")
         print(f"{'average':10s} {table.overall:.4f}  "
               f"[prior mode: {table.prior_mode}]")
         for class_id, same, diff, n_same, n_diff in cosine.rows:

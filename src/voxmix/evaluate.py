@@ -4,9 +4,11 @@ cosine-similarity reports.
 Scoring is separate from the forward pass: `binarized_predictions` is the
 one loop that runs the network and thresholds its output, and `iou_table`
 scores any bool prediction stack, the network's or one it did not produce
-(the binarized prior, say), with one `voxel.iou` call.  `eval_iou` is the
-two in sequence.  The reports put each class's `voxel.proximity` beside its
-score (`trainer.write_iou_reports`).
+(the binarized prior, say), with one `voxel.iou` call.  `train` and `eval`
+both score an arm through `trainer.ExperimentContext.eval_table`, which runs
+the two, and `cosine_report` in `eval`; `eval_iou`, the two in sequence,
+stays for `Infer` in `voxbench/workloads.py`.  The reports put each class's
+`voxel.proximity` beside its score (`trainer.write_iou_reports`).
 
 Every forward pass here gets the prior batch that `prior_mode` assigns,
 or none in mode "none", the mode of the no-prior network.  `prior_batch`

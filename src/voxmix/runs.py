@@ -46,8 +46,8 @@ uncompressed under the name it is given and read by `read_archive`.  Its
                  parameter, flat float32, in the layout's name order;
                  slot/<kind>, one optimizer slot kind, in the same layout;
                  every value finite, or the error names a parameter
-    predictions  meta: object_ids, pose_ids, threshold; predictions
-                 (N, D, D, D) bool, the binarized query predictions
+    predictions  meta: object_ids, pose_ids, threshold, prior_mode;
+                 predictions (N, D, D, D) bool, the binarized query predictions
 It is read with `allow_pickle=False`.  A file that is not such an archive,
 whose zip CRC fails, whose entries are not exactly the ones its kind
 declares (a damaged zip directory can drop entries silently), or whose

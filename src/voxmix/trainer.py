@@ -370,7 +370,8 @@ class PipelineResult:
 @dataclass
 class ExperimentContext:
     """The configured network and everything derived from artifacts; the
-    training pool and the query views load on first read."""
+    training pool, the query views (which `train` loads alone, not every
+    view) and `proximity` are computed on first read."""
 
     config: ExperimentConfig
     paths: runs.RunPaths
@@ -407,16 +408,23 @@ class ExperimentContext:
 
     @cached_property
     def query_samples(self) -> SampleArrays:
+        """The query views alone: `train` holds no other view beside the pool."""
         return load_samples(self.manifest, self.manifest.records_for_objects(
             self.split.all_query_objects()))
 
-    def eval_table(self, store: ParamStore) -> evaluate.IouTable:
-        return evaluate.eval_iou(self.net, store, self.query_samples,
-                                 self.priors_by_class, self.config.prior.mode,
-                                 self.config.data.classes,
-                                 self.config.eval.iou_threshold,
-                                 self.config.eval.batch_size)
+    def eval_table(self, store: ParamStore, query: SampleArrays,
+                   views: SampleArrays | None = None) -> tuple:
+        """The one evaluation of an arm: the binarized predictions and IoU
+        table of the views `query`, and the cosine report of `views` or None."""
+        mode, ev = self.config.prior.mode, self.config.eval
+        priors = (self.priors_by_class, mode, self.config.data.classes)
+        predictions = evaluate.binarized_predictions(
+            self.net, store, query, *priors, ev.iou_threshold, ev.batch_size)
+        table = evaluate.iou_table(predictions, query, ev.iou_threshold, mode)
+        return predictions, table, None if views is None else \
+            evaluate.cosine_report(self.net, store, views, *priors, ev.batch_size)
 
+    @cached_property
     def proximity(self) -> dict[str, float]:
         """`voxel.proximity` of every novel class's volumes, its shots and
         its query objects, against the base classes' training volumes."""
@@ -494,21 +502,20 @@ def init_main_store(ctx: ExperimentContext) -> ParamStore:
     return store
 
 
-def write_iou_reports(paths: runs.RunPaths, pipeline: str,
-                      table: evaluate.IouTable,
-                      proximity: dict[str, float]) -> None:
-    """`<pipeline>_iou.csv`, one row per class with its `proximity` value
-    (`ExperimentContext.proximity`) last, then the `__average__` row of
-    the class values; and the per-sample `<pipeline>_iou_samples.csv`."""
-    values = [proximity[class_id] for class_id, _, _ in table.rows]
+def write_iou_reports(ctx: ExperimentContext, arm: str,
+                      table: evaluate.IouTable) -> None:
+    """`<arm>_iou.csv`, one row per class with its `ctx.proximity` value
+    last, then the `__average__` row of the class values; and the
+    per-sample `<arm>_iou_samples.csv`."""
+    values = [ctx.proximity[class_id] for class_id, _, _ in table.rows]
     average = ("__average__", table.overall, sum(r[2] for r in table.rows))
-    runs.write_csv(paths.iou_path(pipeline),
+    runs.write_csv(ctx.paths.iou_path(arm),
                    ("class", "mean_iou", "n_samples", "threshold", "prior_mode",
                     "proximity"),
                    [(*row, table.threshold, table.prior_mode, value)
                     for row, value in zip((*table.rows, average),
                                           (*values, float(np.mean(values))))])
-    runs.write_csv(paths.reports_dir / f"{pipeline}_iou_samples.csv",
+    runs.write_csv(ctx.paths.reports_dir / f"{arm}_iou_samples.csv",
                    ("object_id", "pose_id", "class", "iou"), table.per_sample)
 
 
@@ -552,7 +559,6 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     pool = ctx.train_pool
     paths.ensure_dirs()
     paths.write_resolved_config(config)
-    proximity = ctx.proximity()
 
     # An arm is the path of (stage, alpha) nodes its pipeline runs; a node
     # trains under the config of any arm through it.
@@ -576,12 +582,12 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
                                 node_config[prefix],
                                 stream_rng(config.seed, stage))
         names = leaves.get(prefix, [])
-        table = ctx.eval_table(store) if names else None
+        table = ctx.eval_table(store, ctx.query_samples)[1] if names else None
         for name in names:
             pipeline, arm_config = arms[name]
             ckpt = paths.checkpoint_path(name, stage)
             save_stage_checkpoint(ckpt, store, arm_config, stage)
-            write_iou_reports(paths, name, table, proximity)
+            write_iou_reports(ctx, name, table)
             runs.write_csv(paths.logs_dir / f"{name}_train.csv", TRAIN_LOG, log)
             results[name] = PipelineResult(pipeline, arm_config, table, ckpt)
         stack.extend((child, store, log, k == 0) for k, child in

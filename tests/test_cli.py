@@ -13,8 +13,15 @@ from voxmix.model import Network
 def test_no_prior_variant_trains_and_evaluates(tiny_run):
     override = ("-o", "prior.mode=none")
     assert tiny_run.voxmix("train", *override, "--pipeline", "base") == cli.EXIT_OK
-    assert tiny_run.voxmix("eval", *override, "--pipeline", "base") == cli.EXIT_OK
     paths = tiny_run.paths
+    # eval rewrites the IoU reports train wrote, byte for byte.
+    reports = [paths.iou_path("base_noprior"),
+               paths.reports_dir / "base_noprior_iou_samples.csv"]
+    written = [report.read_bytes() for report in reports]
+    for report in reports:
+        report.unlink()
+    assert tiny_run.voxmix("eval", *override, "--pipeline", "base") == cli.EXIT_OK
+    assert [report.read_bytes() for report in reports] == written
     with open(paths.iou_path("base_noprior"), newline="") as fh:
         assert {row["prior_mode"] for row in csv.DictReader(fh)} == {"none"}
     for name in ("base_noprior_iou_samples.csv", "base_noprior_cosine.csv"):
@@ -102,9 +109,8 @@ def test_every_reader_of_the_training_pool_refuses_the_corrupted_prior(
     assert _files(tiny_run.root) == before
 
 
-def test_eval_loads_all_views_once_and_no_training_pool(tiny_run,
-                                                        monkeypatch):
-    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+def _count_loads(monkeypatch) -> list[set[str]]:
+    """The objects of every `load_samples` call from now on, in order."""
     loaded = []
     load = corpus.load_samples
 
@@ -114,9 +120,45 @@ def test_eval_loads_all_views_once_and_no_training_pool(tiny_run,
 
     for module in (corpus, trainer):
         monkeypatch.setattr(module, "load_samples", counted)
+    return loaded
+
+
+def test_train_loads_the_training_pool_then_the_query_views_alone(
+        tiny_run, monkeypatch):
+    # A stack of every view would hold the other views through training.
+    loaded = _count_loads(monkeypatch)
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    split = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths).split
+    assert loaded == [set(split.all_train_objects()),
+                      set(split.all_query_objects())]
+
+
+def test_eval_loads_all_views_once_and_no_training_pool(tiny_run,
+                                                        monkeypatch):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    loaded = _count_loads(monkeypatch)
     assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_OK
     ctx = trainer.ExperimentContext.load(tiny_run.config, tiny_run.paths)
     assert loaded == [set(ctx.manifest.volumes)]
+
+
+def test_train_and_eval_score_every_arm_through_eval_table(tiny_run,
+                                                          monkeypatch):
+    calls = {}
+    for owner, name in ((trainer.ExperimentContext, "eval_table"),
+                        (evaluate, "binarized_predictions")):
+        calls[name] = 0
+
+        def counted(*args, _name=name, _run=getattr(owner, name), **kwargs):
+            calls[_name] += 1
+            return _run(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    arms = ("--pipeline", "input_mix", "--alphas", "0.4,1.0")
+    assert tiny_run.voxmix("train", *arms) == cli.EXIT_OK
+    assert tiny_run.voxmix("eval", *arms) == cli.EXIT_OK
+    # Two arms, each scored once by each command, and only there.
+    assert calls == {"eval_table": 4, "binarized_predictions": 4}
 
 
 def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,
@@ -603,12 +645,27 @@ def test_eval_writes_and_prints_the_cosine_report(tiny_run, capsys):
     with open(tiny_run.paths.reports_dir / "base_cosine.csv", newline="") as fh:
         header, *rows = list(csv.reader(fh))
     assert header == ["class", "same_obj_mean", "diff_obj_mean", "same_pairs",
-                      "diff_pairs"]
-    assert rows == [[str(value) for value in row] for row in expected]
+                      "diff_pairs", "prior_mode"]
+    assert rows == [[str(value) for value in (*row, config.prior.mode)]
+                    for row in expected]
     assert [row[0] for row in expected] == sorted(config.data.classes)
     for class_id, same, diff, n_same, n_diff in expected:
         assert (f"{class_id:10s} same-object {same:.4f} ({n_same} pairs)  "
                 f"different-object {diff:.4f} ({n_diff} pairs)") in out
+
+
+@pytest.mark.parametrize("mode", ["correct", "corrupted"])
+def test_every_eval_report_records_its_prior_mode(tiny_run, mode):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    assert tiny_run.voxmix("eval", "--pipeline", "base", "--dump-predictions",
+                           "-o", f"prior.mode={mode}") == cli.EXIT_OK
+    reports = tiny_run.paths.reports_dir
+    for name in ("base_iou.csv", "base_cosine.csv"):
+        with open(reports / name, newline="") as fh:
+            assert {row["prior_mode"] for row in csv.DictReader(fh)} == {mode}
+    meta, _ = runs.read_archive(reports / "base_predictions.npz", "predictions",
+                                lambda meta: ("predictions",))
+    assert meta["prior_mode"] == mode
 
 
 def _read_average(path):
