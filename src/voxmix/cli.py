@@ -18,14 +18,14 @@ config on every run, so no file of theirs is read.  On exit 3 the message
 names the file and, for a missing or stale one, the command that writes
 it.  Every bad config value exits 2 when the config is loaded, before any
 work, and the message names its key: an unknown key, a value its section
-rejects, a `run_name` that is not one directory name, a size the network's
-strides do not divide, an unknown pipeline, or a split that breaks the
-rules across `data` fields (an empty class list, a class in both lists or
-in neither, shots per class).  A bad `--alphas` value exits 2 as well, and
-so do two alphas that name one arm.  A flag value no run can honour (a
-count below one, a tolerance that is not a finite positive number, `train
---all` with `--pipeline`) exits 1 before any work, and the message names
-the flag.
+rejects, a class that is no shape archetype, a `run_name` that is not one
+directory name, a size the network's strides do not divide, or a split
+that breaks the rules across `data` fields (an empty class list, a class
+in both lists or in neither, shots per class).  A bad `--alphas` value
+exits 2 as well, and so do two alphas that name one arm.  A flag value no
+run can honour (a count below one, a tolerance that is not a finite
+positive number, `train --all` with `--pipeline`) exits 1 before any work,
+and the message names the flag.
 """
 
 from __future__ import annotations
@@ -93,7 +93,8 @@ def _build_parser() -> Parser:
 
     def add_arms(p, group, help_text):
         group.add_argument("--pipeline", choices=sorted(trainer.PIPELINES),
-                           help=help_text)
+                           default="dual_mix",
+                           help=f"{help_text} (default: %(default)s)")
         p.add_argument("--alphas", metavar="A,B", help="comma-separated "
                        "values of mixup.alpha: one arm per pipeline and alpha")
 
@@ -102,13 +103,13 @@ def _build_parser() -> Parser:
         "every command derives itself, to priors.npz for inspection")
     add("pretrain-gt", cmd_pretrain_gt,
         "pretrain the volume encoder, replacing its checkpoint")
-    p = add("train", cmd_train, "run the configured training pipeline")
+    p = add("train", cmd_train, "train one pipeline, or all four")
     which = p.add_mutually_exclusive_group()
-    add_arms(p, which, "override the configured pipeline")
+    add_arms(p, which, "the pipeline to train")
     which.add_argument("--all", action="store_true",
                        help="train all four pipelines, sharing stage prefixes")
     p = add("eval", cmd_eval, "IoU and cosine reports of trained arms")
-    add_arms(p, p, "the trained pipeline (default: the configured one)")
+    add_arms(p, p, "the trained pipeline")
     p.add_argument("--dump-predictions", action="store_true", help="also "
                    "write the binarized predictions to <arm>_predictions.npz")
     p = add("grad-check", cmd_grad_check, "finite-difference check of all "
@@ -126,15 +127,11 @@ def load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
         raise ConfigError(f"run_name: {config.run_name!r} is not one "
                           "directory name under the run root")
     # Each section checked its own values; these rules span sections or
-    # fields (network strides, pipelines, the split), so they run last.
+    # fields (network strides, the split), so they run last.
     try:
         trainer.network_config(config)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if config.train.pipeline not in trainer.PIPELINES:
-        raise ConfigError(f"train.pipeline: unknown pipeline "
-                          f"{config.train.pipeline!r}, not one of "
-                          f"{tuple(trainer.PIPELINES)}")
     data = config.data
     for key, names in (("data.base_classes", data.base_classes),
                        ("data.novel_classes", data.novel_classes)):
@@ -206,8 +203,7 @@ def cmd_pretrain_gt(args) -> int:
 
 def cmd_train(args) -> int:
     config, paths = load(args)
-    pipelines = tuple(trainer.PIPELINES) if args.all \
-        else (args.pipeline or config.train.pipeline,)
+    pipelines = tuple(trainer.PIPELINES) if args.all else (args.pipeline,)
     for name, result in trainer.run_ablation(config, paths, pipelines,
                                              _alphas(args)).items():
         print(f"{name}: novel average IoU {result.final_table.overall:.4f}")
@@ -216,9 +212,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     config, paths = load(args)
-    pipeline = args.pipeline or config.train.pipeline
-    stage = trainer.PIPELINES[pipeline][-1]
-    arms = trainer.arm_configs(config, (pipeline,), _alphas(args))
+    stage = trainer.PIPELINES[args.pipeline][-1]
+    arms = trainer.arm_configs(config, (args.pipeline,), _alphas(args))
     ctx = trainer.ExperimentContext.load(config, paths)
     views = corpus.load_samples(ctx.manifest, list(ctx.manifest.records))
     queried = set(ctx.split.all_query_objects())

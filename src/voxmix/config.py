@@ -12,10 +12,11 @@ import dataclasses
 import hashlib
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 from .evaluate import PRIOR_MODES
 from .losses import LossConfig
+from .shapes import ARCHETYPE_NAMES
 
 
 class ConfigError(ValueError):
@@ -41,6 +42,10 @@ class DataConfig:
             twice = sorted({c for c in names if names.count(c) > 1})
             if twice:
                 raise ValueError(f"{twice} named more than once")
+        unknown = sorted(set(self.classes) - set(ARCHETYPE_NAMES))
+        if unknown:
+            raise ValueError(f"{unknown} are not shape archetypes, which are "
+                             f"{ARCHETYPE_NAMES}")
         # The cosine report compares views of one object with each other.
         if min(self.objects_per_class, self.shots, self.poses_per_object - 1) < 1:
             raise ValueError("object and shot counts must be >= 1, poses >= 2")
@@ -92,7 +97,6 @@ class MixupSection:
 
 @dataclass(frozen=True)
 class TrainSection:
-    pipeline: str = "dual_mix"      # base | input_mix | latent_mix | dual_mix
     batch_size: int = 32
     lr: float = 1e-3
     gt_lr: float = 1e-4
@@ -267,5 +271,24 @@ def dump_config(config: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_hash(config: ExperimentConfig) -> str:
-    return hashlib.sha256(dump_config(config).encode("utf-8")).hexdigest()[:16]
+def config_hash(config: ExperimentConfig, keys: Iterable[str] | None = None,
+                skip: Iterable[str] = ()) -> str:
+    """Hash of the `dump_config` lines whose key is in `keys` (all when None)
+    and not in `skip`; a section name stands for its fields.  An artifact
+    hashes the keys its command reads, so no other field makes it stale.  A
+    name that matches no line is a ValueError: a typo drops no field."""
+    lines = dump_config(config).split("\n")[:-1]
+
+    def picked(names: Iterable[str]) -> set[str]:
+        found: set[str] = set()
+        for name in names:
+            matched = {line for line in lines
+                       if line.startswith((f"{name} = ", f"{name}."))}
+            if not matched:
+                raise ValueError(f"{name!r} names no config key")
+            found |= matched
+        return found
+
+    kept = (set(lines) if keys is None else picked(keys)) - picked(skip)
+    text = "".join(line + "\n" for line in lines if line in kept)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]

@@ -41,11 +41,13 @@ uncompressed under the name it is given and read by `read_archive`.  Its
                  record i; volumes, one per object in order of first record
     priors       meta: classes, objects (per class, the training objects
                  its prior averages); priors, one per class
-    checkpoint   meta: the metadata, "step" and "layout" (the parameter
-                 names, their shapes and the slot kinds); params, every
-                 parameter, flat float32, in the layout's name order;
-                 slot/<kind>, one optimizer slot kind, in the same layout;
-                 every value finite, or the error names a parameter
+    checkpoint   meta: the metadata (a stage checkpoint's config_hash and
+                 prior_mode, the volume encoder's pretrain_hash), "step"
+                 and "layout" (the parameter names, their shapes and the
+                 slot kinds); params, every parameter, flat float32, in the
+                 layout's name order; slot/<kind>, one optimizer slot kind,
+                 in the same layout; every value finite, or the error names
+                 a parameter
     predictions  meta: object_ids, pose_ids, threshold, prior_mode;
                  predictions (N, D, D, D) bool, the binarized query predictions
 It is read with `allow_pickle=False`.  A file that is not such an archive,
@@ -75,7 +77,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from . import corpus
-from .config import DataConfig, ExperimentConfig, config_hash, dump_config
+from .config import ExperimentConfig, config_hash, dump_config
 from .nn import ParamStore
 
 RUN_ROOT_ENV = "VOXMIX_RUN_ROOT"
@@ -246,11 +248,9 @@ class RunPaths:
 
 def dataset_hash(config: ExperimentConfig) -> str:
     """Hash of the config fields `gen-data` reads, and no others."""
-    data = config.data
-    return config_hash(ExperimentConfig(seed=config.seed, data=DataConfig(
-        classes=data.classes, objects_per_class=data.objects_per_class,
-        poses_per_object=data.poses_per_object, elevations=data.elevations,
-        vox_dim=data.vox_dim, image_size=data.image_size)))
+    return config_hash(config, ("seed", "data.classes", "data.objects_per_class",
+                                "data.poses_per_object", "data.elevations",
+                                "data.vox_dim", "data.image_size"))
 
 
 def _checked(name: str, array: np.ndarray, dtype, shape: tuple) -> np.ndarray:

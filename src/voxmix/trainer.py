@@ -46,8 +46,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import evaluate, losses, mixup, runs, voxel
-from .config import (ConfigError, EvalSection, ExperimentConfig, ModelSection,
-                     PriorConfig, TrainSection, config_hash)
+from .config import ConfigError, ExperimentConfig, config_hash
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
                      class_priors, load_samples, make_split)
 from .model import GridBatch, Network, NetworkConfig
@@ -308,28 +307,15 @@ def train_stage(net: Network, store: ParamStore, stage: int,
 # ---------------------------------------------------------------------------
 
 def trained_hash(config: ExperimentConfig) -> str:
-    """Hash of the config with the fields evaluation may change (`eval`,
-    `prior.mode`, `train.pipeline`) at their defaults: a stage checkpoint
-    serves every config of the same hash."""
-    return config_hash(replace(
-        config, eval=EvalSection(),
-        prior=replace(config.prior, mode=PriorConfig.mode),
-        train=replace(config.train, pipeline=TrainSection.pipeline)))
+    """Hash of every config field but those evaluation may change (`eval`,
+    `prior.mode`): a stage checkpoint serves every config of the same hash."""
+    return config_hash(config, skip=("eval", "prior.mode"))
 
 
-def save_stage_checkpoint(path, store: ParamStore, config: ExperimentConfig,
-                          stage: int) -> None:
-    net_cfg = network_config(config)
-    metadata = {
-        "variant": net_cfg.variant,
-        "stage": stage,
-        "epoch": config.train.stage_epochs[stage - 1],
-        "config_hash": trained_hash(config),
-        "prior_mode": config.prior.mode,
-        "latent_width": net_cfg.latent_width,
-        "vox_dim": net_cfg.vox_dim,
-    }
-    runs.save_checkpoint(path, store, metadata)
+def save_stage_checkpoint(path, store: ParamStore,
+                          config: ExperimentConfig) -> None:
+    runs.save_checkpoint(path, store, {"config_hash": trained_hash(config),
+                                       "prior_mode": config.prior.mode})
 
 
 def load_stage_checkpoint(path, config: ExperimentConfig):
@@ -443,14 +429,10 @@ GT_ENCODER_CHECKPOINT = "gt_encoder.ckpt"
 def pretrain_hash(config: ExperimentConfig) -> str:
     """Hash of the config fields volume-encoder pretraining reads, and no
     others: a run that changes only alpha must not pretrain again."""
-    model, train = config.model, config.train
-    return config_hash(ExperimentConfig(
-        seed=config.seed, data=config.data,
-        model=ModelSection(prior_channels=model.prior_channels,
-                           decoder_channels=model.decoder_channels,
-                           latent_width=model.latent_width),
-        train=TrainSection(pretrain_epochs=train.pretrain_epochs,
-                           gt_lr=train.gt_lr, pretrain_batch=train.pretrain_batch)))
+    return config_hash(config, (
+        "seed", "data", "model.prior_channels", "model.decoder_channels",
+        "model.latent_width", "train.pretrain_epochs", "train.gt_lr",
+        "train.pretrain_batch"))
 
 
 def pretrain_gt_encoder(ctx: ExperimentContext
@@ -466,8 +448,7 @@ def pretrain_gt_encoder(ctx: ExperimentContext
                                  seed=config.seed)
     ctx.paths.ensure_dirs()
     runs.save_checkpoint(ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT,
-                         store, {"role": "gt_autoencoder",
-                                 "pretrain_hash": pretrain_hash(config)})
+                         store, {"pretrain_hash": pretrain_hash(config)})
     runs.write_csv(ctx.paths.logs_dir / "pretrain_gt.csv", ("epoch", "loss"),
                    enumerate(history))
     return store, history
@@ -586,7 +567,7 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
         for name in names:
             pipeline, arm_config = arms[name]
             ckpt = paths.checkpoint_path(name, stage)
-            save_stage_checkpoint(ckpt, store, arm_config, stage)
+            save_stage_checkpoint(ckpt, store, arm_config)
             write_iou_reports(ctx, name, table)
             runs.write_csv(paths.logs_dir / f"{name}_train.csv", TRAIN_LOG, log)
             results[name] = PipelineResult(pipeline, arm_config, table, ckpt)

@@ -174,7 +174,7 @@ def test_a_config_that_sets_model_variant_exits_2_naming_the_key(tiny_run,
 @pytest.mark.parametrize("key,value", [
     ("train.optimizer", "adam"), ("loss.kind", "bce"),
     ("loss.focal_gamma", "2.0"), ("loss.focal_balance", "0.5"),
-    ("loss.clamp_eps", "1e-07")])
+    ("loss.clamp_eps", "1e-07"), ("train.pipeline", "dual_mix")])
 @pytest.mark.parametrize("where", ["file", "override"])
 def test_a_config_that_sets_a_removed_key_exits_2_naming_the_key(
         tiny_run, capsys, where, key, value):
@@ -195,8 +195,10 @@ def test_a_config_that_sets_a_removed_key_exits_2_naming_the_key(
     ("data.classes=box,box,table,cylstack,chair,lamp,lbeam",),
     ("data.elevations=60",),
     ("data.vox_dim=4", "model.prior_channels=4,4",
-     "model.decoder_channels=4,4")],
-    ids=["repeated_class", "elevation", "vox_dim"])
+     "model.decoder_channels=4,4"),
+    ("data.classes=box,table,cylstack,chair,lamp,foo",
+     "data.novel_classes=lamp,foo")],
+    ids=["repeated_class", "elevation", "vox_dim", "not_an_archetype"])
 def test_a_data_value_gen_data_cannot_honour_exits_2_naming_the_key(
         tmp_path, capsys, overrides):
     run = TinyRun(tmp_path)
@@ -531,7 +533,6 @@ def test_eval_of_a_checkpoint_holding_nan_exits_3_and_names_the_parameter(
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
     ("prior.threshold", "1.5"), ("prior.mode", "wrong"),
     ("model.latent_width", "0"), ("model.decoder_channels", ""),
-    ("train.pipeline", "foo"),
     # The split's rules across `data` fields; the tiny config has 3 objects
     # per class.
     ("data.base_classes", "box,foo"), ("data.novel_classes", "foo"),
@@ -778,12 +779,10 @@ def test_eval_refuses_a_checkpoint_trained_under_another_config(tiny_run,
         assert (f"{ckpt} was trained under another config"
                 in capsys.readouterr().err), overrides
     assert report.read_bytes() == written
-    # Evaluation may change the prior mode, its own settings and which
-    # pipeline it reads.
-    for args in (("--pipeline", "input_mix", "-o", "prior.mode=corrupted"),
-                 ("--pipeline", "input_mix", "-o", "eval.iou_threshold=0.5"),
-                 ("-o", "train.pipeline=input_mix")):
-        assert tiny_run.voxmix("eval", *args) == cli.EXIT_OK
+    # Evaluation may change the prior mode and its own settings.
+    for override in ("prior.mode=corrupted", "eval.iou_threshold=0.5"):
+        assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
+                               "-o", override) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("recorded", ["corrupted", None],

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from typing import get_args, get_origin, get_type_hints
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from voxmix.config import (ConfigError, ExperimentConfig, apply_assignments,
                            config_hash, dump_config, parse_config_text)
 from voxmix.evaluate import PRIOR_MODES
+from voxmix.shapes import ARCHETYPE_NAMES
 
 # What a config file can hold as a name: no comma (the list separator), no
 # newline, no "#" and no whitespace at either end.
@@ -34,8 +36,11 @@ IN_RANGE = {
     "data.vox_dim": st.integers(min_value=8),
     "data.elevations": st.lists(st.floats(-45.0, 45.0), min_size=1,
                                 max_size=4).map(tuple),
+    # Every class is a shape archetype; the split's lists may name others.
+    "data.classes": st.lists(st.sampled_from(ARCHETYPE_NAMES), max_size=4,
+                             unique=True).map(tuple),
     **{f"data.{name}": st.lists(NAMES, max_size=4, unique=True).map(tuple)
-       for name in ("classes", "base_classes", "novel_classes")},
+       for name in ("base_classes", "novel_classes")},
     "prior.threshold": st.floats(0.0, 1.0, exclude_max=True),
     "prior.mode": st.sampled_from(PRIOR_MODES),
     "model.latent_width": st.integers(min_value=1),
@@ -70,14 +75,41 @@ def test_dump_config_round_trips_through_the_parser(config):
 def test_dump_and_hash_keep_their_bytes():
     # Hashes of the dumps written before the loss section became a
     # LossConfig, less their `model.variant`, `train.optimizer`, `loss.kind`,
-    # `loss.focal_gamma`, `loss.focal_balance` and `loss.clamp_eps` lines.
-    assert config_hash(ExperimentConfig()) == "f0a01c094dc672e7"
+    # `loss.focal_gamma`, `loss.focal_balance`, `loss.clamp_eps` and
+    # `train.pipeline` lines.
+    assert config_hash(ExperimentConfig()) == "1dffe7bc51b02c36"
     assert config_hash(apply_assignments(
-        ExperimentConfig(), {"loss.margin": "0.3"})) == "86a9a0b39cf76e52"
+        ExperimentConfig(), {"loss.margin": "0.3"})) == "b48b636660c28fbe"
     loss_lines = [line for line in dump_config(ExperimentConfig()).split("\n")
                   if line.startswith("loss.")]
     assert loss_lines == [
         "loss.w_recon = 10.0", "loss.w_align = 0.5", "loss.margin = 0.1"]
+
+
+def _hash_of(lines: list[str]) -> str:
+    return hashlib.sha256("".join(line + "\n" for line in lines)
+                          .encode("utf-8")).hexdigest()[:16]
+
+
+def test_config_hash_expands_a_section_and_drops_the_skipped_keys():
+    config = ExperimentConfig()
+    lines = dump_config(config).split("\n")[:-1]
+    assert config_hash(config) == _hash_of(lines)
+    data = [line for line in lines if line.startswith("data.")]
+    assert config_hash(config, ("data",)) == _hash_of(data)
+    assert config_hash(config, ("seed", "data"), skip=("data.shots",)) \
+        == _hash_of(["seed = 0"] + [line for line in data
+                                    if not line.startswith("data.shots ")])
+    assert config_hash(config, skip=("eval", "prior.mode")) == _hash_of(
+        [line for line in lines if not line.startswith(("eval.", "prior.mode "))])
+
+
+@pytest.mark.parametrize("keys,skip", [
+    (("seed", "data.clases"), ()), (("dat",), ()), (None, ("evaluation",)),
+    (("data",), ("mixup.alpha", "train.pipeline"))])
+def test_config_hash_refuses_a_name_that_matches_no_key(keys, skip):
+    with pytest.raises(ValueError, match="names no config key"):
+        config_hash(ExperimentConfig(), keys, skip)
 
 
 @pytest.mark.parametrize("key,value", [
@@ -85,6 +117,7 @@ def test_dump_and_hash_keep_their_bytes():
     ("train.stage_epochs", "1,1"), ("eval.iou_threshold", "1.0"),
     ("prior.mode", "wrong"), ("model.latent_width", "0"),
     ("model.image_channels", "4,0"), ("data.classes", "box,lamp,box"),
+    ("data.classes", "box,foo"),
     ("data.base_classes", "box,box"), ("data.novel_classes", "lamp,lamp"),
     ("data.elevations", "10,60"), ("data.vox_dim", "4")])
 def test_a_value_a_section_rejects_is_a_config_error_naming_its_key(key, value):

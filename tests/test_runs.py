@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import rewrite_without
-from voxmix import cli, nn, runs
+from voxmix import cli, config as config_module, nn, runs
 from voxmix.config import ExperimentConfig, apply_assignments
 
 
@@ -210,3 +210,11 @@ def test_the_input_hashes_cover_what_their_commands_read_and_no_more():
         assert runs.dataset_hash(apply_assignments(config, {key: value})) \
             != runs.dataset_hash(config), key
 
+
+def test_the_dataset_hash_ignores_a_field_gen_data_does_not_read(monkeypatch):
+    config = ExperimentConfig()
+    before = runs.dataset_hash(config)
+    dump = config_module.dump_config
+    monkeypatch.setattr(config_module, "dump_config",
+                        lambda cfg: dump(cfg) + "train.new_field = 1\n")
+    assert runs.dataset_hash(config) == before

@@ -12,7 +12,8 @@ import pytest
 from conftest import TINY_OVERRIDES
 
 from voxmix import losses, mixup, nn, runs, trainer, verification
-from voxmix.config import ExperimentConfig, MixupSection, config_hash, dump_config
+from voxmix.config import (ExperimentConfig, MixupSection, apply_assignments,
+                           dump_config)
 from voxmix.model import GridBatch, Network
 from voxmix.nn import NumericError
 
@@ -101,7 +102,7 @@ def test_an_alpha_sweep_trains_the_base_stage_once(tiny_run, monkeypatch):
     assert sorted(stages) == [1, 2, 2, 2, 3, 3, 3]
     assert list(swept) == [f"{pipeline}_alpha{alpha:g}" for pipeline
                            in ("input_mix", "latent_mix") for alpha in alphas]
-    # The configured alpha is 0.2: that arm is the configured pipeline.
+    # The configured alpha is 0.2: that arm is the plain input_mix arm.
     assert swept["input_mix_alpha0.2"].checkpoint_path.read_bytes() == plain_ckpt
     for pipeline in ("input_mix", "latent_mix"):
         for alpha in alphas:
@@ -109,8 +110,20 @@ def test_an_alpha_sweep_trains_the_base_stage_once(tiny_run, monkeypatch):
             assert result.pipeline == pipeline
             assert result.config == replace(config, mixup=MixupSection(alpha))
             _, metadata = runs.load_checkpoint(result.checkpoint_path)
-            assert metadata["config_hash"] == config_hash(result.config)
+            assert (metadata["config_hash"]
+                    == trainer.trained_hash(result.config))
     assert tiny_run.paths.resolved_config_path.read_text() == dump_config(config)
+
+
+def test_the_trained_hash_ignores_what_evaluation_may_change():
+    config = ExperimentConfig()
+    evaluated = {"eval.iou_threshold": "0.5", "eval.batch_size": "7",
+                 "prior.mode": "corrupted"}
+    assert trainer.trained_hash(apply_assignments(config, evaluated)) \
+        == trainer.trained_hash(config)
+    for key, value in (("mixup.alpha", "0.4"), ("train.stage_epochs", "1,1,1")):
+        assert trainer.trained_hash(apply_assignments(config, {key: value})) \
+            != trainer.trained_hash(config), key
 
 
 def test_run_ablation_rejects_an_unknown_pipeline(tiny_run):
