@@ -16,7 +16,7 @@ file that can be stale: written under other values of the config fields
 `gen-data` reads.  The split and the priors are derived from it and the
 config on every run, so no file of theirs is read.  On exit 3 the message
 names the file and, for a missing or stale one, the command that writes
-it.  Every bad config value exits 2 when the config is loaded, before any
+it.  Every bad config value exits 2 when the config is built, before any
 work, and the message names its key: an unknown key, a value its section
 rejects, a class that is no shape archetype, a `run_name` that is not one
 directory name, a size the network's strides do not divide, or a split
@@ -122,34 +122,6 @@ def _build_parser() -> Parser:
 def load(args) -> tuple[ExperimentConfig, runs.RunPaths]:
     """The config and run directory that `add_run_options`' flags name."""
     config = load_config(args.config, args.override)
-    if config.run_name in ("", ".", "..") or any(c in config.run_name
-                                                  for c in "/\0"):
-        raise ConfigError(f"run_name: {config.run_name!r} is not one "
-                          "directory name under the run root")
-    # Each section checked its own values; these rules span sections or
-    # fields (network strides, the split), so they run last.
-    try:
-        trainer.network_config(config)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    data = config.data
-    for key, names in (("data.base_classes", data.base_classes),
-                       ("data.novel_classes", data.novel_classes)):
-        if not names:
-            raise ConfigError(f"{key}: names no class")
-    known, base, novel = (set(c) for c in (data.classes, data.base_classes,
-                                           data.novel_classes))
-    for key, bad, why in (
-            ("data.base_classes", base - known, "not in data.classes"),
-            ("data.novel_classes", novel - known, "not in data.classes"),
-            ("data.novel_classes", novel & base, "also in data.base_classes"),
-            ("data.classes", known - base - novel,
-             "in neither data.base_classes nor data.novel_classes")):
-        if bad:
-            raise ConfigError(f"{key}: {sorted(bad)} {why}")
-    if data.shots >= data.objects_per_class:
-        raise ConfigError(f"data.shots: {data.shots} shots leave no query "
-                          f"object of {data.objects_per_class} per class")
     return config, runs.RunPaths.for_config(config, args.run_root)
 
 

@@ -4,6 +4,10 @@ format, and strict override handling.
 Every key is `section.field` (top-level fields have no section).  Values
 are typed from the dataclass annotations; lists are comma separated.
 Unknown keys are rejected so typos never silently fall back to defaults.
+
+A built `ExperimentConfig` is valid: each section checks its own fields,
+and `ExperimentConfig` every rule across them (the run name, the sizes the
+network's strides divide, the split), so no other module checks them.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ class DataConfig:
     shots: int = 1
 
     def __post_init__(self):
-        # Rules across fields (classes, shots per class) are the split's.
+        # The rules across fields (the split, the sizes the network's
+        # strides divide) are `ExperimentConfig`'s.
         for names in (self.classes, self.base_classes, self.novel_classes):
             twice = sorted({c for c in names if names.count(c) > 1})
             if twice:
@@ -145,6 +150,39 @@ class ExperimentConfig:
     train: TrainSection = field(default_factory=TrainSection)
     eval: EvalSection = field(default_factory=EvalSection)
 
+    def __post_init__(self):
+        name = self.run_name
+        if name in ("", ".", "..") or any(c in name for c in "/\0"):
+            raise ConfigError(f"run_name: {name!r} is not one "
+                              "directory name under the run root")
+        data = self.data
+        # Every conv and every transposed conv has stride 2.
+        for size, layers in (("image_size", "image_channels"),
+                             ("vox_dim", "prior_channels"),
+                             ("vox_dim", "decoder_channels")):
+            value = getattr(data, size)
+            down = 2 ** len(getattr(self.model, layers))
+            if value < down or value % down:
+                raise ConfigError(f"data.{size}: {value} is not a multiple of "
+                                  f"{down}, the stride of model.{layers}")
+        for key, names in (("data.base_classes", data.base_classes),
+                           ("data.novel_classes", data.novel_classes)):
+            if not names:
+                raise ConfigError(f"{key}: names no class")
+        known, base, novel = (set(c) for c in (data.classes, data.base_classes,
+                                               data.novel_classes))
+        for key, bad, why in (
+                ("data.base_classes", base - known, "not in data.classes"),
+                ("data.novel_classes", novel - known, "not in data.classes"),
+                ("data.novel_classes", novel & base, "also in data.base_classes"),
+                ("data.classes", known - base - novel,
+                 "in neither data.base_classes nor data.novel_classes")):
+            if bad:
+                raise ConfigError(f"{key}: {sorted(bad)} {why}")
+        if data.shots >= data.objects_per_class:
+            raise ConfigError(f"data.shots: {data.shots} shots leave no query "
+                              f"object of {data.objects_per_class} per class")
+
 
 _SECTIONS = {name for name, hint in get_type_hints(ExperimentConfig).items()
              if dataclasses.is_dataclass(hint)}
@@ -175,7 +213,8 @@ def _coerce(raw: str, annotation: Any, key: str):
 
 def apply_assignments(config: ExperimentConfig,
                       items: dict[str, str]) -> ExperimentConfig:
-    """Apply `dotted.key -> raw string` assignments onto a config."""
+    """Apply `dotted.key -> raw string` assignments onto a config, naming
+    the key of a rejected value.  The rules across fields see them all."""
     top_fields = get_type_hints(ExperimentConfig)
     section_updates: dict[str, dict[str, Any]] = {}
     top_updates: dict[str, Any] = {}
@@ -216,9 +255,8 @@ def parse_assignment(text: str) -> tuple[str, str]:
     return key, raw
 
 
-def parse_config_text(text: str,
-                      base: ExperimentConfig | None = None) -> ExperimentConfig:
-    config = base or ExperimentConfig()
+def _config_items(text: str) -> dict[str, str]:
+    """The `key -> raw value` assignments of a config file's text."""
     items: dict[str, str] = {}
     # Lines end at "\n" only, as `dump_config` writes them: splitlines()
     # would also break at a "\r" or "\x1c" inside a value.
@@ -233,20 +271,23 @@ def parse_config_text(text: str,
         if key in items:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         items[key] = raw
-    return apply_assignments(config, items)
+    return items
+
+
+def parse_config_text(text: str) -> ExperimentConfig:
+    return apply_assignments(ExperimentConfig(), _config_items(text))
 
 
 def load_config(path, overrides: list[str] | None = None) -> ExperimentConfig:
+    """The file's assignments with `overrides` on top, applied at once."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    config = parse_config_text(text)
-    if overrides:
-        items = dict(parse_assignment(item) for item in overrides)
-        config = apply_assignments(config, items)
-    return config
+    items = _config_items(text)
+    items.update(parse_assignment(item) for item in overrides or ())
+    return apply_assignments(ExperimentConfig(), items)
 
 
 def _format_value(value) -> str:

@@ -130,18 +130,10 @@ def make_split(manifest: DatasetManifest, base_classes: Sequence[str],
                novel_classes: Sequence[str], shots: int,
                seed: int = 0) -> FewShotSplit:
     """Pick `shots` training objects per novel class; the rest become the
-    query set. Base classes train on all their objects."""
+    query set. Base classes train on all their objects.  The split is a
+    valid config's, and `manifest` the dataset of its `data` section."""
     base, nov = tuple(base_classes), tuple(novel_classes)
-    overlap = set(base) & set(nov)
-    if overlap:
-        raise ValueError(f"base and novel classes overlap: {sorted(overlap)}")
     by_class = manifest.objects_by_class()
-    for cls in base + nov:
-        if cls not in by_class:
-            raise ValueError(f"class {cls!r} not present in the manifest")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 7])))
     train: dict[str, tuple[str, ...]] = {}
     query: dict[str, tuple[str, ...]] = {}
@@ -150,9 +142,6 @@ def make_split(manifest: DatasetManifest, base_classes: Sequence[str],
         query[cls] = ()
     for cls in nov:
         objs = sorted(by_class[cls])
-        if shots > len(objs):
-            raise ValueError(
-                f"{shots} shots requested but class {cls!r} has {len(objs)} objects")
         chosen = rng.choice(len(objs), size=shots, replace=False)
         picked = tuple(objs[i] for i in sorted(chosen))
         train[cls] = picked

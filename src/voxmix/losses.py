@@ -39,8 +39,10 @@ class LossConfig:
     margin: float = 0.1
 
     def __post_init__(self):
-        if self.w_recon < 0 or self.w_align < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("w_recon", "w_align"):
+            if not 0.0 <= getattr(self, name) < float("inf"):
+                raise ValueError(f"{name} must be in [0, inf), got "
+                                 f"{getattr(self, name)}")
         if not 0.0 <= self.margin <= 1.0:
             raise ValueError(f"margin must be in [0, 1], got {self.margin}")
 

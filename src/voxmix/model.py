@@ -36,7 +36,7 @@ class NetworkConfig:
     """`trainer.network_config` reads `vox_dim` and `image_size` from the
     config's `data` section, `variant` from `prior.mode` ("no_prior" for
     mode "none") and the other fields from `model`, which holds the
-    defaults; a size error names the config key."""
+    defaults; `ExperimentConfig` checks the sizes its strides divide."""
 
     vox_dim: int
     image_size: int
@@ -49,14 +49,6 @@ class NetworkConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown network variant {self.variant!r}")
-        # Every conv and every transposed conv has stride 2.
-        for size, layers in (("image_size", "image_channels"),
-                             ("vox_dim", "prior_channels"),
-                             ("vox_dim", "decoder_channels")):
-            value, down = getattr(self, size), 2 ** len(getattr(self, layers))
-            if value < down or value % down:
-                raise ValueError(f"data.{size}: {value} is not a multiple of "
-                                 f"{down}, the stride of model.{layers}")
 
 
 class GridBatch(NamedTuple):

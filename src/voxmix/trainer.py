@@ -308,8 +308,9 @@ def train_stage(net: Network, store: ParamStore, stage: int,
 
 def trained_hash(config: ExperimentConfig) -> str:
     """Hash of every config field but those evaluation may change (`eval`,
-    `prior.mode`): a stage checkpoint serves every config of the same hash."""
-    return config_hash(config, skip=("eval", "prior.mode"))
+    `prior.mode`) and the run directory's name (`run_name`): a stage
+    checkpoint serves every config of the same hash, in any run directory."""
+    return config_hash(config, skip=("eval", "prior.mode", "run_name"))
 
 
 def save_stage_checkpoint(path, store: ParamStore,

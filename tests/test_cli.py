@@ -1,5 +1,6 @@
 import csv
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -528,6 +529,8 @@ def test_eval_of_a_checkpoint_holding_nan_exits_3_and_names_the_parameter(
     pytest.param("train.lr", "0", id="lr-0"),
     pytest.param("train.gt_lr", "inf", id="gt_lr-inf"),
     pytest.param("train.gt_lr", "-1e-4", id="gt_lr-neg"),
+    pytest.param("loss.w_recon", "nan", id="w_recon-nan"),
+    pytest.param("loss.w_align", "inf", id="w_align-inf"),
     ("eval.batch_size", "0"), ("mixup.alpha", "-1"),
     ("eval.iou_threshold", "1.5"), ("data.vox_dim", "12"),
     ("data.image_size", "0"), ("data.shots", "0"), ("data.elevations", ""),
@@ -783,6 +786,19 @@ def test_eval_refuses_a_checkpoint_trained_under_another_config(tiny_run,
     for override in ("prior.mode=corrupted", "eval.iou_threshold=0.5"):
         assert tiny_run.voxmix("eval", "--pipeline", "input_mix",
                                "-o", override) == cli.EXIT_OK
+
+
+def test_eval_reads_a_run_directory_copied_under_another_run_name(tiny_run):
+    # A stage checkpoint hashes no `run_name`, so a copied run evaluates.
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    copy = tiny_run.root / "copy"
+    shutil.copytree(tiny_run.paths.root, copy)
+    report = copy / "reports" / "base_iou.csv"
+    written = report.read_bytes()
+    report.unlink()
+    assert tiny_run.voxmix("eval", "--pipeline", "base",
+                           "-o", "run_name=copy") == cli.EXIT_OK
+    assert report.read_bytes() == written
 
 
 @pytest.mark.parametrize("recorded", ["corrupted", None],

@@ -5,8 +5,9 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxmix.config import (ConfigError, ExperimentConfig, apply_assignments,
-                           config_hash, dump_config, parse_config_text)
+from voxmix.config import (ConfigError, DataConfig, ExperimentConfig,
+                           ModelSection, apply_assignments, config_hash,
+                           dump_config, load_config, parse_config_text)
 from voxmix.evaluate import PRIOR_MODES
 from voxmix.shapes import ARCHETYPE_NAMES
 
@@ -20,8 +21,11 @@ _NON_NEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _CHANNELS = st.lists(st.integers(min_value=1), min_size=1, max_size=4).map(tuple)
 
-# The fields a section range-checks draw from inside their range.
+# The fields a section range-checks draw from inside their range; `_configs`
+# draws the fields the rules across sections tie together.
 IN_RANGE = {
+    "run_name": NAMES.filter(lambda s: s not in (".", "..")
+                             and not set(s) & set("/\0")),
     "loss.w_recon": _NON_NEGATIVE, "loss.w_align": _NON_NEGATIVE,
     "loss.margin": st.floats(0.0, 1.0), "mixup.alpha": _POSITIVE,
     "train.lr": _POSITIVE, "train.gt_lr": _POSITIVE,
@@ -30,17 +34,9 @@ IN_RANGE = {
     "train.pretrain_epochs": st.integers(min_value=0),
     "train.stage_epochs": st.tuples(*[st.integers(min_value=0)] * 3),
     "eval.iou_threshold": _OPEN_UNIT, "eval.batch_size": st.integers(min_value=1),
-    "data.objects_per_class": st.integers(min_value=1),
     "data.poses_per_object": st.integers(min_value=2),
-    "data.shots": st.integers(min_value=1),
-    "data.vox_dim": st.integers(min_value=8),
     "data.elevations": st.lists(st.floats(-45.0, 45.0), min_size=1,
                                 max_size=4).map(tuple),
-    # Every class is a shape archetype; the split's lists may name others.
-    "data.classes": st.lists(st.sampled_from(ARCHETYPE_NAMES), max_size=4,
-                             unique=True).map(tuple),
-    **{f"data.{name}": st.lists(NAMES, max_size=4, unique=True).map(tuple)
-       for name in ("base_classes", "novel_classes")},
     "prior.threshold": st.floats(0.0, 1.0, exclude_max=True),
     "prior.mode": st.sampled_from(PRIOR_MODES),
     "model.latent_width": st.integers(min_value=1),
@@ -57,13 +53,42 @@ def _values(annotation):
             str: NAMES}[annotation]
 
 
-def _configs(cls=ExperimentConfig, prefix=""):
+def _builds(cls, prefix="", **tied):
+    """`cls` of `tied`'s strategies for their fields, the others in range."""
     hints = get_type_hints(cls)
     return st.builds(cls, **{
-        f.name: _configs(hints[f.name], f"{f.name}.")
+        f.name: tied[f.name] if f.name in tied
+        else _builds(hints[f.name], f"{f.name}.")
         if dataclasses.is_dataclass(hints[f.name])
         else IN_RANGE.get(prefix + f.name, _values(hints[f.name]))
         for f in dataclasses.fields(cls)})
+
+
+def _multiple(step: int, least: int = 1):
+    """The multiples of `step` that are at least `least`."""
+    return st.integers(min_value=-(-least // step)).map(lambda k: k * step)
+
+
+@st.composite
+def _configs(draw):
+    """A valid config: 2-4 archetypes cut into a base and a novel list,
+    fewer shots than objects per class, sizes the strides divide, and (in
+    `IN_RANGE`) a run name that is one directory name."""
+    model = draw(_builds(ModelSection, "model."))
+    classes = draw(st.lists(st.sampled_from(ARCHETYPE_NAMES), min_size=2,
+                            max_size=4, unique=True))
+    order, cut = draw(st.permutations(classes)), draw(
+        st.integers(1, len(classes) - 1))
+    objects = draw(st.integers(min_value=2))
+    data = _builds(
+        DataConfig, "data.", classes=st.just(tuple(classes)),
+        base_classes=st.just(tuple(order[:cut])),
+        novel_classes=st.just(tuple(order[cut:])),
+        objects_per_class=st.just(objects), shots=st.integers(1, objects - 1),
+        image_size=_multiple(2 ** len(model.image_channels)),
+        vox_dim=_multiple(2 ** max(len(model.prior_channels),
+                                   len(model.decoder_channels)), 8))
+    return draw(_builds(ExperimentConfig, model=st.just(model), data=data))
 
 
 @given(_configs())
@@ -119,8 +144,45 @@ def test_config_hash_refuses_a_name_that_matches_no_key(keys, skip):
     ("model.image_channels", "4,0"), ("data.classes", "box,lamp,box"),
     ("data.classes", "box,foo"),
     ("data.base_classes", "box,box"), ("data.novel_classes", "lamp,lamp"),
-    ("data.elevations", "10,60"), ("data.vox_dim", "4")])
+    ("data.elevations", "10,60"), ("data.vox_dim", "4"),
+    pytest.param("loss.w_recon", "nan", id="w_recon-nan"),
+    pytest.param("loss.w_align", "inf", id="w_align-inf")])
 def test_a_value_a_section_rejects_is_a_config_error_naming_its_key(key, value):
     with pytest.raises(ConfigError, match=f"^{key}: "):
         apply_assignments(ExperimentConfig(), {"seed": "1", "loss.w_recon": "2",
                                                key: value})
+
+
+@pytest.mark.parametrize("key,value", [
+    ("run_name", ""), ("run_name", "."), ("run_name", ".."),
+    ("run_name", "a/b"), ("run_name", "a\0b"), ("data.vox_dim", "12"),
+    ("data.image_size", "0"), ("data.base_classes", "box,foo"),
+    ("data.novel_classes", "foo"), ("data.base_classes", ""),
+    ("data.novel_classes", ""), ("data.novel_classes", "lamp,box"),
+    ("data.shots", "8")])
+def test_a_rule_across_fields_is_a_config_error_naming_its_key(key, value):
+    # A config built without a file, as the benchmark and the tests build
+    # theirs, keeps the rules a loaded one does; the default has 8 objects
+    # per class.
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        apply_assignments(ExperimentConfig(), {key: value})
+
+
+def test_overrides_complete_a_split_the_file_leaves_partial(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("data.classes = box,lamp\n", encoding="utf-8")
+    data = load_config(path, ["data.base_classes=box",
+                              "data.novel_classes=lamp"]).data
+    assert (data.classes, data.base_classes, data.novel_classes) \
+        == (("box", "lamp"), ("box",), ("lamp",))
+
+
+@pytest.mark.parametrize("text,error", [
+    ("seed = 1\nrun_name", "line 2: expected key=value"),
+    ("seed = 1\n\nseed = 2", "line 3: duplicate key 'seed'")])
+def test_a_bad_config_file_line_is_a_config_error_naming_the_line(
+        tmp_path, text, error):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"^{error}"):
+        load_config(path, ["seed=3"])

@@ -266,8 +266,6 @@ def test_a_batch_of_one_class_encodes_one_prior_grid(monkeypatch):
 
 def test_network_config_validation():
     with pytest.raises(ValueError):
-        replace(CFG, vox_dim=12)  # not divisible by the conv strides
-    with pytest.raises(ValueError):
         replace(CFG, variant="maybe_prior")
 
 

@@ -197,6 +197,7 @@ def test_a_per_tensor_checkpoint_is_rejected(tmp_path):
 def test_the_input_hashes_cover_what_their_commands_read_and_no_more():
     config = ExperimentConfig()
     ignored = {"data.shots": "2", "data.novel_classes": "lamp",
+               "data.base_classes": "box,table,cylstack,chair,lbeam",
                "prior.threshold": "0.2", "model.latent_width": "8",
                "train.stage_epochs": "1,1,1", "eval.iou_threshold": "0.5",
                "run_name": "other"}
@@ -206,8 +207,11 @@ def test_the_input_hashes_cover_what_their_commands_read_and_no_more():
             "data.objects_per_class": "4", "data.poses_per_object": "2",
             "data.elevations": "10", "data.vox_dim": "8",
             "data.image_size": "16"}
+    # The split's fields complete a valid config; the hash reads none.
+    split = {"data.base_classes": "box", "data.novel_classes": "lamp"}
     for key, value in read.items():
-        assert runs.dataset_hash(apply_assignments(config, {key: value})) \
+        items = {key: value, **(split if key == "data.classes" else {})}
+        assert runs.dataset_hash(apply_assignments(config, items)) \
             != runs.dataset_hash(config), key
 
 

@@ -116,9 +116,11 @@ def test_an_alpha_sweep_trains_the_base_stage_once(tiny_run, monkeypatch):
 
 
 def test_the_trained_hash_ignores_what_evaluation_may_change():
+    # Its own settings, the prior mode, and the run directory's name: a run
+    # directory copied under another name evaluates.
     config = ExperimentConfig()
     evaluated = {"eval.iou_threshold": "0.5", "eval.batch_size": "7",
-                 "prior.mode": "corrupted"}
+                 "prior.mode": "corrupted", "run_name": "copy"}
     assert trainer.trained_hash(apply_assignments(config, evaluated)) \
         == trainer.trained_hash(config)
     for key, value in (("mixup.alpha", "0.4"), ("train.stage_epochs", "1,1,1")):
