@@ -25,7 +25,9 @@ in both lists or in neither, shots per class).  A bad `--alphas` value
 exits 2 as well, and so do two alphas that name one arm.  A flag value no
 run can honour (a count below one, a tolerance that is not a finite
 positive number, `train --all` with `--pipeline`) exits 1 before any work,
-and the message names the flag.
+and the message names the flag.  `eval` also exits 1, naming the file, when
+a stage checkpoint was trained under another config or its parameters do
+not fit the configured network.
 """
 
 from __future__ import annotations

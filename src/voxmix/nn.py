@@ -62,7 +62,7 @@ class ParamStore:
     as in `grads[name][...] += g`.  `step` counts optimizer steps."""
 
     def __init__(self, names: Sequence[str], shapes: Sequence[Sequence[int]],
-                 flat: np.ndarray, slots: dict[str, np.ndarray] | None = None):
+                 flat: np.ndarray):
         self.names = tuple(names)
         self.shapes = tuple(tuple(int(d) for d in shape) for shape in shapes)
         if len(set(self.names)) < len(self.names):
@@ -72,18 +72,13 @@ class ParamStore:
             raise ValueError(f"the shapes hold {sum(sizes)} values, the "
                              f"parameter buffer has shape {flat.shape}")
         self.flat, self.flat_grads = flat, np.zeros_like(flat)
-        self.flat_slots = dict(slots or {})
-        for kind, buf in self.flat_slots.items():
-            if buf.shape != flat.shape or buf.dtype != flat.dtype:
-                raise ValueError(f"slot {kind!r} is {buf.dtype} {buf.shape}, "
-                                 f"the parameters {flat.dtype} {flat.shape}")
+        self.flat_slots = {}
         ends = np.cumsum([0] + sizes).tolist()
         self.spans = {name: slice(start, stop)
                       for name, start, stop in zip(self.names, ends, ends[1:])}
         self.params = self._views(flat)
         self.grads = self._views(self.flat_grads)
-        self.slots = {kind: self._views(buf)
-                      for kind, buf in self.flat_slots.items()}
+        self.slots = {}
         self.step = 0
 
     @classmethod
@@ -113,9 +108,10 @@ class ParamStore:
         return self.flat_slots[kind]
 
     def copy(self) -> "ParamStore":
-        dup = ParamStore(self.names, self.shapes, self.flat.copy(),
-                         {kind: buf.copy() for kind, buf in self.flat_slots.items()})
+        dup = ParamStore(self.names, self.shapes, self.flat.copy())
         dup.flat_grads[...] = self.flat_grads
+        for kind, buf in self.flat_slots.items():
+            dup.slot(kind)[...] = buf
         dup.step = self.step
         return dup
 

@@ -1,12 +1,16 @@
 """Run-directory layout, and the one module that puts run artifacts on disk.
 
 Every experiment lives under one run directory:
-    config.resolved.txt    full config after file + overrides
+    config.resolved.txt    gen-data's full config after file + overrides:
+                           the config the dataset was made under
     dataset.npz            the views, volumes and manifest (gen-data)
     priors.npz             one binary prior per class (build-priors), an
                            inspection output that no command reads
-    checkpoints/           gt_encoder.ckpt, <arm>_stage<final stage>.ckpt
-    logs/                  <arm>_train.csv, pretrain_gt.csv
+    checkpoints/           gt_encoder.ckpt (the volume encoder alone),
+                           <arm>_stage<final stage>.ckpt
+    logs/                  <arm>_train.csv, <arm>_config.txt (the full
+                           config the arm trained under, its alpha
+                           included), pretrain_gt.csv
     reports/               from train and eval: <arm>_iou.csv (each
                            class's IoU and its proximity to the base
                            shapes) and <arm>_iou_samples.csv; from eval:
@@ -21,7 +25,7 @@ class priors: `corpus.make_split` and `corpus.class_priors` derive them
 from the dataset and the config wherever they are needed.
 
 Every artifact file is written through `write_atomic`: archives, CSVs and
-the resolved config.  The bytes go to a `.<name>.<pid>.tmp` sibling, which
+the config files.  The bytes go to a `.<name>.<pid>.tmp` sibling, which
 no glob for an artifact's suffix matches, and `os.replace` then puts it in
 place.  A write interrupted before the rename leaves the earlier file as
 it was.  (There is no fsync: this guards against a process dying
@@ -41,13 +45,13 @@ uncompressed under the name it is given and read by `read_archive`.  Its
                  record i; volumes, one per object in order of first record
     priors       meta: classes, objects (per class, the training objects
                  its prior averages); priors, one per class
-    checkpoint   meta: the metadata (a stage checkpoint's config_hash and
-                 prior_mode, the volume encoder's pretrain_hash), "step"
-                 and "layout" (the parameter names, their shapes and the
-                 slot kinds); params, every parameter, flat float32, in the
-                 layout's name order; slot/<kind>, one optimizer slot kind,
-                 in the same layout; every value finite, or the error names
-                 a parameter
+    checkpoint   meta: the metadata (a stage checkpoint's config_hash,
+                 the volume encoder's pretrain_hash) and "layout" (the
+                 parameter names and their shapes); params, every
+                 parameter, flat float32, in the layout's name order, every
+                 value finite, or the error names a parameter.  Optimizer
+                 state is not saved: each stage continues the one before
+                 it in memory, and every reader reads parameters alone
     predictions  meta: object_ids, pose_ids, threshold, prior_mode;
                  predictions (N, D, D, D) bool, the binarized query predictions
 It is read with `allow_pickle=False`.  A file that is not such an archive,
@@ -159,16 +163,9 @@ def read_archive(path, kind: str, entries: Callable[[dict], Iterable[str]]
 def save_checkpoint(path, store: ParamStore, metadata: dict | None = None) -> None:
     if store.flat.dtype != np.float32:
         raise ValueError(f"checkpoints hold float32 tensors, not {store.flat.dtype}")
-    kinds = sorted(store.flat_slots)
-    meta = dict(metadata or {}, step=store.step, layout={
-        "names": store.names, "shapes": store.shapes, "slots": kinds})
-    save_archive(path, meta, {"params": store.flat, **{
-        f"slot/{kind}": store.flat_slots[kind] for kind in kinds}})
-
-
-def _checkpoint_entries(meta: dict) -> list[str]:
-    return ["params", *(f"slot/{kind}" for kind
-                        in meta.get("layout", {}).get("slots", []))]
+    meta = dict(metadata or {},
+                layout={"names": store.names, "shapes": store.shapes})
+    save_archive(path, meta, {"params": store.flat})
 
 
 def load_checkpoint(path) -> tuple[ParamStore, dict]:
@@ -176,18 +173,13 @@ def load_checkpoint(path) -> tuple[ParamStore, dict]:
 
 
 def _read_checkpoint(path) -> tuple[ParamStore, dict]:
-    metadata, arrays = read_archive(path, "checkpoint", _checkpoint_entries)
+    metadata, arrays = read_archive(path, "checkpoint", lambda meta: ("params",))
     layout = metadata.pop("layout")
-    store = ParamStore(layout["names"], layout["shapes"], arrays["params"],
-                       slots={kind: arrays[f"slot/{kind}"]
-                              for kind in layout["slots"]})
-    for where, views in (("", store.params), *((f"slot {kind!r} of ", views)
-                         for kind, views in store.slots.items())):
-        bad = [name for name, value in views.items()
-               if not np.isfinite(value).all()]
-        if bad:
-            raise ValueError(f"{where}{bad[0]} holds a non-finite value")
-    store.step = int(metadata["step"])
+    store = ParamStore(layout["names"], layout["shapes"], arrays["params"])
+    bad = [name for name, value in store.params.items()
+           if not np.isfinite(value).all()]
+    if bad:
+        raise ValueError(f"{bad[0]} holds a non-finite value")
     return store, metadata
 
 

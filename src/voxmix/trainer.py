@@ -46,7 +46,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import evaluate, losses, mixup, runs, voxel
-from .config import ConfigError, ExperimentConfig, config_hash
+from .config import ConfigError, ExperimentConfig, config_hash, dump_config
 from .corpus import (DatasetManifest, FewShotSplit, SampleArrays,
                      class_priors, load_samples, make_split)
 from .model import GridBatch, Network, NetworkConfig
@@ -150,8 +150,8 @@ def _steps(n: int, batch_size: int, epochs: int, rng: np.random.Generator):
 def pretrain_gt(net: Network, volumes: np.ndarray, epochs: int, lr: float,
                 batch_size: int, seed: int) -> tuple[ParamStore, list[float]]:
     """Train the volume encoder plus a throwaway decoder as a plain
-    autoencoder; returns (parameters, per-epoch mean losses).  The caller
-    keeps only the encoder half."""
+    autoencoder; returns (parameters of both, per-epoch mean losses).
+    `pretrain_gt_encoder` keeps only the encoder's `gt_encoder.*` half."""
     if len(volumes) == 0:
         raise ValueError("no volumes to pretrain on")
     store = net.init_pretrain_params(stream_rng(seed, "pretrain_init"))
@@ -315,14 +315,15 @@ def trained_hash(config: ExperimentConfig) -> str:
 
 def save_stage_checkpoint(path, store: ParamStore,
                           config: ExperimentConfig) -> None:
-    runs.save_checkpoint(path, store, {"config_hash": trained_hash(config),
-                                       "prior_mode": config.prior.mode})
+    runs.save_checkpoint(path, store, {"config_hash": trained_hash(config)})
 
 
 def load_stage_checkpoint(path, config: ExperimentConfig):
     """(parameters, metadata); ValueError, naming `path`, unless the
     parameters fit the configured network and were trained under the same
-    `trained_hash` and the prior mode training uses for that network."""
+    `trained_hash`.  The network's variant stands for the prior mode it
+    trained under: a no-prior network's parameters do not fit a prior
+    network, nor the other way round."""
     store, metadata = runs.load_checkpoint(path)
     try:
         Network(network_config(config)).check_store(store)
@@ -332,11 +333,6 @@ def load_stage_checkpoint(path, config: ExperimentConfig):
     if metadata.get("config_hash") != trained_hash(config):
         raise ValueError(f"{path} was trained under another config; "
                          "train again under this one")
-    recorded = metadata.get("prior_mode")
-    mode = "none" if config.prior.mode == "none" else "correct"
-    if recorded != mode:
-        raise ValueError(f"{path} was trained under prior mode {recorded!r}, "
-                         f"not {mode!r}; train again under this config")
     return store, metadata
 
 
@@ -438,15 +434,18 @@ def pretrain_hash(config: ExperimentConfig) -> str:
 
 def pretrain_gt_encoder(ctx: ExperimentContext
                         ) -> tuple[ParamStore, list[float]]:
-    """Pretrain the volume encoder on the training volumes and save it,
-    replacing any earlier checkpoint, with its per-epoch mean losses in
-    `logs/pretrain_gt.csv`; returns (parameters, those losses)."""
+    """Pretrain the volume encoder on the training volumes and save its
+    `gt_encoder.*` parameters alone, replacing any earlier checkpoint, with
+    its per-epoch mean losses in `logs/pretrain_gt.csv`; returns (those
+    parameters, those losses).  The throwaway decoder is dropped."""
     config = ctx.config
-    store, history = pretrain_gt(ctx.net, ctx.train_pool.samples.volumes.grids,
-                                 config.train.pretrain_epochs,
-                                 lr=config.train.gt_lr,
-                                 batch_size=config.train.pretrain_batch,
-                                 seed=config.seed)
+    both, history = pretrain_gt(ctx.net, ctx.train_pool.samples.volumes.grids,
+                                config.train.pretrain_epochs,
+                                lr=config.train.gt_lr,
+                                batch_size=config.train.pretrain_batch,
+                                seed=config.seed)
+    store = ParamStore.pack((name, value) for name, value in both.params.items()
+                            if name.startswith("gt_encoder."))
     ctx.paths.ensure_dirs()
     runs.save_checkpoint(ctx.paths.checkpoints_dir / GT_ENCODER_CHECKPOINT,
                          store, {"pretrain_hash": pretrain_hash(config)})
@@ -527,12 +526,12 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
                  pipelines: tuple[str, ...] = tuple(PIPELINES),
                  alphas: tuple[float, ...] = ()) -> dict[str, PipelineResult]:
     """Train every node of the experiment tree once, after pretraining the
-    volume encoder or loading it, and leave the train log, IoU reports and
-    final checkpoint of each arm of `arm_configs(config, pipelines,
-    alphas)`, under its name, in the run directory.  Sharing a prefix of
-    nodes is bit-identical to training each arm from scratch, because
-    every stage draws from its own seeded stream.  Prior mode "corrupted"
-    is a ConfigError, before any file is written."""
+    volume encoder or loading it, and leave the train log, config, IoU
+    reports and final checkpoint of each arm of `arm_configs(config,
+    pipelines, alphas)`, under its name, in the run directory.  Sharing a
+    prefix of nodes is bit-identical to training each arm from scratch,
+    because every stage draws from its own seeded stream.  Prior mode
+    "corrupted" is a ConfigError, before any file is written."""
     unknown = [p for p in pipelines if p not in PIPELINES]
     if unknown:
         raise ValueError(f"unknown pipeline {unknown[0]!r}")
@@ -540,7 +539,6 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
     ctx = ExperimentContext.load(config, paths)
     pool = ctx.train_pool
     paths.ensure_dirs()
-    paths.write_resolved_config(config)
 
     # An arm is the path of (stage, alpha) nodes its pipeline runs; a node
     # trains under the config of any arm through it.
@@ -571,6 +569,8 @@ def run_ablation(config: ExperimentConfig, paths: runs.RunPaths,
             save_stage_checkpoint(ckpt, store, arm_config)
             write_iou_reports(ctx, name, table)
             runs.write_csv(paths.logs_dir / f"{name}_train.csv", TRAIN_LOG, log)
+            runs.write_atomic(paths.logs_dir / f"{name}_config.txt",
+                              dump_config(arm_config))
             results[name] = PipelineResult(pipeline, arm_config, table, ckpt)
         stack.extend((child, store, log, k == 0) for k, child in
                      enumerate(c for c in node_config if c[:-1] == prefix))

@@ -7,6 +7,7 @@ import struct
 import zipfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from voxmix import cli, runs
@@ -95,3 +96,15 @@ def flip_last_byte(path, entry):
     start = info.header_offset + 30 + name_len + extra_len
     data[start + info.compress_size - 1] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def with_adam_slots(path):
+    """Rewrite the checkpoint at `path` in the older layout that also held
+    Adam's moments: `slot/m` and `slot/v` beside `params`, with the step
+    count and the slot kinds in `meta`."""
+    meta, arrays = runs.read_archive(path, "checkpoint", lambda meta: ("params",))
+    params = arrays["params"]
+    meta["step"], meta["layout"]["slots"] = 5, ["m", "v"]
+    runs.save_archive(path, meta, {"params": params,
+                                   "slot/m": np.zeros_like(params),
+                                   "slot/v": np.ones_like(params)})

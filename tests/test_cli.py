@@ -5,9 +5,9 @@ import shutil
 import numpy as np
 import pytest
 
-from conftest import TinyRun, flip_last_byte, rewrite_without
+from conftest import TinyRun, flip_last_byte, rewrite_without, with_adam_slots
 from voxmix import cli, corpus, evaluate, mixup, runs, trainer, verification
-from voxmix.config import ExperimentConfig, apply_assignments
+from voxmix.config import ExperimentConfig, apply_assignments, dump_config
 from voxmix.model import Network
 
 
@@ -490,6 +490,61 @@ def test_an_unreadable_encoder_checkpoint_is_pretrained_again(tiny_run, damage):
     assert metadata["pretrain_hash"] == trainer.pretrain_hash(tiny_run.config)
 
 
+def test_a_trained_run_holds_parameters_a_layout_and_one_hash(tiny_run):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    config, paths = tiny_run.config, tiny_run.paths
+    _, metadata = runs.load_checkpoint(paths.checkpoint_path("base", 1))
+    assert metadata == {"config_hash": trainer.trained_hash(config)}
+    encoder, metadata = runs.load_checkpoint(
+        paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT)
+    assert metadata == {"pretrain_hash": trainer.pretrain_hash(config)}
+    ctx = trainer.ExperimentContext.load(config, paths)
+    main = ctx.net.init_params(np.random.default_rng(0))
+    assert encoder.names == tuple(name for name in main.names
+                                  if name.startswith("gt_encoder."))
+    pretrained, _ = trainer.pretrain_gt(
+        ctx.net, ctx.train_pool.samples.volumes.grids,
+        config.train.pretrain_epochs, lr=config.train.gt_lr,
+        batch_size=config.train.pretrain_batch, seed=config.seed)
+    for name, value in encoder.params.items():
+        assert value.tobytes() == pretrained.params[name].tobytes(), name
+
+
+def test_a_stage_checkpoint_holding_adam_slots_exits_3_and_names_it(
+        tiny_run, capsys):
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    ckpt = tiny_run.paths.checkpoint_path("base", 1)
+    with_adam_slots(ckpt)
+    capsys.readouterr()
+    assert tiny_run.voxmix("eval", "--pipeline", "base") == cli.EXIT_MISSING
+    err = capsys.readouterr().err
+    assert f"missing artifact: {ckpt}: " in err and "'slot/m'" in err
+
+
+def test_an_encoder_checkpoint_holding_adam_slots_is_pretrained_again(tiny_run):
+    ckpt = tiny_run.paths.checkpoints_dir / trainer.GT_ENCODER_CHECKPOINT
+    assert tiny_run.voxmix("pretrain-gt") == cli.EXIT_OK
+    pretrained = ckpt.read_bytes()
+    with_adam_slots(ckpt)
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    assert ckpt.read_bytes() == pretrained
+
+
+def test_each_train_writes_its_arms_config_and_gen_data_alone_the_resolved_one(
+        tiny_run):
+    resolved = tiny_run.paths.resolved_config_path
+    written = resolved.read_bytes()
+    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
+    assert tiny_run.voxmix("train", "--pipeline", "base",
+                           "-o", "prior.mode=none") == cli.EXIT_OK
+    for arm, config in (("base", tiny_run.config), ("base_noprior",
+                        apply_assignments(tiny_run.config,
+                                          {"prior.mode": "none"}))):
+        assert (tiny_run.paths.logs_dir / f"{arm}_config.txt").read_text() \
+            == dump_config(config)
+    assert resolved.read_bytes() == written
+
+
 def _set_nan(ckpt, name):
     """Rewrite the checkpoint at `ckpt` with parameter `name` all NaN."""
     store, metadata = runs.load_checkpoint(ckpt)
@@ -799,30 +854,6 @@ def test_eval_reads_a_run_directory_copied_under_another_run_name(tiny_run):
     assert tiny_run.voxmix("eval", "--pipeline", "base",
                            "-o", "run_name=copy") == cli.EXIT_OK
     assert report.read_bytes() == written
-
-
-@pytest.mark.parametrize("recorded", ["corrupted", None],
-                         ids=["corrupted", "not_recorded"])
-def test_eval_refuses_a_checkpoint_not_trained_under_its_networks_mode(
-        tiny_run, capsys, recorded):
-    assert tiny_run.voxmix("train", "--pipeline", "base") == cli.EXIT_OK
-    # As a corrupted-prior run, or one that predates the record, left it.
-    ckpt = tiny_run.paths.checkpoint_path("base", 1)
-    store, metadata = runs.load_checkpoint(ckpt)
-    metadata["prior_mode"] = recorded
-    if recorded is None:
-        del metadata["prior_mode"]
-    runs.save_checkpoint(ckpt, store, metadata)
-    before = _files(tiny_run.paths.reports_dir)
-    for mode in ("correct", "corrupted"):
-        assert tiny_run.voxmix("eval", "-o", f"prior.mode={mode}",
-                               "--pipeline", "base",
-                               "--dump-predictions") == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == (f"error: {ckpt} was trained under prior mode "
-                       f"{recorded!r}, not 'correct'; train again under this "
-                       "config\n")
-    assert _files(tiny_run.paths.reports_dir) == before
 
 
 def test_eval_writes_no_report_until_every_arm_has_all_of_its_reports(

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import rewrite_without
+from conftest import rewrite_without, with_adam_slots
 from voxmix import cli, config as config_module, nn, runs
 from voxmix.config import ExperimentConfig, apply_assignments
 
@@ -14,8 +14,8 @@ def _store():
     store = nn.ParamStore.pack([
         ("a.w", rng.standard_normal((3, 4)).astype(np.float32)),
         ("a.b", rng.standard_normal(4).astype(np.float32))])
-    store.slot("m")
-    store.slots["m"]["a.w"][...] = 1.0
+    store.slot("m")[...] = 1.0
+    store.slot("v")[...] = 2.0
     store.step = 5
     return store
 
@@ -115,6 +115,19 @@ def test_write_csv_writes_floats_at_full_precision(tmp_path):
     assert path.read_bytes() == b"class,iou,n\r\nlamp,0.30000000000000004,3\r\n"
 
 
+def test_a_checkpoint_holds_the_parameters_their_layout_and_the_metadata(
+        tmp_path):
+    path = tmp_path / "model.ckpt"
+    store = _store()
+    runs.save_checkpoint(path, store, {"config_hash": "abc", "note": 1})
+    with np.load(path, allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["meta", "params"]
+        meta = json.loads(archive["meta"].item())
+        assert archive["params"].tobytes() == store.flat.tobytes()
+    assert meta == {"config_hash": "abc", "note": 1, "layout": {
+        "names": ["a.w", "a.b"], "shapes": [[3, 4], [4]]}}
+
+
 def test_checkpoint_keeps_its_file_name(tmp_path):
     runs.save_checkpoint(tmp_path / "dual_mix_stage3.ckpt", _store(), {})
     assert [p.name for p in tmp_path.iterdir()] == ["dual_mix_stage3.ckpt"]
@@ -138,42 +151,41 @@ def test_a_checkpoint_with_a_foreign_entry_is_rejected(tmp_path):
         runs.load_checkpoint(path)
 
 
-def test_a_checkpoint_missing_a_declared_slot_is_rejected(tmp_path):
+def test_a_checkpoint_missing_its_params_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
     runs.save_checkpoint(path, _store(), {})
-    rewrite_without(path, "slot/m.npy")
+    rewrite_without(path, "params.npy")
     with pytest.raises(runs.MissingArtifactError,
-                       match=r"model.ckpt: .*missing entries \['slot/m'\]"):
+                       match=r"model.ckpt: .*missing entries \['params'\]"):
         runs.load_checkpoint(path)
 
 
 def _write_archive(path, layout, **arrays):
-    meta = json.dumps({"step": 0, "layout": layout})
+    meta = json.dumps({"layout": layout})
     with path.open("wb") as fh:
         np.savez(fh, meta=np.array(meta), **arrays)
 
 
 def test_a_layout_whose_shapes_miss_the_buffer_size_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    _write_archive(path, {"names": ["a.w", "a.b"], "shapes": [[3, 4], [5]],
-                          "slots": []}, params=np.zeros(16, np.float32))
+    _write_archive(path, {"names": ["a.w", "a.b"], "shapes": [[3, 4], [5]]},
+                   params=np.zeros(16, np.float32))
     with pytest.raises(runs.MissingArtifactError, match="model.ckpt: .*17 values"):
         runs.load_checkpoint(path)
 
 
-def test_a_slot_of_another_size_is_rejected(tmp_path):
+def test_a_checkpoint_holding_adam_slots_is_rejected(tmp_path):
     path = tmp_path / "model.ckpt"
-    _write_archive(path, {"names": ["a.w"], "shapes": [[4]], "slots": ["m"]},
-                   params=np.zeros(4, np.float32),
-                   **{"slot/m": np.zeros(3, np.float32)})
-    with pytest.raises(runs.MissingArtifactError, match="model.ckpt: .*'m'"):
+    runs.save_checkpoint(path, _store(), {})
+    with_adam_slots(path)
+    with pytest.raises(runs.MissingArtifactError,
+                       match=r"model.ckpt: .*unexpected entries \['slot/m', "):
         runs.load_checkpoint(path)
 
 
 @pytest.mark.parametrize("where,says", [
-    (lambda store: store.params["a.b"], "a.b holds a non-finite value"),
-    (lambda store: store.slots["m"]["a.w"],
-     "slot 'm' of a.w holds a non-finite value")], ids=["params", "slot"])
+    (lambda store: store.params["a.b"], "a.b holds a non-finite value")],
+    ids=["params"])
 def test_a_checkpoint_holding_a_non_finite_value_is_rejected(tmp_path, where,
                                                              says):
     path = tmp_path / "model.ckpt"

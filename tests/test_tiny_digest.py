@@ -27,7 +27,8 @@ def test_the_command_chain_writes_the_same_bytes_in_two_fresh_roots(tmp_path):
     written = sorted(str(p.relative_to(tmp_path / "a")) for p in
                      (tmp_path / "a").rglob("*")
                      if p.is_file() and p.name != "tiny.cfg")
-    assert sorted(n for n in names if not n.endswith(" [arrays]")) == written
+    entries = [name for name in names if name.endswith("]")]
+    assert sorted(n for n in names if n not in entries) == written
     archives = [k for k, name in enumerate(names)
                 if name.endswith((".ckpt", ".npz"))]
     assert {"tiny/dataset.npz", "tiny/priors.npz",
@@ -35,5 +36,6 @@ def test_the_command_chain_writes_the_same_bytes_in_two_fresh_roots(tmp_path):
             "tiny/reports/dual_mix_predictions.npz",
             "tiny/checkpoints/gt_encoder.ckpt"} <= {names[k] for k in archives}
     for k in archives:
-        assert names[k + 1] == f"{names[k]} [arrays]"
-    assert len(names) == len(written) + len(archives)
+        assert re.fullmatch(rf"{re.escape(names[k])} \[[^]]+\]", names[k + 1])
+    assert "tiny/checkpoints/gt_encoder.ckpt [params]" in entries
+    assert len(names) == len(written) + len(entries)

@@ -65,22 +65,25 @@ def test_every_name_the_benchmark_traces_exists_in_src():
         assert f"{obj.__module__}.{obj.__qualname__}" == f"voxmix.{target}"
 
 
-def test_shared_prefix_ablation_matches_a_single_pipeline(tiny_run):
+# dual_mix trains the base node's store in place; latent_mix trains a copy
+# of it, taken before input_mix changes it.
+@pytest.mark.parametrize("pipeline", ["dual_mix", "latent_mix"])
+def test_shared_prefix_ablation_matches_a_single_pipeline(tiny_run, pipeline):
     config = tiny_run.config
     every = trainer.run_ablation(config, tiny_run.paths)
-    every_ckpt = every["dual_mix"].checkpoint_path.read_bytes()
+    every_ckpt = every[pipeline].checkpoint_path.read_bytes()
     for ckpt in tiny_run.paths.checkpoints_dir.glob("*.ckpt"):
         ckpt.unlink()   # the second run pretrains and trains from scratch
-    single = trainer.run_ablation(config, tiny_run.paths, ("dual_mix",))
+    single = trainer.run_ablation(config, tiny_run.paths, (pipeline,))
 
-    assert set(single) == {"dual_mix"}
-    # Parameters, optimizer slots and metadata all match byte for byte.
-    assert single["dual_mix"].checkpoint_path.read_bytes() == every_ckpt
-    assert single["dual_mix"].final_table.per_sample \
-        == every["dual_mix"].final_table.per_sample
+    assert set(single) == {pipeline}
+    # Parameters and metadata match byte for byte.
+    assert single[pipeline].checkpoint_path.read_bytes() == every_ckpt
+    assert single[pipeline].final_table.per_sample \
+        == every[pipeline].final_table.per_sample
     # Only each pipeline's final checkpoint is written.
     assert sorted(p.name for p in tiny_run.paths.checkpoints_dir.glob("*.ckpt")) \
-        == ["dual_mix_stage3.ckpt", "gt_encoder.ckpt"]
+        == sorted([single[pipeline].checkpoint_path.name, "gt_encoder.ckpt"])
 
 
 def test_an_alpha_sweep_trains_the_base_stage_once(tiny_run, monkeypatch):
@@ -112,7 +115,8 @@ def test_an_alpha_sweep_trains_the_base_stage_once(tiny_run, monkeypatch):
             _, metadata = runs.load_checkpoint(result.checkpoint_path)
             assert (metadata["config_hash"]
                     == trainer.trained_hash(result.config))
-    assert tiny_run.paths.resolved_config_path.read_text() == dump_config(config)
+            assert (tiny_run.paths.logs_dir / f"{pipeline}_alpha{alpha:g}"
+                    "_config.txt").read_text() == dump_config(result.config)
 
 
 def test_the_trained_hash_ignores_what_evaluation_may_change():

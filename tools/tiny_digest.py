@@ -12,10 +12,11 @@ override to every command (``prior.mode=none`` runs the no-prior chain),
 except the evaluation-only ``prior.mode=corrupted``, which only eval gets:
 that chain trains under the correct priors and evaluates each sample
 under another class's prior.
-Each archive (``*.ckpt``, ``*.npz``) also gets a ``sha256 path [arrays]``
-line over its arrays alone, every entry but ``meta``, so a change to an
-archive's metadata alone shows as exactly that.  Diffing the output of
-two trees shows whether a change keeps every artifact byte-identical.
+Each archive (``*.ckpt``, ``*.npz``) also gets one ``sha256 path [entry]``
+line per array entry, every entry but ``meta``, in name order, so a change
+to an archive's metadata alone shows as exactly that, and a change to its
+arrays names the entry that moved.  Diffing the output of two trees shows
+whether a change keeps every artifact byte-identical.
 """
 
 import contextlib
@@ -33,16 +34,18 @@ CHAIN = (("gen-data",), ("build-priors",), ("pretrain-gt",), ("train", "--all"),
 EVAL_ONLY = ("prior.mode=corrupted",)
 
 
-def array_digest(path: Path) -> str:
-    """sha256 over the name, dtype, shape and bytes of every array of an
-    archive but its metadata, in name order."""
-    digest = hashlib.sha256()
+def entry_digests(path: Path) -> list[tuple[str, str]]:
+    """(entry, sha256 over its name, dtype, shape and bytes) of every array
+    of an archive but its metadata, in name order."""
+    digests = []
     with np.load(path, allow_pickle=False) as archive:
         for name in sorted(n for n in archive.files if n != "meta"):
             array = archive[name]
-            digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+            digest = hashlib.sha256(
+                f"{name} {array.dtype.str} {array.shape}\n".encode())
             digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
+            digests.append((name, digest.hexdigest()))
+    return digests
 
 
 def main(src: str, root: str, *overrides: str) -> int:
@@ -66,7 +69,8 @@ def main(src: str, root: str, *overrides: str) -> int:
         name = path.relative_to(run.root)
         print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {name}")
         if path.suffix in (".ckpt", ".npz"):
-            print(f"{array_digest(path)}  {name} [arrays]")
+            for entry, digest in entry_digests(path):
+                print(f"{digest}  {name} [{entry}]")
     return 0
 
 
