@@ -2,13 +2,13 @@
 eval and grad-check.
 
 Every experiment is a config file plus a subcommand; outputs land only
-under the run directory (``$VOXMIX_RUN_ROOT/<run_name>``, default root
-``./runs``).  Each arm `train` writes is named by `trainer.arm_name`: the
-pipeline, `_alpha<a>` per value of `mixup.alpha` with `--alphas A,B`, and
-`_noprior` on the no-prior network (`base`, `input_mix_alpha0.4`,
-`base_noprior`).  `eval` reads the arms of its own network and writes
-their IoU and cosine reports once it has computed them all.  `train`
-and `pretrain-gt` refuse `prior.mode=corrupted` (exit 2), an `eval` mode.
+under the run directory ``<--run-root or ./runs>/<run_name>``.  Each arm
+`train` writes is named by `trainer.arm_name`: the pipeline, `_alpha<a>`
+per value of `mixup.alpha` with `--alphas A,B`, and `_noprior` on the
+no-prior network (`base`, `input_mix_alpha0.4`, `base_noprior`).  `eval`
+reads the arms of its own network and writes their IoU and cosine reports
+once it has computed them all.  `train` and `pretrain-gt` refuse
+`prior.mode=corrupted` (exit 2), an `eval` mode.
 
 Exit codes: 0 ok, 1 usage error, 2 config error, 3 missing, unreadable or
 stale input artifact, 4 numeric failure.  The dataset is the one input
@@ -18,16 +18,16 @@ config on every run, so no file of theirs is read.  On exit 3 the message
 names the file and, for a missing or stale one, the command that writes
 it.  Every bad config value exits 2 when the config is built, before any
 work, and the message names its key: an unknown key, a value its section
-rejects, a class that is no shape archetype, a `run_name` that is not one
-directory name, a size the network's strides do not divide, or a split
-that breaks the rules across `data` fields (an empty class list, a class
-in both lists or in neither, shots per class).  A bad `--alphas` value
-exits 2 as well, and so do two alphas that name one arm.  A flag value no
-run can honour (a count below one, a tolerance that is not a finite
-positive number, `train --all` with `--pipeline`) exits 1 before any work,
-and the message names the flag.  `eval` also exits 1, naming the file, when
-a stage checkpoint was trained under another config or its parameters do
-not fit the configured network.
+rejects, a negative `seed`, a class that is no shape archetype, a
+`run_name` that is not one directory name, a size the network's strides
+do not divide, or a split that breaks the rules across `data` fields (an
+empty class list, a class in both lists or in neither, shots per class).
+A bad `--alphas` value exits 2 as well, and so do two alphas that name one
+arm.  A flag value no run can honour (a count below one, a tolerance that
+is not a finite positive number, `train --all` with `--pipeline`) exits 1
+before any work, and the message names the flag.  `eval` also exits 1,
+naming the file, when a stage checkpoint was trained under another config
+or its parameters do not fit the configured network.
 """
 
 from __future__ import annotations
@@ -78,8 +78,7 @@ def add_run_options(p: argparse.ArgumentParser) -> None:
                    help="path to the experiment config file")
     p.add_argument("-o", "--override", action="append", default=[],
                    metavar="KEY=VALUE", help="config override, after the file")
-    p.add_argument("--run-root", help=f"run root directory (default "
-                   f"${runs.RUN_ROOT_ENV} or ./runs)")
+    p.add_argument("--run-root", help="run root directory (default ./runs)")
 
 
 def _build_parser() -> Parser:

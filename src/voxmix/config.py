@@ -18,7 +18,6 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
-from .evaluate import PRIOR_MODES
 from .losses import LossConfig
 from .shapes import ARCHETYPE_NAMES
 
@@ -62,6 +61,9 @@ class DataConfig:
                              f"{self.elevations}")
         if self.vox_dim < 8:
             raise ValueError(f"vox_dim must be at least 8, got {self.vox_dim}")
+
+
+PRIOR_MODES = ("correct", "corrupted", "none")
 
 
 @dataclass(frozen=True)
@@ -151,6 +153,8 @@ class ExperimentConfig:
     eval: EvalSection = field(default_factory=EvalSection)
 
     def __post_init__(self):
+        if self.seed < 0:   # np.random.SeedSequence refuses it
+            raise ConfigError(f"seed: {self.seed} is negative")
         name = self.run_name
         if name in ("", ".", "..") or any(c in name for c in "/\0"):
             raise ConfigError(f"run_name: {name!r} is not one "

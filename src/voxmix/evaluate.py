@@ -31,9 +31,6 @@ from .model import GridBatch, Network
 from .nn import ParamStore
 from .voxel import iou
 
-PRIOR_MODES = ("correct", "corrupted", "none")
-
-
 def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
                 mode: str, all_classes: tuple[str, ...]) -> GridBatch | None:
     """The prior input of the samples of `class_ids`: the (1, D, D, D) grid
@@ -46,8 +43,6 @@ def prior_batch(class_ids, priors_by_class: dict[str, np.ndarray],
     if mode == "corrupted":
         class_ids = [all_classes[(all_classes.index(c) + 1) % len(all_classes)]
                      for c in class_ids]
-    elif mode != "correct":
-        raise ValueError(f"unknown prior mode {mode!r}")
     names, rows = np.unique(np.asarray(class_ids), return_inverse=True)
     return GridBatch(np.asarray([priors_by_class[c] for c in names],
                                 dtype=np.float32), rows)
@@ -141,16 +136,11 @@ def cosine_report(net: Network, store: ParamStore, samples: SampleArrays,
     cls_arr = np.asarray(samples.class_ids)
     for class_id in sorted(set(samples.class_ids)):
         members = np.flatnonzero(cls_arr == class_id)
-        if members.size < 2:
-            raise ValueError(f"class {class_id!r} has fewer than 2 views")
         gram = unit[members] @ unit[members].T
         same_mask = obj_arr[members][:, None] == obj_arr[members][None, :]
         upper = np.triu(np.ones_like(gram, dtype=bool), k=1)
         same_pairs = upper & same_mask
         diff_pairs = upper & ~same_mask
-        if same_pairs.sum() == 0 or diff_pairs.sum() == 0:
-            raise ValueError(
-                f"class {class_id!r} lacks same- or different-object pairs")
         rows.append((class_id,
                      float(gram[same_pairs].mean()),
                      float(gram[diff_pairs].mean()),

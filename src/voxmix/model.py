@@ -21,7 +21,7 @@ the checkpoint layout, so it must not change.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,6 +117,19 @@ def _sum_rows(d_rows: np.ndarray, rows: np.ndarray) -> np.ndarray:
         (len(onehot),) + d_rows.shape[1:])
 
 
+def _centered(seq: Sequential, batches: Sequence[np.ndarray],
+              store: ParamStore) -> list[np.ndarray]:
+    """`seq`'s output on each batch, each Dense's bias first lowered by the
+    mean of its output over every row of `batches`."""
+    for layer in seq.layers:
+        if isinstance(layer, Dense):
+            w, b = (store.params[name] for name in layer.param_names)
+            b[...] -= (sum((x @ w + b).sum(axis=0) for x in batches)
+                       / sum(map(len, batches))).astype(b.dtype)
+        batches = [layer.forward(x, store) for x in batches]
+    return batches
+
+
 class Network:
     """Owns the layer graph for one variant; parameters live in a
     ParamStore so snapshots and checkpoints stay plain data.
@@ -194,7 +207,8 @@ class Network:
         geometry between embeddings.  Folding the training-pool mean of
         each latent-producing dense layer into its bias, upstream layers
         first, removes that shared direction exactly.  The latent layers
-        are every Dense of `parts` outside the decoder, in `parts` order.
+        are every Dense of the heads and the merger; `_centered` walks each
+        once, the merger after the image and aux heads it reads.
         `priors` and `volumes` are the pool's prior and volume inputs; the
         heads read one row per sample, so every mean is over samples, not
         grids.  One-time, at initialization; deterministic given the pool.
@@ -204,24 +218,16 @@ class Network:
         # Only dense layers move below, so the conv stacks run once.
         grids, rows = self._distinct(volumes, "volume", store)
         gt_feat = self.gt_conv.forward(grids, store)
-        feats = []
-        for start in range(0, len(images), batch_size):
-            sl = slice(start, min(start + batch_size, len(images)))
-            feats.append((*self._features(
-                images[sl], None if priors is None else priors.take(sl), store),
-                gt_feat[rows[sl]]))
-        for dense in [layer for part in self.parts if part is not self.decoder
-                      for layer in part.layers if isinstance(layer, Dense)]:
-            w, b = (store.params[name] for name in dense.param_names)
-            total = 0.0
-            count = 0
-            for feat, aux_in, gt_feat in feats:
-                self._heads(feat, aux_in, store)
-                self.gt_head.forward(gt_feat, store)
-                value = dense._x @ w + b
-                total = total + value.sum(axis=0)
-                count += value.shape[0]
-            b[...] -= (total / count).astype(b.dtype)
+        slices = [slice(start, start + batch_size)
+                  for start in range(0, len(images), batch_size)]
+        feats, aux_ins = zip(*(self._features(
+            images[sl], None if priors is None else priors.take(sl), store)
+            for sl in slices))
+        latents = zip(_centered(self.image_head, feats, store),
+                      _centered(self.aux_head, aux_ins, store))
+        _centered(self.merger, [np.concatenate(pair, axis=1)
+                                for pair in latents], store)
+        _centered(self.gt_head, [gt_feat[rows[sl]] for sl in slices], store)
 
     # -- forward / backward --------------------------------------------------
 

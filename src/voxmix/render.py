@@ -44,13 +44,7 @@ def render(volume: np.ndarray, azimuth: float, elevation: float,
            out_size: tuple[int, int] = (32, 32)) -> np.ndarray:
     """Render a (2, H, W) float32 silhouette+depth image of the (D, D, D)
     bool grid `volume`."""
-    if not 0.0 <= azimuth < 360.0:
-        raise ValueError(f"azimuth must be in [0, 360), got {azimuth}")
-    if not -45.0 <= elevation <= 45.0:
-        raise ValueError(f"elevation must be in [-45, 45], got {elevation}")
     h, w = out_size
-    if h <= 0 or w <= 0:
-        raise ValueError(f"bad output size {out_size}")
     dim = len(volume)
     occ = rotate_grid(volume, azimuth, elevation)
 

@@ -84,9 +84,6 @@ from . import corpus
 from .config import ExperimentConfig, config_hash, dump_config
 from .nn import ParamStore
 
-RUN_ROOT_ENV = "VOXMIX_RUN_ROOT"
-
-
 class MissingArtifactError(FileNotFoundError):
     """A required input artifact has not been generated yet, or cannot be
     read."""
@@ -183,12 +180,6 @@ def _read_checkpoint(path) -> tuple[ParamStore, dict]:
     return store, metadata
 
 
-def run_root(explicit: str | None = None) -> Path:
-    if explicit:
-        return Path(explicit)
-    return Path(os.environ.get(RUN_ROOT_ENV, "runs"))
-
-
 @dataclass(frozen=True)
 class RunPaths:
     root: Path
@@ -196,7 +187,7 @@ class RunPaths:
     @classmethod
     def for_config(cls, config: ExperimentConfig,
                    root: str | None = None) -> "RunPaths":
-        return cls(run_root(root) / config.run_name)
+        return cls(Path(root or "runs") / config.run_name)
 
     @property
     def dataset_path(self) -> Path:

@@ -119,8 +119,6 @@ ARCHETYPE_NAMES = tuple(sorted(_ARCHETYPES))
 
 
 def param_count(archetype: str) -> int:
-    if archetype not in _ARCHETYPES:
-        raise ValueError(f"unknown archetype {archetype!r}")
     return _ARCHETYPES[archetype][0]
 
 
@@ -143,8 +141,6 @@ class ShapeSpec:
 def voxelize(spec: ShapeSpec, dim: int) -> np.ndarray:
     """Deterministically voxelize a shape spec onto a (dim, dim, dim) bool
     grid."""
-    if dim < 8:
-        raise ValueError(f"dim must be at least 8, got {dim}")
     _, builder = _ARCHETYPES[spec.archetype]
     grid = np.zeros((dim,) * 3, bool)
     builder(np.asarray(spec.params, dtype=np.float64), grid, dim, dim - 2)

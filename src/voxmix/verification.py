@@ -8,6 +8,8 @@ fragment returns its loss and a pullback to its gradients, so the probes
 run no backward pass, nor does the pipelines' kink-safe seed search (ReLU
 margins are recorded in the forward pass, the hinge margin in the loss).
 Inputs are sampled away from the kinks so the comparison is well defined.
+The pretraining fragment is checked in tier-1 only: it is not one of
+`standard_fragments`, so `voxmix grad-check` does not run it.
 """
 
 from __future__ import annotations

@@ -34,10 +34,6 @@ def iou(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
 def build_prior(volumes: Sequence[np.ndarray], threshold: float) -> np.ndarray:
     """Average grids and binarize: occupied iff mean occupancy is strictly
     greater than `threshold`."""
-    if not volumes:
-        raise ValueError("cannot build a prior from an empty volume list")
-    if not 0.0 <= threshold < 1.0:
-        raise ValueError(f"prior threshold must be in [0, 1), got {threshold}")
     return np.mean(np.stack(volumes), axis=0, dtype=np.float64) > threshold
 
 
@@ -45,10 +41,6 @@ def proximity(novel: Sequence[tuple[str, np.ndarray]],
               base: Sequence[np.ndarray]) -> dict[str, float]:
     """Per class of the (class_id, grid) pairs in `novel`, the mean over
     its grids of the best IoU any grid of `base` achieves against each."""
-    if not novel:
-        raise ValueError("novel volume set is empty")
-    if not base:
-        raise ValueError("base volume set is empty")
     base_stack = np.stack(base)
     by_class: dict[str, list[float]] = {}
     for class_id, grid in novel:

@@ -21,6 +21,12 @@ TINY_OVERRIDES = {
     "model.image_channels": "4,4,4,4", "model.prior_channels": "4,4,4",
     "model.decoder_channels": "4,4,4", "model.latent_width": "16",
     "train.stage_epochs": "2,2,2", "train.pretrain_epochs": "3"}
+# A config that learns in about a second: the tiny corpus, the default model
+# widths and no pretraining (`tests/test_learning.py`).
+LEARN_OVERRIDES = {
+    **{key: value for key, value in TINY_OVERRIDES.items()
+       if key.startswith("data.")},
+    "train.stage_epochs": "30,15,15", "train.pretrain_epochs": "0"}
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
@@ -29,10 +35,10 @@ class TinyRun:
     that build-priors writes for inspection; every command derives the
     split and the priors from the dataset and the config instead."""
 
-    def __init__(self, root):
+    def __init__(self, root, overrides=TINY_OVERRIDES):
         self.root = root
         self.config = apply_assignments(ExperimentConfig(run_name="tiny"),
-                                        TINY_OVERRIDES)
+                                        overrides)
         self.paths = runs.RunPaths.for_config(self.config, str(root))
         self.config_file = root / "tiny.cfg"
 

@@ -198,8 +198,10 @@ def test_a_config_that_sets_a_removed_key_exits_2_naming_the_key(
     ("data.vox_dim=4", "model.prior_channels=4,4",
      "model.decoder_channels=4,4"),
     ("data.classes=box,table,cylstack,chair,lamp,foo",
-     "data.novel_classes=lamp,foo")],
-    ids=["repeated_class", "elevation", "vox_dim", "not_an_archetype"])
+     "data.novel_classes=lamp,foo"),
+    ("seed=-1",)],
+    ids=["repeated_class", "elevation", "vox_dim", "not_an_archetype",
+         "negative_seed"])
 def test_a_data_value_gen_data_cannot_honour_exits_2_naming_the_key(
         tmp_path, capsys, overrides):
     run = TinyRun(tmp_path)

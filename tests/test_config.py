@@ -5,10 +5,10 @@ from typing import get_args, get_origin, get_type_hints
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from voxmix.config import (ConfigError, DataConfig, ExperimentConfig,
-                           ModelSection, apply_assignments, config_hash,
-                           dump_config, load_config, parse_config_text)
-from voxmix.evaluate import PRIOR_MODES
+from voxmix.config import (PRIOR_MODES, ConfigError, DataConfig,
+                           ExperimentConfig, ModelSection, apply_assignments,
+                           config_hash, dump_config, load_config,
+                           parse_config_text)
 from voxmix.shapes import ARCHETYPE_NAMES
 
 # What a config file can hold as a name: no comma (the list separator), no
@@ -24,6 +24,7 @@ _CHANNELS = st.lists(st.integers(min_value=1), min_size=1, max_size=4).map(tuple
 # The fields a section range-checks draw from inside their range; `_configs`
 # draws the fields the rules across sections tie together.
 IN_RANGE = {
+    "seed": st.integers(min_value=0),
     "run_name": NAMES.filter(lambda s: s not in (".", "..")
                              and not set(s) & set("/\0")),
     "loss.w_recon": _NON_NEGATIVE, "loss.w_align": _NON_NEGATIVE,
